@@ -11,8 +11,8 @@ like informal hubs.
 import numpy as np
 
 from bustrace import (
+    PassageTable,
     aggregate_by_category,
-    collect_passages,
     daily_average,
     detect,
     find_outlier_stops,
@@ -57,7 +57,7 @@ for (vehicle, line_code, day), fixes in sorted(dataset.fixes.items()):
                 detections.append(result.itinerary)
 print(f"{len(detections)} trips reconstructed across {len(dataset.lines)} lines")
 
-passages = collect_passages(detections)
+passages = PassageTable.from_itineraries(detections)
 merged, categories = merge_terminals(passages, dataset.stops)
 series = build_availability(merged, window_minutes=10)
 

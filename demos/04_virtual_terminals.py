@@ -12,11 +12,11 @@ within a rider's waiting window?
 from datetime import date
 
 from bustrace import (
+    PassageTable,
     build_candidates,
     cluster_stats,
     cluster_stops,
     cluster_sync_profile,
-    collect_passages,
     daily_average,
     detect,
     find_outlier_stops,
@@ -88,8 +88,9 @@ for (vehicle, line_code, day), fixes in sorted(dataset.fixes.items()):
                 detections.append(result.itinerary)
 print(f"{len(detections)} trips reconstructed")
 
-passages = collect_passages(detections)
-series = build_availability(passages, window_minutes=10)
+passages = PassageTable.from_itineraries(detections)
+times = passages.times_by_stop()
+series = build_availability(times, window_minutes=10)
 averages = {key: daily_average(s) for key, s in series.items()}
 categories = {key: StopType.STREET_STOP for key in averages}
 outliers = find_outlier_stops(averages, categories)
@@ -104,7 +105,7 @@ for cluster in enriched:
         f"lines={sorted(cluster.lines_served)} avg_buses={cluster.avg_buses:.2f}"
     )
 
-profile = cluster_sync_profile(enriched[0].member_list, passages, windows=SYNC_WINDOW_SET)
+profile = cluster_sync_profile(enriched[0].member_list, times, windows=SYNC_WINDOW_SET)
 print("\nmean pairwise correlation inside the cluster:")
 print("window:  " + "  ".join(f"{w:>5d}" for w in SYNC_WINDOW_SET))
 for period in ("morning", "midday", "evening"):

@@ -10,14 +10,14 @@ restricted to periods of the day.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtr
 
-from .detection import DetectedItinerary
+from .detection import DetectedItinerary, round_to_second
 from .model import BusStop, StopType
 
 log = logging.getLogger(__name__)
@@ -41,15 +41,6 @@ DEFAULT_PERIODS = (
 )
 
 
-@dataclass(frozen=True)
-class Passage:
-    """One bus passage event at a stop (observed or interpolated time)."""
-
-    time_s: float
-    vehicle_id: str
-    line_code: str
-
-
 @dataclass
 class AvailabilitySeries:
     """Per-minute sliding-window passage counts for one stop or cluster."""
@@ -65,41 +56,80 @@ class AvailabilitySeries:
         return np.arange(self.span[0], self.span[1] - self.window_minutes + 1)
 
 
-def collect_passages(detections: Iterable[DetectedItinerary]) -> dict[str, list[Passage]]:
-    """Index passage events by stop, time-sorted, from detected trips."""
-    passages: dict[str, list[Passage]] = {}
-    for det in detections:
-        for entry in det.entries:
-            passages.setdefault(entry.stop_id, []).append(
-                Passage(entry.time_s, det.vehicle_id, det.line_code)
-            )
-    for events in passages.values():
-        events.sort(key=lambda p: p.time_s)
-    return passages
+@dataclass(frozen=True)
+class PassageTable:
+    """Timed stop passages of detected trips, one row per (trip, position).
+
+    Every column is a numpy array of the same length. ``time_s`` holds
+    seconds of day rounded to whole seconds the way
+    ``detected_itineraries.csv`` writes them, so a table built from the
+    trips in memory equals the one read back from that file.
+    """
+
+    stop_id: np.ndarray
+    day: np.ndarray
+    time_s: np.ndarray
+    vehicle_id: np.ndarray
+    line_code: np.ndarray
+
+    def __post_init__(self):
+        dtypes = {"day": "datetime64[D]", "time_s": np.int64}
+        for f in fields(self):
+            column = np.asarray(getattr(self, f.name), dtype=dtypes.get(f.name, str))
+            object.__setattr__(self, f.name, column)
+        if len({getattr(self, f.name).shape for f in fields(self)}) > 1:
+            raise ValueError("passage columns must have equal lengths")
+
+    def __len__(self) -> int:
+        return len(self.time_s)
+
+    @classmethod
+    def from_itineraries(cls, itineraries: Iterable[DetectedItinerary]) -> "PassageTable":
+        rows = [
+            (entry.stop_id, det.day, round_to_second(entry.time_s), det.vehicle_id, det.line_code)
+            for det in itineraries
+            for entry in det.entries
+        ]
+        return cls(*zip(*rows)) if rows else cls((), (), (), (), ())
+
+    def select(self, mask: np.ndarray) -> "PassageTable":
+        return PassageTable(*(getattr(self, f.name)[mask] for f in fields(self)))
+
+    def times_by_stop(self) -> dict[str, np.ndarray]:
+        return group_times(self.stop_id, self.time_s)
+
+
+def group_times(keys: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
+    """Ascending times per distinct key, in key order.
+
+    The one passage index: stops, merged terminals and vehicles are all
+    grouped here.
+    """
+    order = np.lexsort((times, keys))
+    unique, starts = np.unique(keys[order], return_index=True)
+    return dict(zip(unique.tolist(), np.split(times[order], starts[1:])))
 
 
 def merge_terminals(
-    passages: Mapping[str, list[Passage]], stops: Mapping[str, BusStop]
-) -> tuple[dict[str, list[Passage]], dict[str, StopType]]:
+    passages: PassageTable, stops: Mapping[str, BusStop]
+) -> tuple[dict[str, np.ndarray], dict[str, StopType]]:
     """Fold all stops of one terminal (same name) into a single pseudo-stop.
 
-    Returns the merged passage index plus a category map for every key.
-    Non-terminal stops pass through unchanged.
+    Returns the ascending passage times per key plus a category map for
+    every key. Non-terminal stops pass through unchanged.
     """
-    merged: dict[str, list[Passage]] = {}
+    stop_ids, rows = np.unique(passages.stop_id, return_inverse=True)
+    keys: list[str] = []
     categories: dict[str, StopType] = {}
-    for stop_id, events in passages.items():
+    for stop_id in stop_ids.tolist():
         stop = stops.get(stop_id)
         if stop is not None and stop.stop_type is StopType.TERMINAL:
             key = f"terminal:{stop.name}"
-            merged.setdefault(key, []).extend(events)
-            categories[key] = StopType.TERMINAL
         else:
-            merged.setdefault(stop_id, []).extend(events)
-            categories[stop_id] = stop.stop_type if stop is not None else StopType.STREET_STOP
-    for events in merged.values():
-        events.sort(key=lambda p: p.time_s)
-    return merged, categories
+            key = stop_id
+        keys.append(key)
+        categories[key] = stop.stop_type if stop is not None else StopType.STREET_STOP
+    return group_times(np.array(keys, dtype=str)[rows], passages.time_s), categories
 
 
 def moving_window_counts(
@@ -116,27 +146,28 @@ def moving_window_counts(
         raise ValueError("window must be at least one minute")
     start, end = span
     starts_s = np.arange(start, end - window_minutes + 1) * 60
-    sorted_times = np.sort(np.asarray(list(times), dtype=float))
+    sorted_times = np.sort(np.asarray(times, dtype=float))
     lo = np.searchsorted(sorted_times, starts_s, side="left")
     hi = np.searchsorted(sorted_times, starts_s + window_minutes * 60, side="left")
     return (hi - lo).astype(np.int64)
 
 
 def build_availability(
-    passages: Mapping[str, list[Passage]],
+    times: Mapping[str, np.ndarray],
     window_minutes: int = DEFAULT_WINDOW_MINUTES,
     span: tuple[int, int] = DEFAULT_SPAN_MINUTES,
     day: date | None = None,
 ) -> dict[str, AvailabilitySeries]:
+    """One series per key of the passage times by key."""
     return {
         key: AvailabilitySeries(
             key=key,
             window_minutes=window_minutes,
-            counts=moving_window_counts([p.time_s for p in events], window_minutes, span),
+            counts=moving_window_counts(key_times, window_minutes, span),
             span=span,
             day=day,
         )
-        for key, events in passages.items()
+        for key, key_times in times.items()
     }
 
 
@@ -211,21 +242,37 @@ def restrict_to_period(series: AvailabilitySeries, period: Period | None) -> np.
     return series.counts[mask]
 
 
+def pearson_matrix(rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """Sample Pearson r of every pair of equal-length rows.
+
+    NaN marks a pair where either row has no variance or fewer than two
+    values; the diagonal is 1. Each row is centred once, and each pair
+    takes the same floating-point steps as a lone pair would, so an entry
+    does not depend on the other rows.
+    """
+    xs = [np.asarray(row, dtype=float) for row in rows]
+    shapes = sorted({x.shape for x in xs})
+    if len(shapes) > 1:
+        raise ValueError(f"series length mismatch: {shapes[0]} vs {shapes[-1]}")
+    n = len(xs)
+    values = np.full((n, n), np.nan)
+    np.fill_diagonal(values, 1.0)
+    if n < 2 or xs[0].size < 2:
+        return values
+    centred = [x - x.mean() for x in xs]
+    spread = [float(np.dot(c, c)) for c in centred]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if spread[i] != 0.0 and spread[j] != 0.0:
+                r = np.dot(centred[i], centred[j]) / np.sqrt(spread[i] * spread[j])
+                values[i, j] = values[j, i] = r
+    return values
+
+
 def pearson(a: Sequence[float], b: Sequence[float]) -> float | None:
     """Sample Pearson coefficient, or None when either input has no variance."""
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"series length mismatch: {x.shape} vs {y.shape}")
-    if x.size < 2:
-        return None
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(np.dot(xc, xc))
-    syy = float(np.dot(yc, yc))
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    return float(np.dot(xc, yc) / np.sqrt(sxx * syy))
+    r = pearson_matrix([a, b])[0, 1]
+    return None if np.isnan(r) else float(r)
 
 
 def pearson_p_value(r: float, n: int) -> float:
@@ -235,7 +282,7 @@ def pearson_p_value(r: float, n: int) -> float:
     if abs(r) >= 1.0:
         return 0.0
     t = r * np.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * _scipy_stats.t.sf(abs(t), df=n - 2))
+    return float(2.0 * stdtr(n - 2, -abs(t)))
 
 
 @dataclass
@@ -256,55 +303,35 @@ def correlation_matrix(
     period: Period | None = None,
 ) -> CorrelationMatrix:
     ordered = list(keys) if keys is not None else sorted(series)
-    restricted = [restrict_to_period(series[k], period) for k in ordered]
-    n = len(ordered)
-    values = np.full((n, n), np.nan)
-    np.fill_diagonal(values, 1.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = pearson(restricted[i], restricted[j])
-            if r is not None:
-                values[i, j] = values[j, i] = r
+    values = pearson_matrix([restrict_to_period(series[k], period) for k in ordered])
     return CorrelationMatrix(keys=ordered, values=values, period=period.name if period else None)
 
 
 def cluster_sync_profile(
     member_keys: Sequence[str],
-    passages: Mapping[str, list[Passage]],
+    times: Mapping[str, np.ndarray],
     periods: Sequence[Period] = DEFAULT_PERIODS,
     windows: Sequence[int] = SYNC_WINDOW_SET,
     span: tuple[int, int] = DEFAULT_SPAN_MINUTES,
 ) -> dict[tuple[str, int], float | None]:
     """Mean pairwise correlation of member-stop series per (period, window).
 
-    Pairs whose correlation is undefined are left out of the mean; a cell
-    with no defined pair at all is None. Requires at least two members
-    with passage data.
+    ``times`` maps stop ids to their passage times. Pairs whose correlation
+    is undefined are left out of the mean; a cell with no defined pair at
+    all is None. Requires at least two members with passage data.
     """
-    members = [k for k in member_keys if k in passages]
+    members = [k for k in member_keys if k in times]
     if len(members) < 2:
         raise ValueError("synchronization profile needs at least 2 member stops with passages")
 
+    pairs = np.triu_indices(len(members), 1)
     profile: dict[tuple[str, int], float | None] = {}
     for window in windows:
-        series = {
-            k: AvailabilitySeries(
-                key=k,
-                window_minutes=window,
-                counts=moving_window_counts([p.time_s for p in passages[k]], window, span),
-                span=span,
-            )
-            for k in members
-        }
+        series = build_availability({k: times[k] for k in members}, window, span)
         for period in periods:
-            restricted = {k: restrict_to_period(series[k], period) for k in members}
-            rs = []
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    r = pearson(restricted[members[i]], restricted[members[j]])
-                    if r is not None:
-                        rs.append(r)
-            profile[(period.name, window)] = float(np.mean(rs)) if rs else None
+            rs = pearson_matrix([restrict_to_period(series[k], period) for k in members])[pairs]
+            rs = rs[~np.isnan(rs)]
+            profile[(period.name, window)] = float(np.mean(rs)) if rs.size else None
     return profile
 
 

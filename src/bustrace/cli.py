@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+from . import pipeline
+from .analytics import PassageTable
 from .model import Dataset
 from .pipeline import (
     PipelineConfig,
@@ -30,6 +32,7 @@ from .pipeline import (
 MANIFEST_FILE = "manifest.json"
 
 _STAGES = ("validate", "detect", "analyze", "cluster", "route")
+_FIX_STAGES = {"validate", "detect"}  # the only stages that read GPS fixes
 
 
 def _sha256(path: Path) -> str:
@@ -50,18 +53,32 @@ def load_config(path: str, seed: int | None, jobs: int | None) -> PipelineConfig
     return PipelineConfig.from_mapping(data)
 
 
-def _run_stage(stage: str, out_dir: Path, dataset: Dataset, config: PipelineConfig) -> list[Path]:
+def _run_stage(
+    stage: str,
+    out_dir: Path,
+    dataset: Dataset,
+    config: PipelineConfig,
+    passages: PassageTable | None,
+) -> tuple[list[Path], PassageTable | None]:
+    """Run one stage; return its artifacts and the passage table for later stages.
+
+    ``detect`` builds the table from its trips. A later analyze or cluster
+    stage uses that table, or reads it back from the detection CSV when
+    this invocation did not detect.
+    """
     if stage == "validate":
-        return run_validate(out_dir, dataset)
+        return run_validate(out_dir, dataset), passages
     if stage == "detect":
         run = run_detection(dataset, config)
-        return write_detection_artifacts(out_dir, run, dataset)
-    if stage == "analyze":
-        return run_analyze(out_dir, dataset, config)
-    if stage == "cluster":
-        return run_cluster(out_dir, dataset, config)
+        return write_detection_artifacts(out_dir, run, dataset), run.passages()
     if stage == "route":
-        return run_route(out_dir, dataset, config)
+        return run_route(out_dir, dataset, config), passages
+    if passages is None:
+        passages = pipeline.read_detection_rows(out_dir, stage)
+    if stage == "analyze":
+        return run_analyze(out_dir, dataset, config, passages), passages
+    if stage == "cluster":
+        return run_cluster(out_dir, dataset, config, passages), passages
     raise ValueError(f"unknown stage: {stage}")
 
 
@@ -121,11 +138,13 @@ def main(argv: list[str] | None = None) -> int:
     written: list[Path] = []
     try:
         config = load_config(args.config, args.seed, args.jobs)
-        dataset = config.load_inputs()
-        out_dir.mkdir(parents=True, exist_ok=True)
         stages = list(_STAGES) if args.command == "all" else [args.command]
+        dataset = config.load_inputs(with_fixes=not _FIX_STAGES.isdisjoint(stages))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        passages = None
         for stage in stages:
-            written.extend(_run_stage(stage, out_dir, dataset, config))
+            paths, passages = _run_stage(stage, out_dir, dataset, config, passages)
+            written.extend(paths)
         _write_manifest(out_dir, config)
     except Exception as exc:
         for path in written:

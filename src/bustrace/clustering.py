@@ -16,11 +16,12 @@ import numpy as np
 from .analytics import (
     DEFAULT_SPAN_MINUTES,
     DEFAULT_WINDOW_MINUTES,
-    Passage,
+    PassageTable,
+    group_times,
     pearson,
     pearson_p_value,
 )
-from .geo import haversine_to_many
+from .geo import haversine_matrix
 from .model import BusStop
 
 DEFAULT_CLUSTER_RADIUS_M = 600.0
@@ -83,7 +84,7 @@ def cluster_stops(
     while queue:
         centroid = queue[0].stop_id
         center = stops[centroid]
-        dists = haversine_to_many(center.lat, center.lon, lats, lons)
+        dists = haversine_matrix(np.array([center.lat]), np.array([center.lon]), lats, lons)[0]
         members = frozenset(
             stop_id for stop_id, d in zip(stop_ids, dists) if d <= radius_m
         ) | {centroid}
@@ -108,7 +109,7 @@ class ClusterScatter:
 
 def cluster_availability_counts(
     members: Sequence[str],
-    passages: Mapping[str, list[Passage]],
+    passages: PassageTable,
     window_minutes: int = DEFAULT_WINDOW_MINUTES,
     span: tuple[int, int] = DEFAULT_SPAN_MINUTES,
 ) -> np.ndarray:
@@ -122,22 +123,17 @@ def cluster_availability_counts(
     starts_s = np.arange(start, end - window_minutes + 1) * 60
     counts = np.zeros(len(starts_s), dtype=np.int64)
 
-    by_vehicle: dict[str, list[float]] = {}
-    for member in members:
-        for passage in passages.get(member, ()):
-            by_vehicle.setdefault(passage.vehicle_id, []).append(passage.time_s)
-
-    for times in by_vehicle.values():
-        arr = np.sort(np.asarray(times))
-        lo = np.searchsorted(arr, starts_s, side="left")
-        hi = np.searchsorted(arr, starts_s + window_minutes * 60, side="left")
+    rows = np.isin(passages.stop_id, list(members))
+    for times in group_times(passages.vehicle_id[rows], passages.time_s[rows]).values():
+        lo = np.searchsorted(times, starts_s, side="left")
+        hi = np.searchsorted(times, starts_s + window_minutes * 60, side="left")
         counts += hi > lo
     return counts
 
 
 def cluster_stats(
     clusters: Sequence[Cluster],
-    passages: Mapping[str, list[Passage]],
+    passages: PassageTable,
     window_minutes: int = DEFAULT_WINDOW_MINUTES,
     span: tuple[int, int] = DEFAULT_SPAN_MINUTES,
 ) -> tuple[list[Cluster], ClusterScatter]:
@@ -147,9 +143,8 @@ def cluster_stats(
         counts = cluster_availability_counts(
             cluster.member_list, passages, window_minutes, span
         )
-        lines = frozenset(
-            p.line_code for member in cluster.members for p in passages.get(member, ())
-        )
+        rows = np.isin(passages.stop_id, cluster.member_list)
+        lines = frozenset(passages.line_code[rows].tolist())
         enriched.append(
             replace(cluster, avg_buses=float(np.mean(counts)), lines_served=lines)
         )

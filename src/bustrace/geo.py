@@ -37,19 +37,6 @@ def haversine_distance(a, b) -> float:
     return EARTH_RADIUS_M * 2 * math.asin(min(1.0, math.sqrt(h)))
 
 
-def haversine_to_many(lat: float, lon: float, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-    """Distances in meters from one point to arrays of points (vectorized)."""
-    lat1 = math.radians(lat)
-    lon1 = math.radians(lon)
-    lat2 = np.radians(lats)
-    lon2 = np.radians(lons)
-    h = (
-        np.sin((lat2 - lat1) / 2) ** 2
-        + math.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
-    )
-    return EARTH_RADIUS_M * 2 * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-
-
 def haversine_matrix(
     lats_a: np.ndarray, lons_a: np.ndarray, lats_b: np.ndarray, lons_b: np.ndarray
 ) -> np.ndarray:

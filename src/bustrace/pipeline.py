@@ -1,7 +1,10 @@
 """Stage orchestration: ingestion, detection, analytics, clustering, routing.
 
 Each stage reads the raw record files and/or artifacts written by earlier
-stages into the output directory, computes, and writes CSV artifacts. All
+stages into the output directory, computes, and writes CSV artifacts. The
+analyze and cluster stages take the detected passages as a
+:class:`~bustrace.analytics.PassageTable`, built from the trips in memory
+or read back from the detection CSV by :func:`read_detection_rows`. All
 outputs are deterministic functions of (inputs, config, seed): collections
 are sorted before writing and floats use fixed formatting, so repeated runs
 are byte-identical.
@@ -10,12 +13,13 @@ are byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -128,7 +132,8 @@ class PipelineConfig:
             data[f.name] = value
         return data
 
-    def load_inputs(self) -> Dataset:
+    def load_inputs(self, with_fixes: bool) -> Dataset:
+        """Check that all three input files exist; parse the fixes only ``with_fixes``."""
         for label, path in (
             ("lines_file", self.lines_file),
             ("line_points_file", self.line_points_file),
@@ -138,7 +143,9 @@ class PipelineConfig:
                 raise ValueError(f"config is missing {label}")
             if not Path(path).is_file():
                 raise FileNotFoundError(f"{label} not found: {path}")
-        return load_dataset(self.lines_file, self.line_points_file, self.fixes_file)
+        return load_dataset(
+            self.lines_file, self.line_points_file, self.fixes_file if with_fixes else None
+        )
 
 
 # ── CSV helpers ─────────────────────────────────────────────────────────
@@ -167,29 +174,31 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence], notes
 
 
 def read_csv_rows(path: Path) -> tuple[list[str], list[dict[str, str]]]:
+    """Header and rows of a CSV written by :func:`write_csv`.
+
+    Notes are skipped only above the header: a data row may start with
+    ``#`` (a line code or stop id can).
+    """
     with open(path, newline="", encoding="utf-8") as f:
-        lines = [line for line in f if not line.startswith("#")]
-    reader = csv.DictReader(lines)
-    return list(reader.fieldnames or []), list(reader)
+        reader = csv.DictReader(itertools.dropwhile(lambda line: line.startswith("#"), f))
+        return list(reader.fieldnames or []), list(reader)
 
 
 # ── Detection stage ─────────────────────────────────────────────────────
 
 
 @dataclass
-class TripRecord:
-    line_code: str
-    direction: str
-    vehicle_id: str
-    day: date
-    trip: int
-    itinerary: DetectedItinerary
-
-
-@dataclass
 class DetectionRun:
     outcomes: list[GroupOutcome] = field(default_factory=list)
-    trips: list[TripRecord] = field(default_factory=list)
+
+    def trips(self) -> Iterator[tuple[int, DetectedItinerary]]:
+        """Accepted itineraries, each with its 1-based trip number within its group."""
+        for outcome in self.outcomes:
+            accepted = [result.itinerary for result in outcome.results if result.accepted]
+            yield from enumerate(accepted, start=1)
+
+    def passages(self) -> analytics.PassageTable:
+        return analytics.PassageTable.from_itineraries(itinerary for _, itinerary in self.trips())
 
     def report(self, dataset: Dataset) -> TagReport:
         categories = {line.code: line.category for line in dataset.lines.values()}
@@ -246,38 +255,21 @@ def run_detection(dataset: Dataset, config: PipelineConfig) -> DetectionRun:
     else:
         ordered = [_detect_one(task)[1] for task in tasks]
 
-    run = DetectionRun()
-    for (key, _fixes, _iti, _stops, _r, _g), outcome in zip(tasks, ordered):
-        run.outcomes.append(outcome)
-        trip = 0
-        for result in outcome.results:
-            if result.accepted:
-                trip += 1
-                run.trips.append(
-                    TripRecord(
-                        line_code=key[1],
-                        direction=key[3],
-                        vehicle_id=key[0],
-                        day=key[2],
-                        trip=trip,
-                        itinerary=result.itinerary,
-                    )
-                )
-    return run
+    return DetectionRun(outcomes=ordered)
 
 
 def write_detection_artifacts(out_dir: Path, run: DetectionRun, dataset: Dataset) -> list[Path]:
     detected = out_dir / DETECTED_FILE
     rows = []
-    for record in run.trips:
-        for entry in record.itinerary.entries:
+    for trip, itinerary in run.trips():
+        for entry in itinerary.entries:
             rows.append(
                 (
-                    record.line_code,
-                    record.direction,
-                    record.vehicle_id,
-                    record.day,
-                    record.trip,
+                    itinerary.line_code,
+                    itinerary.direction,
+                    itinerary.vehicle_id,
+                    itinerary.day,
+                    trip,
                     entry.position,
                     entry.stop_id,
                     format_time_of_day(entry.time_s),
@@ -331,38 +323,19 @@ def write_detection_artifacts(out_dir: Path, run: DetectionRun, dataset: Dataset
     return [detected, tags, errors]
 
 
-@dataclass
-class DetectionRow:
-    line_code: str
-    direction: str
-    vehicle_id: str
-    day: date
-    trip: int
-    position: int
-    stop_id: str
-    time_s: int
-    provenance: str
-
-
-def read_detection_rows(out_dir: Path, stage: str = "analyze") -> list[DetectionRow]:
+def read_detection_rows(out_dir: Path, stage: str) -> analytics.PassageTable:
+    """The passage table of the detection CSV in ``out_dir``."""
     path = out_dir / DETECTED_FILE
     if not path.is_file():
         raise MissingDependencyError(stage, DETECTED_FILE)
-    _, raw = read_csv_rows(path)
-    return [
-        DetectionRow(
-            line_code=r["line_code"],
-            direction=r["direction"],
-            vehicle_id=r["vehicle_id"],
-            day=date.fromisoformat(r["day"]),
-            trip=int(r["trip"]),
-            position=int(r["position"]),
-            stop_id=r["stop_id"],
-            time_s=parse_time_of_day(r["time"]),
-            provenance=r["provenance"],
-        )
-        for r in raw
-    ]
+    _, rows = read_csv_rows(path)
+    return analytics.PassageTable(
+        stop_id=[r["stop_id"] for r in rows],
+        day=[r["day"] for r in rows],
+        time_s=[parse_time_of_day(r["time"]) for r in rows],
+        vehicle_id=[r["vehicle_id"] for r in rows],
+        line_code=[r["line_code"] for r in rows],
+    )
 
 
 # ── Validate stage ──────────────────────────────────────────────────────
@@ -382,21 +355,6 @@ def run_validate(out_dir: Path, dataset: Dataset) -> list[Path]:
 # ── Analyze stage ───────────────────────────────────────────────────────
 
 
-def _passages_by_day(
-    rows: list[DetectionRow],
-) -> dict[date, dict[str, list[analytics.Passage]]]:
-    by_day: dict[date, dict[str, list[analytics.Passage]]] = {}
-    for row in rows:
-        day_map = by_day.setdefault(row.day, {})
-        day_map.setdefault(row.stop_id, []).append(
-            analytics.Passage(float(row.time_s), row.vehicle_id, row.line_code)
-        )
-    for day_map in by_day.values():
-        for events in day_map.values():
-            events.sort(key=lambda p: p.time_s)
-    return by_day
-
-
 def _terminal_key_meta(stops: dict[str, BusStop]) -> dict[str, tuple[str, float, float]]:
     groups: dict[str, list[BusStop]] = {}
     for stop in stops.values():
@@ -412,39 +370,37 @@ def _terminal_key_meta(stops: dict[str, BusStop]) -> dict[str, tuple[str, float,
     }
 
 
-def run_analyze(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> list[Path]:
-    rows = read_detection_rows(out_dir)
-    by_day = _passages_by_day(rows)
-    days = sorted(by_day)
-
-    all_vectors: dict[StopType, list[np.ndarray]] = {}
-    key_day_means: dict[str, list[float]] = {}
+def run_analyze(
+    out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: analytics.PassageTable
+) -> list[Path]:
+    series: dict[tuple[date, str], analytics.AvailabilitySeries] = {}
     categories: dict[str, StopType] = {}
-    for day in days:
-        merged, day_categories = analytics.merge_terminals(by_day[day], dataset.stops)
+    for day in np.unique(passages.day).tolist():
+        merged, day_categories = analytics.merge_terminals(
+            passages.select(passages.day == day), dataset.stops
+        )
         categories.update(day_categories)
-        series = analytics.build_availability(
+        day_series = analytics.build_availability(
             merged, config.window_minutes, config.span_minutes, day
         )
-        for key, s in series.items():
-            key_day_means.setdefault(key, []).append(analytics.daily_average(s))
-            all_vectors.setdefault(day_categories[key], []).append(s.counts)
+        series.update(((day, key), s) for key, s in day_series.items())
 
     availability = out_dir / AVAILABILITY_FILE
     span_start, span_end = config.span_minutes
     starts = np.arange(span_start, span_end - config.window_minutes + 1)
-    rows_out = []
-    for category in StopType:
-        vectors = all_vectors.get(category)
-        if not vectors:
-            continue
-        mean = np.mean(np.stack(vectors), axis=0)
-        for minute, value in zip(starts, mean):
-            rows_out.append(
-                (category.value, int(minute), f"{minute // 60:02d}:{minute % 60:02d}", float(value))
-            )
+    means = analytics.aggregate_by_category(
+        series, {day_key: categories[day_key[1]] for day_key in series}
+    )
+    rows_out = [
+        (category.value, int(minute), f"{minute // 60:02d}:{minute % 60:02d}", float(value))
+        for category, mean in means.items()
+        for minute, value in zip(starts, mean)
+    ]
     write_csv(availability, ["category", "start_minute", "start_hhmm", "mean_count"], rows_out)
 
+    key_day_means: dict[str, list[float]] = {}
+    for (_day, key), s in series.items():
+        key_day_means.setdefault(key, []).append(analytics.daily_average(s))
     daily_avg = {key: float(np.mean(values)) for key, values in key_day_means.items()}
     outliers = analytics.find_outlier_stops(daily_avg, categories)
 
@@ -489,7 +445,9 @@ def read_daily_averages(out_dir: Path) -> list[dict[str, str]]:
     return rows
 
 
-def run_cluster(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> list[Path]:
+def run_cluster(
+    out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: analytics.PassageTable
+) -> list[Path]:
     avg_rows = read_daily_averages(out_dir)
     averages = {r["key"]: float(r["daily_avg_buses"]) for r in avg_rows}
     outlier_keys = [
@@ -499,16 +457,6 @@ def run_cluster(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> list
     ]
     candidates = clustering.build_candidates(outlier_keys, averages)
     clusters = clustering.cluster_stops(candidates, dataset.stops, config.cluster_radius_m)
-
-    detection_rows = read_detection_rows(out_dir, stage="cluster")
-    passages: dict[str, list[analytics.Passage]] = {}
-    for row in detection_rows:
-        passages.setdefault(row.stop_id, []).append(
-            analytics.Passage(float(row.time_s), row.vehicle_id, row.line_code)
-        )
-    for events in passages.values():
-        events.sort(key=lambda p: p.time_s)
-
     enriched, scatter = clustering.cluster_stats(
         clusters, passages, config.window_minutes, config.span_minutes
     )
@@ -575,27 +523,20 @@ def run_cluster(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> list
         ],
     )
 
-    corr_path = out_dir / CLUSTER_CORR_FILE
+    # Days are pooled: every passage counts at its time of day.
+    times = passages.times_by_stop()
     corr_rows = []
+    profile_rows = []
+    profiles = []
     period_choices: list[analytics.Period | None] = [None, *config.periods]
     for cluster in enriched:
-        members = [m for m in cluster.member_list if m in passages]
+        members = [m for m in cluster.member_list if m in times]
         if len(members) < 2:
             continue
+        series = analytics.build_availability(
+            {m: times[m] for m in members}, config.window_minutes, config.span_minutes
+        )
         for period in period_choices:
-            series = {
-                m: analytics.AvailabilitySeries(
-                    key=m,
-                    window_minutes=config.window_minutes,
-                    counts=analytics.moving_window_counts(
-                        [p.time_s for p in passages[m]],
-                        config.window_minutes,
-                        config.span_minutes,
-                    ),
-                    span=config.span_minutes,
-                )
-                for m in members
-            }
             matrix = analytics.correlation_matrix(series, members, period)
             label = period.name if period else "full_day"
             for i, a in enumerate(members):
@@ -604,21 +545,15 @@ def run_cluster(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> list
                     corr_rows.append(
                         (cluster.cluster_id, label, a, b, None if math.isnan(value) else value)
                     )
-    write_csv(corr_path, ["cluster_id", "period", "stop_a", "stop_b", "r"], corr_rows)
-
-    profiles_path = out_dir / SYNC_PROFILES_FILE
-    profile_rows = []
-    profiles = []
-    for cluster in enriched:
-        members = [m for m in cluster.member_list if m in passages]
-        if len(members) < 2:
-            continue
         profile = analytics.cluster_sync_profile(
-            members, passages, config.periods, config.window_set, config.span_minutes
+            members, times, config.periods, config.window_set, config.span_minutes
         )
         profiles.append(profile)
         for (period_name, window), value in sorted(profile.items()):
             profile_rows.append((cluster.cluster_id, period_name, window, value))
+    corr_path = out_dir / CLUSTER_CORR_FILE
+    write_csv(corr_path, ["cluster_id", "period", "stop_a", "stop_b", "r"], corr_rows)
+    profiles_path = out_dir / SYNC_PROFILES_FILE
     write_csv(profiles_path, ["cluster_id", "period", "window_minutes", "mean_r"], profile_rows)
 
     summary_path = out_dir / SYNC_SUMMARY_FILE

@@ -213,13 +213,18 @@ def group_fixes(fixes: Iterable[GpsFix]) -> dict[FixGroupKey, list[GpsFix]]:
 
 
 def load_dataset(lines_path, points_path, fixes_path) -> Dataset:
-    """Assemble a Dataset from the three record files."""
+    """Assemble a Dataset from the three record files.
+
+    A ``fixes_path`` of None leaves the dataset without fixes.
+    """
     with open(lines_path, encoding="utf-8") as f:
         lines = parse_lines(f)
     with open(points_path, encoding="utf-8") as f:
         stops, itineraries = parse_line_points(f)
-    with open(fixes_path, encoding="utf-8") as f:
-        fixes = parse_vehicle_fixes(f)
+    fixes = []
+    if fixes_path is not None:
+        with open(fixes_path, encoding="utf-8") as f:
+            fixes = parse_vehicle_fixes(f)
     return Dataset(
         lines={line.code: line for line in lines},
         stops={stop.stop_id: stop for stop in stops},

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clustering import Cluster
-from .geo import GeoPoint, haversine_distance, haversine_to_many
+from .geo import GeoPoint, haversine_distance, haversine_matrix
 from .model import BusStop, ItineraryDef
 
 DEFAULT_K = 30
@@ -147,7 +147,7 @@ def nearest_stops(
         return []
     lats = np.array([stops[s].lat for s in stop_ids])
     lons = np.array([stops[s].lon for s in stop_ids])
-    dists = haversine_to_many(point.lat, point.lon, lats, lons)
+    dists = haversine_matrix(np.array([point.lat]), np.array([point.lon]), lats, lons)[0]
     found = [(stop_id, float(d)) for stop_id, d in zip(stop_ids, dists) if d <= radius_m]
     found.sort(key=lambda item: (item[1], item[0]))
     return found

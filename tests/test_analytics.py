@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bustrace.analytics import (
     DEFAULT_PERIODS,
     AvailabilitySeries,
-    Passage,
+    PassageTable,
     aggregate_by_category,
     build_availability,
     cluster_sync_profile,
@@ -228,6 +228,14 @@ def test_pearson_p_value_significance():
     assert pearson_p_value(0.2, 5) > 0.5
 
 
+def test_pearson_p_value_closed_form_two_degrees_of_freedom():
+    # with df = 2 the t distribution has the closed-form tail
+    # P(|T| > t) = 1 - t / sqrt(2 + t^2)
+    for r in (-0.9, -0.3, 0.05, 0.5, 0.97):
+        t = abs(r) * np.sqrt(2.0 / (1.0 - r * r))
+        assert pearson_p_value(r, 4) == pytest.approx(1.0 - t / np.sqrt(2.0 + t * t), rel=1e-12)
+
+
 def test_correlation_matrix_contracts():
     rng = np.random.default_rng(2)
     series = {
@@ -255,16 +263,26 @@ def test_restrict_to_period_bounds():
 # ── synchronization profiles ────────────────────────────────────────────
 
 
-def _passages(times, vehicle="V1", line="L1"):
-    return [Passage(float(t), vehicle, line) for t in sorted(times)]
+def _passages(times_by_stop, vehicle="V1", line="L1"):
+    """Passage table of the given times per stop, to whole seconds."""
+    rows = [(stop, round(t)) for stop, times in times_by_stop.items() for t in times]
+    return PassageTable(
+        stop_id=[stop for stop, _ in rows],
+        day=["2022-11-07"] * len(rows),
+        time_s=[t for _, t in rows],
+        vehicle_id=[vehicle] * len(rows),
+        line_code=[line] * len(rows),
+    )
 
 
 def test_sync_profile_two_members_equals_pair():
     rng = np.random.default_rng(4)
-    passages = {
-        "A": _passages(rng.uniform(300 * 60, 1380 * 60, 120)),
-        "B": _passages(rng.uniform(300 * 60, 1380 * 60, 120)),
-    }
+    passages = _passages(
+        {
+            "A": rng.uniform(300 * 60, 1380 * 60, 120),
+            "B": rng.uniform(300 * 60, 1380 * 60, 120),
+        }
+    ).times_by_stop()
     profile = cluster_sync_profile(["A", "B"], passages, periods=DEFAULT_PERIODS, windows=(10,))
     for period in DEFAULT_PERIODS:
         series = build_availability(passages, 10)
@@ -280,7 +298,7 @@ def test_sync_profile_two_members_equals_pair():
 
 def test_sync_profile_identical_members_is_one():
     times = np.linspace(300 * 60, 1380 * 60, 200)
-    passages = {"A": _passages(times), "B": _passages(times)}
+    passages = _passages({"A": times, "B": times}).times_by_stop()
     profile = cluster_sync_profile(["A", "B"], passages, windows=(10, 20))
     for value in profile.values():
         assert value == pytest.approx(1.0, abs=1e-12)
@@ -288,9 +306,9 @@ def test_sync_profile_identical_members_is_one():
 
 def test_sync_profile_three_members_matches_pair_enumeration():
     rng = np.random.default_rng(5)
-    passages = {
-        k: _passages(rng.uniform(300 * 60, 1380 * 60, 150)) for k in ("A", "B", "C")
-    }
+    passages = _passages(
+        {k: rng.uniform(300 * 60, 1380 * 60, 150) for k in ("A", "B", "C")}
+    ).times_by_stop()
     profile = cluster_sync_profile(["A", "B", "C"], passages, windows=(15,))
     series = build_availability(passages, 15)
     for period in DEFAULT_PERIODS:
@@ -307,7 +325,7 @@ def test_sync_profile_three_members_matches_pair_enumeration():
 
 def test_sync_profile_requires_two_members():
     with pytest.raises(ValueError, match="at least 2"):
-        cluster_sync_profile(["A"], {"A": _passages([30000])})
+        cluster_sync_profile(["A"], _passages({"A": [30000]}).times_by_stop())
 
 
 def test_mean_sync_across_clusters_skips_undefined():
@@ -326,13 +344,9 @@ def test_merge_terminals_folds_same_name():
         "T2": BusStop("T2", "Terminal X", StopType.TERMINAL, -25.4001, -49.3),
         "S1": BusStop("S1", "Rua A", StopType.STREET_STOP, -25.41, -49.31),
     }
-    passages = {
-        "T1": _passages([30000]),
-        "T2": _passages([31000]),
-        "S1": _passages([32000]),
-    }
+    passages = _passages({"T1": [30000], "T2": [31000], "S1": [32000]})
     merged, categories = merge_terminals(passages, stops)
     assert sorted(merged) == ["S1", "terminal:Terminal X"]
-    assert [p.time_s for p in merged["terminal:Terminal X"]] == [30000.0, 31000.0]
+    assert merged["terminal:Terminal X"].tolist() == [30000.0, 31000.0]
     assert categories["terminal:Terminal X"] is StopType.TERMINAL
     assert categories["S1"] is StopType.STREET_STOP

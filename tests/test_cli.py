@@ -1,8 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
+import pytest
+
+import bustrace
 from bustrace import records
 from bustrace.cli import main
+from bustrace.model import Dataset
+from bustrace.pipeline import read_csv_rows, write_csv
 from bustrace.synthetic import line829_dataset
 
 from conftest import CASE_RESULT
@@ -26,8 +36,8 @@ def write_inputs(tmp_path: Path, dataset=None) -> dict:
     }
 
 
-def write_config(tmp_path: Path, **overrides) -> Path:
-    config = write_inputs(tmp_path) | {"od_pairs": 5, "seed": 11} | overrides
+def write_config(tmp_path: Path, dataset=None, **overrides) -> Path:
+    config = write_inputs(tmp_path, dataset) | {"od_pairs": 5, "seed": 11} | overrides
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
@@ -160,3 +170,97 @@ def test_jobs_flag_produces_identical_artifacts(tmp_path):
     a = (out_serial / "detected_itineraries.csv").read_bytes()
     b = (out_parallel / "detected_itineraries.csv").read_bytes()
     assert a == b
+
+
+def renamed_line(dataset: Dataset, code: str) -> Dataset:
+    """The dataset with its single line renamed to ``code``."""
+    return Dataset(
+        lines={code: replace(line, code=code) for line in dataset.lines.values()},
+        stops=dataset.stops,
+        itineraries=[replace(iti, line_code=code) for iti in dataset.itineraries],
+        fixes={
+            (vehicle, code, day): [replace(fix, line_code=code) for fix in group]
+            for (vehicle, _line, day), group in dataset.fixes.items()
+        },
+    )
+
+
+def two_days(dataset: Dataset) -> Dataset:
+    """The dataset with every fix group repeated on the following day."""
+    fixes = dict(dataset.fixes)
+    for (vehicle, line, day), group in dataset.fixes.items():
+        next_day = day + timedelta(days=1)
+        fixes[(vehicle, line, next_day)] = [replace(fix, day=next_day) for fix in group]
+    return replace(dataset, fixes=fixes)
+
+
+def test_hash_prefixed_values_survive_csv_read_back(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [("#829", "1"), ("829", "2"), ("#centroid", "3")]
+    write_csv(path, ["key", "value"], rows, notes=["first note", "second note"])
+    header, got = read_csv_rows(path)
+    assert header == ["key", "value"]
+    assert [(r["key"], r["value"]) for r in got] == rows
+
+
+def test_hash_prefixed_line_code_keeps_its_daily_averages(tmp_path):
+    plain = tmp_path / "plain"
+    hashed = tmp_path / "hashed"
+    plain.mkdir()
+    hashed.mkdir()
+    dataset = line829_dataset()
+    for base, data in ((plain, dataset), (hashed, renamed_line(dataset, "#829"))):
+        config = write_config(base, data)
+        assert main(["all", "--config", str(config), "--out", str(base / "out")]) == 0
+    expected = (plain / "out" / "stop_daily_averages.csv").read_bytes()
+    assert len(expected.splitlines()) > 1
+    assert (hashed / "out" / "stop_daily_averages.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        lambda d: d,
+        two_days,
+        lambda d: renamed_line(d, "#829"),
+    ],
+    ids=["line829", "two_days", "hash_line_code"],
+)
+def test_stage_by_stage_writes_the_bytes_of_all(tmp_path, variant):
+    config = write_config(tmp_path, variant(line829_dataset()))
+    together = tmp_path / "all"
+    staged = tmp_path / "staged"
+    assert main(["all", "--config", str(config), "--out", str(together)]) == 0
+    assert main(["validate", "--config", str(config), "--out", str(staged)]) == 0
+    for stage in ("detect", "analyze", "cluster", "route"):
+        assert main([stage, "--config", str(config), "--out", str(staged)]) == 0, stage
+
+    names = sorted(p.name for p in together.iterdir())
+    assert names == sorted(p.name for p in staged.iterdir())
+    for name in names:
+        assert (staged / name).read_bytes() == (together / name).read_bytes(), name
+
+
+def test_stages_after_detect_parse_no_fixes(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["detect", "--config", str(config), "--out", str(out)]) == 0
+
+    def refuse(_stream):
+        raise AssertionError("fixes parsed")
+
+    monkeypatch.setattr(records, "parse_vehicle_fixes", refuse)
+    for stage in ("analyze", "cluster", "route"):
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["inputs"]) == {"lines_file", "line_points_file", "fixes_file"}
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(bustrace.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, bustrace.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bustrace.analytics import Passage
+from bustrace.analytics import PassageTable
 from bustrace.clustering import (
     Candidate,
     build_candidates,
@@ -153,14 +153,21 @@ def test_unknown_candidate_rejected():
 # ── cluster_stats ───────────────────────────────────────────────────────
 
 
-def _passages(times, vehicle, line="L1"):
-    return [Passage(float(t), vehicle, line) for t in sorted(times)]
+def _passages(rows):
+    """Passage table of (stop_id, time_s, vehicle_id, line_code) rows."""
+    return PassageTable(
+        stop_id=[r[0] for r in rows],
+        day=["2022-11-07"] * len(rows),
+        time_s=[r[1] for r in rows],
+        vehicle_id=[r[2] for r in rows],
+        line_code=[r[3] for r in rows],
+    )
 
 
 def test_stats_empty_cluster_zeroes():
     stops = _field({"A": (0, 0)})
     clusters = cluster_stops([Candidate("A", 1.0)], stops)
-    enriched, scatter = cluster_stats(clusters, {})
+    enriched, scatter = cluster_stats(clusters, _passages([]))
     assert enriched[0].avg_buses == 0.0
     assert enriched[0].lines_served == frozenset()
     assert scatter.r is None and scatter.p_value is None
@@ -172,10 +179,7 @@ def test_stats_distinct_vehicles_counted_once_per_window():
     # not two passages
     stops = _field({"A": (0, 0), "B": (300, 0)})
     clusters = cluster_stops([Candidate("A", 1.0)], stops)
-    passages = {
-        "A": _passages([36000], "BUS1"),
-        "B": _passages([36060], "BUS1"),
-    }
+    passages = _passages([("A", 36000, "BUS1", "L1"), ("B", 36060, "BUS1", "L1")])
     counts = cluster_availability_counts(clusters[0].member_list, passages)
     assert counts.max() == 1
     per_stop_sum = (
@@ -189,14 +193,12 @@ def test_stats_scatter_matches_closed_form():
     coords = {f"C{i}": (i * 5000.0, 0.0) for i in range(5)}
     stops = _field(coords)
     clusters = cluster_stops([Candidate(f"C{i}", 5.0 - i) for i in range(5)], stops)
-    passages = {}
+    rows = []
     for i in range(5):
-        events = []
         for line in range(i + 1):  # cluster i sees i+1 lines
             for k in range(4 * (i + 1)):
-                events.append(Passage(30000.0 + 900 * k + 37 * line, f"V{line}-{k}", f"L{line}"))
-        passages[f"C{i}"] = sorted(events, key=lambda p: p.time_s)
-    enriched, scatter = cluster_stats(clusters, passages)
+                rows.append((f"C{i}", 30000 + 900 * k + 37 * line, f"V{line}-{k}", f"L{line}"))
+    enriched, scatter = cluster_stats(clusters, _passages(rows))
 
     xs = np.array([c.avg_buses for c in enriched])
     ys = np.array([len(c.lines_served) for c in enriched])

@@ -15,7 +15,6 @@ from datetime import date
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .detection import DetectedItinerary, round_to_second
 from .model import BusStop, StopType
@@ -277,6 +276,8 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float | None:
 
 def pearson_p_value(r: float, n: int) -> float:
     """Two-sided p-value for a sample Pearson r via the t transform."""
+    from scipy.special import stdtr  # imported here: only the cluster stage needs scipy
+
     if n < 3:
         return float("nan")
     if abs(r) >= 1.0:

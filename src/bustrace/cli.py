@@ -21,6 +21,7 @@ from .analytics import PassageTable
 from .model import Dataset
 from .pipeline import (
     PipelineConfig,
+    atomic_write,
     run_analyze,
     run_cluster,
     run_detection,
@@ -101,7 +102,7 @@ def _write_manifest(out_dir: Path, config: PipelineConfig) -> Path:
         "artifacts": artifacts,
     }
     path = out_dir / MANIFEST_FILE
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     return path

@@ -15,11 +15,13 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -163,8 +165,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
+def atomic_write(path: Path, newline: str | None = None) -> Iterator[IO[str]]:
+    """Open a text file that replaces ``path`` only once it is fully written.
+
+    The bytes go to ``.<name>.tmp`` beside ``path`` (a name no ``*.csv``
+    glob matches), which is renamed over ``path`` on success and removed
+    on error, so a failed write leaves the previous file as it was.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence], notes: Sequence[str] = ()) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(path, newline="") as f:
         for note in notes:
             f.write(f"# {note}\n")
         writer = csv.writer(f, lineterminator="\n")

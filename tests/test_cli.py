@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bustrace
-from bustrace import records
+from bustrace import cli, records
 from bustrace.cli import main
 from bustrace.model import Dataset
 from bustrace.pipeline import read_csv_rows, write_csv
@@ -194,6 +194,40 @@ def two_days(dataset: Dataset) -> Dataset:
     return replace(dataset, fixes=fixes)
 
 
+def _rows_then_failure():
+    yield ("a", 1.0)
+    yield ("b", 2.0)
+    raise RuntimeError("row source failed")
+
+
+def test_failed_csv_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["key", "value"], [("old", 0.5)])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(path, ["key", "value"], _rows_then_failure())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["detect", "--config", str(config), "--out", str(out)]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    before = (out / "manifest.json").read_bytes()
+
+    def partial_dump(obj, f, **kwargs):
+        f.write('{"config": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", partial_dump)
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_manifest(out, cli.load_config(str(config), None, None))
+    assert (out / "manifest.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
 def test_hash_prefixed_values_survive_csv_read_back(tmp_path):
     path = tmp_path / "table.csv"
     rows = [("#829", "1"), ("829", "2"), ("#centroid", "3")]
@@ -259,8 +293,11 @@ def test_stages_after_detect_parse_no_fixes(tmp_path, monkeypatch):
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(bustrace.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, bustrace.cli; print('scipy.stats' in sys.modules)"
+    probe = (
+        "import sys, bustrace.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

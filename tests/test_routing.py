@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from bustrace.clustering import Candidate, Cluster, cluster_stops
 from bustrace.geo import GeoPoint, haversine_distance, offset_point
 from bustrace.model import BusStop, ItineraryDef, StopType
 from bustrace.routing import (
+    DESTINATION,
+    ORIGIN,
     Edge,
     EdgeKind,
     ODPair,
@@ -282,6 +286,186 @@ def test_yen_paths_are_loopless_sorted_unique():
         assert len(paths) == len(set(paths))
         for path in paths:
             assert len(path) == len(set(path))
+
+
+# ── exactness against the plain Yen scheme (tie-heavy) ─────────────────
+#
+# The routing module runs Yen on integer node ids with Lawler's spur rule
+# and bounded spur searches. The reference below is the straightforward
+# scheme on tuple nodes: every spur index of every accepted path, unbounded
+# Dijkstra with (dist, node) heap ties. Both must return the same weights
+# and the same paths, ties included.
+
+
+def _reference_dijkstra(adjacency, source, target, banned_nodes, banned_edges):
+    if source not in adjacency or target not in adjacency:
+        return None
+    best = {source: 0.0}
+    parent = {}
+    done = set()
+    heap = [(0.0, source)]
+    while heap:
+        dist, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        if node == target:
+            break
+        for edge in adjacency.get(node, ()):
+            nxt = edge.target
+            if nxt in banned_nodes or (node, nxt) in banned_edges or nxt in done:
+                continue
+            candidate = dist + edge.weight_m
+            if candidate < best.get(nxt, float("inf")):
+                best[nxt] = candidate
+                parent[nxt] = node
+                heapq.heappush(heap, (candidate, nxt))
+    if target not in done:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def _reference_weight(adjacency, path):
+    total = 0.0
+    for a, b in zip(path, path[1:]):
+        total += next(e.weight_m for e in adjacency[a] if e.target == b)
+    return total
+
+
+def _reference_yen(adjacency, source, target, k):
+    first = _reference_dijkstra(adjacency, source, target, frozenset(), frozenset())
+    if first is None:
+        return []
+    accepted = [(_reference_weight(adjacency, first), first)]
+    seen = {tuple(first)}
+    candidates = []
+    while len(accepted) < k:
+        base = accepted[-1][1]
+        for i in range(len(base) - 1):
+            root = base[: i + 1]
+            banned_edges = {
+                (p[i], p[i + 1]) for _, p in accepted if p[: i + 1] == root and len(p) > i + 1
+            }
+            spur = _reference_dijkstra(
+                adjacency, base[i], target, frozenset(root[:-1]), frozenset(banned_edges)
+            )
+            if spur is None:
+                continue
+            candidate = tuple(root[:-1]) + tuple(spur)
+            if candidate not in seen:
+                seen.add(candidate)
+                heapq.heappush(candidates, (_reference_weight(adjacency, candidate), candidate))
+        if not candidates:
+            break
+        weight, path = heapq.heappop(candidates)
+        accepted.append((weight, list(path)))
+    accepted.sort(key=lambda item: (item[0], item[1]))
+    return accepted
+
+
+def _tie_heavy_adjacency(rng):
+    """Integer and zero weights; some edges doubled by an equal-weight parallel line."""
+    n = int(rng.integers(4, 9))
+    adjacency = {("n", str(i)): [] for i in range(n)}
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < 0.45:
+                w = float(rng.integers(0, 4))
+                lines = ("x", "y") if rng.random() < 0.2 else ("x",)
+                for line in lines:
+                    adjacency[("n", str(i))].append(Edge(("n", str(j)), w, EdgeKind.RIDE, line))
+    return adjacency, ("n", "0"), ("n", str(n - 1))
+
+
+@pytest.mark.parametrize("k", [1, 3, 30])
+def test_yen_equals_reference_on_tie_heavy_graphs(k):
+    rng = np.random.default_rng(40 + k)
+    for _ in range(150):
+        adjacency, source, target = _tie_heavy_adjacency(rng)
+        got = yen_k_shortest(adjacency, source, target, k)
+        assert got == _reference_yen(adjacency, source, target, k)
+        # parallel lines repeat a node path in the enumeration; Yen ranks node paths
+        unique = sorted({(w, tuple(p)) for w, p in _enumerate_simple_paths(adjacency, source, target)})
+        assert [w for w, _ in got] == [w for w, _ in unique[:k]]
+
+
+def _access_overlay(graph, pair, radius_m):
+    """The graph's adjacency plus one trip's access edges, destination edges last."""
+    overlay = dict(graph.adjacency)
+    overlay[ORIGIN] = [
+        Edge(stop_node(s), d, EdgeKind.ACCESS) for s, d in nearest_stops(pair.origin, graph.stops, radius_m)
+    ]
+    overlay[DESTINATION] = []
+    for s, d in nearest_stops(pair.destination, graph.stops, radius_m):
+        overlay[stop_node(s)] = overlay.get(stop_node(s), []) + [Edge(DESTINATION, d, EdgeKind.ACCESS)]
+    return overlay
+
+
+def _street_grid(size, spacing_m=300.0):
+    """Row and column lines both ways on a size x size grid of stops."""
+    stops = {
+        f"g{r}{c}": _stop(f"g{r}{c}", c * spacing_m, r * spacing_m)
+        for r in range(size)
+        for c in range(size)
+    }
+    itineraries = []
+    for i in range(size):
+        row = [f"g{i}{c}" for c in range(size)]
+        col = [f"g{r}{i}" for r in range(size)]
+        for line, ids in ((f"R{i}", row), (f"C{i}", col)):
+            itineraries.append(_iti(line, ids, "A"))
+            itineraries.append(_iti(line, ids[::-1], "B"))
+    return stops, itineraries
+
+
+def test_evaluate_trip_equals_reference_with_parallel_lines():
+    stops, itineraries = _street_grid(4)
+    row = [f"g1{c}" for c in range(4)]
+    itineraries += [_iti("T", row, "A"), _iti("T", row[::-1], "B")]  # a trunk over row 1
+    g = build_graph(itineraries, stops)
+    gc = add_cluster_transfers(g, [_cluster({"g11", "g12", "g21"})])
+    rng = np.random.default_rng(9)
+    for _ in range(6):
+        a, b = (
+            offset_point(ORIGIN_POINT, float(rng.uniform(0, 900)), float(rng.uniform(0, 900)))
+            for _ in range(2)
+        )
+        pair = ODPair(a, b)
+        for graph in (g, gc):
+            for k in (1, 3, 30):
+                trip = evaluate_trip(graph, pair, k=k, radius_m=350.0)
+                expected = _reference_yen(_access_overlay(graph, pair, 350.0), ORIGIN, DESTINATION, k)
+                assert trip.alternatives == expected
+                assert trip.feasible == bool(expected)
+
+
+def test_street_grid_ranking_equals_networkx():
+    nx = pytest.importorskip("networkx")
+    stops, itineraries = _street_grid(9)
+    row = [f"g4{c}" for c in range(9)]
+    itineraries += [_iti("T", row, "A"), _iti("T", row[::-1], "B")]  # a trunk sharing row 4's stops
+    g = add_cluster_transfers(build_graph(itineraries, stops), [_cluster({"g33", "g34", "g43"})])
+    pair = ODPair(
+        offset_point(ORIGIN_POINT, 250.0, 180.0), offset_point(ORIGIN_POINT, 2150.0, 2300.0)
+    )
+    trip = evaluate_trip(g, pair, k=30)
+    assert len(trip.alternatives) == 30
+
+    digraph = nx.DiGraph()
+    for source, edges in _access_overlay(g, pair, 600.0).items():
+        for edge in edges:
+            digraph.add_edge(source, edge.target, weight=edge.weight_m)
+    expected = []
+    for path in nx.shortest_simple_paths(digraph, ORIGIN, DESTINATION, weight="weight"):
+        expected.append(sum(digraph[a][b]["weight"] for a, b in zip(path, path[1:])))
+        if len(expected) == 30:
+            break
+    assert [w for w, _ in trip.alternatives] == pytest.approx(expected, abs=1e-6)
+    assert trip.path == evaluate_trip(g, pair, k=1).path
 
 
 # ── evaluate_trip / evaluate_od ─────────────────────────────────────────

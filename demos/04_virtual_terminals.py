@@ -26,7 +26,7 @@ from bustrace import (
 )
 from bustrace.analytics import SYNC_WINDOW_SET, build_availability
 from bustrace.geo import GeoPoint, offset_point
-from bustrace.model import BusLine, BusStop, Dataset, GpsFix, ItineraryDef, LineCategory, StopType
+from bustrace.model import BusLine, BusStop, Dataset, FixTrack, ItineraryDef, LineCategory, StopType
 
 ORIGIN = GeoPoint(-25.46, -49.28)
 DAY = date(2022, 11, 7)
@@ -69,19 +69,21 @@ for code, stop_ids in routes.items():
     while start < 21 * 3600:
         vehicle = f"{code}{trip:03d}"
         depart = start + int(rng.integers(-120, 121))
-        fixes = []
-        for i, stop_id in enumerate(stop_ids):
-            stop = dataset.stops[stop_id]
-            fixes.append(GpsFix(vehicle, code, stop.lat, stop.lon, DAY, depart + 60 * i))
-        dataset.fixes[(vehicle, code, DAY)] = fixes
+        stops = [dataset.stops[stop_id] for stop_id in stop_ids]
+        dataset.fixes[(vehicle, code, DAY)] = FixTrack(
+            vehicle,
+            [stop.lat for stop in stops],
+            [stop.lon for stop in stops],
+            [depart + 60 * i for i in range(len(stops))],
+        )
         in_peak = any(a <= start < b for a, b in peaks)
         start += headways[code] // 2 if in_peak else headways[code]
         trip += 1
 
 detections = []
-for (vehicle, line_code, day), fixes in sorted(dataset.fixes.items()):
+for (vehicle, line_code, day), track in sorted(dataset.fixes.items()):
     for itinerary in dataset.itineraries_for(line_code):
-        marks = sequence_marks(match_fixes(fixes, itinerary, dataset.stops))
+        marks = sequence_marks(match_fixes(track, itinerary, dataset.stops))
         for segment in segment_trips(marks, itinerary).segments:
             result = detect(itinerary, segment, day=day)
             if result.accepted:

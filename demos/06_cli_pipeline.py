@@ -24,7 +24,7 @@ with open(out_root / "lines.ndjson", "w", encoding="utf-8") as f:
 with open(out_root / "line_points.ndjson", "w", encoding="utf-8") as f:
     records.write_line_points(dataset.stops.values(), dataset.itineraries, f)
 with open(out_root / "fixes.ndjson", "w", encoding="utf-8") as f:
-    records.write_vehicle_fixes([x for g in dataset.fixes.values() for x in g], f)
+    records.write_vehicle_fixes(dataset.fixes, f)
 
 config = {
     "lines_file": str(out_root / "lines.ndjson"),

@@ -1,4 +1,4 @@
-"""Nearest-stop map matching of GPS fixes against one itinerary.
+"""Nearest-stop map matching of a GPS fix track against one itinerary.
 
 Every fix is labeled with its nearest itinerary stop by Haversine distance.
 Consecutive fixes sharing a label form a run; a run whose closest approach
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geo import haversine_matrix
-from .model import BusStop, GpsFix, ItineraryDef
+from .model import BusStop, FixTrack, ItineraryDef
 
 DEFAULT_ACCEPTANCE_RADIUS_M = 100.0
 
@@ -34,17 +34,18 @@ class StopMark:
 
 
 def match_fixes(
-    fixes: list[GpsFix],
+    track: FixTrack,
     itinerary: ItineraryDef,
     stops: dict[str, BusStop],
     acceptance_radius_m: float = DEFAULT_ACCEPTANCE_RADIUS_M,
 ) -> list[StopMark]:
-    """Produce passage marks for a time-ordered fix list against one itinerary.
+    """Produce passage marks for a time-ordered fix track against one itinerary.
 
     Ties between equidistant stops break toward the smaller itinerary
     position. Returns marks in fix-time order.
     """
-    if not fixes:
+    n = len(track)
+    if n == 0:
         return []
 
     # Distinct stops in first-appearance order, so argmin tie-breaking
@@ -60,38 +61,40 @@ def match_fixes(
 
     stop_lats = np.array([s.lat for s in stop_objs])
     stop_lons = np.array([s.lon for s in stop_objs])
-    fix_lats = np.fromiter((f.lat for f in fixes), dtype=float, count=len(fixes))
-    fix_lons = np.fromiter((f.lon for f in fixes), dtype=float, count=len(fixes))
-    fix_times = np.fromiter((f.time_s for f in fixes), dtype=np.int64, count=len(fixes))
-    if np.any(np.diff(fix_times) < 0):
+    if np.any(np.diff(track.time_s) < 0):
         raise ValueError("fixes must be sorted ascending by time")
 
-    n = len(fixes)
     labels = np.empty(n, dtype=np.int64)
     nearest_m = np.empty(n, dtype=float)
     for start in range(0, n, _CHUNK):
         end = min(start + _CHUNK, n)
-        dists = haversine_matrix(fix_lats[start:end], fix_lons[start:end], stop_lats, stop_lons)
+        dists = haversine_matrix(track.lat[start:end], track.lon[start:end], stop_lats, stop_lons)
         chunk_labels = np.argmin(dists, axis=1)
         labels[start:end] = chunk_labels
         nearest_m[start:end] = dists[np.arange(end - start), chunk_labels]
 
+    # Each run's closest fix: the run minimum, then the first index holding it.
     run_starts = np.concatenate(([0], np.flatnonzero(np.diff(labels) != 0) + 1))
-    run_ends = np.concatenate((run_starts[1:], [n]))
+    run_min = np.minimum.reduceat(nearest_m, run_starts)
+    at_min = nearest_m == np.repeat(run_min, np.diff(run_starts, append=n))
+    best = np.minimum.reduceat(np.where(at_min, np.arange(n), n), run_starts)
+    kept = run_min <= acceptance_radius_m
+    best = best[kept]
 
     marks: list[StopMark] = []
-    for run_start, run_end in zip(run_starts, run_ends):
-        best = run_start + int(np.argmin(nearest_m[run_start:run_end]))
-        if nearest_m[best] > acceptance_radius_m:
-            continue
-        stop_id = stop_order[labels[run_start]]
+    for label, time_s, distance_m in zip(
+        labels[run_starts[kept]].tolist(),
+        track.time_s[best].tolist(),
+        nearest_m[best].tolist(),
+    ):
+        stop_id = stop_order[label]
         marks.append(
             StopMark(
                 stop_id=stop_id,
                 seq_hint=first_position[stop_id],
-                time_s=int(fix_times[best]),
-                distance_m=float(nearest_m[best]),
-                vehicle_id=fixes[best].vehicle_id,
+                time_s=time_s,
+                distance_m=distance_m,
+                vehicle_id=track.vehicle_id,
             )
         )
     return marks

@@ -1,4 +1,4 @@
-"""Canonical data model: lines, stops, itineraries, GPS fixes, datasets."""
+"""Canonical data model: lines, stops, itineraries, GPS fix tracks, datasets."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import enum
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import date
+
+import numpy as np
 
 from .geo import GeoPoint
 
@@ -126,27 +128,27 @@ class ItineraryDef:
         return len(self.stops)
 
 
-@dataclass(frozen=True, slots=True)
-class GpsFix:
-    """One timestamped vehicle position sample.
+class FixTrack:
+    """The time-sorted GPS fixes of one (vehicle, line, service day) group.
 
-    ``time_s`` is integer seconds of the local service day given by ``day``.
+    Parallel columns: ``lat``/``lon`` in decimal degrees (float64) and
+    ``time_s``, integer seconds of the service day (int64). ``len()`` is
+    the number of fixes. Arrays of the right dtype are kept as given, so a
+    track can be a zero-copy slice of a parsed table.
     """
 
-    vehicle_id: str
-    line_code: str
-    lat: float
-    lon: float
-    day: date
-    time_s: int
+    __slots__ = ("vehicle_id", "lat", "lon", "time_s")
 
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"fix {self.vehicle_id}: latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"fix {self.vehicle_id}: longitude out of range: {self.lon}")
-        if not 0 <= self.time_s < 86_400:
-            raise ValueError(f"fix {self.vehicle_id}: time outside service day: {self.time_s}")
+    def __init__(self, vehicle_id: str, lat, lon, time_s):
+        self.vehicle_id = vehicle_id
+        self.lat = np.asarray(lat, dtype=np.float64)
+        self.lon = np.asarray(lon, dtype=np.float64)
+        self.time_s = np.asarray(time_s, dtype=np.int64)
+        if not len(self.lat) == len(self.lon) == len(self.time_s):
+            raise ValueError(f"fix track {vehicle_id}: lat, lon and time_s differ in length")
+
+    def __len__(self) -> int:
+        return len(self.time_s)
 
 
 FixGroupKey = tuple[str, str, date]  # (vehicle_id, line_code, service day)
@@ -159,7 +161,7 @@ class Dataset:
     lines: dict[str, BusLine] = field(default_factory=dict)
     stops: dict[str, BusStop] = field(default_factory=dict)
     itineraries: list[ItineraryDef] = field(default_factory=list)
-    fixes: dict[FixGroupKey, list[GpsFix]] = field(default_factory=dict)
+    fixes: dict[FixGroupKey, FixTrack] = field(default_factory=dict)
 
     def itineraries_for(self, line_code: str) -> list[ItineraryDef]:
         return [iti for iti in self.itineraries if iti.line_code == line_code]

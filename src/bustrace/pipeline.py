@@ -33,7 +33,7 @@ from .detection import (
     format_time_of_day,
     parse_time_of_day,
 )
-from .model import BusStop, Dataset, GpsFix, ItineraryDef, StopType, validate_dataset
+from .model import BusStop, Dataset, FixTrack, ItineraryDef, StopType, validate_dataset
 from .records import load_dataset
 
 DETECTED_FILE = "detected_itineraries.csv"
@@ -226,10 +226,10 @@ class DetectionRun:
 
 
 def _detect_one(
-    task: tuple[tuple[str, str, date, str], list[GpsFix], ItineraryDef, dict[str, BusStop], float, int]
+    task: tuple[tuple[str, str, date, str], FixTrack, ItineraryDef, dict[str, BusStop], float, int]
 ):
-    key, fixes, itinerary, stops, radius, idle_gap_s = task
-    marks = matching.sequence_marks(matching.match_fixes(fixes, itinerary, stops, radius))
+    key, track, itinerary, stops, radius, idle_gap_s = task
+    marks = matching.sequence_marks(matching.match_fixes(track, itinerary, stops, radius))
     segmentation = detection.segment_trips(marks, itinerary, idle_gap_s=idle_gap_s)
     results = [
         detection.detect(itinerary, segment, day=key[2], borrowed_marks=borrowed)

@@ -20,7 +20,7 @@ from .model import (
     BusLine,
     BusStop,
     Dataset,
-    GpsFix,
+    FixTrack,
     ItineraryDef,
     LineCategory,
     StopType,
@@ -42,17 +42,15 @@ class Waypoint:
 def _trajectory_fixes(
     waypoints: list[Waypoint],
     vehicle_id: str,
-    line_code: str,
-    day: date,
     origin: GeoPoint = _CURITIBA,
     cadence_s: int = DEFAULT_CADENCE_S,
-) -> list[GpsFix]:
+) -> FixTrack:
     """Sample a piecewise-linear trajectory at every waypoint plus a fixed
     cadence grid, in time order."""
     times = {wp.time_s for wp in waypoints}
     times.update(range(waypoints[0].time_s, waypoints[-1].time_s + 1, cadence_s))
 
-    fixes = []
+    lats, lons, kept = [], [], []
     for t in sorted(times):
         for a, b in zip(waypoints, waypoints[1:]):
             if a.time_s <= t <= b.time_s:
@@ -60,18 +58,11 @@ def _trajectory_fixes(
                 east = a.east_m + frac * (b.east_m - a.east_m)
                 north = a.north_m + frac * (b.north_m - a.north_m)
                 point = offset_point(origin, east, north)
-                fixes.append(
-                    GpsFix(
-                        vehicle_id=vehicle_id,
-                        line_code=line_code,
-                        lat=point.lat,
-                        lon=point.lon,
-                        day=day,
-                        time_s=t,
-                    )
-                )
+                lats.append(point.lat)
+                lons.append(point.lon)
+                kept.append(t)
                 break
-    return fixes
+    return FixTrack(vehicle_id, lats, lons, kept)
 
 
 # ── Circular case-study line (code 829) ─────────────────────────────────
@@ -151,12 +142,13 @@ def line829_dataset(include_failures: bool = True) -> Dataset:
     )
 
     waypoints = [Waypoint(parse_time_of_day(t), e, n) for t, e, n in _LINE829_WAYPOINTS]
-    fixes = _trajectory_fixes(waypoints, LINE829_VEHICLE, LINE829_CODE, LINE829_DAY)
+    track = _trajectory_fixes(waypoints, LINE829_VEHICLE)
     if include_failures:
         windows = [
             (parse_time_of_day(a), parse_time_of_day(b)) for a, b in LINE829_FAILURE_WINDOWS
         ]
-        fixes = [f for f in fixes if not any(a <= f.time_s < b for a, b in windows)]
+        seen = [not any(a <= t < b for a, b in windows) for t in track.time_s]
+        track = FixTrack(track.vehicle_id, track.lat[seen], track.lon[seen], track.time_s[seen])
 
     line = BusLine(
         code=LINE829_CODE,
@@ -168,7 +160,7 @@ def line829_dataset(include_failures: bool = True) -> Dataset:
         lines={line.code: line},
         stops=stops,
         itineraries=[itinerary],
-        fixes={(LINE829_VEHICLE, LINE829_CODE, LINE829_DAY): fixes},
+        fixes={(LINE829_VEHICLE, LINE829_CODE, LINE829_DAY): track},
     )
 
 
@@ -229,9 +221,7 @@ def straight_line_dataset(
             t += duration
             waypoints.append(Waypoint(t, i * spacing_m, 0.0))
         vehicle = f"V{trip:04d}"
-        fixes[(vehicle, line_code, day)] = _trajectory_fixes(
-            waypoints, vehicle, line_code, day, cadence_s=cadence_s
-        )
+        fixes[(vehicle, line_code, day)] = _trajectory_fixes(waypoints, vehicle, cadence_s=cadence_s)
 
     line = BusLine(code=line_code, name=f"Synthetic {line_code}", category=category)
     return Dataset(

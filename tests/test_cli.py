@@ -28,7 +28,7 @@ def write_inputs(tmp_path: Path, dataset=None) -> dict:
     with open(points, "w", encoding="utf-8") as f:
         records.write_line_points(dataset.stops.values(), dataset.itineraries, f)
     with open(fixes, "w", encoding="utf-8") as f:
-        records.write_vehicle_fixes([x for g in dataset.fixes.values() for x in g], f)
+        records.write_vehicle_fixes(dataset.fixes, f)
     return {
         "lines_file": str(lines),
         "line_points_file": str(points),
@@ -58,6 +58,18 @@ def test_detect_reproduces_case_study_rows(tmp_path):
     assert got == CASE_RESULT
     assert (out / "tags_by_category.csv").is_file()
     assert (out / "manifest.json").is_file()
+
+
+def test_input_error_names_its_file(tmp_path, capsys):
+    config = write_config(tmp_path)
+    fixes = json.loads(config.read_text())["fixes_file"]
+    rows = Path(fixes).read_text(encoding="utf-8").splitlines()
+    rows[6] = json.dumps(json.loads(rows[6]) | {"lat": -95.0})
+    Path(fixes).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "RecordError"
+    assert error["message"].startswith("fixes.ndjson line 7: ")
 
 
 def test_all_is_deterministic_byte_for_byte(tmp_path):
@@ -179,8 +191,7 @@ def renamed_line(dataset: Dataset, code: str) -> Dataset:
         stops=dataset.stops,
         itineraries=[replace(iti, line_code=code) for iti in dataset.itineraries],
         fixes={
-            (vehicle, code, day): [replace(fix, line_code=code) for fix in group]
-            for (vehicle, _line, day), group in dataset.fixes.items()
+            (vehicle, code, day): track for (vehicle, _line, day), track in dataset.fixes.items()
         },
     )
 
@@ -188,9 +199,8 @@ def renamed_line(dataset: Dataset, code: str) -> Dataset:
 def two_days(dataset: Dataset) -> Dataset:
     """The dataset with every fix group repeated on the following day."""
     fixes = dict(dataset.fixes)
-    for (vehicle, line, day), group in dataset.fixes.items():
-        next_day = day + timedelta(days=1)
-        fixes[(vehicle, line, next_day)] = [replace(fix, day=next_day) for fix in group]
+    for (vehicle, line, day), track in dataset.fixes.items():
+        fixes[(vehicle, line, day + timedelta(days=1))] = track
     return replace(dataset, fixes=fixes)
 
 

@@ -1,25 +1,30 @@
 import math
-from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bustrace.detection import format_time_of_day
-from bustrace.geo import GeoPoint, haversine_distance, offset_point
+from bustrace.geo import GeoPoint, haversine_distance, haversine_matrix, offset_point
 from bustrace.matching import StopMark, match_fixes, sequence_marks
-from bustrace.model import BusStop, GpsFix, ItineraryDef, StopType
+from bustrace.model import BusStop, FixTrack, ItineraryDef, StopType
 
 from conftest import CASE_MARKS
-
-DAY = date(2022, 11, 7)
 
 
 def _stop(stop_id, lat, lon):
     return BusStop(stop_id=stop_id, name=stop_id, stop_type=StopType.STREET_STOP, lat=lat, lon=lon)
 
 
-def _fix(lat, lon, t, vehicle="V1"):
-    return GpsFix(vehicle_id=vehicle, line_code="L1", lat=lat, lon=lon, day=DAY, time_s=t)
+def _track(*fixes, vehicle="V1"):
+    """A track of (lat, lon, time_s) fixes."""
+    return FixTrack(
+        vehicle,
+        [lat for lat, _, _ in fixes],
+        [lon for _, lon, _ in fixes],
+        [t for _, _, t in fixes],
+    )
 
 
 # ── haversine ───────────────────────────────────────────────────────────
@@ -62,7 +67,7 @@ def test_fix_exactly_at_stop():
     stops = [_stop("A", origin.lat, origin.lon), _stop("B", away.lat, away.lon)]
     iti = _line(stops)
     lookup = {s.stop_id: s for s in stops}
-    marks = match_fixes([_fix(origin.lat, origin.lon, 100)], iti, lookup)
+    marks = match_fixes(_track((origin.lat, origin.lon, 100)), iti, lookup)
     assert len(marks) == 1
     assert marks[0].stop_id == "A"
     assert marks[0].distance_m == 0.0
@@ -72,20 +77,20 @@ def test_fix_exactly_at_stop():
 def test_empty_fixes_empty_marks():
     origin = GeoPoint(-25.4, -49.3)
     stops = [_stop("A", origin.lat, origin.lon), _stop("B", origin.lat, origin.lon + 0.01)]
-    assert match_fixes([], _line(stops), {s.stop_id: s for s in stops}) == []
+    assert match_fixes(_track(), _line(stops), {s.stop_id: s for s in stops}) == []
 
 
 def test_unresolvable_stop_raises():
     origin = GeoPoint(-25.4, -49.3)
     stops = [_stop("A", origin.lat, origin.lon), _stop("B", origin.lat, origin.lon + 0.01)]
     with pytest.raises(ValueError, match="not resolvable"):
-        match_fixes([_fix(origin.lat, origin.lon, 0)], _line(stops), {"A": stops[0]})
+        match_fixes(_track((origin.lat, origin.lon, 0)), _line(stops), {"A": stops[0]})
 
 
 def test_unsorted_fixes_rejected():
     origin = GeoPoint(-25.4, -49.3)
     stops = [_stop("A", origin.lat, origin.lon), _stop("B", origin.lat, origin.lon + 0.01)]
-    fixes = [_fix(origin.lat, origin.lon, 100), _fix(origin.lat, origin.lon, 50)]
+    fixes = _track((origin.lat, origin.lon, 100), (origin.lat, origin.lon, 50))
     with pytest.raises(ValueError, match="sorted"):
         match_fixes(fixes, _line(stops), {s.stop_id: s for s in stops})
 
@@ -102,14 +107,13 @@ def test_nearest_label_matches_bruteforce_scan():
 
     for t in range(100):
         p = offset_point(origin, float(rng.uniform(-500, 5500)), float(rng.uniform(-500, 5500)))
-        fix = _fix(p.lat, p.lon, t)
         # Exhaustive oracle: scan stops in itinerary order, first minimum wins.
         best_stop, best_d = None, float("inf")
         for s in stops:
-            d = haversine_distance(fix, s)
+            d = haversine_distance(p, s)
             if d < best_d:
                 best_stop, best_d = s.stop_id, d
-        marks = match_fixes([fix], iti, lookup, acceptance_radius_m=float("inf"))
+        marks = match_fixes(_track((p.lat, p.lon, t)), iti, lookup, acceptance_radius_m=float("inf"))
         assert len(marks) == 1
         assert marks[0].stop_id == best_stop
         assert marks[0].distance_m == pytest.approx(best_d)
@@ -126,8 +130,8 @@ def test_run_collapse_takes_earliest_minimum():
     fixes = []
     for t, north in enumerate(offsets):
         p = offset_point(origin, 0, north)
-        fixes.append(_fix(p.lat, p.lon, t * 20))
-    marks = match_fixes(fixes, iti, lookup)
+        fixes.append((p.lat, p.lon, t * 20))
+    marks = match_fixes(_track(*fixes), iti, lookup)
     assert len(marks) == 1
     assert marks[0].time_s == 20  # earliest fix at the minimum distance
     assert marks[0].distance_m == pytest.approx(10.0, abs=1e-6)
@@ -140,7 +144,7 @@ def test_runs_beyond_acceptance_radius_yield_no_mark():
     stop_b = _stop("B", far.lat, far.lon)
     iti = _line([stop_a, stop_b])
     p = offset_point(origin, 0, 150)
-    marks = match_fixes([_fix(p.lat, p.lon, 0)], iti, {"A": stop_a, "B": stop_b})
+    marks = match_fixes(_track((p.lat, p.lon, 0)), iti, {"A": stop_a, "B": stop_b})
     assert marks == []
 
 
@@ -175,6 +179,67 @@ def test_case_study_full_trajectory_marks(case_dataset_full):
         ("829010", "06:29:06"),
         ("829001", "06:31:41"),
     ]
+
+
+def _reference_match(track, itinerary, stops, acceptance_radius_m=100.0):
+    """The per-run loop match_fixes ran before its runs were reduced in bulk."""
+    if not len(track):
+        return []
+    first_position = {}
+    for position, stop_id in enumerate(itinerary.stop_ids, start=1):
+        first_position.setdefault(stop_id, position)
+    stop_order = list(first_position)
+    stop_lats = np.array([stops[s].lat for s in stop_order])
+    stop_lons = np.array([stops[s].lon for s in stop_order])
+    n = len(track)
+    dists = haversine_matrix(track.lat, track.lon, stop_lats, stop_lons)
+    labels = np.argmin(dists, axis=1)
+    nearest_m = dists[np.arange(n), labels]
+
+    run_starts = np.concatenate(([0], np.flatnonzero(np.diff(labels) != 0) + 1))
+    run_ends = np.concatenate((run_starts[1:], [n]))
+    marks = []
+    for run_start, run_end in zip(run_starts, run_ends):
+        best = run_start + int(np.argmin(nearest_m[run_start:run_end]))
+        if nearest_m[best] > acceptance_radius_m:
+            continue
+        stop_id = stop_order[labels[run_start]]
+        marks.append(
+            StopMark(
+                stop_id=stop_id,
+                seq_hint=first_position[stop_id],
+                time_s=int(track.time_s[best]),
+                distance_m=float(nearest_m[best]),
+                vehicle_id=track.vehicle_id,
+            )
+        )
+    return marks
+
+
+# Grid cells of 0.0005 degrees about the equator: points mirrored in
+# longitude lie exactly as far from a stop on lon 0, and fixes repeat
+# points, so runs and stops both hold exact distance ties.
+_cell = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def _tie_heavy_cases(draw):
+    cells = draw(st.lists(_cell, min_size=2, max_size=6))
+    stops = {f"S{i}": _stop(f"S{i}", la * 5e-4, lo * 5e-4) for i, (la, lo) in enumerate(cells)}
+    order = draw(st.lists(st.sampled_from(sorted(stops)), min_size=2, max_size=8))
+    iti = ItineraryDef(line_code="L1", direction="A", stops=tuple(enumerate(order, start=1)))
+    fixes = draw(st.lists(_cell, max_size=60))
+    times = sorted(draw(st.lists(st.integers(0, 600), min_size=len(fixes), max_size=len(fixes))))
+    track = _track(*((la * 5e-4, lo * 5e-4, t) for (la, lo), t in zip(fixes, times)))
+    radius = draw(st.sampled_from([0.0, 60.0, 100.0, 200.0, float("inf")]))
+    return track, iti, stops, radius
+
+
+@given(_tie_heavy_cases())
+@settings(max_examples=300, deadline=None)
+def test_marks_equal_per_run_reference(case):
+    track, iti, stops, radius = case
+    assert match_fixes(track, iti, stops, radius) == _reference_match(track, iti, stops, radius)
 
 
 # ── sequence_marks ──────────────────────────────────────────────────────

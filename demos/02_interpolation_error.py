@@ -12,16 +12,16 @@ import numpy as np
 
 from bustrace import evaluate_interpolation_error
 from bustrace.synthetic import straight_line_dataset
-from bustrace import detect, match_fixes, segment_trips, sequence_marks
+from bustrace import detect, match_fixes, segment_trips
 
 
 def reconstruct_all(dataset):
     detections = []
     for key in sorted(dataset.fixes):
         itinerary = dataset.itineraries[0]
-        marks = sequence_marks(match_fixes(dataset.fixes[key], itinerary, dataset.stops))
+        marks = match_fixes(dataset.fixes[key], itinerary, dataset.stops)
         for segment in segment_trips(marks, itinerary).segments:
-            result = detect(itinerary, segment)
+            result = detect(itinerary, segment, vehicle_id=key[0])
             if result.accepted:
                 detections.append(result.itinerary)
     return detections

@@ -19,7 +19,6 @@ from bustrace import (
     match_fixes,
     merge_terminals,
     segment_trips,
-    sequence_marks,
 )
 from bustrace.analytics import build_availability
 from bustrace.model import Dataset, LineCategory, StopType
@@ -50,9 +49,9 @@ for part in parts:
 detections = []
 for (vehicle, line_code, day), fixes in sorted(dataset.fixes.items()):
     for itinerary in dataset.itineraries_for(line_code):
-        marks = sequence_marks(match_fixes(fixes, itinerary, dataset.stops))
+        marks = match_fixes(fixes, itinerary, dataset.stops)
         for segment in segment_trips(marks, itinerary).segments:
-            result = detect(itinerary, segment, day=day)
+            result = detect(itinerary, segment, day=day, vehicle_id=vehicle)
             if result.accepted:
                 detections.append(result.itinerary)
 print(f"{len(detections)} trips reconstructed across {len(dataset.lines)} lines")

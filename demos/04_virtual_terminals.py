@@ -22,7 +22,6 @@ from bustrace import (
     find_outlier_stops,
     match_fixes,
     segment_trips,
-    sequence_marks,
 )
 from bustrace.analytics import SYNC_WINDOW_SET, build_availability
 from bustrace.geo import GeoPoint, offset_point
@@ -83,9 +82,9 @@ for code, stop_ids in routes.items():
 detections = []
 for (vehicle, line_code, day), track in sorted(dataset.fixes.items()):
     for itinerary in dataset.itineraries_for(line_code):
-        marks = sequence_marks(match_fixes(track, itinerary, dataset.stops))
+        marks = match_fixes(track, itinerary, dataset.stops)
         for segment in segment_trips(marks, itinerary).segments:
-            result = detect(itinerary, segment, day=day)
+            result = detect(itinerary, segment, day=day, vehicle_id=vehicle)
             if result.accepted:
                 detections.append(result.itinerary)
 print(f"{len(detections)} trips reconstructed")

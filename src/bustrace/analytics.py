@@ -10,13 +10,14 @@ restricted to periods of the day.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields
 from datetime import date
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .detection import DetectedItinerary, round_to_second
+from .detection import DetectedItinerary
 from .model import BusStop, StopType
 
 log = logging.getLogger(__name__)
@@ -84,12 +85,20 @@ class PassageTable:
 
     @classmethod
     def from_itineraries(cls, itineraries: Iterable[DetectedItinerary]) -> "PassageTable":
-        rows = [
-            (entry.stop_id, det.day, round_to_second(entry.time_s), det.vehicle_id, det.line_code)
-            for det in itineraries
-            for entry in det.entries
-        ]
-        return cls(*zip(*rows)) if rows else cls((), (), (), (), ())
+        trips = list(itineraries)
+        if not trips:
+            return cls((), (), (), (), ())
+        sizes = [len(det.stop_ids) for det in trips]
+        day, vehicle_id, line_code = (
+            np.repeat([getattr(det, name) for det in trips], sizes)
+            for name in ("day", "vehicle_id", "line_code")
+        )
+        # Whole seconds as format_time_of_day renders them: .5 ties go to the odd second.
+        times = np.concatenate([det.time_s for det in trips])
+        base = np.floor(times)
+        rounded = base + ((times - base > 0.5) | ((times - base == 0.5) & (base % 2 == 0)))
+        stop_id = np.concatenate([det.stop_ids for det in trips])
+        return cls(stop_id, day, rounded, vehicle_id, line_code)
 
     def select(self, mask: np.ndarray) -> "PassageTable":
         return PassageTable(*(getattr(self, f.name)[mask] for f in fields(self)))
@@ -275,15 +284,29 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float | None:
 
 
 def pearson_p_value(r: float, n: int) -> float:
-    """Two-sided p-value for a sample Pearson r via the t transform."""
-    from scipy.special import stdtr  # imported here: only the cluster stage needs scipy
+    """Two-sided p-value for a sample Pearson r via the t transform.
 
+    With ν = n - 2 and t = r √(ν / (1 - r²)), the p-value is 1 - A(t|ν),
+    A being the Student t probability of |T| < |t|. For integer ν, A has a
+    closed form in θ = atan(|t| / √ν), for which sin θ = |r|
+    (Abramowitz & Stegun 26.7.3 for odd ν, 26.7.4 for even ν).
+    """
     if n < 3:
         return float("nan")
     if abs(r) >= 1.0:
         return 0.0
-    t = r * np.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * stdtr(n - 2, -abs(t)))
+    nu = n - 2
+    sin, cos2 = abs(r), 1.0 - r * r
+    term = total = 1.0
+    for k in range(2, nu - 1, 2):
+        term *= cos2 * (k / (k + 1) if nu % 2 else (k - 1) / k)
+        total += term
+    if nu % 2:
+        tail = sin * math.sqrt(cos2) * total if nu > 1 else 0.0
+        inside = 2.0 / math.pi * (math.asin(sin) + tail)
+    else:
+        inside = sin * total
+    return max(0.0, 1.0 - inside)
 
 
 @dataclass

@@ -137,15 +137,17 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     written: list[Path] = []
+    running = args.command  # the stage named in an error record
     try:
         config = load_config(args.config, args.seed, args.jobs)
         stages = list(_STAGES) if args.command == "all" else [args.command]
         dataset = config.load_inputs(with_fixes=not _FIX_STAGES.isdisjoint(stages))
         out_dir.mkdir(parents=True, exist_ok=True)
         passages = None
-        for stage in stages:
-            paths, passages = _run_stage(stage, out_dir, dataset, config, passages)
+        for running in stages:
+            paths, passages = _run_stage(running, out_dir, dataset, config, passages)
             written.extend(paths)
+        running = args.command
         _write_manifest(out_dir, config)
     except Exception as exc:
         for path in written:
@@ -155,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
                 pass
         record = {
             "error": {
-                "stage": getattr(exc, "stage", args.command),
+                "stage": getattr(exc, "stage", running),
                 "type": type(exc).__name__,
                 "message": str(exc),
             }

@@ -1,25 +1,27 @@
 """Reconstruction of complete timed itineraries from passage marks.
 
-Given the time-sorted marks of one trip segment, the detector walks the
-itinerary positions in order and accepts, for each position, the first
-mark at that stop whose time is strictly later than the last accepted
-time. Marks that would break time monotonicity (typically produced where
-the route passes close to an out-of-sequence stop) are dropped. Interior
-positions left without a mark get their times estimated by uniform
-subdivision of the enclosing observed interval; trips missing a mark at
-the first or last position are rejected instead of extrapolated.
+Marks arrive as one group's time-ordered :class:`~bustrace.matching.Marks`,
+which :func:`segment_trips` cuts into candidate trips. Given the marks of
+one trip segment, the detector walks the itinerary positions in order and
+accepts, for each position, the first mark at that stop whose time is
+strictly later than the last accepted time. Marks that would break time
+monotonicity (typically produced where the route passes close to an
+out-of-sequence stop) are dropped. Interior positions left without a mark
+get their times estimated by uniform subdivision of the enclosing observed
+interval; trips missing a mark at the first or last position are rejected
+instead of extrapolated.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 
 import numpy as np
 
-from .matching import StopMark
+from .matching import Marks
 from .model import ItineraryDef, LineCategory
 
 DEFAULT_IDLE_GAP_S = 1800
@@ -62,43 +64,42 @@ def format_time_of_day(value: float) -> str:
 # ── Result types ────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class TimedStop:
-    stop_id: str
-    position: int  # 1-based itinerary position
-    time_s: float  # observed entries carry the integral mark time
-    provenance: Provenance
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectedItinerary:
-    """One reconstructed trip: every itinerary position with a passage time."""
+    """One reconstructed trip: every itinerary position with a passage time.
+
+    ``stop_ids``, ``time_s`` (float64 seconds of day; observed entries
+    carry the integral mark time) and ``observed`` (bool; False for an
+    interpolated time) are parallel: index i is position i + 1.
+    """
 
     line_code: str
     vehicle_id: str
     direction: str
-    entries: tuple[TimedStop, ...]
+    stop_ids: tuple[str, ...]
+    time_s: np.ndarray
+    observed: np.ndarray
     day: date | None = None
 
     def __post_init__(self):
-        positions = [e.position for e in self.entries]
-        if positions != list(range(1, len(self.entries) + 1)):
+        if not 0 < len(self.stop_ids) == len(self.time_s) == len(self.observed):
             raise ValueError("entries must cover positions 1..n exactly once, in order")
-        times = [e.time_s for e in self.entries]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if np.any(np.diff(self.time_s) <= 0):
             raise ValueError("entry times must be strictly increasing")
-        if self.entries[0].provenance is not Provenance.OBSERVED:
+        if not self.observed[0]:
             raise ValueError("first entry must be observed")
-        if self.entries[-1].provenance is not Provenance.OBSERVED:
+        if not self.observed[-1]:
             raise ValueError("last entry must be observed")
 
-    @property
-    def observed_count(self) -> int:
-        return sum(1 for e in self.entries if e.provenance is Provenance.OBSERVED)
+    def __eq__(self, other):
+        if not isinstance(other, DetectedItinerary):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     @property
     def interpolated_count(self) -> int:
-        return len(self.entries) - self.observed_count
+        return len(self.observed) - int(np.count_nonzero(self.observed))
 
     def is_fully_observed(self) -> bool:
         return self.interpolated_count == 0
@@ -110,7 +111,7 @@ class DetectionResult:
 
     itinerary: DetectedItinerary | None
     rejection: str | None
-    dropped_marks: list[StopMark]
+    dropped: tuple[int, ...]  # segment indices of marks left out by the monotone-time rule
     segment_size: int
     borrowed_marks: int = 0  # boundary marks already tallied with the previous trip
 
@@ -154,20 +155,26 @@ def interpolate_gap(t_start: float, t_end: float, w: int) -> list[float]:
 
 @dataclass
 class Segmentation:
-    segments: list[list[StopMark]]
+    segments: list[Marks]
     # per segment, how many leading marks were carried over from the
     # previous trip (a circular boundary passage serves both trips but
     # must be tallied once)
     borrowed: list[int]
-    discarded: list[list[StopMark]]  # fewer than 2 distinct stops
+    discarded: list[Marks]  # fewer than 2 distinct stops
 
     @property
     def discarded_marks(self) -> int:
         return sum(len(s) for s in self.discarded)
 
 
+def _first_positions(itinerary: ItineraryDef) -> dict[int, int]:
+    """Each itinerary position mapped to the first position of its stop."""
+    first: dict[str, int] = {}
+    return {p: first.setdefault(s, p) for p, s in enumerate(itinerary.stop_ids, start=1)}
+
+
 def segment_trips(
-    marks: list[StopMark],
+    marks: Marks,
     itinerary: ItineraryDef,
     idle_gap_s: int = DEFAULT_IDLE_GAP_S,
     wrap_fraction: float = DEFAULT_WRAP_FRACTION,
@@ -188,84 +195,66 @@ def segment_trips(
     """
     n = len(itinerary)
     threshold = wrap_fraction * n
-    positions_of: dict[str, list[int]] = {}
-    for position, stop_id in enumerate(itinerary.stop_ids, start=1):
-        positions_of.setdefault(stop_id, []).append(position)
-    first_stop = itinerary.stop_ids[0]
-
-    for mark in marks:
-        if mark.stop_id not in positions_of:
-            raise ValueError(f"mark at stop {mark.stop_id} does not belong to the itinerary")
+    first_of = _first_positions(itinerary)
+    positions_of: dict[int, list[int]] = {}
+    for position, first in first_of.items():
+        positions_of.setdefault(first, []).append(position)
+    try:  # each mark's stop as its first position: 1 is the itinerary's first stop
+        stops = [first_of[p] for p in marks.position.tolist()]
+    except KeyError as exc:
+        raise ValueError(f"mark position {exc.args[0]} is outside the itinerary (1..{n})") from None
+    times = marks.time_s.tolist()
 
     result = Segmentation(segments=[], borrowed=[], discarded=[])
-    current: list[StopMark] = []
-    current_borrowed = 0
-    p_max = 0
+    if not stops:
+        return result
+    start = 0  # the current segment's first own mark
+    boundary: int | None = None  # its carried-over terminal mark
+    p_max = stops[0]
     pending: int | None = None
-    prev_time = 0
 
-    def close():
-        if not current:
-            return
-        if len({m.stop_id for m in current}) >= 2:
-            result.segments.append(list(current))
-            result.borrowed.append(current_borrowed)
+    def close(end: int):
+        distinct = set(stops[start:end])
+        if boundary is None:
+            segment = marks[start:end]
         else:
-            result.discarded.append(list(current))
+            segment = marks[np.r_[boundary, start:end]]
+            distinct.add(1)
+        if len(distinct) >= 2:
+            result.segments.append(segment)
+            result.borrowed.append(int(boundary is not None))
+        else:
+            result.discarded.append(segment)
 
-    for index, mark in enumerate(marks):
-        matches = positions_of[mark.stop_id]
-
-        if current and mark.time_s - prev_time > idle_gap_s:
-            close()
-            current = []
-            current_borrowed = 0
-
-        if not current:
-            current = [mark]
-            p_max = min(matches)
-            pending = None
-            prev_time = mark.time_s
-            continue
-
-        in_window = [p for p in matches if p_max - p <= threshold]
-        if in_window:
-            p_eff = min(in_window)
-            if p_eff - p_max > threshold:
-                if pending is not None and p_eff >= pending:
-                    p_max = p_eff
-                    pending = None
+    for index in range(1, len(stops)):
+        stop, time_s = stops[index], times[index]
+        carry = None
+        if time_s - times[index - 1] <= idle_gap_s:
+            in_window = [p for p in positions_of[stop] if p_max - p <= threshold]
+            if in_window:
+                p_eff = min(in_window)
+                if p_eff - p_max > threshold:
+                    if pending is not None and p_eff >= pending:
+                        p_max, pending = p_eff, None
+                    else:
+                        pending = p_eff
                 else:
-                    pending = p_eff
-            else:
-                p_max = max(p_max, p_eff)
-                pending = None
-            current.append(mark)
-        else:
-            restart = min(matches)
-            confirmed = False
-            if index + 1 < len(marks):
-                following = positions_of[marks[index + 1].stop_id]
-                confirmed = any(0 <= p - restart <= threshold for p in following)
-            if confirmed:
-                boundary = None
-                if itinerary.circular:
-                    # One terminal passage both closes a loop and opens the
-                    # next; reuse the latest terminal mark unless stale.
-                    recent = [m for m in current if m.stop_id == first_stop]
-                    if recent and mark.time_s - recent[-1].time_s <= idle_gap_s:
-                        boundary = recent[-1]
-                close()
-                current = [boundary] if boundary is not None else []
-                current_borrowed = 1 if boundary is not None else 0
-                current.append(mark)
-                p_max = restart
-                pending = None
-            else:
-                current.append(mark)
-        prev_time = mark.time_s
+                    p_max, pending = max(p_max, p_eff), None
+                continue
+            following = positions_of[stops[index + 1]] if index + 1 < len(stops) else ()
+            if not any(0 <= p - stop <= threshold for p in following):
+                continue  # an unconfirmed fallback stays put
+            if itinerary.circular:
+                # One terminal passage both closes a loop and opens the
+                # next; reuse the latest terminal mark unless stale.
+                own = (i for i in range(index - 1, start - 1, -1) if stops[i] == 1)
+                recent = next(own, boundary)
+                if recent is not None and time_s - times[recent] <= idle_gap_s:
+                    carry = recent
+        close(index)
+        start, boundary, p_max, pending = index, carry, stop, None
 
-    close()
+    close(len(stops))
     return result
 
 
@@ -273,99 +262,74 @@ def segment_trips(
 
 REJECT_NO_FIRST = "no mark for first stop"
 REJECT_NO_LAST = "no mark for last stop"
-REJECT_TOO_FEW = "fewer than 2 observed marks"
 
 
 def detect(
     itinerary: ItineraryDef,
-    segment: list[StopMark],
+    segment: Marks,
     day: date | None = None,
     borrowed_marks: int = 0,
+    vehicle_id: str = "",
 ) -> DetectionResult:
     """Associate one segment's marks with the itinerary.
 
     Returns an accepted DetectedItinerary with interpolated interior gaps,
     or a rejection when the first or last position has no usable mark.
-    Marks excluded by the monotone-time rule are reported as dropped.
-    ``borrowed_marks`` (from the segmentation) flows through to the result
-    so reporting can avoid double-counting shared boundary passages.
+    Marks excluded by the monotone-time rule (or outside the itinerary)
+    are reported as dropped, by index in the segment. ``borrowed_marks``
+    (from the segmentation) flows through to the result so reporting can
+    avoid double-counting shared boundary passages.
     """
     stop_ids = itinerary.stop_ids
     n = len(stop_ids)
+    first_of = _first_positions(itinerary)
+    times = segment.time_s.tolist()
+    marks_at: dict[int | None, list[int]] = {}
+    for index, position in enumerate(segment.position.tolist()):
+        marks_at.setdefault(first_of.get(position), []).append(index)
 
-    accepted: list[StopMark | None] = [None] * n
-    accepted_idx: set[int] = set()
+    accepted: list[int | None] = [None] * n  # per position, the accepted mark's index
     last_time: int | None = None
-    for pos_idx, stop_id in enumerate(stop_ids):
-        for mark_idx, mark in enumerate(segment):
-            if mark.stop_id == stop_id and (last_time is None or mark.time_s > last_time):
-                accepted[pos_idx] = mark
-                accepted_idx.add(mark_idx)
-                last_time = mark.time_s
+    for pos_idx in range(n):
+        for index in marks_at.get(first_of[pos_idx + 1], ()):
+            if last_time is None or times[index] > last_time:
+                accepted[pos_idx] = index
+                last_time = times[index]
                 break
 
-    dropped = [m for i, m in enumerate(segment) if i not in accepted_idx]
-    vehicle_id = segment[0].vehicle_id if segment else ""
-
-    def reject(reason: str) -> DetectionResult:
-        return DetectionResult(
-            itinerary=None,
-            rejection=reason,
-            dropped_marks=dropped,
-            segment_size=len(segment),
-            borrowed_marks=borrowed_marks,
-        )
-
+    taken = set(accepted)
+    result = DetectionResult(
+        itinerary=None,
+        rejection=None,
+        dropped=tuple(i for i in range(len(times)) if i not in taken),
+        segment_size=len(times),
+        borrowed_marks=borrowed_marks,
+    )
     if accepted[0] is None:
-        return reject(REJECT_NO_FIRST)
+        result.rejection = REJECT_NO_FIRST
+        return result
     if accepted[-1] is None:
-        return reject(REJECT_NO_LAST)
-    if sum(1 for m in accepted if m is not None) < 2:
-        return reject(REJECT_TOO_FEW)
+        result.rejection = REJECT_NO_LAST
+        return result
 
-    entries: list[TimedStop] = []
-    pos_idx = 0
-    while pos_idx < n:
-        mark = accepted[pos_idx]
-        if mark is not None:
-            entries.append(
-                TimedStop(stop_ids[pos_idx], pos_idx + 1, float(mark.time_s), Provenance.OBSERVED)
-            )
-            pos_idx += 1
-            continue
-        gap_start = pos_idx - 1  # previous position is observed by construction
-        gap_end = pos_idx
-        while accepted[gap_end] is None:
-            gap_end += 1
-        w = gap_end - gap_start
-        estimates = interpolate_gap(
-            float(accepted[gap_start].time_s), float(accepted[gap_end].time_s), w
-        )
-        for offset, estimate in enumerate(estimates, start=1):
-            entries.append(
-                TimedStop(
-                    stop_ids[gap_start + offset],
-                    gap_start + offset + 1,
-                    estimate,
-                    Provenance.INTERPOLATED,
-                )
-            )
-        pos_idx = gap_end
-
-    detected = DetectedItinerary(
+    anchors = [pos_idx for pos_idx, index in enumerate(accepted) if index is not None]
+    time_s = np.empty(n)
+    observed = np.zeros(n, dtype=bool)
+    observed[anchors] = True
+    time_s[anchors] = [times[accepted[pos_idx]] for pos_idx in anchors]
+    for a, b in zip(anchors, anchors[1:]):
+        if b - a > 1:
+            time_s[a + 1 : b] = interpolate_gap(float(time_s[a]), float(time_s[b]), b - a)
+    result.itinerary = DetectedItinerary(
         line_code=itinerary.line_code,
         vehicle_id=vehicle_id,
         direction=itinerary.direction,
-        entries=tuple(entries),
+        stop_ids=stop_ids,
+        time_s=time_s,
+        observed=observed,
         day=day,
     )
-    return DetectionResult(
-        itinerary=detected,
-        rejection=None,
-        dropped_marks=dropped,
-        segment_size=len(segment),
-        borrowed_marks=borrowed_marks,
-    )
+    return result
 
 
 # ── Interpolation-error protocol ────────────────────────────────────────
@@ -400,10 +364,11 @@ def evaluate_interpolation_error(
                 "the protocol requires fully observed trips"
             )
 
-    eligible: list[tuple[int, int]] = []
-    for trip_idx, det in enumerate(detections):
-        for anchor in range(0, len(det.entries) - w):
-            eligible.append((trip_idx, anchor))
+    eligible = [
+        (trip_idx, anchor)
+        for trip_idx, det in enumerate(detections)
+        for anchor in range(len(det.stop_ids) - w)
+    ]
     if samples > len(eligible):
         raise ValueError(
             f"requested {samples} samples but only {len(eligible)} eligible gap positions"
@@ -415,10 +380,10 @@ def evaluate_interpolation_error(
     results: list[InterpolationErrorSample] = []
     for index in chosen:
         trip_idx, anchor = eligible[int(index)]
-        entries = detections[trip_idx].entries
-        estimates = interpolate_gap(entries[anchor].time_s, entries[anchor + w].time_s, w)
+        times = detections[trip_idx].time_s.tolist()
+        estimates = interpolate_gap(times[anchor], times[anchor + w], w)
         for offset, estimate in enumerate(estimates, start=1):
-            err = abs(entries[anchor + offset].time_s - estimate)
+            err = abs(times[anchor + offset] - estimate)
             results.append(InterpolationErrorSample(w=w, err_seconds=err))
     return results
 
@@ -500,7 +465,7 @@ def tag_report(
             if result.accepted:
                 for target in (row, total):
                     target.valid_tags += result.own_marks
-                    target.out_of_order += len(result.dropped_marks)
+                    target.out_of_order += len(result.dropped)
                     target.missing += result.itinerary.interpolated_count
             else:
                 for target in (row, total):

@@ -3,12 +3,12 @@
 Every fix is labeled with its nearest itinerary stop by Haversine distance.
 Consecutive fixes sharing a label form a run; a run whose closest approach
 is within the acceptance radius yields exactly one passage mark, stamped at
-the run's minimum-distance fix (earliest such fix on ties).
+the run's minimum-distance fix (earliest such fix on ties). The marks of
+one track come back as the columns of one :class:`Marks`, in fix order,
+which is also time order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +22,30 @@ DEFAULT_ACCEPTANCE_RADIUS_M = 100.0
 _CHUNK = 131_072
 
 
-@dataclass(frozen=True, slots=True)
-class StopMark:
-    """A map-matched passage event at one stop."""
+class Marks:
+    """The passage marks of one fix track against one itinerary.
 
-    stop_id: str
-    seq_hint: int  # smallest itinerary position served by this stop
-    time_s: int
-    distance_m: float
-    vehicle_id: str
+    Parallel columns: ``position``, the smallest itinerary position served
+    by the mark's stop (int64, 1-based); ``time_s``, integer seconds of the
+    service day (int64); ``distance_m``, the fix-to-stop distance
+    (float64). ``len()`` is the number of marks; indexing with a slice or
+    an index array returns the selected marks.
+    """
+
+    __slots__ = ("position", "time_s", "distance_m")
+
+    def __init__(self, position, time_s, distance_m):
+        self.position = np.asarray(position, dtype=np.int64)
+        self.time_s = np.asarray(time_s, dtype=np.int64)
+        self.distance_m = np.asarray(distance_m, dtype=np.float64)
+        if not len(self.position) == len(self.time_s) == len(self.distance_m):
+            raise ValueError("mark columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.time_s)
+
+    def __getitem__(self, index) -> "Marks":
+        return Marks(self.position[index], self.time_s[index], self.distance_m[index])
 
 
 def match_fixes(
@@ -38,15 +53,17 @@ def match_fixes(
     itinerary: ItineraryDef,
     stops: dict[str, BusStop],
     acceptance_radius_m: float = DEFAULT_ACCEPTANCE_RADIUS_M,
-) -> list[StopMark]:
+) -> Marks:
     """Produce passage marks for a time-ordered fix track against one itinerary.
 
     Ties between equidistant stops break toward the smaller itinerary
-    position. Returns marks in fix-time order.
+    position. Returns marks in fix order: runs follow one another and each
+    mark's fix lies inside its run, so times never decrease and equal
+    times keep fix order.
     """
     n = len(track)
     if n == 0:
-        return []
+        return Marks((), (), ())
 
     # Distinct stops in first-appearance order, so argmin tie-breaking
     # lands on the smaller itinerary position.
@@ -81,25 +98,5 @@ def match_fixes(
     kept = run_min <= acceptance_radius_m
     best = best[kept]
 
-    marks: list[StopMark] = []
-    for label, time_s, distance_m in zip(
-        labels[run_starts[kept]].tolist(),
-        track.time_s[best].tolist(),
-        nearest_m[best].tolist(),
-    ):
-        stop_id = stop_order[label]
-        marks.append(
-            StopMark(
-                stop_id=stop_id,
-                seq_hint=first_position[stop_id],
-                time_s=time_s,
-                distance_m=distance_m,
-                vehicle_id=track.vehicle_id,
-            )
-        )
-    return marks
-
-
-def sequence_marks(marks: list[StopMark]) -> list[StopMark]:
-    """Stable ascending sort of marks by passage time."""
-    return sorted(marks, key=lambda m: m.time_s)
+    first_positions = np.array(list(first_position.values()))  # in stop_order
+    return Marks(first_positions[labels[run_starts[kept]]], track.time_s[best], nearest_m[best])

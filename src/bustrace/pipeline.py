@@ -29,6 +29,7 @@ from . import analytics, clustering, detection, matching, routing, synthetic
 from .detection import (
     DetectedItinerary,
     GroupOutcome,
+    Provenance,
     TagReport,
     format_time_of_day,
     parse_time_of_day,
@@ -229,10 +230,12 @@ def _detect_one(
     task: tuple[tuple[str, str, date, str], FixTrack, ItineraryDef, dict[str, BusStop], float, int]
 ):
     key, track, itinerary, stops, radius, idle_gap_s = task
-    marks = matching.sequence_marks(matching.match_fixes(track, itinerary, stops, radius))
+    marks = matching.match_fixes(track, itinerary, stops, radius)
     segmentation = detection.segment_trips(marks, itinerary, idle_gap_s=idle_gap_s)
     results = [
-        detection.detect(itinerary, segment, day=key[2], borrowed_marks=borrowed)
+        detection.detect(
+            itinerary, segment, day=key[2], borrowed_marks=borrowed, vehicle_id=key[0]
+        )
         for segment, borrowed in zip(segmentation.segments, segmentation.borrowed)
     ]
     outcome = GroupOutcome(
@@ -280,21 +283,14 @@ def run_detection(dataset: Dataset, config: PipelineConfig) -> DetectionRun:
 
 def write_detection_artifacts(out_dir: Path, run: DetectionRun, dataset: Dataset) -> list[Path]:
     detected = out_dir / DETECTED_FILE
+    provenance = (Provenance.INTERPOLATED.value, Provenance.OBSERVED.value)
     rows = []
     for trip, itinerary in run.trips():
-        for entry in itinerary.entries:
+        head = (itinerary.line_code, itinerary.direction, itinerary.vehicle_id, itinerary.day, trip)
+        entries = zip(itinerary.stop_ids, itinerary.time_s.tolist(), itinerary.observed.tolist())
+        for position, (stop_id, time_s, observed) in enumerate(entries, start=1):
             rows.append(
-                (
-                    itinerary.line_code,
-                    itinerary.direction,
-                    itinerary.vehicle_id,
-                    itinerary.day,
-                    trip,
-                    entry.position,
-                    entry.stop_id,
-                    format_time_of_day(entry.time_s),
-                    entry.provenance.value,
-                )
+                (*head, position, stop_id, format_time_of_day(time_s), provenance[observed])
             )
     write_csv(
         detected,

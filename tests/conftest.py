@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from bustrace.detection import detect, segment_trips
-from bustrace.matching import match_fixes, sequence_marks
-from bustrace.model import Dataset
+from bustrace.detection import Provenance, detect, segment_trips
+from bustrace.matching import Marks, match_fixes
+from bustrace.model import Dataset, ItineraryDef
 from bustrace.synthetic import line829_dataset
 
 # The nine passage marks of the degraded circular-line trip, in time order:
@@ -55,12 +55,41 @@ def run_detection_simple(dataset: Dataset):
     """Match, segment, and detect every group; return accepted itineraries."""
     detections = []
     for key in sorted(dataset.fixes):
-        _vehicle, line_code, day = key
+        vehicle, line_code, day = key
         for itinerary in sorted(dataset.itineraries_for(line_code), key=lambda i: i.direction):
-            marks = sequence_marks(match_fixes(dataset.fixes[key], itinerary, dataset.stops))
+            marks = match_fixes(dataset.fixes[key], itinerary, dataset.stops)
             segmentation = segment_trips(marks, itinerary)
             for segment in segmentation.segments:
-                result = detect(itinerary, segment, day=day)
+                result = detect(itinerary, segment, day=day, vehicle_id=vehicle)
                 if result.accepted:
                     detections.append(result.itinerary)
     return detections
+
+
+def marks_at(itinerary: ItineraryDef, *stop_times: tuple[str, int]) -> Marks:
+    """Marks at (stop_id, time_s) pairs, each at its stop's first itinerary position."""
+    positions = [itinerary.stop_ids.index(stop_id) + 1 for stop_id, _ in stop_times]
+    return Marks(positions, [t for _, t in stop_times], [0.0] * len(stop_times))
+
+
+def mark_list(itinerary: ItineraryDef, marks: Marks) -> list[tuple[str, int]]:
+    """(stop_id, time_s) of each mark, in order."""
+    return [
+        (itinerary.stop_ids[position - 1], time_s)
+        for position, time_s in zip(marks.position.tolist(), marks.time_s.tolist())
+    ]
+
+
+def trip_entries(trip) -> list[tuple[int, str, float, Provenance]]:
+    """(position, stop_id, time_s, provenance) for every position of a detected trip."""
+    return [
+        (position, stop_id, time_s, Provenance.OBSERVED if observed else Provenance.INTERPOLATED)
+        for position, (stop_id, time_s, observed) in enumerate(
+            zip(trip.stop_ids, trip.time_s.tolist(), trip.observed.tolist()), start=1
+        )
+    ]
+
+
+def dropped_marks(itinerary: ItineraryDef, segment: Marks, result) -> list[tuple[str, int]]:
+    """(stop_id, time_s) of each mark the detector dropped from ``segment``."""
+    return mark_list(itinerary, segment[list(result.dropped)])

@@ -25,7 +25,7 @@ from bustrace.detection import (
     tag_report,
 )
 from bustrace.geo import haversine_distance
-from bustrace.matching import StopMark, match_fixes, sequence_marks
+from bustrace.matching import Marks, match_fixes
 from bustrace.model import ItineraryDef, LineCategory
 from bustrace.routing import (
     add_cluster_transfers,
@@ -42,7 +42,7 @@ from bustrace.synthetic import (
     two_corridor_od_pairs,
 )
 
-from conftest import CASE_RESULT, run_detection_simple
+from conftest import CASE_RESULT, dropped_marks, run_detection_simple, trip_entries
 from test_analytics import _brute_force_counts
 from test_clustering import _literal_greedy, _stop as make_stop
 from test_routing import _adj, _enumerate_simple_paths
@@ -70,19 +70,23 @@ def test_criterion_01_case_study_exactness():
         fixes = next(iter(dataset.fixes.values()))
 
         started = time.perf_counter()
-        marks = sequence_marks(match_fixes(fixes, itinerary, dataset.stops))
+        marks = match_fixes(fixes, itinerary, dataset.stops)
         segmentation = segment_trips(marks, itinerary)
         assert len(segmentation.segments) == 1
-        result = detect(itinerary, segmentation.segments[0], day=date(2022, 11, 7))
+        segment = segmentation.segments[0]
+        result = detect(itinerary, segment, day=date(2022, 11, 7))
         elapsed = time.perf_counter() - started
 
         assert result.accepted
         rows = [
-            (e.position, e.stop_id, format_time_of_day(e.time_s), e.provenance.value)
-            for e in result.itinerary.entries
+            (position, stop_id, format_time_of_day(t), provenance.value)
+            for position, stop_id, t, provenance in trip_entries(result.itinerary)
         ]
         assert rows == CASE_RESULT  # 11 positions, exact times
-        dropped = [(d.stop_id, format_time_of_day(d.time_s)) for d in result.dropped_marks]
+        dropped = [
+            (stop_id, format_time_of_day(t))
+            for stop_id, t in dropped_marks(itinerary, segment, result)
+        ]
         assert dropped == [("829010", "06:14:08")]  # spurious mark absent from output
         assert elapsed < 1.0
 
@@ -121,31 +125,24 @@ def test_criterion_03_error_median_grows_with_gap_width():
 # ── 4. tag report equals an independent tally ───────────────────────────
 
 
-def _trip_marks(itinerary, vehicle, start, deleted=(), injected=0, drop_first=False, drop_last=False):
-    """Build one trip's mark stream plus its independent bookkeeping."""
-    stop_ids = itinerary.stop_ids
+def _trip_marks(itinerary, start, deleted=(), injected=0, drop_first=False, drop_last=False):
+    """Build one trip's (position, time_s, distance_m) marks, sorted by time."""
+    n = len(itinerary)
     marks = []
-    for position, stop_id in enumerate(stop_ids, start=1):
+    for position in range(1, n + 1):
         if position in deleted:
             continue
         if drop_first and position == 1:
             continue
-        if drop_last and position == len(stop_ids):
+        if drop_last and position == n:
             continue
-        marks.append(
-            StopMark(stop_id=stop_id, seq_hint=position, time_s=start + 60 * position,
-                     distance_m=5.0, vehicle_id=vehicle)
-        )
+        marks.append((position, start + 60 * position, 5.0))
     for j in range(injected):
         # duplicate an early stop late in the trip: always out of order;
         # each stray sits alone, like a real region-of-uncertainty hit
         dup = 1 + j
-        marks.append(
-            StopMark(stop_id=stop_ids[dup], seq_hint=dup + 1,
-                     time_s=start + 60 * (len(stop_ids) - 2 - 2 * j) + 10,
-                     distance_m=80.0, vehicle_id=vehicle)
-        )
-    marks.sort(key=lambda m: m.time_s)
+        marks.append((dup + 1, start + 60 * (n - 2 - 2 * j) + 10, 80.0))
+    marks.sort(key=lambda m: m[1])
     return marks
 
 
@@ -188,7 +185,7 @@ def test_criterion_04_tag_report_matches_independent_tally():
         streams: dict[tuple[str, str], list] = {}
         for line, vehicle, slot, deleted, injected, drop_first, drop_last in plan:
             cat = lines[line][0].value
-            marks = _trip_marks(itineraries[line], vehicle, 21600 + slot * 1200,
+            marks = _trip_marks(itineraries[line], 21600 + slot * 1200,
                                 deleted, injected, drop_first, drop_last)
             streams.setdefault((line, vehicle), []).extend(marks)
             tally[cat]["total"] += len(marks)
@@ -201,19 +198,18 @@ def test_criterion_04_tag_report_matches_independent_tally():
                 tally[cat]["missing"] += len(deleted)
 
         # one stray mark after two idle hours: a discarded segment
-        stray = StopMark(stop_id="L1-03", seq_hint=4, time_s=21600 + 3 * 1200 + 7200,
-                         distance_m=5.0, vehicle_id="V2")
+        stray = (4, 21600 + 3 * 1200 + 7200, 5.0)  # at stop L1-03
         streams[("L1", "V2")].append(stray)
         tally["ALIMENTADOR"]["total"] += 1
         tally["ALIMENTADOR"]["disc_seg"] += 1
         tally["ALIMENTADOR"]["disc_marks"] += 1
 
         outcomes = []
-        for (line, vehicle), marks in sorted(streams.items()):
-            marks = sorted(marks, key=lambda m: m.time_s)
+        for (line, vehicle), rows in sorted(streams.items()):
+            marks = Marks(*zip(*sorted(rows, key=lambda m: m[1])))
             segmentation = segment_trips(marks, itineraries[line])
             results = [
-                detect(itineraries[line], s, borrowed_marks=b)
+                detect(itineraries[line], s, borrowed_marks=b, vehicle_id=vehicle)
                 for s, b in zip(segmentation.segments, segmentation.borrowed)
             ]
             outcomes.append(
@@ -406,7 +402,7 @@ def test_criterion_11_bulk_throughput_soft_target():
         started = time.perf_counter()
         detected = 0
         for key in sorted(dataset.fixes):
-            marks = sequence_marks(match_fixes(dataset.fixes[key], itinerary, dataset.stops))
+            marks = match_fixes(dataset.fixes[key], itinerary, dataset.stops)
             segmentation = segment_trips(marks, itinerary)
             for segment in segmentation.segments:
                 detected += detect(itinerary, segment).accepted

@@ -1,4 +1,5 @@
 import logging
+from datetime import date
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from bustrace.analytics import (
     pearson_p_value,
     restrict_to_period,
 )
-from bustrace.detection import parse_time_of_day
+from bustrace.detection import DetectedItinerary, parse_time_of_day, round_to_second
 from bustrace.model import BusStop, StopType
 
 SPAN = (300, 1380)
@@ -236,6 +237,24 @@ def test_pearson_p_value_closed_form_two_degrees_of_freedom():
         assert pearson_p_value(r, 4) == pytest.approx(1.0 - t / np.sqrt(2.0 + t * t), rel=1e-12)
 
 
+def test_pearson_p_value_equals_scipy_stdtr():
+    from scipy.special import stdtr
+
+    edges = [-1 + 1e-9, -1 + 1e-6, 0.0, 1 - 1e-6, 1 - 1e-9]
+    grid = np.concatenate((np.linspace(-0.999, 0.999, 81), edges))
+    for n in range(3, 201):
+        for r in grid.tolist():
+            t = r * np.sqrt((n - 2) / (1.0 - r * r))
+            expected = float(2.0 * stdtr(n - 2, -abs(t)))
+            assert abs(pearson_p_value(r, n) - expected) <= 1e-12, (r, n)
+    # With one degree of freedom, stdtr loses digits near t = 0 (it returns
+    # 1.0 for |t| = 1e-9, where the two-sided p is 1 - 6.4e-10); check tiny
+    # r against that case's closed form 1 - 2/π atan(|t|) instead.
+    for r in (-1e-6, -1e-9, 1e-9, 1e-6):
+        t = abs(r) / np.sqrt(1.0 - r * r)
+        assert pearson_p_value(r, 3) == pytest.approx(1.0 - 2.0 / np.pi * np.arctan(t), abs=1e-15)
+
+
 def test_correlation_matrix_contracts():
     rng = np.random.default_rng(2)
     series = {
@@ -261,6 +280,41 @@ def test_restrict_to_period_bounds():
 
 
 # ── synchronization profiles ────────────────────────────────────────────
+
+
+_trip_times = st.lists(
+    st.integers(0, 4 * 86_000).map(lambda q: q / 4)  # quarter seconds: exact .5 ties
+    | st.floats(0, 86_000, allow_nan=False),
+    min_size=2,
+    max_size=12,
+    unique=True,
+).map(sorted)
+
+
+@given(st.lists(_trip_times, min_size=1, max_size=4))
+@settings(max_examples=200)
+def test_passage_table_from_trips_rounds_like_the_detection_csv(trips):
+    detections = [
+        DetectedItinerary(
+            line_code=f"L{i % 2}",
+            vehicle_id=f"V{i}",
+            direction="A",
+            stop_ids=tuple(f"S{j}" for j in range(len(times))),
+            time_s=np.array(times),
+            observed=np.ones(len(times), dtype=bool),
+            day=date(2022, 11, 7 + i % 2),
+        )
+        for i, times in enumerate(trips)
+    ]
+    table = PassageTable.from_itineraries(detections)
+    rows = [
+        (stop_id, np.datetime64(det.day), round_to_second(t), det.vehicle_id, det.line_code)
+        for det in detections
+        for stop_id, t in zip(det.stop_ids, det.time_s.tolist())
+    ]
+    got = list(zip(table.stop_id.tolist(), table.day, table.time_s.tolist(),
+                   table.vehicle_id.tolist(), table.line_code.tolist()))
+    assert got == rows
 
 
 def _passages(times_by_stop, vehicle="V1", line="L1"):

@@ -3,15 +3,16 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from datetime import timedelta
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 
 import bustrace
-from bustrace import cli, records
+from bustrace import cli, records, routing
 from bustrace.cli import main
-from bustrace.model import Dataset
+from bustrace.geo import GeoPoint, offset_point
+from bustrace.model import BusLine, BusStop, Dataset, FixTrack, ItineraryDef, LineCategory, StopType
 from bustrace.pipeline import read_csv_rows, write_csv
 from bustrace.synthetic import line829_dataset
 
@@ -95,6 +96,17 @@ def test_route_without_clusters_fails_with_error_record(tmp_path, capsys):
     assert record["error"]["type"] == "MissingDependencyError"
     assert "clusters.csv" in record["error"]["message"]
     assert not list(out.glob("od_*.csv"))
+
+
+def test_failed_stage_of_all_is_named(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("routing failed")
+
+    monkeypatch.setattr(routing, "evaluate_od", fail)
+    config = write_config(tmp_path)
+    assert main(["all", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"stage": "route", "type": "RuntimeError", "message": "routing failed"}
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -311,3 +323,71 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def three_hub_dataset() -> Dataset:
+    """Two parallel lines, crossed by shuttles at three hubs 1.4 km or more apart.
+
+    The hubs' stops are availability outliers among the street stops (the
+    shuttles end at terminals), so the cluster stage builds three clusters,
+    of four, three and three lines, and computes their correlation's p-value.
+    """
+    origin = GeoPoint(-25.46, -49.28)
+    dataset = Dataset()
+
+    def stop(stop_id, east, north, stop_type=StopType.STREET_STOP):
+        p = offset_point(origin, east, north)
+        dataset.stops[stop_id] = BusStop(stop_id, stop_id, stop_type, p.lat, p.lon)
+
+    routes = {"A": [], "B": []}
+    for i in range(14):
+        for code, north in (("A", 0.0), ("B", 240.0)):
+            stop(f"{code}-{i:02d}", i * 700.0, north)
+            routes[code].append(f"{code}-{i:02d}")
+    for code, col, reach in (("C", 2, 900.0), ("D", 2, 1500.0), ("E", 7, 900.0), ("F", 5, 900.0)):
+        stop(f"{code}-S", col * 700.0, -reach, StopType.TERMINAL)
+        stop(f"{code}-N", col * 700.0, 240.0 + reach, StopType.TERMINAL)
+        routes[code] = [f"{code}-S", f"A-{col:02d}", f"B-{col:02d}", f"{code}-N"]
+
+    headways = {"A": 900, "B": 900, "C": 600, "D": 600, "E": 400, "F": 300}
+    day = date(2022, 11, 7)
+    for code, stop_ids in routes.items():
+        dataset.lines[code] = BusLine(code, f"line {code}", LineCategory.CONVENCIONAL)
+        dataset.itineraries.append(
+            ItineraryDef(code, "NORTH", tuple(enumerate(stop_ids, start=1)))
+        )
+        stops = [dataset.stops[stop_id] for stop_id in stop_ids]
+        for trip, depart in enumerate(range(6 * 3600, 21 * 3600, headways[code])):
+            vehicle = f"{code}{trip:03d}"
+            dataset.fixes[(vehicle, code, day)] = FixTrack(
+                vehicle,
+                [s.lat for s in stops],
+                [s.lon for s in stops],
+                [depart + 60 * i for i in range(len(stops))],
+            )
+    return dataset
+
+
+@pytest.mark.parametrize("dataset", [line829_dataset, three_hub_dataset])
+def test_all_runs_without_scipy(tmp_path, dataset):
+    config = write_config(tmp_path, dataset())
+    plain, blocked = tmp_path / "plain", tmp_path / "blocked"
+    assert main(["all", "--config", str(config), "--out", str(plain)]) == 0
+
+    src = str(Path(bustrace.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys; sys.modules['scipy'] = None; from bustrace.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "all", "--config", str(config), "--out", str(blocked)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    names = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in blocked.iterdir()) == names
+    for name in names:
+        assert (blocked / name).read_bytes() == (plain / name).read_bytes(), name

@@ -16,15 +16,20 @@ from bustrace.detection import (
     segment_trips,
     tag_report,
 )
-from bustrace.matching import StopMark, match_fixes, sequence_marks
+from bustrace.matching import Marks, match_fixes
 from bustrace.model import ItineraryDef, LineCategory
 from bustrace.synthetic import straight_line_dataset
 
-from conftest import CASE_RESULT, CASE_TRUE_TIMES, run_detection_simple
-
-
-def _mark(stop_id, t, seq=1, vehicle="V1"):
-    return StopMark(stop_id=stop_id, seq_hint=seq, time_s=t, distance_m=0.0, vehicle_id=vehicle)
+import stopmark_reference as ref
+from conftest import (
+    CASE_RESULT,
+    CASE_TRUE_TIMES,
+    dropped_marks,
+    mark_list,
+    marks_at,
+    run_detection_simple,
+    trip_entries,
+)
 
 
 def _iti(stop_ids, circular=False):
@@ -122,44 +127,43 @@ def test_format_parse_invert_on_whole_seconds():
 def test_case_study_reconstruction(case_dataset):
     iti = case_dataset.itineraries[0]
     fixes = next(iter(case_dataset.fixes.values()))
-    marks = sequence_marks(match_fixes(fixes, iti, case_dataset.stops))
+    marks = match_fixes(fixes, iti, case_dataset.stops)
     segmentation = segment_trips(marks, iti)
     assert len(segmentation.segments) == 1
     assert not segmentation.discarded
 
-    result = detect(iti, segmentation.segments[0], day=date(2022, 11, 7))
+    segment = segmentation.segments[0]
+    result = detect(iti, segment, day=date(2022, 11, 7))
     assert result.accepted
-    got = [
-        (e.position, e.stop_id, format_time_of_day(e.time_s), e.provenance.value)
-        for e in result.itinerary.entries
-    ]
+    entries = trip_entries(result.itinerary)
+    got = [(pos, stop, format_time_of_day(t), prov.value) for pos, stop, t, prov in entries]
     assert got == CASE_RESULT
 
     # the out-of-sequence mark is the only one removed
-    assert [(d.stop_id, format_time_of_day(d.time_s)) for d in result.dropped_marks] == [
+    assert [(s, format_time_of_day(t)) for s, t in dropped_marks(iti, segment, result)] == [
         ("829010", "06:14:08")
     ]
 
-    times = [e.time_s for e in result.itinerary.entries]
+    times = [t for _, _, t, _ in entries]
     assert all(b > a for a, b in zip(times, times[1:]))
-    mark_times = {m.time_s for m in marks}
-    observed = [e for e in result.itinerary.entries if e.provenance is Provenance.OBSERVED]
-    assert all(e.time_s in mark_times for e in observed)
+    mark_times = set(marks.time_s.tolist())
+    observed = [t for _, _, t, prov in entries if prov is Provenance.OBSERVED]
+    assert all(t in mark_times for t in observed)
 
 
 def test_detect_complete_marks_no_interpolation():
     iti = _iti(["A", "B", "C"])
-    segment = [_mark("A", 10), _mark("B", 20, 2), _mark("C", 30, 3)]
+    segment = marks_at(iti, ("A", 10), ("B", 20), ("C", 30))
     result = detect(iti, segment)
     assert result.accepted
     assert result.itinerary.is_fully_observed()
-    assert [e.time_s for e in result.itinerary.entries] == [10.0, 20.0, 30.0]
-    assert result.dropped_marks == []
+    assert result.itinerary.time_s.tolist() == [10.0, 20.0, 30.0]
+    assert result.dropped == ()
 
 
 def test_detect_interior_marks_only_rejected():
     iti = _iti([f"S{i}" for i in range(1, 12)])
-    segment = [_mark(f"S{i}", i * 60, i) for i in range(2, 10)]
+    segment = marks_at(iti, *((f"S{i}", i * 60) for i in range(2, 10)))
     result = detect(iti, segment)
     assert not result.accepted
     assert result.rejection == "no mark for first stop"
@@ -167,7 +171,7 @@ def test_detect_interior_marks_only_rejected():
 
 def test_detect_missing_last_anchor_rejected():
     iti = _iti(["A", "B", "C"])
-    result = detect(iti, [_mark("A", 10), _mark("B", 20, 2)])
+    result = detect(iti, marks_at(iti, ("A", 10), ("B", 20)))
     assert not result.accepted
     assert result.rejection == "no mark for last stop"
 
@@ -175,20 +179,20 @@ def test_detect_missing_last_anchor_rejected():
 def test_detect_monotone_rule_drops_backward_marks():
     iti = _iti(["A", "B", "C"])
     # the stray C mark arrives before B's time and must not serve position 3
-    segment = [_mark("A", 10), _mark("C", 15, 3), _mark("B", 20, 2), _mark("C", 30, 3)]
+    segment = marks_at(iti, ("A", 10), ("C", 15), ("B", 20), ("C", 30))
     result = detect(iti, segment)
     assert result.accepted
-    assert [e.time_s for e in result.itinerary.entries] == [10.0, 20.0, 30.0]
-    assert [(d.stop_id, d.time_s) for d in result.dropped_marks] == [("C", 15)]
+    assert result.itinerary.time_s.tolist() == [10.0, 20.0, 30.0]
+    assert dropped_marks(iti, segment, result) == [("C", 15)]
 
 
 def test_detect_circular_terminal_serves_first_and_last_position():
     iti = _iti(["T", "B", "T"], circular=True)
-    segment = [_mark("T", 10), _mark("B", 20, 2), _mark("T", 30)]
+    segment = marks_at(iti, ("T", 10), ("B", 20), ("T", 30))
     result = detect(iti, segment)
     assert result.accepted
-    assert [e.position for e in result.itinerary.entries] == [1, 2, 3]
-    assert [e.time_s for e in result.itinerary.entries] == [10.0, 20.0, 30.0]
+    assert [e[0] for e in trip_entries(result.itinerary)] == [1, 2, 3]
+    assert result.itinerary.time_s.tolist() == [10.0, 20.0, 30.0]
 
 
 # ── segment_trips ───────────────────────────────────────────────────────
@@ -197,7 +201,7 @@ def test_detect_circular_terminal_serves_first_and_last_position():
 def test_segment_single_pass(case_dataset):
     iti = case_dataset.itineraries[0]
     fixes = next(iter(case_dataset.fixes.values()))
-    marks = sequence_marks(match_fixes(fixes, iti, case_dataset.stops))
+    marks = match_fixes(fixes, iti, case_dataset.stops)
     segmentation = segment_trips(marks, iti)
     assert len(segmentation.segments) == 1
     assert len(segmentation.segments[0]) == len(marks)
@@ -205,36 +209,37 @@ def test_segment_single_pass(case_dataset):
 
 def test_segment_two_passes_split_on_wrap():
     iti = _iti(["A", "B", "C", "D"])
-    one_pass = [_mark("A", 0), _mark("B", 60, 2), _mark("C", 120, 3), _mark("D", 180, 4)]
-    second = [_mark(m.stop_id, m.time_s + 300, m.seq_hint) for m in one_pass]
-    segmentation = segment_trips(one_pass + second, iti)
+    one_pass = [("A", 0), ("B", 60), ("C", 120), ("D", 180)]
+    second = [(stop_id, t + 300) for stop_id, t in one_pass]
+    segmentation = segment_trips(marks_at(iti, *one_pass, *second), iti)
     assert len(segmentation.segments) == 2
-    assert [m.time_s for m in segmentation.segments[1]] == [300, 360, 420, 480]
+    assert segmentation.segments[1].time_s.tolist() == [300, 360, 420, 480]
 
 
 def test_segment_circular_boundary_mark_shared():
     iti = _iti(["T", "B", "C", "D", "E", "T"], circular=True)
     loop = ["T", "B", "C", "D", "E"]
-    marks = [_mark(s, 60 * i, loop.index(s) + 1) for i, s in enumerate(loop)]
-    marks += [_mark(s, 300 + 60 * i, loop.index(s) + 1) for i, s in enumerate(loop)]
-    marks.append(_mark("T", 600))
-    segmentation = segment_trips(marks, iti)
+    passes = [(s, 60 * i) for i, s in enumerate(loop)]
+    passes += [(s, 300 + 60 * i) for i, s in enumerate(loop)]
+    passes.append(("T", 600))
+    segmentation = segment_trips(marks_at(iti, *passes), iti)
     assert len(segmentation.segments) == 2
     # the 300 s terminal passage closes the first loop and opens the second
-    assert [m.time_s for m in segmentation.segments[0]] == [0, 60, 120, 180, 240, 300]
-    assert [m.time_s for m in segmentation.segments[1]] == [300, 360, 420, 480, 540, 600]
+    assert segmentation.segments[0].time_s.tolist() == [0, 60, 120, 180, 240, 300]
+    assert segmentation.segments[1].time_s.tolist() == [300, 360, 420, 480, 540, 600]
     results = [detect(iti, s) for s in segmentation.segments]
     assert all(r.accepted for r in results)
 
 
 def test_segment_stray_mark_after_idle_gap_discarded():
     iti = _iti(["A", "B", "C"])
-    marks = [
-        _mark("A", 0),
-        _mark("B", 60, 2),
-        _mark("C", 120, 3),
-        _mark("B", 120 + 7200, 2),  # two hours of silence, then one stray mark
-    ]
+    marks = marks_at(
+        iti,
+        ("A", 0),
+        ("B", 60),
+        ("C", 120),
+        ("B", 120 + 7200),  # two hours of silence, then one stray mark
+    )
     segmentation = segment_trips(marks, iti)
     assert len(segmentation.segments) == 1
     assert len(segmentation.discarded) == 1
@@ -243,13 +248,14 @@ def test_segment_stray_mark_after_idle_gap_discarded():
 
 def test_segment_isolated_jump_does_not_split():
     iti = _iti([f"S{i}" for i in range(1, 12)])
-    marks = [
-        _mark("S1", 0, 1),
-        _mark("S10", 30, 10),  # region-of-uncertainty style stray
-        _mark("S2", 60, 2),
-        _mark("S3", 120, 3),
-        _mark("S11", 200, 11),
-    ]
+    marks = marks_at(
+        iti,
+        ("S1", 0),
+        ("S10", 30),  # region-of-uncertainty style stray
+        ("S2", 60),
+        ("S3", 120),
+        ("S11", 200),
+    )
     segmentation = segment_trips(marks, iti)
     assert len(segmentation.segments) == 1
 
@@ -257,13 +263,7 @@ def test_segment_isolated_jump_does_not_split():
 def test_segment_confirmed_jump_advances():
     iti = _iti([f"S{i}" for i in range(1, 12)])
     # genuine dropout: positions 3..8 unseen, then 9 and 10 confirm progress
-    marks = [
-        _mark("S1", 0, 1),
-        _mark("S2", 60, 2),
-        _mark("S9", 600, 9),
-        _mark("S10", 660, 10),
-        _mark("S11", 720, 11),
-    ]
+    marks = marks_at(iti, ("S1", 0), ("S2", 60), ("S9", 600), ("S10", 660), ("S11", 720))
     segmentation = segment_trips(marks, iti)
     assert len(segmentation.segments) == 1
     result = detect(iti, segmentation.segments[0])
@@ -273,8 +273,9 @@ def test_segment_confirmed_jump_advances():
 
 def test_segment_unknown_stop_rejected():
     iti = _iti(["A", "B"])
-    with pytest.raises(ValueError, match="does not belong"):
-        segment_trips([_mark("Z", 0)], iti)
+    for position in (0, 3):
+        with pytest.raises(ValueError, match="outside the itinerary"):
+            segment_trips(Marks([1, position], [0, 60], [0.0, 0.0]), iti)
 
 
 # ── detector invariants over random mark streams ────────────────────────
@@ -299,13 +300,12 @@ def _random_itinerary_and_marks(draw):
         st.lists(st.integers(0, len(set(stop_ids)) - 1), min_size=n_marks, max_size=n_marks)
     )
     distinct = sorted(set(stop_ids))
-    marks = []
+    stop_times = []
     t = 0
     for gap, pick in zip(gaps, picks):
         t += gap
-        stop = distinct[pick]
-        marks.append(_mark(stop, t, stop_ids.index(stop) + 1))
-    return itinerary, marks
+        stop_times.append((distinct[pick], t))
+    return itinerary, marks_at(itinerary, *stop_times)
 
 
 @given(_random_itinerary_and_marks())
@@ -314,17 +314,17 @@ def test_detect_invariants_on_random_segments(data):
     itinerary, marks = data
     result = detect(itinerary, marks)
     assert result == detect(itinerary, marks)  # deterministic
-    assert len(result.dropped_marks) <= len(marks)
+    assert len(result.dropped) <= len(marks)
     if result.accepted:
-        entries = result.itinerary.entries
-        assert [e.position for e in entries] == list(range(1, len(itinerary) + 1))
-        times = [e.time_s for e in entries]
+        entries = trip_entries(result.itinerary)
+        assert [e[0] for e in entries] == list(range(1, len(itinerary) + 1))
+        times = [e[2] for e in entries]
         assert all(b > a for a, b in zip(times, times[1:]))
-        mark_times = {m.time_s for m in marks}
-        observed = [e for e in entries if e.provenance is Provenance.OBSERVED]
-        assert all(e.time_s in mark_times for e in observed)
+        mark_times = set(marks.time_s.tolist())
+        observed = [t for _, _, t, prov in entries if prov is Provenance.OBSERVED]
+        assert all(t in mark_times for t in observed)
         # accepted and dropped marks partition the segment
-        assert len(observed) + len(result.dropped_marks) == len(marks)
+        assert len(observed) + len(result.dropped) == len(marks)
     else:
         assert result.rejection in {
             "no mark for first stop",
@@ -343,8 +343,106 @@ def test_segmentation_conserves_marks(data):
     assert total == len(marks)
     for segment, borrowed in zip(segmentation.segments, segmentation.borrowed):
         assert 0 <= borrowed <= 1
-        times = [m.time_s for m in segment]
+        times = segment.time_s.tolist()
         assert times == sorted(times)
+
+
+# ── columnar code against the StopMark reference ────────────────────────
+
+
+@st.composite
+def _vehicle_days(draw):
+    """An itinerary and the time-sorted marks of a vehicle serving it.
+
+    Itineraries are circular or not and may serve a stop at several
+    positions. The vehicle runs passes over the itinerary (back to back
+    round a loop, so one terminal passage ends a loop and starts the next;
+    forward or reversed on a line), losing some passages, waiting 0 s
+    (equal times) up to an idle gap between them, plus stray marks at
+    random stops and times.
+    """
+    n = draw(st.integers(min_value=3, max_value=10))
+    circular = draw(st.booleans())
+    stop_ids = [f"S{i}" for i in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):  # a stop served twice
+        stop_ids[draw(st.integers(2, n - 1))] = stop_ids[draw(st.integers(1, n - 2))]
+    if circular:
+        stop_ids[-1] = stop_ids[0]
+    itinerary = _iti(stop_ids, circular=circular)
+
+    positions = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if circular:
+            positions += range(1, n)
+        else:
+            one_pass = list(range(1, n + 1))
+            positions += one_pass[::-1] if draw(st.booleans()) else one_pass
+    if circular:
+        positions.append(n)
+    gaps = st.sampled_from([0, 0, 30, 60, 60, 120, 300, 900, 1799, 1800, 1801, 4000])
+    stop_times = []
+    t = 0
+    for position in positions:
+        t += draw(gaps)
+        if draw(st.integers(0, 9)) < 9:  # about one passage in ten is lost
+            stop_times.append((stop_ids[position - 1], t))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        stray = draw(st.sampled_from(stop_ids))
+        stop_times.append((stray, draw(st.integers(min_value=0, max_value=t + 60))))
+    stop_times.sort(key=lambda m: m[1])  # stable: equal times keep their order
+    return itinerary, stop_times
+
+
+def _reference_marks(itinerary, stop_times):
+    return [
+        ref.StopMark(stop_id, itinerary.stop_ids.index(stop_id) + 1, t, 0.0, "V1")
+        for stop_id, t in stop_times
+    ]
+
+
+def _reference_outcome(result):
+    """What the reference's detection result says, in comparable terms."""
+    trip = None
+    if result.accepted:
+        trip = [(e.time_s, e.provenance) for e in result.itinerary.entries]
+    dropped = [(m.stop_id, m.time_s) for m in result.dropped_marks]
+    return result.rejection, trip, dropped, result.segment_size, result.borrowed_marks
+
+
+def _outcome_of(itinerary, segment, result):
+    trip = None
+    if result.accepted:
+        trip = [(t, prov) for _, _, t, prov in trip_entries(result.itinerary)]
+        assert result.itinerary.stop_ids == itinerary.stop_ids
+    dropped = dropped_marks(itinerary, segment, result)
+    return result.rejection, trip, dropped, result.segment_size, result.borrowed_marks
+
+
+@given(_vehicle_days())
+@settings(max_examples=300, deadline=None)
+def test_columnar_detection_equals_stopmark_reference(case):
+    itinerary, stop_times = case
+    marks = marks_at(itinerary, *stop_times)
+    expected = ref.segment_trips(_reference_marks(itinerary, stop_times), itinerary)
+    got = segment_trips(marks, itinerary)
+
+    assert got.borrowed == expected.borrowed
+    assert [mark_list(itinerary, s) for s in got.segments] == [
+        [(m.stop_id, m.time_s) for m in s] for s in expected.segments
+    ]
+    assert [mark_list(itinerary, s) for s in got.discarded] == [
+        [(m.stop_id, m.time_s) for m in s] for s in expected.discarded
+    ]
+    assert got.discarded_marks == expected.discarded_marks
+
+    pairs = list(zip(got.segments, got.borrowed, expected.segments))
+    pairs.append((marks, 0, _reference_marks(itinerary, stop_times)))  # the unsegmented day
+    for segment, borrowed, ref_segment in pairs:
+        result = detect(itinerary, segment, borrowed_marks=borrowed, vehicle_id="V1")
+        ref_result = ref.detect(itinerary, ref_segment, borrowed_marks=borrowed)
+        assert _outcome_of(itinerary, segment, result) == _reference_outcome(ref_result)
+        if result.accepted:
+            assert result.itinerary.vehicle_id == ref_result.itinerary.vehicle_id
 
 
 # ── evaluate_interpolation_error ────────────────────────────────────────
@@ -357,14 +455,14 @@ def test_case_study_errors_match_oracle_run(case_dataset, case_dataset_full):
     oracle = run_detection_simple(case_dataset_full)[0]
     assert oracle.is_fully_observed()
 
-    true_by_position = {e.position: e.time_s for e in oracle.entries}
+    true_by_position = {pos: t for pos, _, t, _ in trip_entries(oracle)}
     for position, expected_text in CASE_TRUE_TIMES.items():
         assert format_time_of_day(true_by_position[position]) == expected_text
 
     errors = {
-        e.position: abs(true_by_position[e.position] - e.time_s)
-        for e in degraded.entries
-        if e.provenance is Provenance.INTERPOLATED
+        pos: abs(true_by_position[pos] - t)
+        for pos, _, t, prov in trip_entries(degraded)
+        if prov is Provenance.INTERPOLATED
     }
     assert errors == {3: 0.5, 5: 6.5, 8: 117.0}
 
@@ -405,7 +503,8 @@ def test_error_protocol_rejects_interpolated_input(case_dataset):
 CATEGORIES = {"L1": LineCategory.ALIMENTADOR, "L2": LineCategory.EXPRESSO}
 
 
-def _outcome(line, marks, iti, **kwargs):
+def _outcome(line, stop_times, iti, **kwargs):
+    marks = marks_at(iti, *stop_times)
     segmentation = segment_trips(marks, iti)
     results = [
         detect(iti, s, borrowed_marks=b)
@@ -414,7 +513,7 @@ def _outcome(line, marks, iti, **kwargs):
     return GroupOutcome(
         line_code=line,
         direction="A",
-        vehicle_id=marks[0].vehicle_id if marks else "V1",
+        vehicle_id="V1",
         day=date(2022, 11, 7),
         total_marks=len(marks),
         results=results,
@@ -426,7 +525,7 @@ def _outcome(line, marks, iti, **kwargs):
 
 def test_tag_report_all_clean():
     iti = _iti(["A", "B", "C"])
-    marks = [_mark("A", 0), _mark("B", 60, 2), _mark("C", 120, 3)]
+    marks = [("A", 0), ("B", 60), ("C", 120)]
     report = tag_report([_outcome("L1", marks, iti)], CATEGORIES)
     row = report.rows["ALIMENTADOR"]
     assert row.valid_pct == 100.0
@@ -437,7 +536,7 @@ def test_tag_report_all_clean():
 
 def test_tag_report_counts_injected_spurious_mark():
     iti = _iti(["A", "B", "C"])
-    marks = [_mark("A", 0), _mark("C", 30, 3), _mark("B", 60, 2), _mark("C", 120, 3)]
+    marks = [("A", 0), ("C", 30), ("B", 60), ("C", 120)]
     report = tag_report([_outcome("L1", marks, iti)], CATEGORIES)
     row = report.rows["ALIMENTADOR"]
     assert row.out_of_order == 1
@@ -447,7 +546,7 @@ def test_tag_report_counts_injected_spurious_mark():
 
 def test_tag_report_counts_missing_stops():
     iti = _iti(["A", "B", "C", "D"])
-    marks = [_mark("A", 0), _mark("C", 60, 3), _mark("D", 120, 4)]
+    marks = [("A", 0), ("C", 60), ("D", 120)]
     report = tag_report([_outcome("L1", marks, iti)], CATEGORIES)
     row = report.rows["ALIMENTADOR"]
     assert row.missing == 1
@@ -459,9 +558,9 @@ def test_tag_report_chained_circular_passes_stay_at_100_pct():
     # must be tallied once, or valid_pct would exceed 100
     iti = _iti(["T", "B", "C", "D", "E", "T"], circular=True)
     loop = ["T", "B", "C", "D", "E"]
-    marks = [_mark(s, 60 * i, loop.index(s) + 1) for i, s in enumerate(loop)]
-    marks += [_mark(s, 300 + 60 * i, loop.index(s) + 1) for i, s in enumerate(loop)]
-    marks.append(_mark("T", 600))
+    marks = [(s, 60 * i) for i, s in enumerate(loop)]
+    marks += [(s, 300 + 60 * i) for i, s in enumerate(loop)]
+    marks.append(("T", 600))
     report = tag_report([_outcome("L1", marks, iti)], CATEGORIES)
     row = report.rows["ALIMENTADOR"]
     assert row.total_marks == 11
@@ -471,8 +570,8 @@ def test_tag_report_chained_circular_passes_stay_at_100_pct():
 
 def test_tag_report_rejected_marks_stay_in_denominator():
     iti = _iti(["A", "B", "C"])
-    good = [_mark("A", 0), _mark("B", 60, 2), _mark("C", 120, 3)]
-    bad = [_mark("A", 7200), _mark("B", 7260, 2)]  # no final anchor
+    good = [("A", 0), ("B", 60), ("C", 120)]
+    bad = [("A", 7200), ("B", 7260)]  # no final anchor
     report = tag_report(
         [_outcome("L1", good, iti), _outcome("L2", bad, iti)], CATEGORIES
     )

@@ -7,14 +7,25 @@ from hypothesis import strategies as st
 
 from bustrace.detection import format_time_of_day
 from bustrace.geo import GeoPoint, haversine_distance, haversine_matrix, offset_point
-from bustrace.matching import StopMark, match_fixes, sequence_marks
+from bustrace.matching import match_fixes
 from bustrace.model import BusStop, FixTrack, ItineraryDef, StopType
 
 from conftest import CASE_MARKS
+from stopmark_reference import StopMark
 
 
 def _stop(stop_id, lat, lon):
     return BusStop(stop_id=stop_id, name=stop_id, stop_type=StopType.STREET_STOP, lat=lat, lon=lon)
+
+
+def _rows(itinerary, marks):
+    """(stop_id, position, time_s, distance_m) of each mark, in order."""
+    return [
+        (itinerary.stop_ids[position - 1], position, time_s, distance_m)
+        for position, time_s, distance_m in zip(
+            marks.position.tolist(), marks.time_s.tolist(), marks.distance_m.tolist()
+        )
+    ]
 
 
 def _track(*fixes, vehicle="V1"):
@@ -69,15 +80,16 @@ def test_fix_exactly_at_stop():
     lookup = {s.stop_id: s for s in stops}
     marks = match_fixes(_track((origin.lat, origin.lon, 100)), iti, lookup)
     assert len(marks) == 1
-    assert marks[0].stop_id == "A"
-    assert marks[0].distance_m == 0.0
-    assert marks[0].time_s == 100
+    stop_id, _, time_s, distance_m = _rows(iti, marks)[0]
+    assert stop_id == "A"
+    assert distance_m == 0.0
+    assert time_s == 100
 
 
 def test_empty_fixes_empty_marks():
     origin = GeoPoint(-25.4, -49.3)
     stops = [_stop("A", origin.lat, origin.lon), _stop("B", origin.lat, origin.lon + 0.01)]
-    assert match_fixes(_track(), _line(stops), {s.stop_id: s for s in stops}) == []
+    assert len(match_fixes(_track(), _line(stops), {s.stop_id: s for s in stops})) == 0
 
 
 def test_unresolvable_stop_raises():
@@ -115,8 +127,9 @@ def test_nearest_label_matches_bruteforce_scan():
                 best_stop, best_d = s.stop_id, d
         marks = match_fixes(_track((p.lat, p.lon, t)), iti, lookup, acceptance_radius_m=float("inf"))
         assert len(marks) == 1
-        assert marks[0].stop_id == best_stop
-        assert marks[0].distance_m == pytest.approx(best_d)
+        stop_id, _, _, distance_m = _rows(iti, marks)[0]
+        assert stop_id == best_stop
+        assert distance_m == pytest.approx(best_d)
 
 
 def test_run_collapse_takes_earliest_minimum():
@@ -133,8 +146,8 @@ def test_run_collapse_takes_earliest_minimum():
         fixes.append((p.lat, p.lon, t * 20))
     marks = match_fixes(_track(*fixes), iti, lookup)
     assert len(marks) == 1
-    assert marks[0].time_s == 20  # earliest fix at the minimum distance
-    assert marks[0].distance_m == pytest.approx(10.0, abs=1e-6)
+    assert marks.time_s[0] == 20  # earliest fix at the minimum distance
+    assert marks.distance_m[0] == pytest.approx(10.0, abs=1e-6)
 
 
 def test_runs_beyond_acceptance_radius_yield_no_mark():
@@ -145,26 +158,26 @@ def test_runs_beyond_acceptance_radius_yield_no_mark():
     iti = _line([stop_a, stop_b])
     p = offset_point(origin, 0, 150)
     marks = match_fixes(_track((p.lat, p.lon, 0)), iti, {"A": stop_a, "B": stop_b})
-    assert marks == []
+    assert len(marks) == 0
 
 
 def test_case_study_marks(case_dataset):
     iti = case_dataset.itineraries[0]
-    fixes = next(iter(case_dataset.fixes.values()))
-    marks = sequence_marks(match_fixes(fixes, iti, case_dataset.stops))
-    got = [(m.stop_id, format_time_of_day(m.time_s), m.seq_hint) for m in marks]
+    (key, fixes), = case_dataset.fixes.items()
+    marks = match_fixes(fixes, iti, case_dataset.stops)
+    got = [(stop_id, format_time_of_day(t), pos) for stop_id, pos, t, _ in _rows(iti, marks)]
     assert got == CASE_MARKS
-    assert all(m.distance_m <= 100.0 for m in marks)
+    assert all(d <= 100.0 for d in marks.distance_m.tolist())
     # the region-of-uncertainty mark is a near miss, not a stop visit
-    assert marks[1].distance_m == pytest.approx(90.0, abs=0.5)
-    assert all(m.vehicle_id == "BA020" for m in marks)
+    assert marks.distance_m[1] == pytest.approx(90.0, abs=0.5)
+    assert key[0] == fixes.vehicle_id == "BA020"  # the vehicle is the group's key
 
 
 def test_case_study_full_trajectory_marks(case_dataset_full):
     iti = case_dataset_full.itineraries[0]
     fixes = next(iter(case_dataset_full.fixes.values()))
-    marks = sequence_marks(match_fixes(fixes, iti, case_dataset_full.stops))
-    got = [(m.stop_id, format_time_of_day(m.time_s)) for m in marks]
+    marks = match_fixes(fixes, iti, case_dataset_full.stops)
+    got = [(stop_id, format_time_of_day(t)) for stop_id, _, t, _ in _rows(iti, marks)]
     assert got == [
         ("829001", "06:04:51"),
         ("829010", "06:14:08"),
@@ -182,7 +195,10 @@ def test_case_study_full_trajectory_marks(case_dataset_full):
 
 
 def _reference_match(track, itinerary, stops, acceptance_radius_m=100.0):
-    """The per-run loop match_fixes ran before its runs were reduced in bulk."""
+    """The per-run loop match_fixes ran before its runs were reduced in bulk.
+
+    Returns each mark with the index of the fix it was stamped at.
+    """
     if not len(track):
         return []
     first_position = {}
@@ -205,12 +221,15 @@ def _reference_match(track, itinerary, stops, acceptance_radius_m=100.0):
             continue
         stop_id = stop_order[labels[run_start]]
         marks.append(
-            StopMark(
-                stop_id=stop_id,
-                seq_hint=first_position[stop_id],
-                time_s=int(track.time_s[best]),
-                distance_m=float(nearest_m[best]),
-                vehicle_id=track.vehicle_id,
+            (
+                StopMark(
+                    stop_id=stop_id,
+                    seq_hint=first_position[stop_id],
+                    time_s=int(track.time_s[best]),
+                    distance_m=float(nearest_m[best]),
+                    vehicle_id=track.vehicle_id,
+                ),
+                best,
             )
         )
     return marks
@@ -239,26 +258,17 @@ def _tie_heavy_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_marks_equal_per_run_reference(case):
     track, iti, stops, radius = case
-    assert match_fixes(track, iti, stops, radius) == _reference_match(track, iti, stops, radius)
-
-
-# ── sequence_marks ──────────────────────────────────────────────────────
-
-
-def _mark(stop_id, t):
-    return StopMark(stop_id=stop_id, seq_hint=1, time_s=t, distance_m=0.0, vehicle_id="V1")
-
-
-def test_sequence_marks_sorted_input_unchanged():
-    marks = [_mark("A", 1), _mark("B", 2), _mark("C", 3)]
-    assert sequence_marks(marks) == marks
-
-
-def test_sequence_marks_reversed_input():
-    marks = [_mark("C", 3), _mark("B", 2), _mark("A", 1)]
-    assert sequence_marks(marks) == list(reversed(marks))
-
-
-def test_sequence_marks_stable_on_ties():
-    marks = [_mark("A", 5), _mark("B", 5), _mark("C", 5)]
-    assert [m.stop_id for m in sequence_marks(marks)] == ["A", "B", "C"]
+    marks = match_fixes(track, iti, stops, radius)
+    expected = _reference_match(track, iti, stops, radius)
+    assert _rows(iti, marks) == [
+        (m.stop_id, m.seq_hint, m.time_s, m.distance_m) for m, _ in expected
+    ]
+    # Marks come in time order, and equal times keep fix order: no sort is needed.
+    times = marks.time_s.tolist()
+    fix_indices = [best for _, best in expected]
+    assert all(a <= b for a, b in zip(times, times[1:]))
+    assert all(
+        fa < fb
+        for a, b, fa, fb in zip(times, times[1:], fix_indices, fix_indices[1:])
+        if a == b
+    )

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .detection import DetectedItinerary
+from .detection import DetectedItinerary, round_to_second
 from .model import BusStop, StopType
 
 log = logging.getLogger(__name__)
@@ -60,20 +60,27 @@ class AvailabilitySeries:
 class PassageTable:
     """Timed stop passages of detected trips, one row per (trip, position).
 
-    Every column is a numpy array of the same length. ``time_s`` holds
-    seconds of day rounded to whole seconds the way
-    ``detected_itineraries.csv`` writes them, so a table built from the
+    The columns are those of ``detected_itineraries.csv``, in file order,
+    each a numpy array of the same length. ``trip`` numbers the trips of
+    one (line, direction, vehicle, day) group from 1; ``time_s`` holds
+    seconds of day rounded to whole seconds as the file writes them, and
+    ``observed`` is False for an interpolated time. A table built from the
     trips in memory equals the one read back from that file.
     """
 
-    stop_id: np.ndarray
-    day: np.ndarray
-    time_s: np.ndarray
-    vehicle_id: np.ndarray
     line_code: np.ndarray
+    direction: np.ndarray
+    vehicle_id: np.ndarray
+    day: np.ndarray
+    trip: np.ndarray
+    position: np.ndarray
+    stop_id: np.ndarray
+    time_s: np.ndarray
+    observed: np.ndarray
 
     def __post_init__(self):
-        dtypes = {"day": "datetime64[D]", "time_s": np.int64}
+        dtypes = {"day": "datetime64[D]", "trip": np.int64, "position": np.int64,
+                  "time_s": np.int64, "observed": bool}
         for f in fields(self):
             column = np.asarray(getattr(self, f.name), dtype=dtypes.get(f.name, str))
             object.__setattr__(self, f.name, column)
@@ -87,18 +94,30 @@ class PassageTable:
     def from_itineraries(cls, itineraries: Iterable[DetectedItinerary]) -> "PassageTable":
         trips = list(itineraries)
         if not trips:
-            return cls((), (), (), (), ())
+            return cls(*[()] * len(fields(cls)))
+        numbers: dict[tuple, int] = {}
+        trip = []
+        for det in trips:
+            key = (det.line_code, det.direction, det.vehicle_id, det.day)
+            numbers[key] = numbers.get(key, 0) + 1
+            trip.append(numbers[key])
         sizes = [len(det.stop_ids) for det in trips]
-        day, vehicle_id, line_code = (
+        line_code, direction, vehicle_id, day = (
             np.repeat([getattr(det, name) for det in trips], sizes)
-            for name in ("day", "vehicle_id", "line_code")
+            for name in ("line_code", "direction", "vehicle_id", "day")
         )
-        # Whole seconds as format_time_of_day renders them: .5 ties go to the odd second.
-        times = np.concatenate([det.time_s for det in trips])
-        base = np.floor(times)
-        rounded = base + ((times - base > 0.5) | ((times - base == 0.5) & (base % 2 == 0)))
-        stop_id = np.concatenate([det.stop_ids for det in trips])
-        return cls(stop_id, day, rounded, vehicle_id, line_code)
+        position = np.arange(sum(sizes)) + 1 - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return cls(
+            line_code,
+            direction,
+            vehicle_id,
+            day,
+            np.repeat(trip, sizes),
+            position,
+            np.concatenate([det.stop_ids for det in trips]),
+            round_to_second(np.concatenate([det.time_s for det in trips])),
+            np.concatenate([det.observed for det in trips]),
+        )
 
     def select(self, mask: np.ndarray) -> "PassageTable":
         return PassageTable(*(getattr(self, f.name)[mask] for f in fields(self)))

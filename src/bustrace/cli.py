@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import pipeline
+from . import detection, pipeline
 from .analytics import PassageTable
 from .model import Dataset
 from .pipeline import (
@@ -63,15 +63,20 @@ def _run_stage(
 ) -> tuple[list[Path], PassageTable | None]:
     """Run one stage; return its artifacts and the passage table for later stages.
 
-    ``detect`` builds the table from its trips. A later analyze or cluster
-    stage uses that table, or reads it back from the detection CSV when
-    this invocation did not detect.
+    ``detect`` builds the table from its accepted trips and writes it as
+    the detection CSV. A later analyze or cluster stage uses that table,
+    or reads it back from the CSV when this invocation did not detect.
     """
     if stage == "validate":
         return run_validate(out_dir, dataset), passages
     if stage == "detect":
-        run = run_detection(dataset, config)
-        return write_detection_artifacts(out_dir, run, dataset), run.passages()
+        outcomes = run_detection(dataset, config)
+        passages = PassageTable.from_itineraries(
+            result.itinerary for outcome in outcomes for result in outcome.results if result.accepted
+        )
+        categories = {line.code: line.category for line in dataset.lines.values()}
+        report = detection.tag_report(outcomes, categories)
+        return write_detection_artifacts(out_dir, passages, report), passages
     if stage == "route":
         return run_route(out_dir, dataset, config), passages
     if passages is None:

@@ -18,6 +18,7 @@ from .analytics import (
     DEFAULT_WINDOW_MINUTES,
     PassageTable,
     group_times,
+    moving_window_counts,
     pearson,
     pearson_p_value,
 )
@@ -119,15 +120,10 @@ def cluster_availability_counts(
     so the cluster series reflects buses available rather than raw passage
     volume.
     """
-    start, end = span
-    starts_s = np.arange(start, end - window_minutes + 1) * 60
-    counts = np.zeros(len(starts_s), dtype=np.int64)
-
+    counts = moving_window_counts((), window_minutes, span)
     rows = np.isin(passages.stop_id, list(members))
     for times in group_times(passages.vehicle_id[rows], passages.time_s[rows]).values():
-        lo = np.searchsorted(times, starts_s, side="left")
-        hi = np.searchsorted(times, starts_s + window_minutes * 60, side="left")
-        counts += hi > lo
+        counts += moving_window_counts(times, window_minutes, span) > 0
     return counts
 
 

@@ -15,7 +15,6 @@ instead of extrapolated.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, fields
 from datetime import date
 
@@ -42,20 +41,20 @@ def parse_time_of_day(text: str) -> int:
     return int(h) * 3600 + int(m) * 60 + int(s)
 
 
-def round_to_second(value: float) -> int:
-    """Round seconds to an integer; exact .5 ties go to the odd second."""
-    base = math.floor(value)
+def round_to_second(value):
+    """Round seconds to whole seconds; exact .5 ties go to the odd second.
+
+    Takes a number, giving an int, or an array, giving an int64 array.
+    """
+    base = value // 1  # the floor, without numpy scalars for a number
     frac = value - base
-    if frac > 0.5:
-        return base + 1
-    if frac < 0.5:
-        return base
-    return base if base % 2 == 1 else base + 1
+    rounded = base + ((frac > 0.5) | ((frac == 0.5) & (base % 2 == 0)))
+    return rounded.astype(np.int64) if isinstance(rounded, np.ndarray) else int(rounded)
 
 
 def format_time_of_day(value: float) -> str:
     """Seconds of day -> 'HH:MM:SS', rounding fractional seconds."""
-    total = round_to_second(float(value))
+    total = round_to_second(value)
     h, rem = divmod(total, 3600)
     m, s = divmod(rem, 60)
     return f"{h:02d}:{m:02d}:{s:02d}"

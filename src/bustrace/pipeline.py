@@ -2,9 +2,9 @@
 
 Each stage reads the raw record files and/or artifacts written by earlier
 stages into the output directory, computes, and writes CSV artifacts. The
-analyze and cluster stages take the detected passages as a
-:class:`~bustrace.analytics.PassageTable`, built from the trips in memory
-or read back from the detection CSV by :func:`read_detection_rows`. All
+detected passages are one :class:`~bustrace.analytics.PassageTable`, whose
+rows are those of the detection CSV: :func:`write_detection_artifacts`
+writes it and :func:`read_detection_rows` reads it back. All
 outputs are deterministic functions of (inputs, config, seed): collections
 are sorted before writing and floats use fixed formatting, so repeated runs
 are byte-identical.
@@ -18,7 +18,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -26,20 +26,21 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import analytics, clustering, detection, matching, routing, synthetic
-from .detection import (
-    DetectedItinerary,
-    GroupOutcome,
-    Provenance,
-    TagReport,
-    format_time_of_day,
-    parse_time_of_day,
-)
+from .detection import GroupOutcome, Provenance, TagReport, format_time_of_day, parse_time_of_day
 from .model import BusStop, Dataset, FixTrack, ItineraryDef, StopType, validate_dataset
 from .records import load_dataset
 
 DETECTED_FILE = "detected_itineraries.csv"
+# the columns of DETECTED_FILE; analytics.PassageTable holds them in this order
+DETECTION_HEADER = [
+    "line_code", "direction", "vehicle_id", "day", "trip", "position", "stop_id", "time", "provenance",
+]
 TAGS_FILE = "tags_by_category.csv"
 TAG_ERRORS_FILE = "tag_errors_by_category.csv"
+TAG_ERROR_HEADER = [
+    "category", "out_of_order", "missing", "error_total", "error_pct",
+    "rejected_segments", "rejected_marks", "discarded_segments", "discarded_marks",
+]
 VALIDATION_FILE = "validation.csv"
 AVAILABILITY_FILE = "availability_by_category.csv"
 DAILY_AVERAGES_FILE = "stop_daily_averages.csv"
@@ -93,12 +94,23 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.acceptance_radius_m <= 0 or self.cluster_radius_m <= 0:
-            raise ValueError("radii must be positive")
-        if self.od_search_radius_m <= 0:
-            raise ValueError("radii must be positive")
-        if self.window_minutes < 1 or any(w < 1 for w in self.window_set):
-            raise ValueError("windows must be positive")
+        for key in ("acceptance_radius_m", "cluster_radius_m", "od_search_radius_m"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite")
+        if len(self.span_minutes) != 2 or not self.span_minutes[0] < self.span_minutes[1]:
+            raise ValueError("span_minutes must be [start, end] with start below end")
+        span = self.span_minutes[1] - self.span_minutes[0]
+        if not 1 <= self.window_minutes <= span:
+            raise ValueError(f"window_minutes must be from 1 to the span's {span} minutes")
+        if any(not 1 <= w <= span for w in self.window_set):
+            raise ValueError(f"window_set entries must be from 1 to the span's {span} minutes")
+        for period in self.periods:
+            if not period.start_minute < period.end_minute:
+                raise ValueError(f"periods: '{period.name}' must start below its end")
+        if self.od_pairs < 0:
+            raise ValueError("od_pairs must not be negative")
+        if not 0 <= self.od_jitter_m < math.inf:
+            raise ValueError("od_jitter_m must be non-negative and finite")
         if self.k_paths < 1:
             raise ValueError("k_paths must be at least 1")
         if self.idle_gap_min < 1:
@@ -208,24 +220,6 @@ def read_csv_rows(path: Path) -> tuple[list[str], list[dict[str, str]]]:
 # ── Detection stage ─────────────────────────────────────────────────────
 
 
-@dataclass
-class DetectionRun:
-    outcomes: list[GroupOutcome] = field(default_factory=list)
-
-    def trips(self) -> Iterator[tuple[int, DetectedItinerary]]:
-        """Accepted itineraries, each with its 1-based trip number within its group."""
-        for outcome in self.outcomes:
-            accepted = [result.itinerary for result in outcome.results if result.accepted]
-            yield from enumerate(accepted, start=1)
-
-    def passages(self) -> analytics.PassageTable:
-        return analytics.PassageTable.from_itineraries(itinerary for _, itinerary in self.trips())
-
-    def report(self, dataset: Dataset) -> TagReport:
-        categories = {line.code: line.category for line in dataset.lines.values()}
-        return detection.tag_report(self.outcomes, categories)
-
-
 def _detect_one(
     task: tuple[tuple[str, str, date, str], FixTrack, ItineraryDef, dict[str, BusStop], float, int]
 ):
@@ -251,7 +245,7 @@ def _detect_one(
     return key, outcome
 
 
-def run_detection(dataset: Dataset, config: PipelineConfig) -> DetectionRun:
+def run_detection(dataset: Dataset, config: PipelineConfig) -> list[GroupOutcome]:
     """Match, segment, and detect every (vehicle, line, day, itinerary) group."""
     tasks = []
     for group_key in sorted(dataset.fixes):
@@ -274,68 +268,39 @@ def run_detection(dataset: Dataset, config: PipelineConfig) -> DetectionRun:
     if config.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = dict(pool.map(_detect_one, tasks, chunksize=8))
-        ordered = [outcomes[task[0]] for task in tasks]
-    else:
-        ordered = [_detect_one(task)[1] for task in tasks]
-
-    return DetectionRun(outcomes=ordered)
+        return [outcomes[task[0]] for task in tasks]
+    return [_detect_one(task)[1] for task in tasks]
 
 
-def write_detection_artifacts(out_dir: Path, run: DetectionRun, dataset: Dataset) -> list[Path]:
+def write_detection_artifacts(
+    out_dir: Path, passages: analytics.PassageTable, report: TagReport
+) -> list[Path]:
     detected = out_dir / DETECTED_FILE
-    provenance = (Provenance.INTERPOLATED.value, Provenance.OBSERVED.value)
-    rows = []
-    for trip, itinerary in run.trips():
-        head = (itinerary.line_code, itinerary.direction, itinerary.vehicle_id, itinerary.day, trip)
-        entries = zip(itinerary.stop_ids, itinerary.time_s.tolist(), itinerary.observed.tolist())
-        for position, (stop_id, time_s, observed) in enumerate(entries, start=1):
-            rows.append(
-                (*head, position, stop_id, format_time_of_day(time_s), provenance[observed])
-            )
-    write_csv(
-        detected,
-        ["line_code", "direction", "vehicle_id", "day", "trip", "position", "stop_id", "time", "provenance"],
-        rows,
-    )
+    days, day_rows = np.unique(passages.day, return_inverse=True)
+    times, time_rows = np.unique(passages.time_s, return_inverse=True)
+    clock = np.array([format_time_of_day(t) for t in times.tolist()], dtype=str)
+    columns = [
+        passages.line_code.tolist(),
+        passages.direction.tolist(),
+        passages.vehicle_id.tolist(),
+        np.datetime_as_string(days)[day_rows].tolist(),
+        passages.trip.tolist(),
+        passages.position.tolist(),
+        passages.stop_id.tolist(),
+        clock[time_rows].tolist(),
+        np.where(passages.observed, Provenance.OBSERVED.value, Provenance.INTERPOLATED.value).tolist(),
+    ]
+    with atomic_write(detected, newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(DETECTION_HEADER)
+        writer.writerows(zip(*columns))
 
-    report = run.report(dataset)
+    rows = [*report.rows.values(), report.total]
     tags = out_dir / TAGS_FILE
-    all_rows = list(report.rows.values()) + [report.total]
-    write_csv(
-        tags,
-        ["category", "total_marks", "valid_tags", "valid_pct"],
-        [(r.category, r.total_marks, r.valid_tags, r.valid_pct) for r in all_rows],
-        notes=[report.denominator_note],
-    )
+    header = ["category", "total_marks", "valid_tags", "valid_pct"]
+    write_csv(tags, header, [[getattr(r, name) for name in header] for r in rows], [report.denominator_note])
     errors = out_dir / TAG_ERRORS_FILE
-    write_csv(
-        errors,
-        [
-            "category",
-            "out_of_order",
-            "missing",
-            "error_total",
-            "error_pct",
-            "rejected_segments",
-            "rejected_marks",
-            "discarded_segments",
-            "discarded_marks",
-        ],
-        [
-            (
-                r.category,
-                r.out_of_order,
-                r.missing,
-                r.error_total,
-                r.error_pct,
-                r.rejected_segments,
-                r.rejected_marks,
-                r.discarded_segments,
-                r.discarded_marks,
-            )
-            for r in all_rows
-        ],
-    )
+    write_csv(errors, TAG_ERROR_HEADER, [[getattr(r, name) for name in TAG_ERROR_HEADER] for r in rows])
     return [detected, tags, errors]
 
 
@@ -344,13 +309,22 @@ def read_detection_rows(out_dir: Path, stage: str) -> analytics.PassageTable:
     path = out_dir / DETECTED_FILE
     if not path.is_file():
         raise MissingDependencyError(stage, DETECTED_FILE)
-    _, rows = read_csv_rows(path)
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != DETECTION_HEADER:
+            raise ValueError(f"{DETECTED_FILE} has header {header}, expected {DETECTION_HEADER}")
+        rows = list(reader)
+    ragged = next((i for i, row in enumerate(rows) if len(row) != len(DETECTION_HEADER)), None)
+    if ragged is not None:
+        raise ValueError(f"{DETECTED_FILE} data row {ragged + 1} does not have {len(DETECTION_HEADER)} cells")
+    columns = list(zip(*rows)) or [()] * len(DETECTION_HEADER)
+    *head, time, provenance = columns
+    seconds = {text: parse_time_of_day(text) for text in set(time)}
     return analytics.PassageTable(
-        stop_id=[r["stop_id"] for r in rows],
-        day=[r["day"] for r in rows],
-        time_s=[parse_time_of_day(r["time"]) for r in rows],
-        vehicle_id=[r["vehicle_id"] for r in rows],
-        line_code=[r["line_code"] for r in rows],
+        *head,
+        [seconds[text] for text in time],
+        np.asarray(provenance) == Provenance.OBSERVED.value,
     )
 
 

@@ -1,5 +1,9 @@
 import logging
+import tempfile
+from dataclasses import fields
 from datetime import date
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,8 @@ from bustrace.analytics import (
     pearson_p_value,
     restrict_to_period,
 )
-from bustrace.detection import DetectedItinerary, parse_time_of_day, round_to_second
+from bustrace import pipeline
+from bustrace.detection import DetectedItinerary, parse_time_of_day, round_to_second, tag_report
 from bustrace.model import BusStop, StopType
 
 SPAN = (300, 1380)
@@ -291,41 +296,99 @@ _trip_times = st.lists(
 ).map(sorted)
 
 
+_COLUMNS = [f.name for f in fields(PassageTable)]
+
+
+def _group(det: DetectedItinerary) -> tuple:
+    return (det.line_code, det.direction, det.vehicle_id, det.day)
+
+
 @given(st.lists(_trip_times, min_size=1, max_size=4))
 @settings(max_examples=200)
 def test_passage_table_from_trips_rounds_like_the_detection_csv(trips):
     detections = [
         DetectedItinerary(
             line_code=f"L{i % 2}",
-            vehicle_id=f"V{i}",
+            vehicle_id=f"V{i % 2}",
             direction="A",
             stop_ids=tuple(f"S{j}" for j in range(len(times))),
             time_s=np.array(times),
-            observed=np.ones(len(times), dtype=bool),
+            observed=np.array([j % 2 == 0 or j == len(times) - 1 for j in range(len(times))]),
             day=date(2022, 11, 7 + i % 2),
         )
         for i, times in enumerate(trips)
     ]
     table = PassageTable.from_itineraries(detections)
-    rows = [
-        (stop_id, np.datetime64(det.day), round_to_second(t), det.vehicle_id, det.line_code)
-        for det in detections
-        for stop_id, t in zip(det.stop_ids, det.time_s.tolist())
-    ]
-    got = list(zip(table.stop_id.tolist(), table.day, table.time_s.tolist(),
-                   table.vehicle_id.tolist(), table.line_code.tolist()))
-    assert got == rows
+    trips_seen: dict[tuple, int] = {}
+    rows = []
+    for det in detections:
+        trip = trips_seen[_group(det)] = trips_seen.get(_group(det), 0) + 1
+        entries = zip(det.stop_ids, det.time_s.tolist(), det.observed.tolist())
+        for position, (stop_id, t, observed) in enumerate(entries, start=1):
+            rows.append((det.line_code, det.direction, det.vehicle_id, det.day, trip,
+                         position, stop_id, round_to_second(t), observed))
+    assert list(zip(*(getattr(table, name).tolist() for name in _COLUMNS))) == rows
+
+
+def _to_odd_second(t: float) -> int:
+    """Whole seconds of t; an exact .5 goes to the odd neighbour."""
+    whole, frac = divmod(Fraction(t), 1)
+    return int(whole) + int(frac > Fraction(1, 2) or (frac == Fraction(1, 2) and whole % 2 == 0))
+
+
+_ids = st.text(alphabet='#,"9A ', min_size=1, max_size=4)
+
+
+@st.composite
+def _accepted_trip(draw) -> DetectedItinerary:
+    """A trip of one of a few (line, direction, vehicle, day) groups, some entries interpolated."""
+    times = draw(_trip_times)
+    interior = draw(st.lists(st.booleans(), min_size=len(times) - 2, max_size=len(times) - 2))
+    return DetectedItinerary(
+        line_code=draw(st.sampled_from(["#829", "8,29", '8"29'])),
+        vehicle_id=draw(st.sampled_from(["#BA020", 'BA"021'])),
+        direction=draw(st.sampled_from(["A", "B,"])),
+        stop_ids=tuple(draw(st.lists(_ids, min_size=len(times), max_size=len(times)))),
+        time_s=np.array(times),
+        observed=np.array([True, *interior, True]),
+        day=draw(st.sampled_from([date(2022, 11, 7), date(2022, 11, 8)])),
+    )
+
+
+@given(st.lists(_accepted_trip(), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_passage_table_round_trips_through_the_detection_csv(detections):
+    table = PassageTable.from_itineraries(detections)
+    with tempfile.TemporaryDirectory() as tmp:
+        pipeline.write_detection_artifacts(Path(tmp), table, tag_report([], {}))
+        back = pipeline.read_detection_rows(Path(tmp), "analyze")
+    for name in _COLUMNS:
+        assert np.array_equal(getattr(back, name), getattr(table, name)), name
+
+    by_group: dict[tuple, list[int]] = {}
+    for index, det in enumerate(detections):
+        by_group.setdefault(_group(det), []).append(index)
+    trip_of = {index: trip for indices in by_group.values()
+               for trip, index in enumerate(indices, start=1)}
+    sizes = [len(det.stop_ids) for det in detections]
+    assert table.trip.tolist() == [trip_of[i] for i, size in enumerate(sizes) for _ in range(size)]
+    assert table.time_s.tolist() == [_to_odd_second(t) for det in detections for t in det.time_s.tolist()]
+    assert table.observed.tolist() == [o for det in detections for o in det.observed.tolist()]
 
 
 def _passages(times_by_stop, vehicle="V1", line="L1"):
-    """Passage table of the given times per stop, to whole seconds."""
+    """Passage table of the given times per stop, to whole seconds; one trip per passage."""
     rows = [(stop, round(t)) for stop, times in times_by_stop.items() for t in times]
     return PassageTable(
-        stop_id=[stop for stop, _ in rows],
-        day=["2022-11-07"] * len(rows),
-        time_s=[t for _, t in rows],
-        vehicle_id=[vehicle] * len(rows),
         line_code=[line] * len(rows),
+        direction=["A"] * len(rows),
+        vehicle_id=[vehicle] * len(rows),
+        day=["2022-11-07"] * len(rows),
+        trip=range(1, len(rows) + 1),
+        position=[1] * len(rows),
+        stop_id=[stop for stop, _ in rows],
+        time_s=[t for _, t in rows],
+        observed=[True] * len(rows),
     )
 
 

@@ -141,6 +141,30 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus_key" in record["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"span_minutes": [600, 300]}, "span_minutes"),
+        ({"window_minutes": 2000}, "window_minutes"),
+        ({"window_set": [10, 2000]}, "window_set"),
+        ({"periods": {"morning": [540, 360]}}, "periods"),
+        ({"od_pairs": -3}, "od_pairs"),
+        ({"acceptance_radius_m": float("nan")}, "acceptance_radius_m"),
+        ({"cluster_radius_m": float("inf")}, "cluster_radius_m"),
+        ({"od_jitter_m": float("nan")}, "od_jitter_m"),
+    ],
+    ids=["span", "window", "window_set", "period", "od_pairs", "nan_radius", "inf_radius", "nan_jitter"],
+)
+def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys, overrides, key):
+    config = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "ValueError"
+    assert key in error["message"]
+    assert not list(out.glob("*.csv"))
+
+
 def test_missing_input_file_reported(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(
@@ -310,6 +334,23 @@ def test_stages_after_detect_parse_no_fixes(tmp_path, monkeypatch):
         assert main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["inputs"]) == {"lines_file", "line_points_file", "fixes_file"}
+
+
+@pytest.mark.parametrize("cut", ["header", "row"])
+def test_malformed_detection_csv_is_refused(tmp_path, capsys, cut):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["detect", "--config", str(config), "--out", str(out)]) == 0
+    detected = out / "detected_itineraries.csv"
+    lines = detected.read_text(encoding="utf-8").splitlines()
+    index = 0 if cut == "header" else 3
+    lines[index] = lines[index].rsplit(",", 1)[0]
+    detected.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("detected_itineraries.csv ")
+    assert not (out / "availability_by_category.csv").exists()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

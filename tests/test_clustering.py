@@ -154,13 +154,17 @@ def test_unknown_candidate_rejected():
 
 
 def _passages(rows):
-    """Passage table of (stop_id, time_s, vehicle_id, line_code) rows."""
+    """Passage table of (stop_id, time_s, vehicle_id, line_code) rows; one trip per row."""
     return PassageTable(
-        stop_id=[r[0] for r in rows],
-        day=["2022-11-07"] * len(rows),
-        time_s=[r[1] for r in rows],
-        vehicle_id=[r[2] for r in rows],
         line_code=[r[3] for r in rows],
+        direction=["A"] * len(rows),
+        vehicle_id=[r[2] for r in rows],
+        day=["2022-11-07"] * len(rows),
+        trip=range(1, len(rows) + 1),
+        position=[1] * len(rows),
+        stop_id=[r[0] for r in rows],
+        time_s=[r[1] for r in rows],
+        observed=[True] * len(rows),
     )
 
 

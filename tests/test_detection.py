@@ -1,5 +1,6 @@
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +115,8 @@ def test_rendering_rounds_fractions():
     # exact half-second ties resolve to the odd second
     assert round_to_second(22539.5) == 22539
     assert round_to_second(22686.5) == 22687
+    values = np.array([22539.4, 22539.6, 22539.5, 22686.5])
+    assert round_to_second(values).tolist() == [22539, 22540, 22539, 22687]
 
 
 def test_format_parse_invert_on_whole_seconds():

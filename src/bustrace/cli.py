@@ -3,9 +3,11 @@
 Subcommands wire the stages together over a single JSON configuration
 file: ``validate``, ``detect``, ``analyze``, ``cluster``, ``route``, and
 ``all``. Every run writes its artifacts plus a manifest recording the
-effective configuration, seed, and content digests; on failure the partial
-artifacts of the run are removed and a machine-readable error record goes
-to stderr.
+effective configuration, seed, and content digests. A run writes into a
+staging directory inside the output directory and moves its artifacts and
+manifest out of it only once every stage has succeeded, so a failed run
+leaves the output directory's files as they were; a machine-readable error
+record then goes to stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import detection, pipeline
@@ -138,28 +143,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _staging_dir(out_dir: Path) -> Path:
+    """A new directory inside ``out_dir`` holding its files, for a run to write in.
+
+    Inside, it needs no write access beyond ``out_dir`` and shares its file
+    system even when ``out_dir`` is a mount point. Files are hard-linked
+    where the file system allows, else copied. Every artifact is written by
+    replacing its file, never in place, so a link never changes the file in
+    ``out_dir`` it shares.
+    """
+    staging = Path(tempfile.mkdtemp(prefix=".staging.", dir=out_dir))
+    for path in out_dir.iterdir():
+        if path.is_file():
+            try:
+                os.link(path, staging / path.name)
+            except OSError:
+                shutil.copy2(path, staging / path.name)
+    return staging
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
-    written: list[Path] = []
+    staging = None
     running = args.command  # the stage named in an error record
     try:
         config = load_config(args.config, args.seed, args.jobs)
         stages = list(_STAGES) if args.command == "all" else [args.command]
         dataset = config.load_inputs(with_fixes=not _FIX_STAGES.isdisjoint(stages))
         out_dir.mkdir(parents=True, exist_ok=True)
+        staging = _staging_dir(out_dir)
+        written: list[Path] = []
         passages = None
         for running in stages:
-            paths, passages = _run_stage(running, out_dir, dataset, config, passages)
+            paths, passages = _run_stage(running, staging, dataset, config, passages)
             written.extend(paths)
         running = args.command
-        _write_manifest(out_dir, config)
-    except Exception as exc:
+        written.append(_write_manifest(staging, config))
         for path in written:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
+            os.replace(path, out_dir / path.name)
+    except Exception as exc:
         record = {
             "error": {
                 "stage": getattr(exc, "stage", running),
@@ -169,6 +192,9 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
     return 0
 
 

@@ -13,11 +13,18 @@ first malformed record; :func:`load_dataset` adds the file name. Writers
 emit the same schema so that ``parse(write(parse(x)))`` reproduces
 ``parse(x)`` exactly.
 
-GPS fixes stay columnar from ingest through matching: the parser's loop
-only decodes JSON and appends to typed arrays (ids interned to codes,
-timestamps memoised per distinct text), range checks, deduplication and
-sorting run in bulk on a :class:`FixTable`, and :func:`group_fixes` cuts
-it into zero-copy :class:`~bustrace.model.FixTrack` slices.
+GPS fixes stay columnar from ingest through matching. The fixes parser
+reads its file in blocks of whole lines. A block whose every line has the
+exact shape :func:`write_vehicle_fixes` writes is decoded in bulk: one
+regular expression splits it into fields, ids are interned to codes, and
+timestamps are decoded as digit arrays with each distinct date checked
+once. Any other block (a blank line, other spacing or key order, an int
+coordinate, an escaped string, an impossible time) goes line by line
+through ``json.loads``, which gives the same values and the same errors;
+its timestamps in the digit layout are still decoded together first.
+Both append to typed arrays; range checks, deduplication and sorting then
+run in bulk on a :class:`FixTable`, and :func:`group_fixes` cuts it into
+zero-copy :class:`~bustrace.model.FixTrack` slices.
 """
 
 from __future__ import annotations
@@ -28,8 +35,11 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime
+from functools import partial
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -194,10 +204,6 @@ def format_timestamp(day: date, time_s: int) -> str:
     return f"{day.day:02d}/{day.month:02d}/{day.year:04d} {h:02d}:{m:02d}:{s:02d}"
 
 
-# The fixed-width dd/MM/yyyy HH:mm:ss form; any other text goes to strptime.
-_CANONICAL_TIMESTAMP = re.compile(r"(\d\d/\d\d/\d{4}) (\d\d):(\d\d):(\d\d)", re.ASCII)
-
-
 class _Codes(dict):
     """Interns ids to dense int codes, keyed by ``str(value)``.
 
@@ -217,49 +223,55 @@ class _Codes(dict):
 
 
 class _Stamps(dict):
-    """Memoised timestamp text → ``day code * 86400 + seconds of day``.
+    """Memoised timestamp text → ``day ordinal * 86400 + seconds of day``.
 
-    ``day_codes`` maps each service day to its code, in code order.
-    Canonical text is sliced, its date checked once per distinct date; any
-    other text goes through :func:`parse_timestamp`. Raises ValueError for
-    text that :func:`parse_timestamp` rejects and TypeError for a non-string.
+    A miss goes through :func:`parse_timestamp`: it raises ValueError for
+    text that function rejects and TypeError for a non-string.
     """
 
-    def __init__(self):
-        super().__init__()
-        self.day_codes: dict[date, int] = {}
-        self._date_texts: dict[str, int | None] = {}
-
-    def _day_code(self, day: date) -> int:
-        return self.day_codes.setdefault(day, len(self.day_codes))
-
-    def _canonical(self, text: str) -> int | None:
-        match = _CANONICAL_TIMESTAMP.fullmatch(text)
-        if match is None:
-            return None
-        date_text, h, m, s = match.group(1, 2, 3, 4)
-        h, m, s = int(h), int(m), int(s)
-        if h > 23 or m > 59 or s > 59:
-            return None
-        if date_text not in self._date_texts:
-            try:
-                day = date(int(date_text[6:]), int(date_text[3:5]), int(date_text[:2]))
-            except ValueError:
-                self._date_texts[date_text] = None
-            else:
-                self._date_texts[date_text] = self._day_code(day)
-        code = self._date_texts[date_text]
-        return None if code is None else code * 86_400 + h * 3600 + m * 60 + s
+    def learn(self, texts: Iterable[str]) -> None:
+        """Decode at once those new ``texts`` in the layout :func:`_canonical_stamps` takes."""
+        texts = [text for text in set(texts) if text not in self and _LAYOUT.fullmatch(text)]
+        if texts:
+            stamp, ok = _canonical_stamps(texts)
+            self.update(zip(compress(texts, ok), stamp[ok].tolist()))
 
     def __missing__(self, text: str) -> int:
         if type(text) is not str:
             raise TypeError("timestamp is not a string")
-        stamp = self._canonical(text)
-        if stamp is None:
-            day, time_s = parse_timestamp(text)
-            stamp = self._day_code(day) * 86_400 + time_s
-        self[text] = stamp
+        day, time_s = parse_timestamp(text)
+        stamp = self[text] = day.toordinal() * 86_400 + time_s
         return stamp
+
+
+# The dd/MM/yyyy HH:mm:ss digit layout of the timestamps the writer emits.
+_LAYOUT = re.compile(r"[0-9]{2}/[0-9]{2}/[0-9]{4} [0-9]{2}:[0-9]{2}:[0-9]{2}")
+
+
+def _canonical_stamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Stamps of texts laid out as ``dd/MM/yyyy HH:mm:ss`` in ASCII digits,
+    and whether each is valid.
+
+    A text is invalid when it names an hour above 23, a minute or second
+    above 59, or a date that does not exist, all of which
+    :func:`parse_timestamp` rejects; its stamp is then meaningless. Each
+    distinct date is checked once.
+    """
+    raw = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8).reshape(len(texts), 19)
+    digits = raw.astype(np.int64) - ord("0")
+    pairs = digits[:, :-1] * 10 + digits[:, 1:]  # the two-digit number at each position
+    hour, minute, second = pairs[:, 11], pairs[:, 14], pairs[:, 17]
+    ymd = (pairs[:, 6] * 100 + pairs[:, 8]) * 10_000 + pairs[:, 3] * 100 + pairs[:, 0]
+    distinct, inverse = np.unique(ymd, return_inverse=True)
+    ordinals = np.zeros(len(distinct), dtype=np.int64)
+    for i, v in enumerate(distinct.tolist()):
+        try:
+            ordinals[i] = date(v // 10_000, v // 100 % 100, v % 100).toordinal()
+        except ValueError:
+            pass  # its ordinal stays 0, which no day has
+    day = ordinals[inverse]
+    ok = (day > 0) & (hour <= 23) & (minute <= 59) & (second <= 59)
+    return day * 86_400 + hour * 3600 + minute * 60 + second, ok
 
 
 def _coordinate(record: dict, key: str, line_no: int) -> float:
@@ -345,58 +357,179 @@ class FixTable:
         return len(self.time_s)
 
 
-def parse_vehicle_fixes(stream: Iterable[str]) -> FixTable:
-    """Parse the fixes file into a :class:`FixTable`.
+# The fixes file is read this many characters at a time; each block is
+# cut at its last newline, so it holds whole lines and no file is held whole.
+_BLOCK_CHARS = 1 << 18
+
+# A string with no escape and no control character: its text is its value.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+# A JSON number with a fraction or an exponent: float() of its text is what
+# json.loads gives. A bare -0 (an int 0 to json.loads) or an int does not match.
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"
+# A string in the layout _canonical_stamps decodes.
+_TIMESTAMP = '"(' + _LAYOUT.pattern + ')"'
+# A fix exactly as write_vehicle_fixes writes it, one per line.
+_CANONICAL_FIX = re.compile(
+    r'^\{"vehicle_id": ' + _STRING + r', "line_code": ' + _STRING
+    + r', "lat": ' + _FLOAT + r', "lon": ' + _FLOAT
+    + r', "dthr": ' + _TIMESTAMP + r"\}$",
+    re.M,
+)
+
+
+class _FixColumns:
+    """Parsed fixes in file order, each with its line number, before any
+    range check."""
+
+    def __init__(self):
+        self.stamps, self.vehicles, self.lines = _Stamps(), _Codes(), _Codes()
+        self.stamp, self.vehicle, self.line = array("q"), array("i"), array("i")
+        self.lat, self.lon, self.line_no = array("d"), array("d"), array("q")
+
+    def add_block(self, first_line_no: int, text: str) -> None:
+        """Append the fixes of ``text``, whole lines from ``first_line_no`` on.
+
+        A block of canonical lines only is decoded in bulk; any other goes
+        line by line, its timestamps in the canonical layout decoded in bulk
+        first. Raises :class:`RecordError` at its first bad line.
+        """
+        if not self._add_canonical(first_line_no, text):
+            self._add_lines(first_line_no, text.removesuffix("\n").split("\n"))
+
+    def _add_canonical(self, first_line_no: int, text: str) -> bool:
+        if not _CANONICAL_FIX.match(text):
+            return False  # without scanning a block of some other spelling to its end
+        rows = _CANONICAL_FIX.findall(text)
+        count = text.count("\n") + (not text.endswith("\n"))
+        if len(rows) != count:
+            return False
+        vehicle_ids, line_codes, lats, lons, dthrs = zip(*rows)
+        stamp, ok = _canonical_stamps(dthrs)
+        if not ok.all():
+            return False
+        self.stamp.frombytes(stamp.tobytes())
+        self.vehicle.extend(map(self.vehicles.__getitem__, vehicle_ids))
+        self.line.extend(map(self.lines.__getitem__, line_codes))
+        self.lat.extend(map(float, lats))
+        self.lon.extend(map(float, lons))
+        self.line_no.extend(range(first_line_no, first_line_no + count))
+        return True
+
+    def _add_lines(self, first_line_no: int, raw_lines: list[str]) -> None:
+        stamps, vehicles, lines = self.stamps, self.vehicles, self.lines
+        loads = json.loads
+        decoded = []
+        for raw in raw_lines:
+            try:
+                decoded.append(loads(raw))
+            except (ValueError, RecursionError):
+                decoded.append(None)  # reported by _fix_row below, in line order
+        try:
+            stamps.learn(map(itemgetter("dthr"), filter(None, decoded)))
+        except (KeyError, TypeError):
+            pass  # some line has no usable time: the lookups below decode them one by one
+        for line_no, (raw, record) in enumerate(zip(raw_lines, decoded), start=first_line_no):
+            try:
+                stamp = stamps[record["dthr"]]
+                vehicle = vehicles[record["vehicle_id"]]
+                line = lines[record["line_code"]]
+                lat = float(record["lat"])
+                lon = float(record["lon"])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                # blank or malformed, or a value the lookups above cannot take
+                row = _fix_row(line_no, raw, stamps, vehicles, lines)
+                if row is None:
+                    continue
+                stamp, vehicle, line, lat, lon = row
+            self.stamp.append(stamp)
+            self.vehicle.append(vehicle)
+            self.line.append(line)
+            self.lat.append(lat)
+            self.lon.append(lon)
+            self.line_no.append(line_no)
+
+
+def _chunks(stream: IO[str] | Iterable[str]) -> Iterator[str]:
+    """The text of ``stream`` in pieces of about ``_BLOCK_CHARS`` characters.
+
+    An object without ``read`` is taken as lines, each given a newline at
+    its end if it has none.
+    """
+    read = getattr(stream, "read", None)
+    if read is not None:
+        yield from iter(partial(read, _BLOCK_CHARS), "")
+        return
+    batch, size = [], 0
+    for line in stream:
+        batch.append(line if line.endswith("\n") else line + "\n")
+        size += len(batch[-1])
+        if size >= _BLOCK_CHARS:
+            yield "".join(batch)
+            batch, size = [], 0
+    yield "".join(batch)
+
+
+def _blocks(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number of its first line, text) of each block of ``stream``.
+
+    Every block but the last ends with a newline; the last one does when
+    the stream does.
+    """
+    line_no, rest = 1, ""
+    for chunk in _chunks(stream):
+        cut = chunk.rfind("\n") + 1
+        if not cut:
+            rest += chunk
+            continue
+        text, rest = rest + chunk[:cut], chunk[cut:]
+        yield line_no, text
+        line_no += text.count("\n")
+    if rest:
+        yield line_no, rest
+
+
+def parse_vehicle_fixes(stream: IO[str] | Iterable[str]) -> FixTable:
+    """Parse the fixes file, a text stream or its lines, into a :class:`FixTable`.
+
+    The text is read in blocks of whole lines, a line ending at each
+    newline character; an iterable of lines is gathered into such blocks.
+    A block whose every line is a fix exactly as :func:`write_vehicle_fixes`
+    writes it (keys in its order and spacing, strings without escapes,
+    coordinates with a fraction or an exponent, a valid
+    ``dd/MM/yyyy HH:mm:ss`` time) is decoded in bulk by one regular
+    expression; any other block goes line by line through ``json.loads``,
+    its timestamps in that digit layout decoded together and any other
+    spelling through :func:`parse_timestamp`. Both give the same values
+    and, on malformed input, the same :class:`RecordError` naming the
+    first bad line of the file.
 
     Exact duplicates (same vehicle, line, timestamp, and coordinates, with
     0.0 equal to -0.0) are collapsed to their first occurrence. Fixes with
-    equal (vehicle, line, day, time) keep their input order. On malformed
-    input the :class:`RecordError` names the first bad line of the file.
+    equal (vehicle, line, day, time) keep their input order.
     """
-    stamps, vehicles, lines = _Stamps(), _Codes(), _Codes()
-    col_stamp, col_vehicle, col_line = array("q"), array("i"), array("i")
-    col_lat, col_lon, col_line_no = array("d"), array("d"), array("q")
-    loads = json.loads
+    fixes = _FixColumns()
     error = None
-    for line_no, raw in enumerate(stream, start=1):
-        try:
-            record = loads(raw)
-            stamp = stamps[record["dthr"]]
-            vehicle = vehicles[record["vehicle_id"]]
-            line = lines[record["line_code"]]
-            lat = float(record["lat"])
-            lon = float(record["lon"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            # blank or malformed, or a value the fast path cannot take
-            try:
-                row = _fix_row(line_no, raw, stamps, vehicles, lines)
-            except RecordError as exc:
-                error = exc  # raised unless an earlier line fails a range check
-                break
-            if row is None:
-                continue
-            stamp, vehicle, line, lat, lon = row
-        col_stamp.append(stamp)
-        col_vehicle.append(vehicle)
-        col_line.append(line)
-        col_lat.append(lat)
-        col_lon.append(lon)
-        col_line_no.append(line_no)
+    try:
+        for line_no, text in _blocks(stream):
+            fixes.add_block(line_no, text)
+    except RecordError as exc:
+        error = exc  # raised unless an earlier line fails a range check
 
-    lat = np.array(col_lat, dtype=np.float64)
-    lon = np.array(col_lon, dtype=np.float64)
-    day, time_s = np.divmod(np.array(col_stamp, dtype=np.int64), 86_400)
-    vehicle = np.array(col_vehicle, dtype=np.int32)
-    bad = _check_ranges(lat, lon, time_s, vehicle, list(vehicles.by_name))
+    lat = np.array(fixes.lat, dtype=np.float64)
+    lon = np.array(fixes.lon, dtype=np.float64)
+    day, time_s = np.divmod(np.array(fixes.stamp, dtype=np.int64), 86_400)
+    vehicle = np.array(fixes.vehicle, dtype=np.int32)
+    bad = _check_ranges(lat, lon, time_s, vehicle, list(fixes.vehicles.by_name))
     if bad is not None:
         row, message = bad
-        raise RecordError(col_line_no[row], message)
+        raise RecordError(fixes.line_no[row], message)
     if error is not None:
         raise error
 
-    vehicle = _ranks(list(vehicles.by_name))[vehicle]
-    line = _ranks(list(lines.by_name))[np.array(col_line, dtype=np.int32)]
-    day = _ranks(list(stamps.day_codes))[day]
+    vehicle = _ranks(list(fixes.vehicles.by_name))[vehicle]
+    line = _ranks(list(fixes.lines.by_name))[np.array(fixes.line, dtype=np.int32)]
+    ordinals, day = np.unique(day, return_inverse=True)
+    day = day.astype(np.int32)
     # 0.0 + 0.0 and -0.0 + 0.0 are both 0.0: the two zeros are one key
     order = np.lexsort((lon + 0.0, lat + 0.0, time_s, day, line, vehicle))
     repeat = np.ones(max(len(order) - 1, 0), dtype=bool)
@@ -408,9 +541,9 @@ def parse_vehicle_fixes(stream: Iterable[str]) -> FixTable:
     rows = np.flatnonzero(keep)
     rows = rows[np.lexsort((time_s[rows], day[rows], line[rows], vehicle[rows]))]
     return FixTable(
-        vehicle_ids=sorted(vehicles.by_name),
-        line_codes=sorted(lines.by_name),
-        days=sorted(stamps.day_codes),
+        vehicle_ids=sorted(fixes.vehicles.by_name),
+        line_codes=sorted(fixes.lines.by_name),
+        days=[date.fromordinal(o) for o in ordinals.tolist()],
         vehicle=vehicle[rows],
         line=line[rows],
         day=day[rows],

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -107,6 +108,52 @@ def test_failed_stage_of_all_is_named(tmp_path, capsys, monkeypatch):
     assert main(["all", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == {"stage": "route", "type": "RuntimeError", "message": "routing failed"}
+
+
+def test_failed_rerun_keeps_the_previous_output(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    beside = sorted(p.name for p in tmp_path.iterdir())
+    assert beside == ["config.json", "fixes.ndjson", "lines.ndjson", "out", "points.ndjson"]
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("routing failed")
+
+    monkeypatch.setattr(routing, "evaluate_od", fail)
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == beside
+
+
+def test_a_run_writes_only_inside_its_output_directory(tmp_path, monkeypatch):
+    """--out may be a mount point under a directory the user cannot write."""
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    real_mkdir, real_replace = os.mkdir, os.replace
+
+    def inside(path):
+        return out.resolve() in Path(path).resolve().parents
+
+    def mkdir(path, *args, **kwargs):
+        if not inside(path):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return real_mkdir(path, *args, **kwargs)
+
+    def replace(src, dst, *args, **kwargs):
+        if not (inside(src) and inside(dst)):
+            raise OSError(errno.EXDEV, "Invalid cross-device link", str(src))
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", mkdir)
+    monkeypatch.setattr(os, "replace", replace)
+    for _ in range(2):  # the second run replaces files already there
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert "manifest.json" in names and "clusters.csv" in names
+    assert all((out / name).is_file() for name in names)
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -315,6 +362,24 @@ def test_stage_by_stage_writes_the_bytes_of_all(tmp_path, variant):
     for stage in ("detect", "analyze", "cluster", "route"):
         assert main([stage, "--config", str(config), "--out", str(staged)]) == 0, stage
 
+    names = sorted(p.name for p in together.iterdir())
+    assert names == sorted(p.name for p in staged.iterdir())
+    for name in names:
+        assert (staged / name).read_bytes() == (together / name).read_bytes(), name
+
+
+def test_stages_run_where_files_cannot_be_linked(tmp_path, monkeypatch):
+    config = write_config(tmp_path)
+    together = tmp_path / "all"
+    assert main(["all", "--config", str(config), "--out", str(together)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise OSError("hard links not supported")
+
+    monkeypatch.setattr(cli.os, "link", refuse)
+    staged = tmp_path / "staged"
+    for stage in ("validate", "detect", "analyze", "cluster", "route"):
+        assert main([stage, "--config", str(config), "--out", str(staged)]) == 0, stage
     names = sorted(p.name for p in together.iterdir())
     assert names == sorted(p.name for p in staged.iterdir())
     for name in names:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bustrace import records
 from bustrace.model import BusStop, FixTrack, LineCategory, StopType
 from bustrace.records import RecordError
-from bustrace.synthetic import line829_dataset
+from bustrace.synthetic import line829_dataset, straight_line_dataset
 
 
 def stream(*objs):
@@ -442,6 +442,143 @@ def test_malformed_fix_reported_like_per_record_reference(lines, injected):
         records.parse_vehicle_fixes(io.StringIO(text))
     assert got.value.line_no == expected.value.line_no
     assert str(got.value) == str(expected.value)
+
+
+# ── the block-wise fast path against the same reference ─────────────────
+
+# JSON texts of field values. The first pool of each field is what
+# write_vehicle_fixes writes and the bulk decoder takes: floats with a
+# fraction or an exponent (both zeros, a subnormal, a 17-digit mantissa),
+# ids with non-ASCII text, a raw U+2028 line separator and DEL. The odd
+# values are out of range, impossible, or spelled so that their block goes
+# line by line (a bare -0 is an int 0 to json.loads, not -0.0).
+_WRITER_IDS = ['"V1"', '"V2"', '"Ônibus 7"', '"a\u2028b"', '"d\x7f"']
+_WRITER_COORDS = ["-25.44", "0.0", "-0.0", "5e-324", "-25.432208140724651", "2.5e+1", "1.25E-2", "-0.0e0"]
+_WRITER_TIMES = ["07/11/2022 06:04:51", "07/11/2022 00:00:00", "08/11/2022 23:59:59", "29/02/2024 12:00:00"]
+_ODD_VALUES = {
+    "vehicle_id": ['"q\\"x"', "7", '"V\\u0031"'],
+    "lat": ["-0", "5", "1e+16", "-95.0", "NaN", " 12.5"],
+    "lon": ["-0", "180.5", "-Infinity", "-49.0E+0"],
+    "dthr": ['"31/02/2024 10:00:00"', '"07/11/2022 24:00:00"', '"07/11/2022 06:60:00"', '"7/11/2022 6:4:51"'],
+}
+
+
+@st.composite
+def _writer_shaped_file(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 60))):
+        fields = {
+            "vehicle_id": draw(st.sampled_from(_WRITER_IDS)),
+            "line_code": draw(st.sampled_from(['"L1"', '"L2"'])),
+            "lat": draw(st.sampled_from(_WRITER_COORDS)),
+            "lon": draw(st.sampled_from(_WRITER_COORDS)),
+            "dthr": '"' + draw(st.sampled_from(_WRITER_TIMES)) + '"',
+        }
+        odd = draw(st.sampled_from([None] * 12 + [*_ODD_VALUES, "blank", "compact", "reordered"]))
+        if odd in _ODD_VALUES:
+            fields[odd] = draw(st.sampled_from(_ODD_VALUES[odd]))
+        keys = list(fields)[::-1] if odd == "reordered" else list(fields)
+        sep = ":" if odd == "compact" else ": "
+        lines.append("" if odd == "blank" else "{" + ", ".join(f'"{k}"{sep}{fields[k]}' for k in keys) + "}")
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@given(_writer_shaped_file(), st.integers(1, 3000))
+@settings(max_examples=400, deadline=None)
+def test_block_wise_parse_equals_per_record_reference(text, block_chars):
+    try:
+        expected = _reference_groups(_reference_parse(io.StringIO(text)))
+        error = None
+    except RecordError as exc:
+        error = exc
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(records, "_BLOCK_CHARS", block_chars)
+        if error is not None:
+            with pytest.raises(RecordError) as got:
+                records.parse_vehicle_fixes(io.StringIO(text))
+            assert (got.value.line_no, str(got.value)) == (error.line_no, str(error))
+            return
+        table = records.parse_vehicle_fixes(io.StringIO(text))
+    assert len(table) == sum(map(len, expected.values()))
+    got = _groups_as_values(records.group_fixes(table))
+    assert list(got) == list(expected)
+    assert got == {key: [_exact(f.lat, f.lon, f.time_s) for f in group] for key, group in expected.items()}
+
+
+def test_written_fixes_take_the_bulk_path(monkeypatch):
+    dataset = straight_line_dataset(n_trips=20, trip_headway_s=1800, jitter=0.3, seed=3)
+    buf = io.StringIO()
+    records.write_vehicle_fixes(dataset.fixes, buf)
+    text = buf.getvalue()
+    monkeypatch.setattr(records, "_BLOCK_CHARS", 1 << 12)  # many blocks
+    plain = records.parse_vehicle_fixes(io.StringIO(text))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a written fix went through json.loads")
+
+    monkeypatch.setattr(records.json, "loads", refuse)
+    bulk = records.parse_vehicle_fixes(io.StringIO(text))
+    assert len(bulk) == len(plain) > 1000
+    for name in ("vehicle_ids", "line_codes", "days"):
+        assert getattr(bulk, name) == getattr(plain, name)
+    for name in ("vehicle", "line", "day", "time_s", "lat", "lon"):
+        assert getattr(bulk, name).tobytes() == getattr(plain, name).tobytes(), name
+
+
+def test_line_by_line_blocks_decode_canonical_times_in_bulk(monkeypatch):
+    dataset = straight_line_dataset(n_trips=4, trip_headway_s=1800, jitter=0.3, seed=3)
+    buf = io.StringIO()
+    records.write_vehicle_fixes(dataset.fixes, buf)
+    compact = "".join(
+        json.dumps(json.loads(line), separators=(",", ":")) + "\n" for line in buf.getvalue().splitlines()
+    )
+    monkeypatch.setattr(records, "_BLOCK_CHARS", 1 << 12)
+    plain = records.parse_vehicle_fixes(io.StringIO(compact))
+
+    def refuse(text):
+        raise AssertionError(f"{text!r} went through strptime")
+
+    monkeypatch.setattr(records, "parse_timestamp", refuse)
+    bulk = records.parse_vehicle_fixes(io.StringIO(compact))
+    assert len(bulk) == len(plain) > 100
+    assert bulk.days == plain.days
+    for name in ("vehicle", "line", "day", "time_s", "lat", "lon"):
+        assert getattr(bulk, name).tobytes() == getattr(plain, name).tobytes(), name
+
+
+def test_canonical_stamps_decode_every_digit_and_check_every_field():
+    texts = [
+        "31/12/9999 23:59:59",
+        "01/01/0001 00:00:00",
+        "29/02/2024 12:34:56",
+        "29/02/2023 12:00:00",
+        "07/11/2022 24:00:00",
+        "07/11/2022 06:60:00",
+        "07/11/2022 06:04:60",
+        "00/11/2022 06:04:51",
+        "07/13/2022 06:04:51",
+    ]
+    stamp, ok = records._canonical_stamps(texts)
+    assert ok.tolist() == [True, True, True, False, False, False, False, False, False]
+    for text, value in zip(texts[:3], stamp.tolist()):
+        day, time_s = records.parse_timestamp(text)
+        assert value == day.toordinal() * 86_400 + time_s, text
+
+
+def test_fixes_parse_from_lines_as_from_a_stream():
+    text = "".join(
+        json.dumps({"vehicle_id": v, "line_code": "L1", "lat": -25.4, "lon": -49.2, "dthr": t}) + "\n"
+        for v, t in [("V1", "07/11/2022 06:04:51"), ("V2", "7/11/2022 6:05:00"), ("V1", "08/11/2022 06:00:00")]
+    )
+    from_stream = records.parse_vehicle_fixes(io.StringIO(text))
+    for lines in (text.splitlines(keepends=True), text.splitlines()):
+        from_lines = records.parse_vehicle_fixes(iter(lines))
+        assert from_lines.days == from_stream.days == [date(2022, 11, 7), date(2022, 11, 8)]
+        for name in ("vehicle", "line", "day", "time_s", "lat", "lon"):
+            assert getattr(from_lines, name).tobytes() == getattr(from_stream, name).tobytes(), name
+    with pytest.raises(RecordError) as got:
+        records.parse_vehicle_fixes([*text.splitlines(), "", "{"])
+    assert got.value.line_no == 5
 
 
 # ── load_dataset ────────────────────────────────────────────────────────

@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="JSON configuration file")
     common.add_argument("--out", required=True, help="output directory for artifacts")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--jobs", type=int, default=None, help="worker processes for detection")
+    common.add_argument("--jobs", type=int, default=None, help="must be 1: detection runs in one process")
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (

@@ -22,7 +22,7 @@ from .analytics import (
     pearson,
     pearson_p_value,
 )
-from .geo import haversine_matrix
+from .geo import nearest_stops
 from .model import BusStop
 
 DEFAULT_CLUSTER_RADIUS_M = 600.0
@@ -76,19 +76,12 @@ def cluster_stops(
     if unknown:
         raise ValueError(f"candidate stops missing from stop table: {unknown}")
 
-    stop_ids = sorted(stops)
-    lats = np.array([stops[s].lat for s in stop_ids])
-    lons = np.array([stops[s].lon for s in stop_ids])
-
     queue = list(candidates)
     clusters: list[Cluster] = []
     while queue:
         centroid = queue[0].stop_id
-        center = stops[centroid]
-        dists = haversine_matrix(np.array([center.lat]), np.array([center.lon]), lats, lons)[0]
-        members = frozenset(
-            stop_id for stop_id, d in zip(stop_ids, dists) if d <= radius_m
-        ) | {centroid}
+        within = nearest_stops(stops[centroid].point, stops, radius_m)
+        members = frozenset(stop_id for stop_id, _ in within) | {centroid}
         clusters.append(
             Cluster(cluster_id=centroid, centroid_stop_id=centroid, members=members)
         )

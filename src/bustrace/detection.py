@@ -166,12 +166,6 @@ class Segmentation:
         return sum(len(s) for s in self.discarded)
 
 
-def _first_positions(itinerary: ItineraryDef) -> dict[int, int]:
-    """Each itinerary position mapped to the first position of its stop."""
-    first: dict[str, int] = {}
-    return {p: first.setdefault(s, p) for p, s in enumerate(itinerary.stop_ids, start=1)}
-
-
 def segment_trips(
     marks: Marks,
     itinerary: ItineraryDef,
@@ -194,14 +188,16 @@ def segment_trips(
     """
     n = len(itinerary)
     threshold = wrap_fraction * n
-    first_of = _first_positions(itinerary)
+    first_of = itinerary.first_positions
     positions_of: dict[int, list[int]] = {}
-    for position, first in first_of.items():
+    for position, first in enumerate(first_of, start=1):
         positions_of.setdefault(first, []).append(position)
-    try:  # each mark's stop as its first position: 1 is the itinerary's first stop
-        stops = [first_of[p] for p in marks.position.tolist()]
-    except KeyError as exc:
-        raise ValueError(f"mark position {exc.args[0]} is outside the itinerary (1..{n})") from None
+    outside = (marks.position < 1) | (marks.position > n)
+    if outside.any():
+        position = marks.position[outside][0]
+        raise ValueError(f"mark position {position} is outside the itinerary (1..{n})")
+    # each mark's stop as its first position: 1 is the itinerary's first stop
+    stops = [first_of[p - 1] for p in marks.position.tolist()]
     times = marks.time_s.tolist()
 
     result = Segmentation(segments=[], borrowed=[], discarded=[])
@@ -281,16 +277,17 @@ def detect(
     """
     stop_ids = itinerary.stop_ids
     n = len(stop_ids)
-    first_of = _first_positions(itinerary)
+    first_of = itinerary.first_positions
     times = segment.time_s.tolist()
-    marks_at: dict[int | None, list[int]] = {}
+    marks_at: dict[int, list[int]] = {}  # a mark outside the itinerary is in no list
     for index, position in enumerate(segment.position.tolist()):
-        marks_at.setdefault(first_of.get(position), []).append(index)
+        if 1 <= position <= n:
+            marks_at.setdefault(first_of[position - 1], []).append(index)
 
     accepted: list[int | None] = [None] * n  # per position, the accepted mark's index
     last_time: int | None = None
     for pos_idx in range(n):
-        for index in marks_at.get(first_of[pos_idx + 1], ()):
+        for index in marks_at.get(first_of[pos_idx], ()):
             if last_time is None or times[index] > last_time:
                 accepted[pos_idx] = index
                 last_time = times[index]

@@ -8,10 +8,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .model import BusStop
+
 EARTH_RADIUS_M = 6_371_000.0
+DEFAULT_OD_SEARCH_RADIUS_M = 600.0
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,23 @@ def haversine_matrix(
     lon2 = np.radians(lons_b)[None, :]
     h = np.sin((lat2 - lat1) / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
     return EARTH_RADIUS_M * 2 * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
+def nearest_stops(
+    point: GeoPoint,
+    stops: Mapping[str, BusStop],
+    radius_m: float = DEFAULT_OD_SEARCH_RADIUS_M,
+) -> list[tuple[str, float]]:
+    """All stops within the radius, ascending by distance (ties by stop id)."""
+    stop_ids = sorted(stops)
+    if not stop_ids:
+        return []
+    lats = np.array([stops[s].lat for s in stop_ids])
+    lons = np.array([stops[s].lon for s in stop_ids])
+    dists = haversine_matrix(np.array([point.lat]), np.array([point.lon]), lats, lons)[0]
+    found = [(stop_id, float(d)) for stop_id, d in zip(stop_ids, dists) if d <= radius_m]
+    found.sort(key=lambda item: (item[1], item[0]))
+    return found
 
 
 def offset_point(origin: GeoPoint, east_m: float, north_m: float) -> GeoPoint:

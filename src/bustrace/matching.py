@@ -67,12 +67,10 @@ def match_fixes(
 
     # Distinct stops in first-appearance order, so argmin tie-breaking
     # lands on the smaller itinerary position.
-    first_position: dict[str, int] = {}
-    for position, stop_id in enumerate(itinerary.stop_ids, start=1):
-        first_position.setdefault(stop_id, position)
-    stop_order = list(first_position)
+    first_positions = np.unique(itinerary.first_positions)
+    stop_ids = itinerary.stop_ids
     try:
-        stop_objs = [stops[stop_id] for stop_id in stop_order]
+        stop_objs = [stops[stop_ids[p - 1]] for p in first_positions.tolist()]
     except KeyError as exc:
         raise ValueError(f"itinerary stop not resolvable: {exc.args[0]}") from None
 
@@ -98,5 +96,4 @@ def match_fixes(
     kept = run_min <= acceptance_radius_m
     best = best[kept]
 
-    first_positions = np.array(list(first_position.values()))  # in stop_order
     return Marks(first_positions[labels[run_starts[kept]]], track.time_s[best], nearest_m[best])

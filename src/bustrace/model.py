@@ -6,6 +6,7 @@ import enum
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 
 import numpy as np
 
@@ -123,6 +124,17 @@ class ItineraryDef:
     def stop_ids(self) -> tuple[str, ...]:
         """Stop ids by itinerary position (1-based positions map to index + 1)."""
         return tuple(stop_id for _, stop_id in self.stops)
+
+    @cached_property
+    def first_positions(self) -> tuple[int, ...]:
+        """Per position, the first position holding the same stop (index i is position i + 1).
+
+        A stop listed twice, as the shared terminal of a circular itinerary
+        is, maps both positions to the first one; a passage mark carries
+        its stop's first position.
+        """
+        first: dict[str, int] = {}
+        return tuple(first.setdefault(s, p) for p, s in enumerate(self.stop_ids, start=1))
 
     def __len__(self) -> int:
         return len(self.stops)

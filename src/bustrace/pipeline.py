@@ -16,7 +16,6 @@ import csv
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date
@@ -27,8 +26,8 @@ import numpy as np
 
 from . import analytics, clustering, detection, matching, routing, synthetic
 from .detection import GroupOutcome, Provenance, TagReport, format_time_of_day, parse_time_of_day
-from .model import BusStop, Dataset, FixTrack, ItineraryDef, StopType, validate_dataset
-from .records import load_dataset
+from .model import BusStop, Dataset, StopType, validate_dataset
+from .records import STOP_ID_SEPARATOR, load_dataset
 
 DETECTED_FILE = "detected_itineraries.csv"
 # the columns of DETECTED_FILE; analytics.PassageTable holds them in this order
@@ -115,8 +114,8 @@ class PipelineConfig:
             raise ValueError("k_paths must be at least 1")
         if self.idle_gap_min < 1:
             raise ValueError("idle gap must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        if self.jobs != 1:
+            raise ValueError("jobs must be 1: detection runs in one process")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "PipelineConfig":
@@ -220,56 +219,37 @@ def read_csv_rows(path: Path) -> tuple[list[str], list[dict[str, str]]]:
 # ── Detection stage ─────────────────────────────────────────────────────
 
 
-def _detect_one(
-    task: tuple[tuple[str, str, date, str], FixTrack, ItineraryDef, dict[str, BusStop], float, int]
-):
-    key, track, itinerary, stops, radius, idle_gap_s = task
-    marks = matching.match_fixes(track, itinerary, stops, radius)
-    segmentation = detection.segment_trips(marks, itinerary, idle_gap_s=idle_gap_s)
-    results = [
-        detection.detect(
-            itinerary, segment, day=key[2], borrowed_marks=borrowed, vehicle_id=key[0]
-        )
-        for segment, borrowed in zip(segmentation.segments, segmentation.borrowed)
-    ]
-    outcome = GroupOutcome(
-        line_code=key[1],
-        direction=key[3],
-        vehicle_id=key[0],
-        day=key[2],
-        total_marks=len(marks),
-        results=results,
-        discarded_segments=len(segmentation.discarded),
-        discarded_marks=segmentation.discarded_marks,
-    )
-    return key, outcome
-
-
 def run_detection(dataset: Dataset, config: PipelineConfig) -> list[GroupOutcome]:
-    """Match, segment, and detect every (vehicle, line, day, itinerary) group."""
-    tasks = []
-    for group_key in sorted(dataset.fixes):
-        vehicle_id, line_code, day = group_key
-        for itinerary in sorted(
-            dataset.itineraries_for(line_code), key=lambda i: i.direction
-        ):
-            stops_subset = {s: dataset.stops[s] for s in itinerary.stop_ids}
-            tasks.append(
-                (
-                    (vehicle_id, line_code, day, itinerary.direction),
-                    dataset.fixes[group_key],
-                    itinerary,
-                    stops_subset,
-                    config.acceptance_radius_m,
-                    config.idle_gap_min * 60,
+    """Match, segment, and detect every (vehicle, line, day, itinerary) group.
+
+    Groups come in key order and each group's itineraries by direction.
+    """
+    idle_gap_s = config.idle_gap_min * 60
+    outcomes = []
+    for vehicle_id, line_code, day in sorted(dataset.fixes):
+        track = dataset.fixes[vehicle_id, line_code, day]
+        for itinerary in sorted(dataset.itineraries_for(line_code), key=lambda i: i.direction):
+            marks = matching.match_fixes(track, itinerary, dataset.stops, config.acceptance_radius_m)
+            segmentation = detection.segment_trips(marks, itinerary, idle_gap_s=idle_gap_s)
+            results = [
+                detection.detect(
+                    itinerary, segment, day=day, borrowed_marks=borrowed, vehicle_id=vehicle_id
+                )
+                for segment, borrowed in zip(segmentation.segments, segmentation.borrowed)
+            ]
+            outcomes.append(
+                GroupOutcome(
+                    line_code=line_code,
+                    direction=itinerary.direction,
+                    vehicle_id=vehicle_id,
+                    day=day,
+                    total_marks=len(marks),
+                    results=results,
+                    discarded_segments=len(segmentation.discarded),
+                    discarded_marks=segmentation.discarded_marks,
                 )
             )
-
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = dict(pool.map(_detect_one, tasks, chunksize=8))
-        return [outcomes[task[0]] for task in tasks]
-    return [_detect_one(task)[1] for task in tasks]
+    return outcomes
 
 
 def write_detection_artifacts(
@@ -479,7 +459,7 @@ def run_cluster(
                 sum(1 for m in c.members if membership[m] > 1),
                 len(c.lines_served),
                 c.avg_buses,
-                ";".join(c.member_list),
+                STOP_ID_SEPARATOR.join(c.member_list),
                 ";".join(sorted(c.lines_served)),
             )
             for c in enriched
@@ -574,7 +554,7 @@ def read_clusters(out_dir: Path) -> list[clustering.Cluster]:
         clustering.Cluster(
             cluster_id=r["cluster_id"],
             centroid_stop_id=r["centroid_stop_id"],
-            members=frozenset(r["members"].split(";")) if r["members"] else frozenset(),
+            members=frozenset(r["members"].split(STOP_ID_SEPARATOR)) if r["members"] else frozenset(),
             lines_served=frozenset(r["lines"].split(";")) if r["lines"] else frozenset(),
             avg_buses=float(r["avg_buses"]),
         )
@@ -608,13 +588,12 @@ def run_route(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> list[P
                     int(trip.feasible),
                     trip.distance_m if trip.feasible else float("nan"),
                     trip.transfers if trip.feasible else "",
-                    ";".join(trip.stop_sequence()),
+                    STOP_ID_SEPARATOR.join(routing.stop_sequence(trip.path)),
                 )
             )
             for rank, (weight, path) in enumerate(trip.alternatives, start=1):
-                stop_seq = [n[1] for n in path if n[0] == "stop"]
-                deduped = [s for i, s in enumerate(stop_seq) if i == 0 or stop_seq[i - 1] != s]
-                path_rows.append((pair_id, network, rank, weight, ";".join(deduped)))
+                stops = STOP_ID_SEPARATOR.join(routing.stop_sequence(path))
+                path_rows.append((pair_id, network, rank, weight, stops))
     write_csv(
         results_path,
         ["pair_id", "network", "feasible", "distance_m", "transfers", "stops"],

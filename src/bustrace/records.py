@@ -59,6 +59,10 @@ TIMESTAMP_FORMAT = "%d/%m/%Y %H:%M:%S"
 # Stops referenced twice must agree in position to within this tolerance.
 COORD_CONFLICT_M = 1.0
 
+# Joins the stop ids of one CSV cell (cluster members, OD path stops), so
+# no stop id may contain it.
+STOP_ID_SEPARATOR = ";"
+
 
 class RecordError(ValueError):
     """A malformed input record, annotated with its 1-based line number
@@ -141,6 +145,12 @@ def parse_line_points(stream: Iterable[str]) -> tuple[list[BusStop], list[Itiner
 
     for line_no, record in _iter_records(stream):
         stop_id = str(_require(record, "stop_id", line_no))
+        if STOP_ID_SEPARATOR in stop_id:
+            raise RecordError(
+                line_no,
+                f"stop_id {stop_id!r} contains {STOP_ID_SEPARATOR!r}, "
+                "which separates stop ids in the cluster and OD artifacts",
+            )
         try:
             stop = BusStop(
                 stop_id=stop_id,

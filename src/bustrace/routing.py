@@ -21,11 +21,10 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .clustering import Cluster
-from .geo import GeoPoint, haversine_distance, haversine_matrix
+from .geo import DEFAULT_OD_SEARCH_RADIUS_M, GeoPoint, haversine_distance, nearest_stops
 from .model import BusStop, ItineraryDef
 
 DEFAULT_K = 30
-DEFAULT_OD_SEARCH_RADIUS_M = 600.0
 
 Node = tuple[str, ...]
 
@@ -150,23 +149,6 @@ def add_cluster_transfers(graph: TransitGraph, clusters: Sequence[Cluster]) -> T
                 result.add_edge(stop_node(a), Edge(stop_node(b), walk, EdgeKind.TRANSFER))
                 result.add_edge(stop_node(b), Edge(stop_node(a), walk, EdgeKind.TRANSFER))
     return result
-
-
-def nearest_stops(
-    point: GeoPoint,
-    stops: Mapping[str, BusStop],
-    radius_m: float = DEFAULT_OD_SEARCH_RADIUS_M,
-) -> list[tuple[str, float]]:
-    """All stops within the radius, ascending by distance (ties by stop id)."""
-    stop_ids = sorted(stops)
-    if not stop_ids:
-        return []
-    lats = np.array([stops[s].lat for s in stop_ids])
-    lons = np.array([stops[s].lon for s in stop_ids])
-    dists = haversine_matrix(np.array([point.lat]), np.array([point.lon]), lats, lons)[0]
-    found = [(stop_id, float(d)) for stop_id, d in zip(stop_ids, dists) if d <= radius_m]
-    found.sort(key=lambda item: (item[1], item[0]))
-    return found
 
 
 # ── Shortest paths ──────────────────────────────────────────────────────
@@ -454,12 +436,14 @@ class TripResult:
     path: list[Node] = field(default_factory=list)
     alternatives: list[tuple[float, list[Node]]] = field(default_factory=list)
 
-    def stop_sequence(self) -> list[str]:
-        seen: list[str] = []
-        for node in self.path:
-            if node[0] == "stop" and (not seen or seen[-1] != node[1]):
-                seen.append(node[1])
-        return seen
+
+def stop_sequence(path: Sequence[Node]) -> list[str]:
+    """The stop ids a path visits, a stop repeated back to back listed once."""
+    seen: list[str] = []
+    for node in path:
+        if node[0] == "stop" and (not seen or seen[-1] != node[1]):
+            seen.append(node[1])
+    return seen
 
 
 def count_transfers(adjacency: Mapping[Node, list[Edge]], path: Sequence[Node]) -> int:

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from bustrace.detection import Provenance, detect, segment_trips
-from bustrace.matching import Marks, match_fixes
+from bustrace.detection import Provenance
+from bustrace.matching import Marks
 from bustrace.model import Dataset, ItineraryDef
+from bustrace.pipeline import PipelineConfig, run_detection
 from bustrace.synthetic import line829_dataset
 
 # The nine passage marks of the degraded circular-line trip, in time order:
@@ -52,18 +53,13 @@ def case_dataset_full() -> Dataset:
 
 
 def run_detection_simple(dataset: Dataset):
-    """Match, segment, and detect every group; return accepted itineraries."""
-    detections = []
-    for key in sorted(dataset.fixes):
-        vehicle, line_code, day = key
-        for itinerary in sorted(dataset.itineraries_for(line_code), key=lambda i: i.direction):
-            marks = match_fixes(dataset.fixes[key], itinerary, dataset.stops)
-            segmentation = segment_trips(marks, itinerary)
-            for segment in segmentation.segments:
-                result = detect(itinerary, segment, day=day, vehicle_id=vehicle)
-                if result.accepted:
-                    detections.append(result.itinerary)
-    return detections
+    """The accepted itineraries of ``pipeline.run_detection`` at the default config."""
+    return [
+        result.itinerary
+        for outcome in run_detection(dataset, PipelineConfig())
+        for result in outcome.results
+        if result.accepted
+    ]
 
 
 def marks_at(itinerary: ItineraryDef, *stop_times: tuple[str, int]) -> Marks:

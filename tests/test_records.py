@@ -146,6 +146,17 @@ def test_parse_line_points_conflicting_coordinates_rejected():
         records.parse_line_points(lines_stream(*recs))
 
 
+def test_parse_line_points_separator_in_stop_id_rejected():
+    # clusters.csv and the stops columns of od_results.csv and od_paths.csv
+    # join stop ids with ';', so such an id would not read back as one stop
+    recs = [
+        _point_record("S1", -25.4, -49.3, seq=1),
+        _point_record("S;2", -25.5, -49.3, seq=2),
+    ]
+    with pytest.raises(RecordError, match="^line 2: stop_id 'S;2' contains ';'"):
+        records.parse_line_points(lines_stream(*recs))
+
+
 def test_parse_line_points_near_coordinates_tolerated():
     recs = [
         _point_record("S1", -25.4, -49.3, seq=1),
@@ -282,7 +293,7 @@ def _reference_parse(stream):
             )
         except RecordError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RecordError(line_no, str(exc)) from None
         key = (fix.vehicle_id, fix.day, fix.time_s, fix.lat, fix.lon, fix.line_code)
         if key in seen:
@@ -418,6 +429,7 @@ _MALFORMED = {
     "NaN latitude": lambda r: json.dumps(r | {"lat": float("nan")}),
     "NaN longitude": lambda r: json.dumps(r | {"lon": "nan"}),
     "null coordinate": lambda r: json.dumps(r | {"lat": None}),
+    "huge integer latitude": lambda r: json.dumps(r | {"lat": 10**400}),
 }
 
 

@@ -19,6 +19,7 @@ from bustrace.routing import (
     nearest_stops,
     ride_node,
     stop_node,
+    stop_sequence,
     yen_k_shortest,
 )
 from bustrace.synthetic import two_corridor_network, two_corridor_od_pairs
@@ -479,7 +480,7 @@ def test_trip_same_stop_origin_destination_zero_distance():
     assert trip.feasible
     assert trip.distance_m == 0.0
     assert trip.transfers == 0
-    assert trip.stop_sequence() == ["A"]
+    assert stop_sequence(trip.path) == ["A"]
 
 
 def test_trip_infeasible_when_no_stop_in_radius():

@@ -58,7 +58,7 @@ print(f"{len(detections)} trips reconstructed across {len(dataset.lines)} lines"
 
 passages = PassageTable.from_itineraries(detections)
 merged, categories = merge_terminals(passages, dataset.stops)
-series = build_availability(merged, window_minutes=10)
+series = build_availability(merged, [10])[10]
 
 print("\nmean buses per 10-minute window, by category (selected hours):")
 means = aggregate_by_category(series, categories)

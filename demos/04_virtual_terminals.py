@@ -91,7 +91,7 @@ print(f"{len(detections)} trips reconstructed")
 
 passages = PassageTable.from_itineraries(detections)
 times = passages.times_by_stop()
-series = build_availability(times, window_minutes=10)
+series = build_availability(times, [10])[10]
 averages = {key: daily_average(s) for key, s in series.items()}
 categories = {key: StopType.STREET_STOP for key in averages}
 outliers = find_outlier_stops(averages, categories)
@@ -106,7 +106,7 @@ for cluster in enriched:
         f"lines={sorted(cluster.lines_served)} avg_buses={cluster.avg_buses:.2f}"
     )
 
-profile = cluster_sync_profile(enriched[0].member_list, times, windows=SYNC_WINDOW_SET)
+profile = cluster_sync_profile(enriched[0].member_list, build_availability(times, SYNC_WINDOW_SET))
 print("\nmean pairwise correlation inside the cluster:")
 print("window:  " + "  ".join(f"{w:>5d}" for w in SYNC_WINDOW_SET))
 for period in ("morning", "midday", "evening"):

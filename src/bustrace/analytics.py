@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import date
 from typing import Iterable, Mapping, Sequence
 
@@ -56,16 +56,36 @@ class AvailabilitySeries:
         return np.arange(self.span[0], self.span[1] - self.window_minutes + 1)
 
 
-@dataclass(frozen=True)
+# The columns of a passage table, those of ``detected_itineraries.csv`` in
+# file order, and for each id column the field holding its sorted ids.
+PASSAGE_COLUMNS = (
+    "line_code", "direction", "vehicle_id", "day", "trip", "position", "stop_id", "time_s", "observed",
+)
+ID_NAMES = {
+    "line_code": "line_codes", "direction": "directions", "vehicle_id": "vehicle_ids", "stop_id": "stop_ids",
+}
+
+
+def _encode_ids(values) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ids of ``values`` and each value's int32 code into them."""
+    ids, codes = np.unique(np.asarray(values, dtype=str), return_inverse=True)
+    return ids, codes.reshape(-1).astype(np.int32)
+
+
+@dataclass(frozen=True, eq=False)
 class PassageTable:
     """Timed stop passages of detected trips, one row per (trip, position).
 
     The columns are those of ``detected_itineraries.csv``, in file order,
-    each a numpy array of the same length. ``trip`` numbers the trips of
-    one (line, direction, vehicle, day) group from 1; ``time_s`` holds
-    seconds of day rounded to whole seconds as the file writes them, and
-    ``observed`` is False for an interpolated time. A table built from the
-    trips in memory equals the one read back from that file.
+    each a numpy array of the same length. ``line_code``, ``direction``,
+    ``vehicle_id`` and ``stop_id`` are int32 codes into the sorted distinct
+    ids ``line_codes``, ``directions``, ``vehicle_ids`` and ``stop_ids``, so
+    code order is id order; :meth:`column` gives the ids themselves.
+    ``trip`` numbers the trips of one (line, direction, vehicle, day) group
+    from 1; ``time_s`` holds seconds of day rounded to whole seconds as the
+    file writes them, and ``observed`` is False for an interpolated time.
+    A table built from the trips in memory equals the one read back from
+    that file.
     """
 
     line_code: np.ndarray
@@ -77,24 +97,42 @@ class PassageTable:
     stop_id: np.ndarray
     time_s: np.ndarray
     observed: np.ndarray
+    line_codes: np.ndarray
+    directions: np.ndarray
+    vehicle_ids: np.ndarray
+    stop_ids: np.ndarray
 
     def __post_init__(self):
         dtypes = {"day": "datetime64[D]", "trip": np.int64, "position": np.int64,
-                  "time_s": np.int64, "observed": bool}
+                  "time_s": np.int64, "observed": bool, **dict.fromkeys(ID_NAMES, np.int32)}
         for f in fields(self):
             column = np.asarray(getattr(self, f.name), dtype=dtypes.get(f.name, str))
             object.__setattr__(self, f.name, column)
-        if len({getattr(self, f.name).shape for f in fields(self)}) > 1:
+        if len({getattr(self, name).shape for name in PASSAGE_COLUMNS}) > 1:
             raise ValueError("passage columns must have equal lengths")
+        for name, ids_name in ID_NAMES.items():
+            codes, ids = getattr(self, name), getattr(self, ids_name)
+            if np.any(ids[1:] <= ids[:-1]):
+                raise ValueError(f"{ids_name} must be sorted and distinct")
+            if len(codes) and not 0 <= codes.min() <= codes.max() < len(ids):
+                raise ValueError(f"{name} codes must index {ids_name}")
 
     def __len__(self) -> int:
         return len(self.time_s)
 
     @classmethod
+    def from_columns(cls, **columns) -> "PassageTable":
+        """A table of the nine columns, the id columns given as ids."""
+        coded = {}
+        for name, ids_name in ID_NAMES.items():
+            coded[ids_name], coded[name] = _encode_ids(columns.pop(name))
+        return cls(**columns, **coded)
+
+    @classmethod
     def from_itineraries(cls, itineraries: Iterable[DetectedItinerary]) -> "PassageTable":
         trips = list(itineraries)
         if not trips:
-            return cls(*[()] * len(fields(cls)))
+            return cls.from_columns(**dict.fromkeys(PASSAGE_COLUMNS, ()))
         numbers: dict[tuple, int] = {}
         trip = []
         for det in trips:
@@ -102,39 +140,55 @@ class PassageTable:
             numbers[key] = numbers.get(key, 0) + 1
             trip.append(numbers[key])
         sizes = [len(det.stop_ids) for det in trips]
-        line_code, direction, vehicle_id, day = (
-            np.repeat([getattr(det, name) for det in trips], sizes)
-            for name in ("line_code", "direction", "vehicle_id", "day")
-        )
+        coded = {}
+        for name in ("line_code", "direction", "vehicle_id"):
+            coded[ID_NAMES[name]], codes = _encode_ids([getattr(det, name) for det in trips])
+            coded[name] = np.repeat(codes, sizes)
+        coded["stop_ids"], coded["stop_id"] = _encode_ids(np.concatenate([det.stop_ids for det in trips]))
         position = np.arange(sum(sizes)) + 1 - np.repeat(np.cumsum(sizes) - sizes, sizes)
         return cls(
-            line_code,
-            direction,
-            vehicle_id,
-            day,
-            np.repeat(trip, sizes),
-            position,
-            np.concatenate([det.stop_ids for det in trips]),
-            round_to_second(np.concatenate([det.time_s for det in trips])),
-            np.concatenate([det.observed for det in trips]),
+            day=np.repeat(np.array([det.day for det in trips], dtype="datetime64[D]"), sizes),
+            trip=np.repeat(trip, sizes),
+            position=position,
+            time_s=round_to_second(np.concatenate([det.time_s for det in trips])),
+            observed=np.concatenate([det.observed for det in trips]),
+            **coded,
         )
 
+    def column(self, name: str) -> np.ndarray:
+        """The values of one of the nine columns, ids for an id column."""
+        values = getattr(self, name)
+        return getattr(self, ID_NAMES[name])[values] if name in ID_NAMES else values
+
     def select(self, mask: np.ndarray) -> "PassageTable":
-        return PassageTable(*(getattr(self, f.name)[mask] for f in fields(self)))
+        """The rows under ``mask``; the ids stay those of this table."""
+        rows = {name: getattr(self, name)[mask] for name in PASSAGE_COLUMNS}
+        return replace(self, **rows)
+
+    def at_stops(self, stop_ids: Sequence[str]) -> np.ndarray:
+        """Whether each row passes one of ``stop_ids``: a lookup over stop codes."""
+        wanted = np.asarray(stop_ids, dtype=str)
+        codes = np.searchsorted(self.stop_ids, wanted)
+        known = codes < len(self.stop_ids)
+        codes = codes[known][self.stop_ids[codes[known]] == wanted[known]]
+        member = np.zeros(len(self.stop_ids), dtype=bool)
+        member[codes] = True
+        return member[self.stop_id]
 
     def times_by_stop(self) -> dict[str, np.ndarray]:
-        return group_times(self.stop_id, self.time_s)
+        return group_times(self.stop_id, self.time_s, self.stop_ids)
 
 
-def group_times(keys: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
-    """Ascending times per distinct key, in key order.
+def group_times(codes: np.ndarray, times: np.ndarray, ids: np.ndarray) -> dict[str, np.ndarray]:
+    """Ascending times per distinct code, keyed by its id ``ids[code]``, in code order.
 
-    The one passage index: stops, merged terminals and vehicles are all
-    grouped here.
+    The one passage index: stops and merged terminals are grouped here.
     """
-    order = np.lexsort((times, keys))
-    unique, starts = np.unique(keys[order], return_index=True)
-    return dict(zip(unique.tolist(), np.split(times[order], starts[1:])))
+    order = np.lexsort((times, codes))
+    sorted_codes = codes[order]
+    cuts = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
+    keys = ids[sorted_codes[np.concatenate(([0], cuts))]].tolist() if len(order) else []
+    return dict(zip(keys, np.split(times[order], cuts)))
 
 
 def merge_terminals(
@@ -145,10 +199,10 @@ def merge_terminals(
     Returns the ascending passage times per key plus a category map for
     every key. Non-terminal stops pass through unchanged.
     """
-    stop_ids, rows = np.unique(passages.stop_id, return_inverse=True)
+    present = np.unique(passages.stop_id)
     keys: list[str] = []
     categories: dict[str, StopType] = {}
-    for stop_id in stop_ids.tolist():
+    for stop_id in passages.stop_ids[present].tolist():
         stop = stops.get(stop_id)
         if stop is not None and stop.stop_type is StopType.TERMINAL:
             key = f"terminal:{stop.name}"
@@ -156,7 +210,10 @@ def merge_terminals(
             key = stop_id
         keys.append(key)
         categories[key] = stop.stop_type if stop is not None else StopType.STREET_STOP
-    return group_times(np.array(keys, dtype=str)[rows], passages.time_s), categories
+    key_ids, key_codes = _encode_ids(keys)
+    key_of_stop = np.zeros(len(passages.stop_ids), dtype=np.int32)
+    key_of_stop[present] = key_codes
+    return group_times(key_of_stop[passages.stop_id], passages.time_s, key_ids), categories
 
 
 def moving_window_counts(
@@ -179,22 +236,61 @@ def moving_window_counts(
     return (hi - lo).astype(np.int64)
 
 
+def window_counts(
+    codes: np.ndarray,
+    times: np.ndarray,
+    n_keys: int,
+    windows: Sequence[int],
+    span: tuple[int, int] = DEFAULT_SPAN_MINUTES,
+) -> dict[int, np.ndarray]:
+    """Passages per key in each window [m, m + W) of the span, for every W.
+
+    Passage i belongs to key ``codes[i]`` (0 to ``n_keys`` - 1) and lies at
+    ``times[i]`` seconds of day. Gives, per window size W, an int64 array
+    of one row per key and one column per start minute m from span[0]
+    through span[1] - W, as :func:`moving_window_counts` counts each key.
+    All are differences of one cumulative per-minute histogram: a time t
+    lies in [m * 60, (m + W) * 60) exactly when its minute t // 60 lies in
+    [m, m + W).
+    """
+    if any(w < 1 for w in windows):
+        raise ValueError("window must be at least one minute")
+    start, end = span
+    minutes = np.floor_divide(np.asarray(times), 60)
+    inside = (minutes >= start) & (minutes < end)  # False for NaN
+    width = end - start
+    bins = np.asarray(codes, dtype=np.int64)[inside] * width + (minutes[inside] - start).astype(np.int64)
+    cumulative = np.zeros((n_keys, width + 1), dtype=np.int64)
+    per_minute = np.bincount(bins, minlength=n_keys * width).reshape(n_keys, width)
+    np.cumsum(per_minute, axis=1, out=cumulative[:, 1:])
+    return {w: cumulative[:, w:] - cumulative[:, :-w] for w in windows}
+
+
 def build_availability(
     times: Mapping[str, np.ndarray],
-    window_minutes: int = DEFAULT_WINDOW_MINUTES,
+    windows: Sequence[int] = (DEFAULT_WINDOW_MINUTES,),
     span: tuple[int, int] = DEFAULT_SPAN_MINUTES,
     day: date | None = None,
-) -> dict[str, AvailabilitySeries]:
-    """One series per key of the passage times by key."""
+) -> dict[int, dict[str, AvailabilitySeries]]:
+    """Per window size, one series per key of the passage times by key.
+
+    Every key and every window is counted from one histogram
+    (:func:`window_counts`).
+    """
+    arrays = [np.asarray(key_times) for key_times in times.values()]
+    counts = window_counts(
+        np.repeat(np.arange(len(arrays)), [len(a) for a in arrays]),
+        np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64),
+        len(arrays),
+        windows,
+        span,
+    )
     return {
-        key: AvailabilitySeries(
-            key=key,
-            window_minutes=window_minutes,
-            counts=moving_window_counts(key_times, window_minutes, span),
-            span=span,
-            day=day,
-        )
-        for key, key_times in times.items()
+        w: {
+            key: AvailabilitySeries(key=key, window_minutes=w, counts=row, span=span, day=day)
+            for key, row in zip(times, counts[w])
+        }
+        for w in windows
     }
 
 
@@ -336,8 +432,11 @@ class CorrelationMatrix:
     values: np.ndarray
     period: str | None = None
 
+    def __post_init__(self):
+        self._index = {key: i for i, key in enumerate(self.keys)}
+
     def entry(self, a: str, b: str) -> float:
-        return float(self.values[self.keys.index(a), self.keys.index(b)])
+        return float(self.values[self._index[a], self._index[b]])
 
 
 def correlation_matrix(
@@ -352,27 +451,25 @@ def correlation_matrix(
 
 def cluster_sync_profile(
     member_keys: Sequence[str],
-    times: Mapping[str, np.ndarray],
+    series: Mapping[int, Mapping[str, AvailabilitySeries]],
     periods: Sequence[Period] = DEFAULT_PERIODS,
-    windows: Sequence[int] = SYNC_WINDOW_SET,
-    span: tuple[int, int] = DEFAULT_SPAN_MINUTES,
 ) -> dict[tuple[str, int], float | None]:
     """Mean pairwise correlation of member-stop series per (period, window).
 
-    ``times`` maps stop ids to their passage times. Pairs whose correlation
-    is undefined are left out of the mean; a cell with no defined pair at
-    all is None. Requires at least two members with passage data.
+    ``series`` maps each window size to the series by stop id, as
+    :func:`build_availability` gives them; members without a series have
+    no passage data. Pairs whose correlation is undefined are left out of
+    the mean; a cell with no defined pair at all is None. Requires at least
+    two members with passage data.
     """
-    members = [k for k in member_keys if k in times]
-    if len(members) < 2:
-        raise ValueError("synchronization profile needs at least 2 member stops with passages")
-
-    pairs = np.triu_indices(len(members), 1)
     profile: dict[tuple[str, int], float | None] = {}
-    for window in windows:
-        series = build_availability({k: times[k] for k in members}, window, span)
+    for window, by_key in series.items():
+        members = [k for k in member_keys if k in by_key]
+        if len(members) < 2:
+            raise ValueError("synchronization profile needs at least 2 member stops with passages")
+        pairs = np.triu_indices(len(members), 1)
         for period in periods:
-            rs = pearson_matrix([restrict_to_period(series[k], period) for k in members])[pairs]
+            rs = pearson_matrix([restrict_to_period(by_key[k], period) for k in members])[pairs]
             rs = rs[~np.isnan(rs)]
             profile[(period.name, window)] = float(np.mean(rs)) if rs.size else None
     return profile

@@ -17,10 +17,9 @@ from .analytics import (
     DEFAULT_SPAN_MINUTES,
     DEFAULT_WINDOW_MINUTES,
     PassageTable,
-    group_times,
-    moving_window_counts,
     pearson,
     pearson_p_value,
+    window_counts,
 )
 from .geo import nearest_stops
 from .model import BusStop
@@ -111,13 +110,18 @@ def cluster_availability_counts(
 
     A vehicle touching several member stops inside one window counts once,
     so the cluster series reflects buses available rather than raw passage
-    volume.
+    volume. Days are pooled: passages count at their time of day.
     """
-    counts = moving_window_counts((), window_minutes, span)
-    rows = np.isin(passages.stop_id, list(members))
-    for times in group_times(passages.vehicle_id[rows], passages.time_s[rows]).values():
-        counts += moving_window_counts(times, window_minutes, span) > 0
-    return counts
+    return _distinct_vehicles(passages, passages.at_stops(members), window_minutes, span)
+
+
+def _distinct_vehicles(
+    passages: PassageTable, rows: np.ndarray, window_minutes: int, span: tuple[int, int]
+) -> np.ndarray:
+    """Per window, the vehicles with a passage among ``rows`` in it."""
+    vehicles, vehicle = np.unique(passages.vehicle_id[rows], return_inverse=True)
+    counts = window_counts(vehicle, passages.time_s[rows], len(vehicles), [window_minutes], span)
+    return np.count_nonzero(counts[window_minutes], axis=0).astype(np.int64)
 
 
 def cluster_stats(
@@ -129,11 +133,9 @@ def cluster_stats(
     """Fill per-cluster averages and line sets; correlate them across clusters."""
     enriched: list[Cluster] = []
     for cluster in clusters:
-        counts = cluster_availability_counts(
-            cluster.member_list, passages, window_minutes, span
-        )
-        rows = np.isin(passages.stop_id, cluster.member_list)
-        lines = frozenset(passages.line_code[rows].tolist())
+        rows = passages.at_stops(cluster.member_list)
+        counts = _distinct_vehicles(passages, rows, window_minutes, span)
+        lines = frozenset(passages.line_codes[np.unique(passages.line_code[rows])].tolist())
         enriched.append(
             replace(cluster, avg_buses=float(np.mean(counts)), lines_served=lines)
         )

@@ -13,9 +13,11 @@ are byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date
@@ -25,7 +27,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import analytics, clustering, detection, matching, routing, synthetic
-from .detection import GroupOutcome, Provenance, TagReport, format_time_of_day, parse_time_of_day
+from .detection import GroupOutcome, Provenance, TagReport, format_time_of_day
 from .model import BusStop, Dataset, StopType, validate_dataset
 from .records import STOP_ID_SEPARATOR, load_dataset
 
@@ -252,22 +254,37 @@ def run_detection(dataset: Dataset, config: PipelineConfig) -> list[GroupOutcome
     return outcomes
 
 
+def _clock_texts(seconds: np.ndarray) -> np.ndarray:
+    """'HH:MM:SS' of each whole number of seconds, as :func:`format_time_of_day` writes it.
+
+    Digits are laid out as bytes; only hours outside 00-99 go through that function.
+    """
+    if np.any((seconds < 0) | (seconds >= 100 * 3600)):
+        return np.array([format_time_of_day(t) for t in seconds.tolist()], dtype=str)
+    hours, rest = np.divmod(seconds, 3600)
+    minutes, secs = np.divmod(rest, 60)
+    text = np.full((len(seconds), 8), ord(":"), dtype=np.uint8)
+    for at, value in ((0, hours), (3, minutes), (6, secs)):
+        text[:, at] = value // 10 + ord("0")
+        text[:, at + 1] = value % 10 + ord("0")
+    return text.view("S8").ravel().astype(str)
+
+
 def write_detection_artifacts(
     out_dir: Path, passages: analytics.PassageTable, report: TagReport
 ) -> list[Path]:
     detected = out_dir / DETECTED_FILE
     days, day_rows = np.unique(passages.day, return_inverse=True)
     times, time_rows = np.unique(passages.time_s, return_inverse=True)
-    clock = np.array([format_time_of_day(t) for t in times.tolist()], dtype=str)
     columns = [
-        passages.line_code.tolist(),
-        passages.direction.tolist(),
-        passages.vehicle_id.tolist(),
+        passages.column("line_code").tolist(),
+        passages.column("direction").tolist(),
+        passages.column("vehicle_id").tolist(),
         np.datetime_as_string(days)[day_rows].tolist(),
         passages.trip.tolist(),
         passages.position.tolist(),
-        passages.stop_id.tolist(),
-        clock[time_rows].tolist(),
+        passages.column("stop_id").tolist(),
+        _clock_texts(times)[time_rows].tolist(),
         np.where(passages.observed, Provenance.OBSERVED.value, Provenance.INTERPOLATED.value).tolist(),
     ]
     with atomic_write(detected, newline="") as f:
@@ -285,27 +302,188 @@ def write_detection_artifacts(
 
 
 def read_detection_rows(out_dir: Path, stage: str) -> analytics.PassageTable:
-    """The passage table of the detection CSV in ``out_dir``."""
+    """The passage table of the detection CSV in ``out_dir``.
+
+    The file's bytes are cut into cells at its commas and newlines, one
+    byte-string column per CSV column. A file holding a quote or a carriage
+    return, which only :func:`csv.reader` splits right, is read with it
+    instead. Either way every cell is then checked (:func:`_passage_table`).
+    """
     path = out_dir / DETECTED_FILE
     if not path.is_file():
         raise MissingDependencyError(stage, DETECTED_FILE)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != DETECTION_HEADER:
-            raise ValueError(f"{DETECTED_FILE} has header {header}, expected {DETECTION_HEADER}")
-        rows = list(reader)
+    raw = path.read_bytes()
+    split = _csv_cells if b'"' in raw or b"\r" in raw else _byte_cells
+    header, columns = split(raw)
+    if header != DETECTION_HEADER:
+        raise ValueError(f"{DETECTED_FILE} has header {header}, expected {DETECTION_HEADER}")
+    return _passage_table(columns)
+
+
+def _ragged(row: int) -> ValueError:
+    return ValueError(f"{DETECTED_FILE} data row {row} does not have {len(DETECTION_HEADER)} cells")
+
+
+def _byte_cells(raw: bytes) -> tuple[list[str] | None, list[np.ndarray]]:
+    """Header and cell columns of a CSV without quotes or carriage returns.
+
+    The columns, returned once the header matches, are byte-string arrays.
+    """
+    if not raw:
+        return None, []
+    data = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    first = raw[: ends[0]]
+    header = first.decode("utf-8").split(",") if first else []
+    if header != DETECTION_HEADER:
+        return header, []
+    n_cells = len(DETECTION_HEADER)
+    commas = np.flatnonzero(data == ord(","))
+    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
+    ragged = np.flatnonzero(per_line[1:] != n_cells - 1)
+    if len(ragged):
+        raise _ragged(int(ragged[0]) + 1)
+    bounds = np.empty((len(ends) - 1, n_cells + 1), dtype=np.int64)
+    bounds[:, 0] = ends[:-1]  # the newline before the row
+    bounds[:, 1:-1] = commas[n_cells - 1 :].reshape(-1, n_cells - 1)
+    bounds[:, -1] = ends[1:]
+    return header, [_gather(data, bounds[:, j] + 1, bounds[:, j + 1]) for j in range(n_cells)]
+
+
+def _gather(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The byte strings ``data[starts[i]:stops[i]]`` as one byte-string array."""
+    lengths = stops - starts
+    width = max(int(lengths.max(initial=0)), 1)
+    cells = np.empty((len(starts), width), dtype=np.uint8)
+    for k in range(width):
+        inside = lengths > k
+        cells[:, k] = np.where(inside, data[np.where(inside, starts + k, 0)], 0)
+    return cells.view(f"S{width}").ravel()
+
+
+def _csv_cells(raw: bytes) -> tuple[list[str] | None, list[np.ndarray]]:
+    """Header and cell columns as :func:`csv.reader` splits the text."""
+    reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+    header = next(reader, None)
+    if header != DETECTION_HEADER:
+        return header, []
+    rows = list(reader)
     ragged = next((i for i, row in enumerate(rows) if len(row) != len(DETECTION_HEADER)), None)
     if ragged is not None:
-        raise ValueError(f"{DETECTED_FILE} data row {ragged + 1} does not have {len(DETECTION_HEADER)} cells")
-    columns = list(zip(*rows)) or [()] * len(DETECTION_HEADER)
-    *head, time, provenance = columns
-    seconds = {text: parse_time_of_day(text) for text in set(time)}
+        raise _ragged(ragged + 1)
+    columns = zip(*rows) if rows else [()] * len(DETECTION_HEADER)
+    return header, [np.array([cell.encode("utf-8") for cell in column], dtype=bytes) for column in columns]
+
+
+def _passage_table(columns: list[np.ndarray]) -> analytics.PassageTable:
+    """The passage table of the detection CSV's byte-string cell columns.
+
+    A ValueError names the first data row holding a bad cell: a day not
+    written YYYY-MM-DD or not in the calendar, a trip or position that is
+    not a decimal integer, a time not written HH:MM:SS with minutes and
+    seconds below 60 (the hours may pass 23, and take two to nine digits),
+    or a provenance other than OBSERVED and INTERPOLATED.
+    """
+    line_code, direction, vehicle_id, day, trip, position, stop_id, time, provenance = columns
+    days, bad_day = _dates(day)
+    trips, bad_trip = _decimals(trip)
+    positions, bad_position = _decimals(position)
+    seconds, bad_time = _clock_seconds(time)
+    observed = provenance == Provenance.OBSERVED.value.encode()
+    bad_provenance = ~observed & (provenance != Provenance.INTERPOLATED.value.encode())
+    checks = [
+        ("day", day, bad_day, "a date YYYY-MM-DD"),
+        ("trip", trip, bad_trip, "a decimal integer"),
+        ("position", position, bad_position, "a decimal integer"),
+        ("time", time, bad_time, "a time HH:MM:SS"),
+        ("provenance", provenance, bad_provenance, "OBSERVED or INTERPOLATED"),
+    ]
+    failures = [(int(np.argmax(bad)), i) for i, (_, _, bad, _) in enumerate(checks) if bad.any()]
+    if failures:
+        row, i = min(failures)
+        name, cells, _, expected = checks[i]
+        cell = cells[row].decode("utf-8", "replace")
+        raise ValueError(f"{DETECTED_FILE} data row {row + 1}: {name} {cell!r} is not {expected}")
+    ids = {}
+    for name, cells in (("line_code", line_code), ("direction", direction),
+                        ("vehicle_id", vehicle_id), ("stop_id", stop_id)):
+        names, codes = np.unique(cells, return_inverse=True)
+        ids[name] = codes.reshape(-1)
+        ids[analytics.ID_NAMES[name]] = [text.decode("utf-8") for text in names.tolist()]
     return analytics.PassageTable(
-        *head,
-        [seconds[text] for text in time],
-        np.asarray(provenance) == Provenance.OBSERVED.value,
+        day=days, trip=trips, position=positions, time_s=seconds, observed=observed, **ids
     )
+
+
+def _digits(cells: np.ndarray, width: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's bytes as digit values, at least ``width`` of them, and its length.
+
+    A byte past the end of a cell has the value -48.
+    """
+    cells = cells.astype(f"S{max(width, cells.dtype.itemsize)}")
+    raw = cells.view(np.uint8).reshape(len(cells), cells.dtype.itemsize)
+    return raw.astype(np.int64) - ord("0"), np.count_nonzero(raw, axis=1)
+
+
+def _all_digits(digits: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """Whether the bytes before column ``below`` of each row are all ASCII digits."""
+    inside = np.arange(digits.shape[1]) < below[:, None]
+    return np.all(~inside | ((digits >= 0) & (digits <= 9)), axis=1)
+
+
+def _leading_number(digits: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The number written by the first ``length`` digits of each row."""
+    value = np.zeros(len(digits), dtype=np.int64)
+    for k in range(digits.shape[1]):
+        value = np.where(k < length, value * 10 + digits[:, k], value)
+    return value
+
+
+def _decimals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of cells holding 1 to 18 ASCII digits, and which cells do not."""
+    digits, length = _digits(cells)
+    ok = (length >= 1) & (length <= 18) & _all_digits(digits, length)
+    return np.where(ok, _leading_number(digits, length), 0), ~ok
+
+
+def _clock_seconds(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Seconds of cells written HH:MM:SS, and which cells are not.
+
+    The hours take 2 to 9 digits; minutes and seconds are below 60.
+    """
+    digits, length = _digits(cells, 8)
+    ok = (length >= 8) & (length <= 15)
+    hour_digits = np.where(ok, length - 6, 2)
+    at = hour_digits[:, None] + np.arange(6)  # the bytes after the hours: ":MM:SS"
+    colon1, m1, m0, colon2, s1, s0 = np.take_along_axis(digits, at, axis=1).T
+    colon = ord(":") - ord("0")
+    ok &= (colon1 == colon) & (colon2 == colon) & _all_digits(digits, hour_digits)
+    for tens, ones in ((m1, m0), (s1, s0)):
+        ok &= (tens >= 0) & (tens <= 5) & (ones >= 0) & (ones <= 9)
+    hours = _leading_number(digits, hour_digits)
+    seconds = hours * 3600 + (m1 * 10 + m0) * 60 + s1 * 10 + s0
+    return np.where(ok, seconds, 0), ~ok
+
+
+_DATE = re.compile(rb"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _dates(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Days of cells written YYYY-MM-DD, and which cells are not calendar days."""
+    distinct, inverse = np.unique(cells, return_inverse=True)
+    days = np.zeros(len(distinct), dtype="datetime64[D]")
+    ok = np.zeros(len(distinct), dtype=bool)
+    for i, text in enumerate(distinct.tolist()):
+        if _DATE.fullmatch(text):
+            try:
+                days[i] = date.fromisoformat(text.decode("ascii"))
+                ok[i] = True
+            except ValueError:
+                pass  # not in the calendar
+    inverse = inverse.reshape(-1)
+    return days[inverse], ~ok[inverse]
 
 
 # ── Validate stage ──────────────────────────────────────────────────────
@@ -351,8 +529,8 @@ def run_analyze(
         )
         categories.update(day_categories)
         day_series = analytics.build_availability(
-            merged, config.window_minutes, config.span_minutes, day
-        )
+            merged, [config.window_minutes], config.span_minutes, day
+        )[config.window_minutes]
         series.update(((day, key), s) for key, s in day_series.items())
 
     availability = out_dir / AVAILABILITY_FILE
@@ -495,6 +673,7 @@ def run_cluster(
 
     # Days are pooled: every passage counts at its time of day.
     times = passages.times_by_stop()
+    windows = sorted({config.window_minutes, *config.window_set})
     corr_rows = []
     profile_rows = []
     profiles = []
@@ -504,10 +683,10 @@ def run_cluster(
         if len(members) < 2:
             continue
         series = analytics.build_availability(
-            {m: times[m] for m in members}, config.window_minutes, config.span_minutes
+            {m: times[m] for m in members}, windows, config.span_minutes
         )
         for period in period_choices:
-            matrix = analytics.correlation_matrix(series, members, period)
+            matrix = analytics.correlation_matrix(series[config.window_minutes], members, period)
             label = period.name if period else "full_day"
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
@@ -516,7 +695,7 @@ def run_cluster(
                         (cluster.cluster_id, label, a, b, None if math.isnan(value) else value)
                     )
         profile = analytics.cluster_sync_profile(
-            members, times, config.periods, config.window_set, config.span_minutes
+            members, {w: series[w] for w in config.window_set}, config.periods
         )
         profiles.append(profile)
         for (period_name, window), value in sorted(profile.items()):

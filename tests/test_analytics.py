@@ -1,6 +1,5 @@
 import logging
 import tempfile
-from dataclasses import fields
 from datetime import date
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 from bustrace.analytics import (
     DEFAULT_PERIODS,
+    PASSAGE_COLUMNS,
     AvailabilitySeries,
     PassageTable,
     aggregate_by_category,
@@ -96,6 +96,43 @@ def test_windows_nest(times, w_small, extra):
 def test_window_requires_positive_width():
     with pytest.raises(ValueError):
         moving_window_counts([], 0)
+
+
+def _minute_times(span_minutes):
+    """Seconds of day around and outside a span, many of them on a minute boundary."""
+    lo, hi = (span_minutes[0] - 3) * 60, (span_minutes[1] + 3) * 60
+    return st.integers(lo // 60, hi // 60).map(lambda m: m * 60) | st.integers(lo, hi) | st.floats(lo, hi)
+
+
+@st.composite
+def _keyed_times(draw):
+    start = draw(st.integers(0, 1400))
+    span = (start, start + draw(st.integers(1, 60)))
+    keys = draw(st.lists(st.text("AB9", min_size=1, max_size=3), min_size=1, max_size=8, unique=True))
+    times = {key: draw(st.lists(_minute_times(span), max_size=12)) for key in keys}
+    windows = draw(st.lists(st.integers(1, span[1] - span[0] + 2), min_size=1, max_size=5))
+    return times, windows, span
+
+
+@given(_keyed_times())
+@settings(max_examples=300, deadline=None)
+def test_build_availability_counts_every_window_like_moving_window_counts(case):
+    times, windows, span = case
+    series = build_availability(times, windows, span)
+    assert sorted(series) == sorted(set(windows))
+    for window, by_key in series.items():
+        assert list(by_key) == list(times)
+        for key, key_times in times.items():
+            expected = moving_window_counts(key_times, window, span)
+            assert by_key[key].counts.dtype == expected.dtype
+            assert np.array_equal(by_key[key].counts, expected), (key, window)
+            assert np.array_equal(by_key[key].start_minutes, np.arange(span[0], span[1] - window + 1))
+
+
+def test_build_availability_of_no_keys():
+    assert build_availability({}, (10, 15)) == {10: {}, 15: {}}
+    with pytest.raises(ValueError):
+        build_availability({"A": [30000]}, (0,))
 
 
 # ── aggregation ─────────────────────────────────────────────────────────
@@ -296,9 +333,6 @@ _trip_times = st.lists(
 ).map(sorted)
 
 
-_COLUMNS = [f.name for f in fields(PassageTable)]
-
-
 def _group(det: DetectedItinerary) -> tuple:
     return (det.line_code, det.direction, det.vehicle_id, det.day)
 
@@ -327,7 +361,7 @@ def test_passage_table_from_trips_rounds_like_the_detection_csv(trips):
         for position, (stop_id, t, observed) in enumerate(entries, start=1):
             rows.append((det.line_code, det.direction, det.vehicle_id, det.day, trip,
                          position, stop_id, round_to_second(t), observed))
-    assert list(zip(*(getattr(table, name).tolist() for name in _COLUMNS))) == rows
+    assert list(zip(*(table.column(name).tolist() for name in PASSAGE_COLUMNS))) == rows
 
 
 def _to_odd_second(t: float) -> int:
@@ -362,7 +396,8 @@ def test_passage_table_round_trips_through_the_detection_csv(detections):
     with tempfile.TemporaryDirectory() as tmp:
         pipeline.write_detection_artifacts(Path(tmp), table, tag_report([], {}))
         back = pipeline.read_detection_rows(Path(tmp), "analyze")
-    for name in _COLUMNS:
+    for name in PASSAGE_COLUMNS:
+        assert np.array_equal(back.column(name), table.column(name)), name
         assert np.array_equal(getattr(back, name), getattr(table, name)), name
 
     by_group: dict[tuple, list[int]] = {}
@@ -376,10 +411,62 @@ def test_passage_table_round_trips_through_the_detection_csv(detections):
     assert table.observed.tolist() == [o for det in detections for o in det.observed.tolist()]
 
 
+def _small_detection_csv(directory: Path, quoted: bool) -> list[str]:
+    """Write a three-row detection CSV; with ``quoted``, one line code is a quoted cell."""
+    table = PassageTable.from_columns(
+        line_code=['L"1' if quoted else "L1", "L1", "L2"],
+        direction=["A", "A", "B"],
+        vehicle_id=["V1", "V1", "V2"],
+        day=["2022-11-07"] * 3,
+        trip=[1, 1, 1],
+        position=[1, 2, 1],
+        stop_id=["S1", "S2", "S1"],
+        time_s=[18000, 18060, 90000],
+        observed=[True, False, True],
+    )
+    pipeline.write_detection_artifacts(directory, table, tag_report([], {}))
+    return (directory / pipeline.DETECTED_FILE).read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_detection_csv_reader_reads_hours_past_midnight(tmp_path, quoted):
+    lines = _small_detection_csv(tmp_path, quoted)
+    assert lines[3].endswith(",S1,25:00:00,OBSERVED")
+    lines[3] = lines[3].replace("25:00:00", "100:00:01")
+    (tmp_path / pipeline.DETECTED_FILE).write_text("\n".join(lines), encoding="utf-8")  # no last newline
+    table = pipeline.read_detection_rows(tmp_path, "analyze")
+    assert table.time_s.tolist() == [18000, 18060, 360001]
+    assert table.observed.tolist() == [True, False, True]
+    assert table.column("line_code").tolist() == ['L"1' if quoted else "L1", "L1", "L2"]
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [("time", "05:75:00"), ("time", " 5:1:2"), ("time", "7:00:00"), ("time", "05:00:5"), ("time", "0a:00:00"),
+     ("time", "1234567890:00:00"), ("provenance", "OBSERVD"), ("trip", "+1"), ("trip", "1e3"),
+     ("position", "0x1"), ("position", "1234567890123456789"), ("day", "2022-11-07T00"), ("day", "2022-W45-1")],
+)
+def test_detection_csv_reader_refuses_bad_cells_alike_on_both_paths(tmp_path, column, cell):
+    messages = set()
+    for quoted in (False, True):
+        lines = _small_detection_csv(tmp_path, quoted)
+        cells = lines[2].split(",")
+        cells[pipeline.DETECTION_HEADER.index(column)] = cell
+        lines[2] = ",".join(cells)
+        (tmp_path / pipeline.DETECTED_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            pipeline.read_detection_rows(tmp_path, "analyze")
+        messages.add(str(caught.value))
+    assert messages == {f"detected_itineraries.csv data row 2: {column} {cell!r} is not "
+                        + {"time": "a time HH:MM:SS", "provenance": "OBSERVED or INTERPOLATED",
+                           "trip": "a decimal integer", "position": "a decimal integer",
+                           "day": "a date YYYY-MM-DD"}[column]}
+
+
 def _passages(times_by_stop, vehicle="V1", line="L1"):
     """Passage table of the given times per stop, to whole seconds; one trip per passage."""
     rows = [(stop, round(t)) for stop, times in times_by_stop.items() for t in times]
-    return PassageTable(
+    return PassageTable.from_columns(
         line_code=[line] * len(rows),
         direction=["A"] * len(rows),
         vehicle_id=[vehicle] * len(rows),
@@ -400,9 +487,9 @@ def test_sync_profile_two_members_equals_pair():
             "B": rng.uniform(300 * 60, 1380 * 60, 120),
         }
     ).times_by_stop()
-    profile = cluster_sync_profile(["A", "B"], passages, periods=DEFAULT_PERIODS, windows=(10,))
+    profile = cluster_sync_profile(["A", "B"], build_availability(passages, (10,)), DEFAULT_PERIODS)
     for period in DEFAULT_PERIODS:
-        series = build_availability(passages, 10)
+        series = build_availability(passages, [10])[10]
         a = restrict_to_period(series["A"], period)
         b = restrict_to_period(series["B"], period)
         expected = pearson(a, b)
@@ -416,7 +503,7 @@ def test_sync_profile_two_members_equals_pair():
 def test_sync_profile_identical_members_is_one():
     times = np.linspace(300 * 60, 1380 * 60, 200)
     passages = _passages({"A": times, "B": times}).times_by_stop()
-    profile = cluster_sync_profile(["A", "B"], passages, windows=(10, 20))
+    profile = cluster_sync_profile(["A", "B"], build_availability(passages, (10, 20)))
     for value in profile.values():
         assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -426,8 +513,8 @@ def test_sync_profile_three_members_matches_pair_enumeration():
     passages = _passages(
         {k: rng.uniform(300 * 60, 1380 * 60, 150) for k in ("A", "B", "C")}
     ).times_by_stop()
-    profile = cluster_sync_profile(["A", "B", "C"], passages, windows=(15,))
-    series = build_availability(passages, 15)
+    profile = cluster_sync_profile(["A", "B", "C"], build_availability(passages, (15,)))
+    series = build_availability(passages, [15])[15]
     for period in DEFAULT_PERIODS:
         rs = []
         for x, y in (("A", "B"), ("A", "C"), ("B", "C")):
@@ -442,7 +529,7 @@ def test_sync_profile_three_members_matches_pair_enumeration():
 
 def test_sync_profile_requires_two_members():
     with pytest.raises(ValueError, match="at least 2"):
-        cluster_sync_profile(["A"], _passages({"A": [30000]}).times_by_stop())
+        cluster_sync_profile(["A"], build_availability(_passages({"A": [30000]}).times_by_stop()))
 
 
 def test_mean_sync_across_clusters_skips_undefined():

@@ -404,20 +404,38 @@ def test_stages_after_detect_parse_no_fixes(tmp_path, monkeypatch):
     assert set(manifest["inputs"]) == {"lines_file", "line_points_file", "fixes_file"}
 
 
-@pytest.mark.parametrize("cut", ["header", "row"])
+# Corrupt cells of the detection CSV: "column=cell" replaces that column's
+# cell of data row 3.
+_BAD_CELLS = [
+    "time=05:75:00", "time= 5:1:2", "time=5:01:02", "time=05:00:60", "time=05:00", "time=05:00:00 ",
+    "provenance=OBSERVD", "provenance=observed",
+    "trip=1.5", "trip=", "position=-1", "position= 2",
+    "day=2024-02-30", "day=07/11/2022", "day=2022-11-7",
+]
+
+
+@pytest.mark.parametrize("cut", ["header", "row", *_BAD_CELLS])
 def test_malformed_detection_csv_is_refused(tmp_path, capsys, cut):
     config = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["detect", "--config", str(config), "--out", str(out)]) == 0
     detected = out / "detected_itineraries.csv"
     lines = detected.read_text(encoding="utf-8").splitlines()
-    index = 0 if cut == "header" else 3
-    lines[index] = lines[index].rsplit(",", 1)[0]
+    if cut in ("header", "row"):
+        index = 0 if cut == "header" else 3
+        lines[index] = lines[index].rsplit(",", 1)[0]
+    else:
+        column, cell = cut.split("=", 1)
+        cells = lines[3].split(",")
+        cells[lines[0].split(",").index(column)] = cell
+        lines[3] = ",".join(cells)
     detected.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert error["type"] == "ValueError"
     assert error["message"].startswith("detected_itineraries.csv ")
+    if cut not in ("header", "row"):
+        assert error["message"].startswith(f"detected_itineraries.csv data row 3: {column} {cell!r} ")
     assert not (out / "availability_by_category.csv").exists()
 
 

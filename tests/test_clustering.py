@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bustrace.analytics import PassageTable
 from bustrace.clustering import (
     Candidate,
+    Cluster,
     build_candidates,
     cluster_availability_counts,
     cluster_stats,
@@ -155,7 +158,7 @@ def test_unknown_candidate_rejected():
 
 def _passages(rows):
     """Passage table of (stop_id, time_s, vehicle_id, line_code) rows; one trip per row."""
-    return PassageTable(
+    return PassageTable.from_columns(
         line_code=[r[3] for r in rows],
         direction=["A"] * len(rows),
         vehicle_id=[r[2] for r in rows],
@@ -191,6 +194,51 @@ def test_stats_distinct_vehicles_counted_once_per_window():
         + cluster_availability_counts(["B"], passages)
     )
     assert per_stop_sum.max() == 2
+
+
+@st.composite
+def _pooled_days(draw):
+    """Passages of a few vehicles at a few stops over three days, and member stops."""
+    start = draw(st.integers(300, 1300))
+    span = (start, start + draw(st.integers(1, 40)))
+    lo, hi = (span[0] - 2) * 60, (span[1] + 2) * 60
+    time = st.integers(lo // 60, hi // 60).map(lambda m: m * 60) | st.integers(lo, hi)
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from("ABCD"), time, st.sampled_from(["V1", "V2", "V3"]),
+                  st.sampled_from(["2022-11-07", "2022-11-08", "2022-11-09"])),
+        max_size=30,
+    ))
+    members = draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=3, unique=True))
+    window = draw(st.integers(1, span[1] - span[0]))
+    return rows, members, window, span
+
+
+@given(_pooled_days())
+@settings(max_examples=300, deadline=None)
+def test_distinct_vehicle_counts_equal_a_brute_force_set_count(case):
+    rows, members, window, span = case
+    passages = PassageTable.from_columns(
+        line_code=["L1"] * len(rows),
+        direction=["A"] * len(rows),
+        vehicle_id=[r[2] for r in rows],
+        day=[r[3] for r in rows],
+        trip=range(1, len(rows) + 1),
+        position=[1] * len(rows),
+        stop_id=[r[0] for r in rows],
+        time_s=[r[1] for r in rows],
+        observed=[True] * len(rows),
+    )
+    expected = [
+        len({vehicle for stop, t, vehicle, _day in rows
+             if stop in members and m * 60 <= t < (m + window) * 60})
+        for m in range(span[0], span[1] - window + 1)
+    ]
+    counts = cluster_availability_counts(members, passages, window, span)
+    assert counts.tolist() == expected
+    cluster = Cluster(cluster_id="C", centroid_stop_id=members[0], members=frozenset(members))
+    [enriched], _ = cluster_stats([cluster], passages, window, span)
+    assert enriched.avg_buses == float(np.mean(expected))
+    assert enriched.lines_served == ({"L1"} if any(r[0] in members for r in rows) else set())
 
 
 def test_stats_scatter_matches_closed_form():

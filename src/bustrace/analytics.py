@@ -191,6 +191,11 @@ def group_times(codes: np.ndarray, times: np.ndarray, ids: np.ndarray) -> dict[s
     return dict(zip(keys, np.split(times[order], cuts)))
 
 
+def terminal_key(stop: BusStop) -> str:
+    """The key of the pseudo-stop :func:`merge_terminals` folds a terminal's stops into."""
+    return f"terminal:{stop.name}"
+
+
 def merge_terminals(
     passages: PassageTable, stops: Mapping[str, BusStop]
 ) -> tuple[dict[str, np.ndarray], dict[str, StopType]]:
@@ -205,7 +210,7 @@ def merge_terminals(
     for stop_id in passages.stop_ids[present].tolist():
         stop = stops.get(stop_id)
         if stop is not None and stop.stop_type is StopType.TERMINAL:
-            key = f"terminal:{stop.name}"
+            key = terminal_key(stop)
         else:
             key = stop_id
         keys.append(key)
@@ -453,23 +458,32 @@ def cluster_sync_profile(
     member_keys: Sequence[str],
     series: Mapping[int, Mapping[str, AvailabilitySeries]],
     periods: Sequence[Period] = DEFAULT_PERIODS,
+    matrices: Mapping[tuple[Period, int], CorrelationMatrix] | None = None,
 ) -> dict[tuple[str, int], float | None]:
     """Mean pairwise correlation of member-stop series per (period, window).
 
     ``series`` maps each window size to the series by stop id, as
     :func:`build_availability` gives them; members without a series have
-    no passage data. Pairs whose correlation is undefined are left out of
-    the mean; a cell with no defined pair at all is None. Requires at least
-    two members with passage data.
+    no passage data. ``matrices`` may map some (period, window) cells to
+    their :func:`correlation_matrix`, already built from those series; one
+    whose keys are the members with passage data, in order, is read instead
+    of being computed again. Pairs whose correlation is undefined are left
+    out of the mean; a cell with no defined pair at all is None. Requires at
+    least two members with passage data.
     """
     profile: dict[tuple[str, int], float | None] = {}
+    matrices = matrices or {}
     for window, by_key in series.items():
         members = [k for k in member_keys if k in by_key]
         if len(members) < 2:
             raise ValueError("synchronization profile needs at least 2 member stops with passages")
         pairs = np.triu_indices(len(members), 1)
         for period in periods:
-            rs = pearson_matrix([restrict_to_period(by_key[k], period) for k in members])[pairs]
+            known = matrices.get((period, window))
+            if known is not None and known.keys == members:
+                rs = known.values[pairs]
+            else:
+                rs = pearson_matrix([restrict_to_period(by_key[k], period) for k in members])[pairs]
             rs = rs[~np.isnan(rs)]
             profile[(period.name, window)] = float(np.mean(rs)) if rs.size else None
     return profile

@@ -13,7 +13,6 @@ are byte-identical.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import os
@@ -29,13 +28,33 @@ import numpy as np
 from . import analytics, clustering, detection, matching, routing, synthetic
 from .detection import GroupOutcome, Provenance, TagReport, format_time_of_day
 from .model import BusStop, Dataset, StopType, validate_dataset
-from .records import STOP_ID_SEPARATOR, load_dataset
+from .records import ID_FORBIDDEN, STOP_ID_SEPARATOR, id_fault, load_dataset
 
 DETECTED_FILE = "detected_itineraries.csv"
-# the columns of DETECTED_FILE; analytics.PassageTable holds them in this order
-DETECTION_HEADER = [
-    "line_code", "direction", "vehicle_id", "day", "trip", "position", "stop_id", "time", "provenance",
-]
+# The grammar of DETECTED_FILE: its columns, in PassageTable order, each with
+# the pattern of its cells and the words an error names it by. No id holds a
+# character a CSV field is quoted for (records.id_fault), so no cell is quoted.
+_ID_CELL = (re.compile(f"[^{re.escape(ID_FORBIDDEN)}]*".encode()), "an id without , ; \" CR or LF")
+_DECIMAL_CELL = (re.compile(rb"[0-9]{1,18}"), "a decimal integer")
+DETECTION_COLUMNS = {
+    "line_code": _ID_CELL,
+    "direction": _ID_CELL,
+    "vehicle_id": _ID_CELL,
+    "day": (re.compile(rb"[0-9]{4}-[0-9]{2}-[0-9]{2}"), "a date YYYY-MM-DD"),
+    "trip": _DECIMAL_CELL,
+    "position": _DECIMAL_CELL,
+    "stop_id": _ID_CELL,
+    "time": (re.compile(rb"[0-9]{2,9}:[0-5][0-9]:[0-5][0-9]"), "a time HH:MM:SS"),
+    "provenance": (re.compile(rb"OBSERVED|INTERPOLATED"), "OBSERVED or INTERPOLATED"),
+}
+DETECTION_HEADER = list(DETECTION_COLUMNS)
+_DETECTION_ROW = b",".join(b"(?:%s)" % pattern.pattern for pattern, _ in DETECTION_COLUMNS.values())
+_DETECTION_ROWS = re.compile(b"(?:%s\n)*" % _DETECTION_ROW)
+# every data row, the last one with or without its newline
+_DETECTION_BODY = re.compile(_DETECTION_ROWS.pattern + b"(?:%s)?" % _DETECTION_ROW)
+# The body is matched this many bytes at a time, cut after a newline: the
+# matcher keeps some 600 bytes of state per row until its match ends.
+_MATCH_BYTES = 1 << 16
 TAGS_FILE = "tags_by_category.csv"
 TAG_ERRORS_FILE = "tag_errors_by_category.csv"
 TAG_ERROR_HEADER = [
@@ -273,6 +292,15 @@ def _clock_texts(seconds: np.ndarray) -> np.ndarray:
 def write_detection_artifacts(
     out_dir: Path, passages: analytics.PassageTable, report: TagReport
 ) -> list[Path]:
+    """Write the detection CSV, its cells joined as they are, and the tag reports.
+
+    A table holding an id that :func:`~bustrace.records.id_fault` refuses raises ValueError.
+    """
+    for name, ids_name in analytics.ID_NAMES.items():
+        for value in getattr(passages, ids_name).tolist():
+            fault = id_fault(name, value)
+            if fault is not None:
+                raise ValueError(f"{fault}: {DETECTED_FILE} writes its ids unquoted")
     detected = out_dir / DETECTED_FILE
     days, day_rows = np.unique(passages.day, return_inverse=True)
     times, time_rows = np.unique(passages.time_s, return_inverse=True)
@@ -281,16 +309,15 @@ def write_detection_artifacts(
         passages.column("direction").tolist(),
         passages.column("vehicle_id").tolist(),
         np.datetime_as_string(days)[day_rows].tolist(),
-        passages.trip.tolist(),
-        passages.position.tolist(),
+        passages.trip.astype(str).tolist(),
+        passages.position.astype(str).tolist(),
         passages.column("stop_id").tolist(),
         _clock_texts(times)[time_rows].tolist(),
         np.where(passages.observed, Provenance.OBSERVED.value, Provenance.INTERPOLATED.value).tolist(),
     ]
     with atomic_write(detected, newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(DETECTION_HEADER)
-        writer.writerows(zip(*columns))
+        f.write(",".join(DETECTION_HEADER) + "\n")
+        f.writelines(f"{row}\n" for row in map(",".join, zip(*columns)))
 
     rows = [*report.rows.values(), report.total]
     tags = out_dir / TAGS_FILE
@@ -304,52 +331,53 @@ def write_detection_artifacts(
 def read_detection_rows(out_dir: Path, stage: str) -> analytics.PassageTable:
     """The passage table of the detection CSV in ``out_dir``.
 
-    The file's bytes are cut into cells at its commas and newlines, one
-    byte-string column per CSV column. A file holding a quote or a carriage
-    return, which only :func:`csv.reader` splits right, is read with it
-    instead. Either way every cell is then checked (:func:`_passage_table`).
+    One regular expression checks every data row against the grammar of
+    :data:`DETECTION_COLUMNS`, in place, a block of whole rows at a time; a
+    ValueError names the first data row off it, or else the first whose day
+    is not in the calendar. The bytes are then cut into cells at commas and
+    newlines, and each column is converted.
     """
     path = out_dir / DETECTED_FILE
     if not path.is_file():
         raise MissingDependencyError(stage, DETECTED_FILE)
     raw = path.read_bytes()
-    split = _csv_cells if b'"' in raw or b"\r" in raw else _byte_cells
-    header, columns = split(raw)
+    body = raw.find(b"\n") + 1 or len(raw)
+    header = raw[:body].removesuffix(b"\n").decode("utf-8", "replace").split(",")
     if header != DETECTION_HEADER:
         raise ValueError(f"{DETECTED_FILE} has header {header}, expected {DETECTION_HEADER}")
-    return _passage_table(columns)
+    block = body
+    while block < len(raw):
+        end = raw.find(b"\n", block + _MATCH_BYTES) + 1 or len(raw)
+        if not _DETECTION_BODY.fullmatch(raw, block, end):
+            raise _bad_row(raw, body, block)
+        block = end
+    return _passage_table(dict(zip(DETECTION_HEADER, _byte_cells(raw))))
 
 
-def _ragged(row: int) -> ValueError:
-    return ValueError(f"{DETECTED_FILE} data row {row} does not have {len(DETECTION_HEADER)} cells")
+def _bad_row(raw: bytes, body: int, block: int) -> ValueError:
+    """The error naming the first data row (from byte ``body``) off the grammar, in the block at ``block``."""
+    at = _DETECTION_ROWS.match(raw, block).end()
+    row = raw.count(b"\n", body, at) + 1
+    cells = raw[at:].split(b"\n", 1)[0].split(b",")
+    if len(cells) == len(DETECTION_COLUMNS):
+        for name, cell, (pattern, words) in zip(DETECTION_COLUMNS, cells, DETECTION_COLUMNS.values()):
+            if not pattern.fullmatch(cell):
+                text = cell.decode("utf-8", "replace")
+                return ValueError(f"{DETECTED_FILE} data row {row}: {name} {text!r} is not {words}")
+    return ValueError(f"{DETECTED_FILE} data row {row} does not have {len(DETECTION_COLUMNS)} cells")
 
 
-def _byte_cells(raw: bytes) -> tuple[list[str] | None, list[np.ndarray]]:
-    """Header and cell columns of a CSV without quotes or carriage returns.
-
-    The columns, returned once the header matches, are byte-string arrays.
-    """
-    if not raw:
-        return None, []
+def _byte_cells(raw: bytes) -> list[np.ndarray]:
+    """The cell columns, as byte-string arrays, of a CSV whose every row has as
+    many cells as :data:`DETECTION_HEADER` and none of them quoted."""
     data = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
+    cuts = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
     if not raw.endswith(b"\n"):
-        ends = np.append(ends, len(raw))
-    first = raw[: ends[0]]
-    header = first.decode("utf-8").split(",") if first else []
-    if header != DETECTION_HEADER:
-        return header, []
+        cuts = np.append(cuts, len(raw))
     n_cells = len(DETECTION_HEADER)
-    commas = np.flatnonzero(data == ord(","))
-    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
-    ragged = np.flatnonzero(per_line[1:] != n_cells - 1)
-    if len(ragged):
-        raise _ragged(int(ragged[0]) + 1)
-    bounds = np.empty((len(ends) - 1, n_cells + 1), dtype=np.int64)
-    bounds[:, 0] = ends[:-1]  # the newline before the row
-    bounds[:, 1:-1] = commas[n_cells - 1 :].reshape(-1, n_cells - 1)
-    bounds[:, -1] = ends[1:]
-    return header, [_gather(data, bounds[:, j] + 1, bounds[:, j + 1]) for j in range(n_cells)]
+    cuts = cuts[n_cells - 1 :]  # from the header's newline on
+    starts, stops = (cuts[:-1] + 1).reshape(-1, n_cells), cuts[1:].reshape(-1, n_cells)
+    return [_gather(data, starts[:, j], stops[:, j]) for j in range(n_cells)]
 
 
 def _gather(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -363,74 +391,43 @@ def _gather(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarr
     return cells.view(f"S{width}").ravel()
 
 
-def _csv_cells(raw: bytes) -> tuple[list[str] | None, list[np.ndarray]]:
-    """Header and cell columns as :func:`csv.reader` splits the text."""
-    reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
-    header = next(reader, None)
-    if header != DETECTION_HEADER:
-        return header, []
-    rows = list(reader)
-    ragged = next((i for i, row in enumerate(rows) if len(row) != len(DETECTION_HEADER)), None)
-    if ragged is not None:
-        raise _ragged(ragged + 1)
-    columns = zip(*rows) if rows else [()] * len(DETECTION_HEADER)
-    return header, [np.array([cell.encode("utf-8") for cell in column], dtype=bytes) for column in columns]
+def _passage_table(cells: dict[str, np.ndarray]) -> analytics.PassageTable:
+    """The passage table of the detection CSV's cell columns by name, which match its grammar.
 
-
-def _passage_table(columns: list[np.ndarray]) -> analytics.PassageTable:
-    """The passage table of the detection CSV's byte-string cell columns.
-
-    A ValueError names the first data row holding a bad cell: a day not
-    written YYYY-MM-DD or not in the calendar, a trip or position that is
-    not a decimal integer, a time not written HH:MM:SS with minutes and
-    seconds below 60 (the hours may pass 23, and take two to nine digits),
-    or a provenance other than OBSERVED and INTERPOLATED.
+    A ValueError names the first data row whose day is not in the calendar.
     """
-    line_code, direction, vehicle_id, day, trip, position, stop_id, time, provenance = columns
-    days, bad_day = _dates(day)
-    trips, bad_trip = _decimals(trip)
-    positions, bad_position = _decimals(position)
-    seconds, bad_time = _clock_seconds(time)
-    observed = provenance == Provenance.OBSERVED.value.encode()
-    bad_provenance = ~observed & (provenance != Provenance.INTERPOLATED.value.encode())
-    checks = [
-        ("day", day, bad_day, "a date YYYY-MM-DD"),
-        ("trip", trip, bad_trip, "a decimal integer"),
-        ("position", position, bad_position, "a decimal integer"),
-        ("time", time, bad_time, "a time HH:MM:SS"),
-        ("provenance", provenance, bad_provenance, "OBSERVED or INTERPOLATED"),
-    ]
-    failures = [(int(np.argmax(bad)), i) for i, (_, _, bad, _) in enumerate(checks) if bad.any()]
-    if failures:
-        row, i = min(failures)
-        name, cells, _, expected = checks[i]
-        cell = cells[row].decode("utf-8", "replace")
-        raise ValueError(f"{DETECTED_FILE} data row {row + 1}: {name} {cell!r} is not {expected}")
+    distinct, inverse = np.unique(cells["day"], return_inverse=True)
+    inverse = inverse.reshape(-1)
+    days = np.zeros(len(distinct), dtype="datetime64[D]")
+    for i, text in enumerate(distinct.tolist()):
+        try:
+            days[i] = date.fromisoformat(text.decode("ascii"))
+        except ValueError:
+            row = int(np.argmax(inverse == i)) + 1
+            message = f"{DETECTED_FILE} data row {row}: day {text.decode()!r} is not a date YYYY-MM-DD"
+            raise ValueError(message) from None
     ids = {}
-    for name, cells in (("line_code", line_code), ("direction", direction),
-                        ("vehicle_id", vehicle_id), ("stop_id", stop_id)):
-        names, codes = np.unique(cells, return_inverse=True)
-        ids[name] = codes.reshape(-1)
-        ids[analytics.ID_NAMES[name]] = [text.decode("utf-8") for text in names.tolist()]
+    for name, ids_name in analytics.ID_NAMES.items():
+        names, codes = np.unique(cells[name], return_inverse=True)
+        ids[name], ids[ids_name] = codes.reshape(-1), [text.decode("utf-8") for text in names.tolist()]
+    digits, length = _digits(cells["time"], 8)
+    at = (length - 6)[:, None] + np.array([1, 2, 4, 5])  # the digits of ":MM:SS"
+    m1, m0, s1, s0 = np.take_along_axis(digits, at, axis=1).T
     return analytics.PassageTable(
-        day=days, trip=trips, position=positions, time_s=seconds, observed=observed, **ids
+        day=days[inverse],
+        trip=_leading_number(*_digits(cells["trip"])),
+        position=_leading_number(*_digits(cells["position"])),
+        time_s=_leading_number(digits, length - 6) * 3600 + (m1 * 10 + m0) * 60 + s1 * 10 + s0,
+        observed=cells["provenance"] == Provenance.OBSERVED.value.encode(),
+        **ids,
     )
 
 
 def _digits(cells: np.ndarray, width: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's bytes as digit values, at least ``width`` of them, and its length.
-
-    A byte past the end of a cell has the value -48.
-    """
+    """Each cell's bytes as digit values, at least ``width`` of them, and its length."""
     cells = cells.astype(f"S{max(width, cells.dtype.itemsize)}")
     raw = cells.view(np.uint8).reshape(len(cells), cells.dtype.itemsize)
     return raw.astype(np.int64) - ord("0"), np.count_nonzero(raw, axis=1)
-
-
-def _all_digits(digits: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """Whether the bytes before column ``below`` of each row are all ASCII digits."""
-    inside = np.arange(digits.shape[1]) < below[:, None]
-    return np.all(~inside | ((digits >= 0) & (digits <= 9)), axis=1)
 
 
 def _leading_number(digits: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -439,51 +436,6 @@ def _leading_number(digits: np.ndarray, length: np.ndarray) -> np.ndarray:
     for k in range(digits.shape[1]):
         value = np.where(k < length, value * 10 + digits[:, k], value)
     return value
-
-
-def _decimals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values of cells holding 1 to 18 ASCII digits, and which cells do not."""
-    digits, length = _digits(cells)
-    ok = (length >= 1) & (length <= 18) & _all_digits(digits, length)
-    return np.where(ok, _leading_number(digits, length), 0), ~ok
-
-
-def _clock_seconds(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Seconds of cells written HH:MM:SS, and which cells are not.
-
-    The hours take 2 to 9 digits; minutes and seconds are below 60.
-    """
-    digits, length = _digits(cells, 8)
-    ok = (length >= 8) & (length <= 15)
-    hour_digits = np.where(ok, length - 6, 2)
-    at = hour_digits[:, None] + np.arange(6)  # the bytes after the hours: ":MM:SS"
-    colon1, m1, m0, colon2, s1, s0 = np.take_along_axis(digits, at, axis=1).T
-    colon = ord(":") - ord("0")
-    ok &= (colon1 == colon) & (colon2 == colon) & _all_digits(digits, hour_digits)
-    for tens, ones in ((m1, m0), (s1, s0)):
-        ok &= (tens >= 0) & (tens <= 5) & (ones >= 0) & (ones <= 9)
-    hours = _leading_number(digits, hour_digits)
-    seconds = hours * 3600 + (m1 * 10 + m0) * 60 + s1 * 10 + s0
-    return np.where(ok, seconds, 0), ~ok
-
-
-_DATE = re.compile(rb"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-
-def _dates(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Days of cells written YYYY-MM-DD, and which cells are not calendar days."""
-    distinct, inverse = np.unique(cells, return_inverse=True)
-    days = np.zeros(len(distinct), dtype="datetime64[D]")
-    ok = np.zeros(len(distinct), dtype=bool)
-    for i, text in enumerate(distinct.tolist()):
-        if _DATE.fullmatch(text):
-            try:
-                days[i] = date.fromisoformat(text.decode("ascii"))
-                ok[i] = True
-            except ValueError:
-                pass  # not in the calendar
-    inverse = inverse.reshape(-1)
-    return days[inverse], ~ok[inverse]
 
 
 # ── Validate stage ──────────────────────────────────────────────────────
@@ -507,7 +459,7 @@ def _terminal_key_meta(stops: dict[str, BusStop]) -> dict[str, tuple[str, float,
     groups: dict[str, list[BusStop]] = {}
     for stop in stops.values():
         if stop.stop_type is StopType.TERMINAL:
-            groups.setdefault(f"terminal:{stop.name}", []).append(stop)
+            groups.setdefault(analytics.terminal_key(stop), []).append(stop)
     return {
         key: (
             members[0].name,
@@ -685,9 +637,11 @@ def run_cluster(
         series = analytics.build_availability(
             {m: times[m] for m in members}, windows, config.span_minutes
         )
+        matrices = {}
         for period in period_choices:
             matrix = analytics.correlation_matrix(series[config.window_minutes], members, period)
             label = period.name if period else "full_day"
+            matrices[period, config.window_minutes] = matrix
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
                     value = matrix.entry(a, b)
@@ -695,7 +649,7 @@ def run_cluster(
                         (cluster.cluster_id, label, a, b, None if math.isnan(value) else value)
                     )
         profile = analytics.cluster_sync_profile(
-            members, {w: series[w] for w in config.window_set}, config.periods
+            members, {w: series[w] for w in config.window_set}, config.periods, matrices
         )
         profiles.append(profile)
         for (period_name, window), value in sorted(profile.items()):

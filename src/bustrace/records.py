@@ -8,10 +8,11 @@ Each input file carries one JSON object per line (UTF-8):
 * fixes file      — {"vehicle_id", "line_code", "lat", "lon",
                       "dthr": "dd/MM/yyyy HH:mm:ss"}
 
-Parsers raise :class:`RecordError` with the offending line number on the
-first malformed record; :func:`load_dataset` adds the file name. Writers
-emit the same schema so that ``parse(write(parse(x)))`` reproduces
-``parse(x)`` exactly.
+No id (``code``, ``stop_id``, ``line_code``, ``direction``, ``vehicle_id``)
+may hold ``,``, ``;``, ``"``, CR or LF (:func:`id_fault`). Parsers raise
+:class:`RecordError` with the offending line number on the first malformed
+record; :func:`load_dataset` adds the file name. Writers emit the same
+schema so that ``parse(write(parse(x)))`` reproduces ``parse(x)`` exactly.
 
 GPS fixes stay columnar from ingest through matching. The fixes parser
 reads its file in blocks of whole lines. A block whose every line has the
@@ -22,9 +23,9 @@ once. Any other block (a blank line, other spacing or key order, an int
 coordinate, an escaped string, an impossible time) goes line by line
 through ``json.loads``, which gives the same values and the same errors;
 its timestamps in the digit layout are still decoded together first.
-Both append to typed arrays; range checks, deduplication and sorting then
-run in bulk on a :class:`FixTable`, and :func:`group_fixes` cuts it into
-zero-copy :class:`~bustrace.model.FixTrack` slices.
+Both append to typed arrays; id and range checks, deduplication and
+sorting then run in bulk on a :class:`FixTable`, and :func:`group_fixes`
+cuts it into zero-copy :class:`~bustrace.model.FixTrack` slices.
 """
 
 from __future__ import annotations
@@ -59,9 +60,21 @@ TIMESTAMP_FORMAT = "%d/%m/%Y %H:%M:%S"
 # Stops referenced twice must agree in position to within this tolerance.
 COORD_CONFLICT_M = 1.0
 
-# Joins the stop ids of one CSV cell (cluster members, OD path stops), so
-# no stop id may contain it.
+# Joins the stop ids of one CSV cell (cluster members, OD path stops).
 STOP_ID_SEPARATOR = ";"
+
+# No id (line code, direction, stop id, vehicle id) may hold one of these:
+# ';', which also joins the line codes of one cell of the cluster artifact,
+# and the characters a CSV field is quoted for (RFC 4180), so that every
+# artifact writes its ids as they are.
+ID_FORBIDDEN = STOP_ID_SEPARATOR + ',"\r\n'
+_FORBIDDEN = re.compile(f"[{re.escape(ID_FORBIDDEN)}]")
+
+
+def id_fault(field: str, value: str) -> str | None:
+    """Why ``value`` cannot be the id ``field`` holds, or None when it can."""
+    found = _FORBIDDEN.search(value)
+    return None if found is None else f"{field} {value!r} contains {found.group()!r}"
 
 
 class RecordError(ValueError):
@@ -103,12 +116,20 @@ def _require(record: dict, key: str, line_no: int):
     return record[key]
 
 
+def _require_id(record: dict, key: str, line_no: int) -> str:
+    value = str(_require(record, key, line_no))
+    fault = id_fault(key, value)
+    if fault is not None:
+        raise RecordError(line_no, fault)
+    return value
+
+
 def parse_lines(stream: Iterable[str]) -> list[BusLine]:
     """Parse the lines file into BusLine objects (categories normalized)."""
     lines: list[BusLine] = []
     seen: set[str] = set()
     for line_no, record in _iter_records(stream):
-        code = str(_require(record, "code", line_no))
+        code = _require_id(record, "code", line_no)
         if code in seen:
             raise RecordError(line_no, f"duplicate line code {code!r}")
         seen.add(code)
@@ -144,13 +165,7 @@ def parse_line_points(stream: Iterable[str]) -> tuple[list[BusStop], list[Itiner
     sequences: dict[tuple[str, str], dict[int, str]] = defaultdict(dict)
 
     for line_no, record in _iter_records(stream):
-        stop_id = str(_require(record, "stop_id", line_no))
-        if STOP_ID_SEPARATOR in stop_id:
-            raise RecordError(
-                line_no,
-                f"stop_id {stop_id!r} contains {STOP_ID_SEPARATOR!r}, "
-                "which separates stop ids in the cluster and OD artifacts",
-            )
+        stop_id = _require_id(record, "stop_id", line_no)
         try:
             stop = BusStop(
                 stop_id=stop_id,
@@ -174,8 +189,8 @@ def parse_line_points(stream: Iterable[str]) -> tuple[list[BusStop], list[Itiner
                 "from its first coordinates",
             )
 
-        line_code = str(_require(record, "line_code", line_no))
-        direction = str(_require(record, "direction", line_no))
+        line_code = _require_id(record, "line_code", line_no)
+        direction = _require_id(record, "direction", line_no)
         try:
             seq = int(_require(record, "seq", line_no))
         except (TypeError, ValueError):
@@ -314,21 +329,34 @@ def _fix_row(line_no: int, raw: str, stamps: _Stamps, vehicles: _Codes, lines: _
 
 
 def _check_ranges(
-    lat: np.ndarray, lon: np.ndarray, time_s: np.ndarray, vehicle: np.ndarray, names: list[str]
+    lat: np.ndarray, lon: np.ndarray, time_s: np.ndarray,
+    vehicle: np.ndarray, line: np.ndarray, vehicle_ids: list[str], line_codes: list[str],
 ) -> tuple[int, str] | None:
-    """The first row with a coordinate or time out of range, and its message.
+    """The first row with a bad id or a coordinate or time out of range, and its message.
 
-    NaN fails every range. Within a row, latitude is reported before
-    longitude before time.
+    ``vehicle`` and ``line`` are codes into ``vehicle_ids`` and
+    ``line_codes``; each distinct id is checked once (:func:`id_fault`).
+    NaN fails every range. Within a row, the vehicle id is reported before
+    the line code, then latitude, longitude and time.
     """
+    id_faults = []
+    bad_id = np.zeros(len(vehicle), dtype=bool)
+    for field, codes, ids in (("vehicle_id", vehicle, vehicle_ids), ("line_code", line, line_codes)):
+        faults = [id_fault(field, value) for value in ids]
+        if any(faults):
+            id_faults.append((codes, faults))
+            bad_id |= np.array([fault is not None for fault in faults])[codes]
     bad_lat = ~((lat >= -90.0) & (lat <= 90.0))
     bad_lon = ~((lon >= -180.0) & (lon <= 180.0))
     bad_time = (time_s < 0) | (time_s >= 86_400)
-    bad = np.flatnonzero(bad_lat | bad_lon | bad_time)
+    bad = np.flatnonzero(bad_id | bad_lat | bad_lon | bad_time)
     if not len(bad):
         return None
     row = int(bad[0])
-    who = f"fix {names[vehicle[row]]}"
+    for codes, faults in id_faults:
+        if faults[codes[row]] is not None:
+            return row, faults[codes[row]]
+    who = f"fix {vehicle_ids[vehicle[row]]}"
     if bad_lat[row]:
         return row, f"{who}: latitude out of range: {float(lat[row])}"
     if bad_lon[row]:
@@ -529,15 +557,17 @@ def parse_vehicle_fixes(stream: IO[str] | Iterable[str]) -> FixTable:
     lon = np.array(fixes.lon, dtype=np.float64)
     day, time_s = np.divmod(np.array(fixes.stamp, dtype=np.int64), 86_400)
     vehicle = np.array(fixes.vehicle, dtype=np.int32)
-    bad = _check_ranges(lat, lon, time_s, vehicle, list(fixes.vehicles.by_name))
+    line = np.array(fixes.line, dtype=np.int32)
+    vehicle_ids, line_codes = list(fixes.vehicles.by_name), list(fixes.lines.by_name)
+    bad = _check_ranges(lat, lon, time_s, vehicle, line, vehicle_ids, line_codes)
     if bad is not None:
         row, message = bad
         raise RecordError(fixes.line_no[row], message)
     if error is not None:
         raise error
 
-    vehicle = _ranks(list(fixes.vehicles.by_name))[vehicle]
-    line = _ranks(list(fixes.lines.by_name))[np.array(fixes.line, dtype=np.int32)]
+    vehicle = _ranks(vehicle_ids)[vehicle]
+    line = _ranks(line_codes)[line]
     ordinals, day = np.unique(day, return_inverse=True)
     day = day.astype(np.int32)
     # 0.0 + 0.0 and -0.0 + 0.0 are both 0.0: the two zeros are one key

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bustrace
-from bustrace import cli, records, routing
+from bustrace import analytics, cli, records, routing
 from bustrace.cli import main
 from bustrace.geo import GeoPoint, offset_point
 from bustrace.model import BusLine, BusStop, Dataset, FixTrack, ItineraryDef, LineCategory, StopType
@@ -493,6 +493,23 @@ def three_hub_dataset() -> Dataset:
                 [depart + 60 * i for i in range(len(stops))],
             )
     return dataset
+
+
+def test_cluster_builds_each_pearson_matrix_once(tmp_path, monkeypatch):
+    config = write_config(tmp_path, three_hub_dataset())
+    out = tmp_path / "out"
+    for stage in ("detect", "analyze"):
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+    calls = []
+    pearson_matrix = analytics.pearson_matrix
+    monkeypatch.setattr(analytics, "pearson_matrix", lambda rows: calls.append(rows) or pearson_matrix(rows))
+    assert main(["cluster", "--config", str(config), "--out", str(out)]) == 0
+    clusters = {row["cluster_id"] for row in read_csv_rows(out / "sync_profiles.csv")[1]}
+    # the full day at the correlation window, and each period at it and at every sync window
+    windows = {analytics.DEFAULT_WINDOW_MINUTES, *analytics.SYNC_WINDOW_SET}
+    per_cluster = 1 + len(analytics.DEFAULT_PERIODS) * len(windows)
+    assert len(clusters) == 3
+    assert len(calls) == per_cluster * len(clusters) + 1  # and one for the cluster scatter's r
 
 
 @pytest.mark.parametrize("dataset", [line829_dataset, three_hub_dataset])

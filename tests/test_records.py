@@ -259,6 +259,11 @@ class _RefFix:
     time_s: int
 
     def __post_init__(self):
+        for field in ("vehicle_id", "line_code"):
+            value = getattr(self, field)
+            forbidden = [c for c in value if c in ',;"\r\n']
+            if forbidden:
+                raise ValueError(f"{field} {value!r} contains {forbidden[0]!r}")
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"fix {self.vehicle_id}: latitude out of range: {self.lat}")
         if not -180.0 <= self.lon <= 180.0:
@@ -270,9 +275,11 @@ class _RefFix:
 def _reference_parse(stream):
     """The per-record fixes parser, one object per fix, kept as an oracle.
 
-    One deliberate change: a missing field inside the fix constructor used
+    Two deliberate changes: a missing field inside the fix constructor used
     to be wrapped in a second RecordError, which printed its line prefix
-    twice; the ``except RecordError`` clause reports it once.
+    twice; the ``except RecordError`` clause reports it once. And a vehicle
+    id or line code holding one of , ; " CR LF is refused, before the
+    coordinate ranges are checked.
     """
     fixes = []
     seen = set()
@@ -631,6 +638,49 @@ def test_load_dataset_error_names_the_file(tmp_path):
     assert info.value.line_no == 7
 
 
+# (file, line, field, id): the id replaces the field on that line of the
+# file, and the file is refused at that line.
+_BAD_IDS = [
+    ("lines", 1, "code", "8,29"),
+    ("points", 4, "stop_id", 'S"4'),
+    ("points", 5, "line_code", "8;29"),
+    ("points", 6, "direction", "A\r"),
+    ("fixes", 7, "vehicle_id", "BA,020"),
+    ("fixes", 9, "line_code", "8\n29"),
+]
+
+
+@pytest.mark.parametrize("name, line_no, field, value", _BAD_IDS)
+def test_load_dataset_refuses_an_id_a_csv_cell_would_quote(tmp_path, monkeypatch, name, line_no, field, value):
+    paths = _write_dataset(tmp_path, line829_dataset())
+    rows = paths[name].read_text(encoding="utf-8").splitlines()
+    rows[line_no - 1] = json.dumps(json.loads(rows[line_no - 1]) | {field: value}, ensure_ascii=False)
+    paths[name].write_text("\n".join(rows) + "\n", encoding="utf-8")
+    if name == "fixes" and "," in value:
+        assert records._CANONICAL_FIX.fullmatch(rows[line_no - 1])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fix went line by line")
+
+        monkeypatch.setattr(records._FixColumns, "_add_lines", refuse)  # the bulk path reads the file
+    char = next(c for c in value if c in ',;"\r\n')
+    with pytest.raises(RecordError) as info:
+        records.load_dataset(paths["lines"], paths["points"], paths["fixes"])
+    assert str(info.value) == f"{name}.ndjson line {line_no}: {field} {value!r} contains {char!r}"
+    assert info.value.line_no == line_no
+
+
+def test_fixes_report_a_bad_id_and_a_range_error_in_line_order():
+    rows = [json.dumps(_fix_record(dthr=f"07/11/2022 06:0{i}:00")) for i in range(6)]
+    rows[4] = json.dumps(_fix_record(vehicle="BA;020"))
+    rows[2] = json.dumps(_fix_record(lat=95.0))
+    with pytest.raises(RecordError, match="^line 3: fix BA020: latitude out of range"):
+        records.parse_vehicle_fixes(io.StringIO("\n".join(rows) + "\n"))
+    rows[2] = json.dumps(_fix_record())
+    with pytest.raises(RecordError, match="^line 5: vehicle_id 'BA;020' contains ';'$"):
+        records.parse_vehicle_fixes(io.StringIO("\n".join(rows) + "\n"))
+
+
 # ── round-trip properties ───────────────────────────────────────────────
 
 _name = st.text(min_size=1, max_size=12)
@@ -658,6 +708,12 @@ def test_lines_roundtrip(lines):
     buf = io.StringIO()
     records.write_lines(lines, buf)
     buf.seek(0)
+    # a code holding a character no id may hold is refused at its line
+    bad = [i for i, line in enumerate(lines) if any(c in line.code for c in ',;"\r\n')]
+    if bad:
+        with pytest.raises(RecordError, match=f"^line {bad[0] + 1}: code "):
+            records.parse_lines(buf)
+        return
     assert records.parse_lines(buf) == lines
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields, replace
-from datetime import date
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ log = logging.getLogger(__name__)
 DEFAULT_SPAN_MINUTES = (300, 1380)  # 05:00 .. 23:00
 DEFAULT_WINDOW_MINUTES = 10
 SYNC_WINDOW_SET = (10, 15, 20, 25, 30, 35, 40, 45)
+MIN_CATEGORY_SIZE = 4  # smallest stop category the outlier rule applies to
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class AvailabilitySeries:
     window_minutes: int
     counts: np.ndarray
     span: tuple[int, int] = DEFAULT_SPAN_MINUTES
-    day: date | None = None
 
     @property
     def start_minutes(self) -> np.ndarray:
@@ -275,7 +274,6 @@ def build_availability(
     times: Mapping[str, np.ndarray],
     windows: Sequence[int] = (DEFAULT_WINDOW_MINUTES,),
     span: tuple[int, int] = DEFAULT_SPAN_MINUTES,
-    day: date | None = None,
 ) -> dict[int, dict[str, AvailabilitySeries]]:
     """Per window size, one series per key of the passage times by key.
 
@@ -292,7 +290,7 @@ def build_availability(
     )
     return {
         w: {
-            key: AvailabilitySeries(key=key, window_minutes=w, counts=row, span=span, day=day)
+            key: AvailabilitySeries(key=key, window_minutes=w, counts=row, span=span)
             for key, row in zip(times, counts[w])
         }
         for w in windows
@@ -327,13 +325,12 @@ def daily_average(series: AvailabilitySeries) -> float:
 def find_outlier_stops(
     averages: Mapping[str, float],
     categories: Mapping[str, StopType],
-    min_category_size: int = 4,
 ) -> set[str]:
     """Upper boxplot outliers (value > Q3 + 1.5 IQR) per category.
 
     Quantiles use linear interpolation. Terminals never appear in the
     result; they are physically integrated already. Categories with fewer
-    than ``min_category_size`` stops are skipped with a warning.
+    than ``MIN_CATEGORY_SIZE`` stops are skipped with a warning.
     """
     by_category: dict[StopType, list[str]] = {}
     for key in averages:
@@ -341,7 +338,7 @@ def find_outlier_stops(
 
     outliers: set[str] = set()
     for category, keys in by_category.items():
-        if len(keys) < min_category_size:
+        if len(keys) < MIN_CATEGORY_SIZE:
             log.warning(
                 "category %s has only %d stops; outlier rule skipped",
                 category.value,
@@ -435,7 +432,6 @@ class CorrelationMatrix:
 
     keys: list[str]
     values: np.ndarray
-    period: str | None = None
 
     def __post_init__(self):
         self._index = {key: i for i, key in enumerate(self.keys)}
@@ -451,7 +447,7 @@ def correlation_matrix(
 ) -> CorrelationMatrix:
     ordered = list(keys) if keys is not None else sorted(series)
     values = pearson_matrix([restrict_to_period(series[k], period) for k in ordered])
-    return CorrelationMatrix(keys=ordered, values=values, period=period.name if period else None)
+    return CorrelationMatrix(keys=ordered, values=values)
 
 
 def cluster_sync_profile(

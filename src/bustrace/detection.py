@@ -170,13 +170,12 @@ def segment_trips(
     marks: Marks,
     itinerary: ItineraryDef,
     idle_gap_s: int = DEFAULT_IDLE_GAP_S,
-    wrap_fraction: float = DEFAULT_WRAP_FRACTION,
 ) -> Segmentation:
     """Split time-ordered marks into candidate trip segments.
 
     A segment closes when the matched itinerary position falls back by more
-    than ``wrap_fraction`` of the itinerary length relative to the running
-    maximum (sequence wrap), or after an idle gap with no marks. Isolated
+    than ``DEFAULT_WRAP_FRACTION`` of the itinerary length relative to the
+    running maximum (sequence wrap), or after an idle gap with no marks. Isolated
     out-of-sequence marks cannot force a split in either direction: a mark
     jumping forward past the threshold does not advance the running maximum
     until a second mark lands near it, and a fallback only commits the wrap
@@ -187,7 +186,7 @@ def segment_trips(
     a loop and opens the next.
     """
     n = len(itinerary)
-    threshold = wrap_fraction * n
+    threshold = DEFAULT_WRAP_FRACTION * n
     first_of = itinerary.first_positions
     positions_of: dict[int, list[int]] = {}
     for position, first in enumerate(first_of, start=1):

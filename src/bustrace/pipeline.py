@@ -481,7 +481,7 @@ def run_analyze(
         )
         categories.update(day_categories)
         day_series = analytics.build_availability(
-            merged, [config.window_minutes], config.span_minutes, day
+            merged, [config.window_minutes], config.span_minutes
         )[config.window_minutes]
         series.update(((day, key), s) for key, s in day_series.items())
 

@@ -7,7 +7,8 @@ Cluster transfer edges connect member stop nodes directly, weighted by the
 walk between them, and origin/destination access edges attach trip
 endpoints to every stop within the search radius. All weights are meters
 and non-negative, so trip distance minimization runs on Dijkstra inside
-Yen's loopless K-shortest-path scheme.
+Yen's loopless K-shortest-path scheme. A trip's transfers are its changes
+of line between consecutive ride steps.
 """
 
 from __future__ import annotations
@@ -169,19 +170,16 @@ class GraphIndex:
     Node ids follow sorted Node order, so ``(dist, id)`` heap ties pop in
     the order ``(dist, node)`` ties would, and id paths compare as node
     paths do. ``out[a]`` maps each successor of ``a`` to its lightest
-    parallel edge, which is all a Dijkstra relaxation over the parallel
-    edges keeps; ``weight[a]`` maps it to the first such edge in
-    adjacency order, whose weight the canonical path sum uses; ``into``
-    is ``out`` reversed.
+    parallel edge, the one weight of that step that the searches and the
+    path sums read; ``into`` is ``out`` reversed.
     """
 
-    __slots__ = ("nodes", "ids", "out", "weight", "into")
+    __slots__ = ("nodes", "ids", "out", "into")
 
-    def __init__(self, nodes, ids, out, weight, into):
+    def __init__(self, nodes, ids, out, into):
         self.nodes: list[Node] = nodes
         self.ids: dict[Node, int] = ids
         self.out: list[dict[int, float]] = out
-        self.weight: list[dict[int, float]] = weight
         self.into: list[dict[int, float]] = into
 
     @classmethod
@@ -199,7 +197,6 @@ class GraphIndex:
             {node: i for i, node in enumerate(ordered)},
             [{} for _ in ordered],
             [{} for _ in ordered],
-            [{} for _ in ordered],
         )
         ids = index.ids
         for node, edges in adjacency.items():
@@ -209,7 +206,6 @@ class GraphIndex:
         return index
 
     def _link(self, a: int, b: int, w: float) -> None:
-        self.weight[a].setdefault(b, w)
         if w < self.out[a].get(b, _INF):
             self.out[a][b] = w
             self.into[b][a] = w
@@ -223,21 +219,15 @@ class GraphIndex:
         destination stop gains an edge to DESTINATION after its own edges.
         Only the touched nodes' maps are copied; the rest are shared.
         """
-        view = GraphIndex(self.nodes, self.ids, list(self.out), list(self.weight), list(self.into))
+        view = GraphIndex(self.nodes, self.ids, list(self.out), list(self.into))
         origin, destination = self.ids[ORIGIN], self.ids[DESTINATION]
-        for node in (origin, destination):
-            view.out[node], view.weight[node] = {}, {}
-        view.into[destination] = {}
-        origin_ids = [self.ids[stop_node(s)] for s, _ in origin_stops]
-        dest_ids = [self.ids[stop_node(s)] for s, _ in dest_stops]
-        for node in origin_ids:
-            view.into[node] = dict(view.into[node])
-        for node in dest_ids:
-            view.out[node], view.weight[node] = dict(view.out[node]), dict(view.weight[node])
-        for node, (_, dist) in zip(origin_ids, origin_stops):
-            view._link(origin, node, dist)
-        for node, (_, dist) in zip(dest_ids, dest_stops):
-            view._link(node, destination, dist)
+        for end, stops in ((origin, origin_stops), (destination, dest_stops)):
+            view.out[end], view.into[end] = {}, {}
+            for stop_id, dist in stops:
+                stop = self.ids[stop_node(stop_id)]
+                a, b = (end, stop) if end == origin else (stop, end)
+                view.out[a], view.into[b] = dict(view.out[a]), dict(view.into[b])
+                view._link(a, b, dist)
         return view
 
 
@@ -277,18 +267,12 @@ def _shortest_path(
     nodes on every path within the limit keep the labels, parents and
     pop order of an unbounded search, so the path found is the same.
     """
+    source_out = out[source]
+    if banned_next:
+        source_out = {nxt: w for nxt, w in source_out.items() if nxt not in banned_next}
     best = {source: 0.0}
     parent: dict[int, int] = {}
-    heap: list[tuple[float, int]] = []
-    blocked[source] = 1
-    for nxt, w in out[source].items():
-        if blocked[nxt] or nxt in banned_next:
-            continue
-        candidate = 0.0 + w
-        if candidate < best.get(nxt, _INF) and candidate + to_target[nxt] <= limit:
-            best[nxt] = candidate
-            parent[nxt] = source
-            heapq.heappush(heap, (candidate, nxt))
+    heap = [(0.0, source)]
     while heap:
         dist, node = heapq.heappop(heap)
         if blocked[node]:
@@ -296,7 +280,7 @@ def _shortest_path(
         blocked[node] = 1
         if node == target:
             break
-        for nxt, w in out[node].items():
+        for nxt, w in (source_out if node == source else out[node]).items():
             if blocked[nxt]:
                 continue
             candidate = dist + w
@@ -313,11 +297,11 @@ def _shortest_path(
     return path
 
 
-def _prefix_weights(weight: list[dict[int, float]], path: Sequence[int]) -> list[float]:
+def _prefix_weights(out: list[dict[int, float]], path: Sequence[int]) -> list[float]:
     """Canonical left-to-right weight sums of each prefix of a node path."""
     sums = [0.0]
     for a, b in zip(path, path[1:]):
-        sums.append(sums[-1] + weight[a][b])
+        sums.append(sums[-1] + out[a][b])
     return sums
 
 
@@ -334,12 +318,12 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
     each spur search drops labels that cannot end within W.
     """
     n = len(index.nodes)
-    out, weight = index.out, index.weight
+    out = index.out
     to_target = _distances_to(index, target)
     if to_target[source] == _INF:
         return []
     first = _shortest_path(out, to_target, source, target, bytearray(n), (), _NO_LIMIT)
-    accepted = [(_prefix_weights(weight, first)[-1], first)]
+    accepted = [(_prefix_weights(out, first)[-1], first)]
     deviations = [0]
     seen_paths = {tuple(first)}
     candidates: list[tuple[float, tuple[int, ...], int]] = []
@@ -351,7 +335,7 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
         # negated weights of the `room` lightest candidates (a max-heap)
         lightest = [-w for w, _, _ in heapq.nsmallest(room, candidates)]
         heapq.heapify(lightest)
-        prefix = _prefix_weights(weight, base_path)
+        prefix = _prefix_weights(out, base_path)
         banned = bytearray(n)
         for node in base_path[:deviation]:
             banned[node] = 1
@@ -377,7 +361,7 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
             seen_paths.add(candidate)
             w = prefix[spur_idx]
             for a, b in zip(spur_path, spur_path[1:]):
-                w += weight[a][b]
+                w += out[a][b]
             heapq.heappush(candidates, (w, candidate, spur_idx))
             heapq.heappush(lightest, -w)
             if len(lightest) > room:
@@ -391,27 +375,25 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
 
 
 def yen_k_shortest(
-    graph: TransitGraph | GraphIndex | Mapping[Node, list[Edge]],
+    graph: GraphIndex | Mapping[Node, list[Edge]],
     source: Node,
     target: Node,
     k: int = DEFAULT_K,
 ) -> list[tuple[float, list[Node]]]:
     """Up to k loopless paths in ascending (weight, path) order.
 
-    The first path equals the plain shortest path; fewer than k paths come
-    back when the graph runs out of simple paths. Weights are recomputed
-    as left-to-right sums of the first edge between consecutive nodes, so
-    equal paths always compare equal.
+    The graph is an index or an adjacency mapping; a node that is only an
+    edge target is still a node. The first path equals the plain shortest
+    path; fewer than k paths come back when the graph runs out of simple
+    paths. Weights are recomputed as left-to-right sums of the lightest
+    edge between consecutive nodes, so equal paths always compare equal.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if source == target:
         raise ValueError("source and target must differ")
     if not isinstance(graph, GraphIndex):
-        adjacency = graph.adjacency if isinstance(graph, TransitGraph) else graph
-        if source not in adjacency or target not in adjacency:
-            return []
-        graph = graph.index() if isinstance(graph, TransitGraph) else GraphIndex.build(adjacency)
+        graph = GraphIndex.build(graph)
     if source not in graph.ids or target not in graph.ids:
         return []
     found = _yen(graph, graph.ids[source], graph.ids[target], k)
@@ -446,16 +428,14 @@ def stop_sequence(path: Sequence[Node]) -> list[str]:
     return seen
 
 
-def count_transfers(adjacency: Mapping[Node, list[Edge]], path: Sequence[Node]) -> int:
-    """Line changes along a path's ride segments; access/walks never count."""
-    lines: list[str] = []
-    for a, b in zip(path, path[1:]):
-        for edge in adjacency[a]:
-            if edge.target == b:
-                if edge.kind is EdgeKind.RIDE and (not lines or lines[-1] != edge.line_code):
-                    lines.append(edge.line_code)
-                break
-    return max(0, len(lines) - 1)
+def count_transfers(path: Sequence[Node]) -> int:
+    """Changes of line between a path's consecutive ride steps.
+
+    A ride step joins two ``("ride", line, direction, stop)`` nodes, which
+    only a RIDE edge does; boarding, alighting, walks and access never count.
+    """
+    lines = [a[1] for a, b in zip(path, path[1:]) if a[0] == b[0] == "ride"]
+    return sum(x != y for x, y in zip(lines, lines[1:]))
 
 
 def evaluate_trip(
@@ -478,8 +458,7 @@ def evaluate_trip(
     return TripResult(
         feasible=True,
         distance_m=weight,
-        # the first and last edges are access walks, which never count
-        transfers=count_transfers(graph.adjacency, path[1:-1]),
+        transfers=count_transfers(path),
         path=path,
         alternatives=paths,
     )

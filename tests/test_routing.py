@@ -14,6 +14,7 @@ from bustrace.routing import (
     ODPair,
     add_cluster_transfers,
     build_graph,
+    count_transfers,
     evaluate_od,
     evaluate_trip,
     nearest_stops,
@@ -22,7 +23,7 @@ from bustrace.routing import (
     stop_sequence,
     yen_k_shortest,
 )
-from bustrace.synthetic import two_corridor_network, two_corridor_od_pairs
+from bustrace.synthetic import line829_dataset, two_corridor_network, two_corridor_od_pairs
 
 ORIGIN_POINT = GeoPoint(-25.45, -49.30)
 
@@ -265,6 +266,11 @@ def test_yen_disconnected_target_empty():
     adjacency = _adj([("s", "a", 1)])
     adjacency[("n", "t")] = []
     assert yen_k_shortest(adjacency, ("n", "s"), ("n", "t"), 5) == []
+
+
+def test_yen_reaches_a_node_that_is_only_an_edge_target():
+    adjacency = {("n", "s"): [Edge(("n", "t"), 1.0, EdgeKind.RIDE)]}
+    assert yen_k_shortest(adjacency, ("n", "s"), ("n", "t"), 5) == [(1.0, [("n", "s"), ("n", "t")])]
 
 
 def test_yen_paths_are_loopless_sorted_unique():
@@ -525,3 +531,90 @@ def test_evaluate_od_superset_dominance_sample():
         assert base.feasible and clustered.feasible
         assert clustered.distance_m <= base.distance_m + 1e-9
     assert evaluation.summaries["base"].feasible == 40
+
+
+# ── what the search may assume of the program's graphs ─────────────────
+
+
+def _grid_network():
+    """A 4 x 4 street grid, a trunk over row 1, a loop line that rides g00-g01 twice, two clusters."""
+    stops, itineraries = _street_grid(4)
+    row = [f"g1{c}" for c in range(4)]
+    itineraries += [_iti("T", row, "A"), _iti("T", row[::-1], "B")]
+    itineraries.append(_iti("Q", ["g00", "g01", "g11", "g10", "g00", "g01", "g02"]))
+    # the clusters share the pair g12-g21, which gains one walk each way
+    return stops, itineraries, [_cluster({"g11", "g12", "g21"}), _cluster({"g12", "g21", "g22"})]
+
+
+def _program_networks():
+    """(name, stops, itineraries, clusters) of the fixtures the routing tests use."""
+    yield "street_grid", *_grid_network()
+    stops, itineraries, bridges = two_corridor_network()
+    yield "two_corridor", stops, itineraries, cluster_stops(
+        [Candidate(b, 3.0 - i) for i, b in enumerate(bridges)], stops
+    )
+    dataset = line829_dataset()
+    yield "line829", dataset.stops, dataset.itineraries, [_cluster(sorted(dataset.stops)[:3])]
+
+
+@pytest.mark.parametrize("name, stops, itineraries, clusters", list(_program_networks()))
+def test_parallel_edges_of_program_graphs_share_one_weight(name, stops, itineraries, clusters):
+    g = build_graph(itineraries, stops)
+    parallel = 0
+    for graph in (g, add_cluster_transfers(g, clusters)):
+        for node, edges in graph.adjacency.items():
+            weights = {}
+            for edge in edges:
+                parallel += edge.target in weights
+                assert weights.setdefault(edge.target, edge.weight_m) == edge.weight_m, (node, edge)
+    assert parallel or name != "street_grid"  # the loop line's repeated ride step
+    rng = np.random.default_rng(5)
+    for stop in list(stops.values())[:10]:
+        point = offset_point(GeoPoint(stop.lat, stop.lon), *rng.uniform(-300, 300, 2))
+        found = [s for s, _ in nearest_stops(point, stops, 2000.0)]
+        assert found and len(found) == len(set(found))  # one access edge per stop
+
+
+def _edge_walk_transfers(adjacency, path):
+    """Line changes over the RIDE edges of a path, the first edge of each step."""
+    lines = []
+    for a, b in zip(path, path[1:]):
+        edge = next(e for e in adjacency[a] if e.target == b)
+        if edge.kind is EdgeKind.RIDE and (not lines or lines[-1] != edge.line_code):
+            lines.append(edge.line_code)
+    return max(0, len(lines) - 1)
+
+
+def test_count_transfers_counts_each_change_of_line():
+    path = [
+        ORIGIN, stop_node("a"), ride_node("L1", "A", "a"), ride_node("L1", "A", "b"),
+        stop_node("b"), ride_node("L2", "A", "b"), ride_node("L2", "A", "c"), stop_node("c"),
+        stop_node("d"), ride_node("L1", "B", "d"), ride_node("L1", "B", "e"), stop_node("e"), DESTINATION,
+    ]  # L1, L2, a walk c-d, then L1 again
+    assert count_transfers(path) == 2
+    assert count_transfers(path[:5]) == 0
+    assert count_transfers([ORIGIN, stop_node("a"), DESTINATION]) == 0
+
+
+def test_transfers_read_off_the_path_equal_an_edge_walk():
+    rng = np.random.default_rng(9)
+    grid_pairs = [
+        ODPair(*(offset_point(ORIGIN_POINT, *rng.uniform(0, 900, 2)) for _ in range(2))) for _ in range(6)
+    ]
+    stops, itineraries, bridges = two_corridor_network()
+    corridor_clusters = cluster_stops([Candidate(b, 3.0 - i) for i, b in enumerate(bridges)], stops)
+    suites = [
+        (*_grid_network(), grid_pairs, 350.0),
+        (stops, itineraries, corridor_clusters, two_corridor_od_pairs(8, seed=13), 600.0),
+    ]
+    counts = []
+    for stops, itineraries, clusters, pairs, radius_m in suites:
+        g = build_graph(itineraries, stops)
+        for graph in (g, add_cluster_transfers(g, clusters)):
+            for pair in pairs:
+                trip = evaluate_trip(graph, pair, k=30, radius_m=radius_m)
+                overlay = _access_overlay(graph, pair, radius_m)
+                for _, path in trip.alternatives:
+                    counts.append(count_transfers(path))
+                    assert counts[-1] == _edge_walk_transfers(overlay, path), path
+    assert len(counts) > 500 and max(counts) >= 3  # the suites do change lines

@@ -25,6 +25,7 @@ from . import detection, pipeline
 from .analytics import PassageTable
 from .model import Dataset
 from .pipeline import (
+    ARTIFACTS,
     PipelineConfig,
     atomic_write,
     run_analyze,
@@ -65,35 +66,39 @@ def _run_stage(
     dataset: Dataset,
     config: PipelineConfig,
     passages: PassageTable | None,
-) -> tuple[list[Path], PassageTable | None]:
-    """Run one stage; return its artifacts and the passage table for later stages.
+) -> PassageTable | None:
+    """Run one stage, which writes its artifacts; return the passage table for later stages.
 
     ``detect`` builds the table from its accepted trips and writes it as
     the detection CSV. A later analyze or cluster stage uses that table,
     or reads it back from the CSV when this invocation did not detect.
     """
     if stage == "validate":
-        return run_validate(out_dir, dataset), passages
-    if stage == "detect":
+        run_validate(out_dir, dataset)
+    elif stage == "detect":
         outcomes = run_detection(dataset, config)
         passages = PassageTable.from_itineraries(
             result.itinerary for outcome in outcomes for result in outcome.results if result.accepted
         )
         categories = {line.code: line.category for line in dataset.lines.values()}
         report = detection.tag_report(outcomes, categories)
-        return write_detection_artifacts(out_dir, passages, report), passages
-    if stage == "route":
-        return run_route(out_dir, dataset, config), passages
-    if passages is None:
-        passages = pipeline.read_detection_rows(out_dir, stage)
-    if stage == "analyze":
-        return run_analyze(out_dir, dataset, config, passages), passages
-    if stage == "cluster":
-        return run_cluster(out_dir, dataset, config, passages), passages
-    raise ValueError(f"unknown stage: {stage}")
+        write_detection_artifacts(out_dir, passages, report)
+    elif stage == "route":
+        run_route(out_dir, dataset, config)
+    elif stage in ("analyze", "cluster"):
+        if passages is None:
+            passages = pipeline.read_detection_rows(out_dir, stage)
+        if stage == "analyze":
+            run_analyze(out_dir, dataset, config, passages)
+        else:
+            run_cluster(out_dir, dataset, config, passages)
+    else:
+        raise ValueError(f"unknown stage: {stage}")
+    return passages
 
 
-def _write_manifest(out_dir: Path, config: PipelineConfig) -> Path:
+def _write_manifest(out_dir: Path, config: PipelineConfig) -> None:
+    """Write the manifest: the config, the inputs' digests and those of the artifacts in ``out_dir``."""
     inputs = {}
     for label, path in (
         ("lines_file", config.lines_file),
@@ -102,20 +107,16 @@ def _write_manifest(out_dir: Path, config: PipelineConfig) -> Path:
     ):
         if path and Path(path).is_file():
             inputs[label] = _sha256(Path(path))
-    artifacts = {
-        p.name: _sha256(p) for p in sorted(out_dir.glob("*.csv"))
-    }
+    artifacts = {name: _sha256(out_dir / name) for name in ARTIFACTS if (out_dir / name).is_file()}
     manifest = {
         "config": config.to_mapping(),
         "seed": config.seed,
         "inputs": inputs,
         "artifacts": artifacts,
     }
-    path = out_dir / MANIFEST_FILE
-    with atomic_write(path) as f:
+    with atomic_write(out_dir / MANIFEST_FILE) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,15 +174,14 @@ def main(argv: list[str] | None = None) -> int:
         dataset = config.load_inputs(with_fixes=not _FIX_STAGES.isdisjoint(stages))
         out_dir.mkdir(parents=True, exist_ok=True)
         staging = _staging_dir(out_dir)
-        written: list[Path] = []
         passages = None
         for running in stages:
-            paths, passages = _run_stage(running, staging, dataset, config, passages)
-            written.extend(paths)
+            passages = _run_stage(running, staging, dataset, config, passages)
         running = args.command
-        written.append(_write_manifest(staging, config))
-        for path in written:
-            os.replace(path, out_dir / path.name)
+        _write_manifest(staging, config)
+        produced = [name for name, artifact in ARTIFACTS.items() if artifact.stage in stages]
+        for name in [*produced, MANIFEST_FILE]:
+            os.replace(staging / name, out_dir / name)
     except Exception as exc:
         record = {
             "error": {

@@ -33,25 +33,26 @@ class GeoPoint:
             raise ValueError(f"longitude out of range: {self.lon}")
 
 
+def haversine(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Great-circle distance in meters between decimal-degree points, elementwise.
+
+    The coordinates are numbers or arrays, broadcast against each other.
+    """
+    lat1, lon1, lat2, lon2 = map(np.radians, (lat1, lon1, lat2, lon2))
+    h = np.sin((lat2 - lat1) / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
+    return EARTH_RADIUS_M * 2 * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
 def haversine_distance(a, b) -> float:
     """Great-circle distance in meters between two points with lat/lon attributes."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    return EARTH_RADIUS_M * 2 * math.asin(min(1.0, math.sqrt(h)))
+    return float(haversine(a.lat, a.lon, b.lat, b.lon))
 
 
 def haversine_matrix(
     lats_a: np.ndarray, lons_a: np.ndarray, lats_b: np.ndarray, lons_b: np.ndarray
 ) -> np.ndarray:
     """Pairwise distance matrix in meters, shape (len(a), len(b))."""
-    lat1 = np.radians(lats_a)[:, None]
-    lon1 = np.radians(lons_a)[:, None]
-    lat2 = np.radians(lats_b)[None, :]
-    lon2 = np.radians(lons_b)[None, :]
-    h = np.sin((lat2 - lat1) / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
-    return EARTH_RADIUS_M * 2 * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+    return haversine(lats_a[:, None], lons_a[:, None], lats_b[None, :], lons_b[None, :])
 
 
 def nearest_stops(

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,24 +55,50 @@ _DETECTION_BODY = re.compile(_DETECTION_ROWS.pattern + b"(?:%s)?" % _DETECTION_R
 # The body is matched this many bytes at a time, cut after a newline: the
 # matcher keeps some 600 bytes of state per row until its match ends.
 _MATCH_BYTES = 1 << 16
-TAGS_FILE = "tags_by_category.csv"
-TAG_ERRORS_FILE = "tag_errors_by_category.csv"
-TAG_ERROR_HEADER = [
-    "category", "out_of_order", "missing", "error_total", "error_pct",
-    "rejected_segments", "rejected_marks", "discarded_segments", "discarded_marks",
-]
-VALIDATION_FILE = "validation.csv"
-AVAILABILITY_FILE = "availability_by_category.csv"
 DAILY_AVERAGES_FILE = "stop_daily_averages.csv"
 CLUSTERS_FILE = "clusters.csv"
-CENTROIDS_FILE = "cluster_centroids.csv"
-CLUSTER_CORR_FILE = "cluster_stop_correlations.csv"
-SYNC_PROFILES_FILE = "sync_profiles.csv"
-SYNC_SUMMARY_FILE = "sync_summary.csv"
-CLUSTER_SCATTER_FILE = "cluster_scatter.csv"
-OD_RESULTS_FILE = "od_results.csv"
-OD_PATHS_FILE = "od_paths.csv"
-OD_SUMMARY_FILE = "od_summary.csv"
+
+
+class Artifact(NamedTuple):
+    stage: str  # the stage that writes the file
+    header: list[str]
+
+
+# Every file a stage writes into the output directory, in stage order, with
+# its header. The writers, the readers, the CLI's move out of staging and the
+# manifest all read this table.
+ARTIFACTS = {
+    "validation.csv": Artifact("validate", ["kind", "subject", "detail"]),
+    DETECTED_FILE: Artifact("detect", DETECTION_HEADER),
+    "tags_by_category.csv": Artifact("detect", ["category", "total_marks", "valid_tags", "valid_pct"]),
+    "tag_errors_by_category.csv": Artifact("detect", [
+        "category", "out_of_order", "missing", "error_total", "error_pct",
+        "rejected_segments", "rejected_marks", "discarded_segments", "discarded_marks",
+    ]),
+    "availability_by_category.csv": Artifact("analyze", [
+        "category", "start_minute", "start_hhmm", "mean_count",
+    ]),
+    DAILY_AVERAGES_FILE: Artifact("analyze", [
+        "key", "name", "lat", "lon", "category", "daily_avg_buses", "outlier",
+    ]),
+    CLUSTERS_FILE: Artifact("cluster", [
+        "cluster_id", "centroid_stop_id", "member_count", "shared_members", "line_count", "avg_buses",
+        "members", "lines",
+    ]),
+    "cluster_centroids.csv": Artifact("cluster", ["cluster_id", "lat", "lon", "avg_buses"]),
+    "cluster_scatter.csv": Artifact("cluster", ["cluster_id", "avg_buses", "line_count"]),
+    "cluster_stop_correlations.csv": Artifact("cluster", ["cluster_id", "period", "stop_a", "stop_b", "r"]),
+    "sync_profiles.csv": Artifact("cluster", ["cluster_id", "period", "window_minutes", "mean_r"]),
+    "sync_summary.csv": Artifact("cluster", ["period", "window_minutes", "mean_r"]),
+    "od_results.csv": Artifact("route", [
+        "pair_id", "network", "feasible", "distance_m", "transfers", "stops",
+    ]),
+    "od_paths.csv": Artifact("route", ["pair_id", "network", "rank", "distance_m", "stops"]),
+    "od_summary.csv": Artifact("route", [
+        "network", "feasible", "infeasible", "mean_distance_m", "q1_distance_m", "median_distance_m",
+        "q3_distance_m", "mean_transfers",
+    ]),
+}
 
 
 class PipelineError(RuntimeError):
@@ -114,6 +140,20 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        integers = {
+            "window_minutes": [self.window_minutes],
+            "window_set": self.window_set,
+            "span_minutes": self.span_minutes,
+            "periods": [bound for p in self.periods for bound in (p.start_minute, p.end_minute)],
+            "k_paths": [self.k_paths],
+            "od_pairs": [self.od_pairs],
+            "idle_gap_min": [self.idle_gap_min],
+            "seed": [self.seed],
+        }
+        for key, values in integers.items():
+            for value in values:
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError(f"{key}: {value!r} is not an integer")
         for key in ("acceptance_radius_m", "cluster_radius_m", "od_search_radius_m"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be positive and finite")
@@ -134,7 +174,7 @@ class PipelineConfig:
         if self.k_paths < 1:
             raise ValueError("k_paths must be at least 1")
         if self.idle_gap_min < 1:
-            raise ValueError("idle gap must be positive")
+            raise ValueError("idle_gap_min must be positive")
         if self.jobs != 1:
             raise ValueError("jobs must be 1: detection runs in one process")
 
@@ -147,13 +187,11 @@ class PipelineConfig:
         kwargs = dict(data)
         if "periods" in kwargs:
             kwargs["periods"] = tuple(
-                analytics.Period(name, int(bounds[0]), int(bounds[1]))
-                for name, bounds in sorted(kwargs["periods"].items())
+                analytics.Period(name, *bounds) for name, bounds in sorted(kwargs["periods"].items())
             )
-        if "window_set" in kwargs:
-            kwargs["window_set"] = tuple(int(w) for w in kwargs["window_set"])
-        if "span_minutes" in kwargs:
-            kwargs["span_minutes"] = tuple(int(v) for v in kwargs["span_minutes"])
+        for key in ("window_set", "span_minutes"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
     def to_mapping(self) -> dict:
@@ -202,9 +240,9 @@ def _fmt(value) -> str:
 def atomic_write(path: Path, newline: str | None = None) -> Iterator[IO[str]]:
     """Open a text file that replaces ``path`` only once it is fully written.
 
-    The bytes go to ``.<name>.tmp`` beside ``path`` (a name no ``*.csv``
-    glob matches), which is renamed over ``path`` on success and removed
-    on error, so a failed write leaves the previous file as it was.
+    The bytes go to ``.<name>.tmp`` beside ``path``, which is renamed over
+    ``path`` on success and removed on error, so a failed write leaves the
+    previous file as it was.
     """
     tmp = path.with_name(f".{path.name}.tmp")
     try:
@@ -216,12 +254,13 @@ def atomic_write(path: Path, newline: str | None = None) -> Iterator[IO[str]]:
         raise
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence], notes: Sequence[str] = ()) -> None:
-    with atomic_write(path, newline="") as f:
+def write_csv(out_dir: Path, name: str, rows: Iterable[Sequence], notes: Sequence[str] = ()) -> None:
+    """Write the artifact ``name`` into ``out_dir``: its notes, its header in :data:`ARTIFACTS`, its rows."""
+    with atomic_write(out_dir / name, newline="") as f:
         for note in notes:
             f.write(f"# {note}\n")
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(ARTIFACTS[name].header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
@@ -235,6 +274,31 @@ def read_csv_rows(path: Path) -> tuple[list[str], list[dict[str, str]]]:
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(itertools.dropwhile(lambda line: line.startswith("#"), f))
         return list(reader.fieldnames or []), list(reader)
+
+
+def _artifact_path(out_dir: Path, name: str, stage: str) -> Path:
+    """The path of the artifact ``name`` that ``stage`` reads; MissingDependencyError if it is absent."""
+    path = out_dir / name
+    if not path.is_file():
+        raise MissingDependencyError(stage, name)
+    return path
+
+
+def _check_header(name: str, header: list[str]) -> None:
+    expected = ARTIFACTS[name].header
+    if header != expected:
+        raise ValueError(f"{name} has header {header}, expected {expected}")
+
+
+def read_artifact(out_dir: Path, name: str, stage: str) -> list[dict[str, str]]:
+    """The rows of the artifact ``name`` in ``out_dir``, which ``stage`` reads.
+
+    MissingDependencyError if the file is absent; ValueError if its header
+    is not the one in :data:`ARTIFACTS`.
+    """
+    header, rows = read_csv_rows(_artifact_path(out_dir, name, stage))
+    _check_header(name, header)
+    return rows
 
 
 # ── Detection stage ─────────────────────────────────────────────────────
@@ -289,9 +353,7 @@ def _clock_texts(seconds: np.ndarray) -> np.ndarray:
     return text.view("S8").ravel().astype(str)
 
 
-def write_detection_artifacts(
-    out_dir: Path, passages: analytics.PassageTable, report: TagReport
-) -> list[Path]:
+def write_detection_artifacts(out_dir: Path, passages: analytics.PassageTable, report: TagReport) -> None:
     """Write the detection CSV, its cells joined as they are, and the tag reports.
 
     A table holding an id that :func:`~bustrace.records.id_fault` refuses raises ValueError.
@@ -301,7 +363,6 @@ def write_detection_artifacts(
             fault = id_fault(name, value)
             if fault is not None:
                 raise ValueError(f"{fault}: {DETECTED_FILE} writes its ids unquoted")
-    detected = out_dir / DETECTED_FILE
     days, day_rows = np.unique(passages.day, return_inverse=True)
     times, time_rows = np.unique(passages.time_s, return_inverse=True)
     columns = [
@@ -315,17 +376,15 @@ def write_detection_artifacts(
         _clock_texts(times)[time_rows].tolist(),
         np.where(passages.observed, Provenance.OBSERVED.value, Provenance.INTERPOLATED.value).tolist(),
     ]
-    with atomic_write(detected, newline="") as f:
+    with atomic_write(out_dir / DETECTED_FILE, newline="") as f:
         f.write(",".join(DETECTION_HEADER) + "\n")
         f.writelines(f"{row}\n" for row in map(",".join, zip(*columns)))
 
     rows = [*report.rows.values(), report.total]
-    tags = out_dir / TAGS_FILE
-    header = ["category", "total_marks", "valid_tags", "valid_pct"]
-    write_csv(tags, header, [[getattr(r, name) for name in header] for r in rows], [report.denominator_note])
-    errors = out_dir / TAG_ERRORS_FILE
-    write_csv(errors, TAG_ERROR_HEADER, [[getattr(r, name) for name in TAG_ERROR_HEADER] for r in rows])
-    return [detected, tags, errors]
+    tag_notes = {"tags_by_category.csv": [report.denominator_note], "tag_errors_by_category.csv": []}
+    for name, notes in tag_notes.items():
+        header = ARTIFACTS[name].header
+        write_csv(out_dir, name, [[getattr(r, column) for column in header] for r in rows], notes)
 
 
 def read_detection_rows(out_dir: Path, stage: str) -> analytics.PassageTable:
@@ -337,14 +396,9 @@ def read_detection_rows(out_dir: Path, stage: str) -> analytics.PassageTable:
     is not in the calendar. The bytes are then cut into cells at commas and
     newlines, and each column is converted.
     """
-    path = out_dir / DETECTED_FILE
-    if not path.is_file():
-        raise MissingDependencyError(stage, DETECTED_FILE)
-    raw = path.read_bytes()
+    raw = _artifact_path(out_dir, DETECTED_FILE, stage).read_bytes()
     body = raw.find(b"\n") + 1 or len(raw)
-    header = raw[:body].removesuffix(b"\n").decode("utf-8", "replace").split(",")
-    if header != DETECTION_HEADER:
-        raise ValueError(f"{DETECTED_FILE} has header {header}, expected {DETECTION_HEADER}")
+    _check_header(DETECTED_FILE, raw[:body].removesuffix(b"\n").decode("utf-8", "replace").split(","))
     block = body
     while block < len(raw):
         end = raw.find(b"\n", block + _MATCH_BYTES) + 1 or len(raw)
@@ -441,15 +495,9 @@ def _leading_number(digits: np.ndarray, length: np.ndarray) -> np.ndarray:
 # ── Validate stage ──────────────────────────────────────────────────────
 
 
-def run_validate(out_dir: Path, dataset: Dataset) -> list[Path]:
+def run_validate(out_dir: Path, dataset: Dataset) -> None:
     issues = validate_dataset(dataset)
-    path = out_dir / VALIDATION_FILE
-    write_csv(
-        path,
-        ["kind", "subject", "detail"],
-        sorted((i.kind, i.subject, i.detail) for i in issues),
-    )
-    return [path]
+    write_csv(out_dir, "validation.csv", sorted((i.kind, i.subject, i.detail) for i in issues))
 
 
 # ── Analyze stage ───────────────────────────────────────────────────────
@@ -472,7 +520,7 @@ def _terminal_key_meta(stops: dict[str, BusStop]) -> dict[str, tuple[str, float,
 
 def run_analyze(
     out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: analytics.PassageTable
-) -> list[Path]:
+) -> None:
     series: dict[tuple[date, str], analytics.AvailabilitySeries] = {}
     categories: dict[str, StopType] = {}
     for day in np.unique(passages.day).tolist():
@@ -485,7 +533,6 @@ def run_analyze(
         )[config.window_minutes]
         series.update(((day, key), s) for key, s in day_series.items())
 
-    availability = out_dir / AVAILABILITY_FILE
     span_start, span_end = config.span_minutes
     starts = np.arange(span_start, span_end - config.window_minutes + 1)
     means = analytics.aggregate_by_category(
@@ -496,7 +543,7 @@ def run_analyze(
         for category, mean in means.items()
         for minute, value in zip(starts, mean)
     ]
-    write_csv(availability, ["category", "start_minute", "start_hhmm", "mean_count"], rows_out)
+    write_csv(out_dir, "availability_by_category.csv", rows_out)
 
     key_day_means: dict[str, list[float]] = {}
     for (_day, key), s in series.items():
@@ -504,7 +551,6 @@ def run_analyze(
     daily_avg = {key: float(np.mean(values)) for key, values in key_day_means.items()}
     outliers = analytics.find_outlier_stops(daily_avg, categories)
 
-    averages = out_dir / DAILY_AVERAGES_FILE
     terminal_meta = _terminal_key_meta(dataset.stops)
     avg_rows = []
     for key in sorted(daily_avg):
@@ -526,29 +572,16 @@ def run_analyze(
                 int(key in outliers),
             )
         )
-    write_csv(
-        averages,
-        ["key", "name", "lat", "lon", "category", "daily_avg_buses", "outlier"],
-        avg_rows,
-    )
-    return [availability, averages]
+    write_csv(out_dir, DAILY_AVERAGES_FILE, avg_rows)
 
 
 # ── Cluster stage ───────────────────────────────────────────────────────
 
 
-def read_daily_averages(out_dir: Path) -> list[dict[str, str]]:
-    path = out_dir / DAILY_AVERAGES_FILE
-    if not path.is_file():
-        raise MissingDependencyError("cluster", DAILY_AVERAGES_FILE)
-    _, rows = read_csv_rows(path)
-    return rows
-
-
 def run_cluster(
     out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: analytics.PassageTable
-) -> list[Path]:
-    avg_rows = read_daily_averages(out_dir)
+) -> None:
+    avg_rows = read_artifact(out_dir, DAILY_AVERAGES_FILE, "cluster")
     averages = {r["key"]: float(r["daily_avg_buses"]) for r in avg_rows}
     outlier_keys = [
         r["key"]
@@ -568,60 +601,26 @@ def run_cluster(
         f"distinct_stops_covered={len(membership)} "
         f"total_memberships={sum(membership.values())}"
     )
-    clusters_path = out_dir / CLUSTERS_FILE
-    write_csv(
-        clusters_path,
-        [
-            "cluster_id",
-            "centroid_stop_id",
-            "member_count",
-            "shared_members",
-            "line_count",
-            "avg_buses",
-            "members",
-            "lines",
-        ],
-        [
-            (
-                c.cluster_id,
-                c.centroid_stop_id,
-                len(c.members),
-                sum(1 for m in c.members if membership[m] > 1),
-                len(c.lines_served),
-                c.avg_buses,
-                STOP_ID_SEPARATOR.join(c.member_list),
-                ";".join(sorted(c.lines_served)),
-            )
-            for c in enriched
-        ],
-        notes=[cover_note],
-    )
-
-    centroids_path = out_dir / CENTROIDS_FILE
-    write_csv(
-        centroids_path,
-        ["cluster_id", "lat", "lon", "avg_buses"],
-        [
-            (
-                c.cluster_id,
-                dataset.stops[c.centroid_stop_id].lat,
-                dataset.stops[c.centroid_stop_id].lon,
-                c.avg_buses,
-            )
-            for c in enriched
-        ],
-    )
-
-    scatter_path = out_dir / CLUSTER_SCATTER_FILE
+    cluster_rows = [
+        (
+            c.cluster_id,
+            c.centroid_stop_id,
+            len(c.members),
+            sum(1 for m in c.members if membership[m] > 1),
+            len(c.lines_served),
+            c.avg_buses,
+            STOP_ID_SEPARATOR.join(c.member_list),
+            ";".join(sorted(c.lines_served)),
+        )
+        for c in enriched
+    ]
+    write_csv(out_dir, CLUSTERS_FILE, cluster_rows, notes=[cover_note])
+    centroids = [dataset.stops[c.centroid_stop_id] for c in enriched]
+    centroid_rows = [(c.cluster_id, stop.lat, stop.lon, c.avg_buses) for c, stop in zip(enriched, centroids)]
+    write_csv(out_dir, "cluster_centroids.csv", centroid_rows)
+    scatter_note = f"pearson_r={_fmt(scatter.r)} p_value={_fmt(scatter.p_value)} n={scatter.n_clusters}"
     scatter_rows = [(c.cluster_id, c.avg_buses, len(c.lines_served)) for c in enriched]
-    write_csv(
-        scatter_path,
-        ["cluster_id", "avg_buses", "line_count"],
-        scatter_rows,
-        notes=[
-            f"pearson_r={_fmt(scatter.r)} p_value={_fmt(scatter.p_value)} n={scatter.n_clusters}"
-        ],
-    )
+    write_csv(out_dir, "cluster_scatter.csv", scatter_rows, notes=[scatter_note])
 
     # Days are pooled: every passage counts at its time of day.
     times = passages.times_by_stop()
@@ -654,20 +653,10 @@ def run_cluster(
         profiles.append(profile)
         for (period_name, window), value in sorted(profile.items()):
             profile_rows.append((cluster.cluster_id, period_name, window, value))
-    corr_path = out_dir / CLUSTER_CORR_FILE
-    write_csv(corr_path, ["cluster_id", "period", "stop_a", "stop_b", "r"], corr_rows)
-    profiles_path = out_dir / SYNC_PROFILES_FILE
-    write_csv(profiles_path, ["cluster_id", "period", "window_minutes", "mean_r"], profile_rows)
-
-    summary_path = out_dir / SYNC_SUMMARY_FILE
+    write_csv(out_dir, "cluster_stop_correlations.csv", corr_rows)
+    write_csv(out_dir, "sync_profiles.csv", profile_rows)
     combined = analytics.mean_sync_across_clusters(profiles) if profiles else {}
-    write_csv(
-        summary_path,
-        ["period", "window_minutes", "mean_r"],
-        [(period, window, value) for (period, window), value in sorted(combined.items())],
-    )
-
-    return [clusters_path, centroids_path, scatter_path, corr_path, profiles_path, summary_path]
+    write_csv(out_dir, "sync_summary.csv", [(*key, value) for key, value in sorted(combined.items())])
 
 
 def _membership_counts(clusters: Sequence[clustering.Cluster]) -> dict[str, int]:
@@ -679,10 +668,6 @@ def _membership_counts(clusters: Sequence[clustering.Cluster]) -> dict[str, int]
 
 
 def read_clusters(out_dir: Path) -> list[clustering.Cluster]:
-    path = out_dir / CLUSTERS_FILE
-    if not path.is_file():
-        raise MissingDependencyError("route", CLUSTERS_FILE)
-    _, rows = read_csv_rows(path)
     return [
         clustering.Cluster(
             cluster_id=r["cluster_id"],
@@ -691,14 +676,14 @@ def read_clusters(out_dir: Path) -> list[clustering.Cluster]:
             lines_served=frozenset(r["lines"].split(";")) if r["lines"] else frozenset(),
             avg_buses=float(r["avg_buses"]),
         )
-        for r in rows
+        for r in read_artifact(out_dir, CLUSTERS_FILE, "route")
     ]
 
 
 # ── Route stage ─────────────────────────────────────────────────────────
 
 
-def run_route(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> list[Path]:
+def run_route(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> None:
     clusters = read_clusters(out_dir)
     g_base = routing.build_graph(dataset.itineraries, dataset.stops)
     g_clustered = routing.add_cluster_transfers(g_base, clusters)
@@ -709,7 +694,6 @@ def run_route(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> list[P
         pairs, g_base, g_clustered, k=config.k_paths, radius_m=config.od_search_radius_m
     )
 
-    results_path = out_dir / OD_RESULTS_FILE
     result_rows = []
     path_rows = []
     for network in ("base", "clustered"):
@@ -727,16 +711,9 @@ def run_route(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> list[P
             for rank, (weight, path) in enumerate(trip.alternatives, start=1):
                 stops = STOP_ID_SEPARATOR.join(routing.stop_sequence(path))
                 path_rows.append((pair_id, network, rank, weight, stops))
-    write_csv(
-        results_path,
-        ["pair_id", "network", "feasible", "distance_m", "transfers", "stops"],
-        result_rows,
-    )
+    write_csv(out_dir, "od_results.csv", result_rows)
+    write_csv(out_dir, "od_paths.csv", path_rows)
 
-    paths_path = out_dir / OD_PATHS_FILE
-    write_csv(paths_path, ["pair_id", "network", "rank", "distance_m", "stops"], path_rows)
-
-    summary_path = out_dir / OD_SUMMARY_FILE
     summary_rows = []
     for network in ("base", "clustered"):
         s = evaluation.summaries[network]
@@ -752,18 +729,4 @@ def run_route(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> list[P
                 s.mean_transfers,
             )
         )
-    write_csv(
-        summary_path,
-        [
-            "network",
-            "feasible",
-            "infeasible",
-            "mean_distance_m",
-            "q1_distance_m",
-            "median_distance_m",
-            "q3_distance_m",
-            "mean_transfers",
-        ],
-        summary_rows,
-    )
-    return [results_path, paths_path, summary_path]
+    write_csv(out_dir, "od_summary.csv", summary_rows)

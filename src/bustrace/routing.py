@@ -22,7 +22,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .clustering import Cluster
-from .geo import DEFAULT_OD_SEARCH_RADIUS_M, GeoPoint, haversine_distance, nearest_stops
+from .geo import DEFAULT_OD_SEARCH_RADIUS_M, GeoPoint, haversine, haversine_matrix, nearest_stops
 from .model import BusStop, ItineraryDef
 
 DEFAULT_K = 30
@@ -116,8 +116,10 @@ def build_graph(
             rn = ride_node(iti.line_code, iti.direction, stop_id)
             graph.add_edge(stop_node(stop_id), Edge(rn, 0.0, EdgeKind.BOARD, iti.line_code))
             graph.add_edge(rn, Edge(stop_node(stop_id), 0.0, EdgeKind.ALIGHT, iti.line_code))
-        for a, b in zip(stop_ids, stop_ids[1:]):
-            length = haversine_distance(stops[a], stops[b])
+        lats = np.array([stops[stop_id].lat for stop_id in stop_ids])
+        lons = np.array([stops[stop_id].lon for stop_id in stop_ids])
+        lengths = haversine(lats[:-1], lons[:-1], lats[1:], lons[1:]).tolist()
+        for a, b, length in zip(stop_ids, stop_ids[1:], lengths):
             if length <= 0.0:
                 raise ValueError(
                     f"itinerary {iti.line_code}/{iti.direction}: consecutive stops "
@@ -140,13 +142,15 @@ def add_cluster_transfers(graph: TransitGraph, clusters: Sequence[Cluster]) -> T
     result = graph.copy()
     for cluster in sorted(clusters, key=lambda c: c.cluster_id):
         members = [m for m in cluster.member_list if m in result.stops]
+        lats = np.array([result.stops[m].lat for m in members])
+        lons = np.array([result.stops[m].lon for m in members])
+        walks = haversine_matrix(lats, lons, lats, lons).tolist()
         for i, a in enumerate(members):
-            for b in members[i + 1 :]:
+            for b, walk in zip(members[i + 1 :], walks[i][i + 1 :]):
                 pair = (a, b) if a < b else (b, a)
                 if pair in result.transfer_pairs:
                     continue
                 result.transfer_pairs.add(pair)
-                walk = haversine_distance(result.stops[a], result.stops[b])
                 result.add_edge(stop_node(a), Edge(stop_node(b), walk, EdgeKind.TRANSFER))
                 result.add_edge(stop_node(b), Edge(stop_node(a), walk, EdgeKind.TRANSFER))
     return result

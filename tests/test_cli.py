@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import bustrace
-from bustrace import analytics, cli, records, routing
+from bustrace import analytics, cli, pipeline, records, routing
 from bustrace.cli import main
 from bustrace.geo import GeoPoint, offset_point
 from bustrace.model import BusLine, BusStop, Dataset, FixTrack, ItineraryDef, LineCategory, StopType
-from bustrace.pipeline import read_csv_rows, write_csv
+from bustrace.pipeline import ARTIFACTS, read_artifact, read_csv_rows, write_csv
 from bustrace.synthetic import line829_dataset
 
 from conftest import CASE_RESULT
@@ -200,10 +200,22 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ({"cluster_radius_m": float("inf")}, "cluster_radius_m"),
         ({"od_jitter_m": float("nan")}, "od_jitter_m"),
         ({"jobs": 2}, "jobs"),
+        ({"window_minutes": 10.5}, "window_minutes"),
+        ({"k_paths": 2.5}, "k_paths"),
+        ({"od_pairs": 2.5}, "od_pairs"),
+        ({"idle_gap_min": float("nan")}, "idle_gap_min"),
+        ({"window_set": [10.7, 15]}, "window_set"),
+        ({"window_minutes": 10.0}, "window_minutes"),
+        ({"k_paths": True}, "k_paths"),
+        ({"span_minutes": [300, 1380.5]}, "span_minutes"),
+        ({"periods": {"morning": [360.5, 540]}}, "periods"),
+        ({"seed": 1.5}, "seed"),
     ],
     ids=[
         "span", "window", "window_set", "period", "od_pairs", "nan_radius", "inf_radius", "nan_jitter",
-        "jobs",
+        "jobs", "fractional_window", "fractional_k", "fractional_od_pairs", "nan_idle_gap",
+        "fractional_window_set", "float_window", "bool_k", "fractional_span", "fractional_period",
+        "fractional_seed",
     ],
 )
 def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys, overrides, key):
@@ -211,6 +223,7 @@ def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys, overrid
     out = tmp_path / "out"
     assert main(["all", "--config", str(config), "--out", str(out)]) == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["stage"] == "all"  # no stage ran
     assert error["type"] == "ValueError"
     assert key in error["message"]
     assert not list(out.glob("*.csv"))
@@ -297,13 +310,13 @@ def _rows_then_failure():
 
 
 def test_failed_csv_write_keeps_previous_file(tmp_path):
-    path = tmp_path / "table.csv"
-    write_csv(path, ["key", "value"], [("old", 0.5)])
+    path = tmp_path / "sync_summary.csv"
+    write_csv(tmp_path, path.name, [("old", 10, 0.5)])
     before = path.read_bytes()
     with pytest.raises(RuntimeError, match="row source failed"):
-        write_csv(path, ["key", "value"], _rows_then_failure())
+        write_csv(tmp_path, path.name, _rows_then_failure())
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["sync_summary.csv"]
 
 
 def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
@@ -325,12 +338,11 @@ def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
 
 
 def test_hash_prefixed_values_survive_csv_read_back(tmp_path):
-    path = tmp_path / "table.csv"
-    rows = [("#829", "1"), ("829", "2"), ("#centroid", "3")]
-    write_csv(path, ["key", "value"], rows, notes=["first note", "second note"])
-    header, got = read_csv_rows(path)
-    assert header == ["key", "value"]
-    assert [(r["key"], r["value"]) for r in got] == rows
+    rows = [("#829", "1", "2"), ("829", "2", "3"), ("#centroid", "3", "4")]
+    write_csv(tmp_path, "cluster_scatter.csv", rows, notes=["first note", "second note"])
+    header, got = read_csv_rows(tmp_path / "cluster_scatter.csv")
+    assert header == ["cluster_id", "avg_buses", "line_count"]
+    assert [tuple(r.values()) for r in got] == rows
 
 
 def test_hash_prefixed_line_code_keeps_its_daily_averages(tmp_path):
@@ -535,3 +547,86 @@ def test_all_runs_without_scipy(tmp_path, dataset):
     assert sorted(p.name for p in blocked.iterdir()) == names
     for name in names:
         assert (blocked / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def _inodes(out: Path) -> dict[str, int]:
+    return {p.name: p.stat().st_ino for p in out.iterdir()}
+
+
+def test_each_stage_writes_exactly_its_files_of_the_artifact_table(tmp_path):
+    config = write_config(tmp_path)
+    staged = tmp_path / "staged"
+    staged.mkdir()
+    for stage in ("validate", "detect", "analyze", "cluster", "route"):
+        before = _inodes(staged)
+        assert main([stage, "--config", str(config), "--out", str(staged)]) == 0, stage
+        after = _inodes(staged)
+        # every file a run writes replaces the one before it, under a new inode
+        written = {name for name, inode in after.items() if before.get(name) != inode}
+        expected = {name for name, artifact in ARTIFACTS.items() if artifact.stage == stage}
+        assert written == expected | {"manifest.json"}, stage
+        assert set(after) >= set(before)
+
+    together = tmp_path / "all"
+    assert main(["all", "--config", str(config), "--out", str(together)]) == 0
+    assert sorted(p.name for p in together.iterdir()) == sorted([*ARTIFACTS, "manifest.json"])
+
+
+def test_artifact_with_another_header_is_refused_by_name(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    for stage in ("detect", "analyze"):
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+    averages = out / "stop_daily_averages.csv"
+    lines = averages.read_text(encoding="utf-8").splitlines()
+    lines[0] = lines[0].replace("daily_avg_buses", "daily_avg")
+    averages.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["cluster", "--config", str(config), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("stop_daily_averages.csv has header ")
+    assert not (out / "clusters.csv").exists()
+
+
+def test_a_users_csv_in_the_output_directory_is_not_an_artifact(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    notes = out / "notes.csv"
+    notes.write_text("what,why\nradius,450 m what-if\n", encoding="utf-8")
+    before = notes.stat()
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+    assert notes.read_text(encoding="utf-8") == "what,why\nradius,450 m what-if\n"
+    assert (notes.stat().st_ino, notes.stat().st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["artifacts"]) == sorted(ARTIFACTS)
+
+
+def test_stages_call_through_the_names_the_bench_tracer_wraps(tmp_path, monkeypatch):
+    """bench/trace.py times a stage by replacing these module attributes;
+    a stage the CLI reaches another way would read zero there."""
+    names = [
+        (cli, "run_validate"), (cli, "run_detection"), (cli, "write_detection_artifacts"),
+        (cli, "run_analyze"), (cli, "run_cluster"), (cli, "run_route"), (cli, "load_config"),
+        (cli, "_write_manifest"), (pipeline, "read_detection_rows"), (pipeline, "validate_dataset"),
+    ]
+    calls = {}
+
+    def counter(name, inner):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return counted
+
+    def run(command, out):
+        calls.update((name, 0) for _, name in names)
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        return dict(calls)
+
+    for module, name in names:
+        monkeypatch.setattr(module, name, counter(name, getattr(module, name)))
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run("all", out) == {name: int(name != "read_detection_rows") for _, name in names}
+    analyze = run("analyze", out)
+    assert analyze["read_detection_rows"] == 1 and analyze["run_analyze"] == 1

@@ -9,7 +9,8 @@ which plants an out-of-sequence mark. This walks the full chain: nearest
 stop matching, trip segmentation, and detection with gap interpolation.
 """
 
-from bustrace import detect, format_time_of_day, match_fixes, segment_trips
+from bustrace.detection import detect, format_time_of_day, segment_trips
+from bustrace.matching import match_fixes
 from bustrace.synthetic import line829_dataset
 
 dataset = line829_dataset(include_failures=True)

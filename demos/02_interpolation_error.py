@@ -10,9 +10,9 @@ consecutive missing stops.
 
 import numpy as np
 
-from bustrace import evaluate_interpolation_error
+from bustrace.detection import detect, evaluate_interpolation_error, segment_trips
+from bustrace.matching import match_fixes
 from bustrace.synthetic import straight_line_dataset
-from bustrace import detect, match_fixes, segment_trips
 
 
 def reconstruct_all(dataset):

@@ -10,17 +10,16 @@ like informal hubs.
 
 import numpy as np
 
-from bustrace import (
+from bustrace.analytics import (
+    DEFAULT_SPAN_MINUTES,
     PassageTable,
     aggregate_by_category,
-    daily_average,
-    detect,
+    build_availability,
     find_outlier_stops,
-    match_fixes,
     merge_terminals,
-    segment_trips,
 )
-from bustrace.analytics import build_availability
+from bustrace.detection import detect, segment_trips
+from bustrace.matching import match_fixes
 from bustrace.model import Dataset, LineCategory, StopType
 from bustrace.synthetic import straight_line_dataset
 
@@ -58,17 +57,17 @@ print(f"{len(detections)} trips reconstructed across {len(dataset.lines)} lines"
 
 passages = PassageTable.from_itineraries(detections)
 merged, categories = merge_terminals(passages, dataset.stops)
-series = build_availability(merged, [10])[10]
+counts = build_availability(merged, [10])[10]  # a row per key of merged, a column per start minute
 
 print("\nmean buses per 10-minute window, by category (selected hours):")
-means = aggregate_by_category(series, categories)
-starts = next(iter(series.values())).start_minutes
+means = aggregate_by_category(counts, [categories[key] for key in merged])
+starts = DEFAULT_SPAN_MINUTES[0] + np.arange(counts.shape[1])
 for category, mean in means.items():
     picks = [np.argmin(np.abs(starts - h * 60)) for h in (6, 9, 12, 17, 21)]
     summary = "  ".join(f"{starts[i] // 60:02d}h={mean[i]:4.2f}" for i in picks)
     print(f"  {category.value:12s} {summary}")
 
-averages = {key: daily_average(s) for key, s in series.items()}
+averages = dict(zip(merged, counts.mean(axis=1).tolist()))
 top = sorted(averages, key=averages.get, reverse=True)[:3]
 print("\nbusiest stops by daily average:")
 for key in top:

@@ -11,20 +11,20 @@ within a rider's waiting window?
 
 from datetime import date
 
-from bustrace import (
+from bustrace.analytics import (
+    DEFAULT_PERIODS,
+    DEFAULT_SPAN_MINUTES,
+    SYNC_WINDOW_SET,
     PassageTable,
-    build_candidates,
-    cluster_stats,
-    cluster_stops,
+    build_availability,
     cluster_sync_profile,
-    daily_average,
-    detect,
+    correlation_matrix,
     find_outlier_stops,
-    match_fixes,
-    segment_trips,
 )
-from bustrace.analytics import SYNC_WINDOW_SET, build_availability
+from bustrace.clustering import build_candidates, cluster_stats, cluster_stops
+from bustrace.detection import detect, segment_trips
 from bustrace.geo import GeoPoint, offset_point
+from bustrace.matching import match_fixes
 from bustrace.model import BusLine, BusStop, Dataset, FixTrack, ItineraryDef, LineCategory, StopType
 
 ORIGIN = GeoPoint(-25.46, -49.28)
@@ -91,8 +91,7 @@ print(f"{len(detections)} trips reconstructed")
 
 passages = PassageTable.from_itineraries(detections)
 times = passages.times_by_stop()
-series = build_availability(times, [10])[10]
-averages = {key: daily_average(s) for key, s in series.items()}
+averages = dict(zip(times, build_availability(times, [10])[10].mean(axis=1).tolist()))
 categories = {key: StopType.STREET_STOP for key in averages}
 outliers = find_outlier_stops(averages, categories)
 print(f"availability outliers: {sorted(outliers)}")
@@ -106,7 +105,13 @@ for cluster in enriched:
         f"lines={sorted(cluster.lines_served)} avg_buses={cluster.avg_buses:.2f}"
     )
 
-profile = cluster_sync_profile(enriched[0].member_list, build_availability(times, SYNC_WINDOW_SET))
+members = [m for m in enriched[0].member_list if m in times]  # those with passages
+counts = build_availability({m: times[m] for m in members}, SYNC_WINDOW_SET)
+profile = cluster_sync_profile({
+    (period, w): correlation_matrix(counts[w], DEFAULT_SPAN_MINUTES, period)
+    for period in DEFAULT_PERIODS
+    for w in SYNC_WINDOW_SET
+})
 print("\nmean pairwise correlation inside the cluster:")
 print("window:  " + "  ".join(f"{w:>5d}" for w in SYNC_WINDOW_SET))
 for period in ("morning", "midday", "evening"):

@@ -9,8 +9,8 @@ links the corridor end to end. Trips are evaluated with Yen's K-shortest
 paths on both graph variants.
 """
 
-from bustrace import add_cluster_transfers, build_graph, cluster_stops, evaluate_od
-from bustrace.clustering import Candidate
+from bustrace.clustering import Candidate, cluster_stops
+from bustrace.routing import add_cluster_transfers, build_graph, evaluate_od
 from bustrace.synthetic import two_corridor_network, two_corridor_od_pairs
 
 stops, itineraries, bridge_candidates = two_corridor_network()

@@ -1,120 +1,8 @@
 """Batch transit analytics: itinerary reconstruction from GPS logs,
-virtual-terminal clustering, and routing-benefit evaluation."""
+virtual-terminal clustering, and routing-benefit evaluation.
 
-from .analytics import (
-    AvailabilitySeries,
-    CorrelationMatrix,
-    PassageTable,
-    Period,
-    aggregate_by_category,
-    cluster_sync_profile,
-    correlation_matrix,
-    daily_average,
-    find_outlier_stops,
-    merge_terminals,
-    moving_window_counts,
-    pearson,
-)
-from .clustering import Candidate, Cluster, build_candidates, cluster_stats, cluster_stops
-from .detection import (
-    DetectedItinerary,
-    DetectionResult,
-    InterpolationErrorSample,
-    Provenance,
-    TagReport,
-    detect,
-    evaluate_interpolation_error,
-    format_time_of_day,
-    interpolate_gap,
-    parse_time_of_day,
-    segment_trips,
-    tag_report,
-)
-from .geo import GeoPoint, haversine_distance
-from .matching import Marks, match_fixes
-from .model import (
-    BusLine,
-    BusStop,
-    Dataset,
-    FixTrack,
-    ItineraryDef,
-    LineCategory,
-    StopType,
-    validate_dataset,
-)
-from .records import (
-    load_dataset,
-    parse_line_points,
-    parse_lines,
-    parse_vehicle_fixes,
-)
-from .routing import (
-    ODPair,
-    TransitGraph,
-    TripResult,
-    add_cluster_transfers,
-    build_graph,
-    evaluate_od,
-    evaluate_trip,
-    nearest_stops,
-    yen_k_shortest,
-)
+Import names from their modules, for example
+``from bustrace.detection import detect``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AvailabilitySeries",
-    "BusLine",
-    "BusStop",
-    "Candidate",
-    "Cluster",
-    "CorrelationMatrix",
-    "Dataset",
-    "DetectedItinerary",
-    "DetectionResult",
-    "FixTrack",
-    "GeoPoint",
-    "InterpolationErrorSample",
-    "ItineraryDef",
-    "LineCategory",
-    "Marks",
-    "ODPair",
-    "PassageTable",
-    "Period",
-    "Provenance",
-    "StopType",
-    "TagReport",
-    "TransitGraph",
-    "TripResult",
-    "add_cluster_transfers",
-    "aggregate_by_category",
-    "build_candidates",
-    "build_graph",
-    "cluster_stats",
-    "cluster_stops",
-    "cluster_sync_profile",
-    "correlation_matrix",
-    "daily_average",
-    "detect",
-    "evaluate_interpolation_error",
-    "evaluate_od",
-    "evaluate_trip",
-    "find_outlier_stops",
-    "format_time_of_day",
-    "haversine_distance",
-    "interpolate_gap",
-    "load_dataset",
-    "match_fixes",
-    "merge_terminals",
-    "moving_window_counts",
-    "nearest_stops",
-    "parse_line_points",
-    "parse_lines",
-    "parse_time_of_day",
-    "parse_vehicle_fixes",
-    "pearson",
-    "segment_trips",
-    "tag_report",
-    "validate_dataset",
-    "yen_k_shortest",
-]

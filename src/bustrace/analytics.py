@@ -2,9 +2,11 @@
 
 Availability is measured per stop as the number of passages inside a
 sliding W-minute window shifted by one minute across the service span
-(05:00 to 23:00 by default). Series feed category aggregates, daily
-averages, boxplot outlier detection, and pairwise Pearson correlations
-restricted to periods of the day.
+(05:00 to 23:00 by default). Each window size gives one count matrix, a
+row per stop and a column per window start minute. A category's series is
+the mean of its stops' rows, and a stop's daily average the mean of its
+row, which feeds boxplot outlier detection. A period of the day is a mask
+over the columns, inside which rows are correlated pairwise (Pearson).
 """
 
 from __future__ import annotations
@@ -39,20 +41,6 @@ DEFAULT_PERIODS = (
     Period("midday", 660, 840),  # 11:00-14:00
     Period("evening", 1020, 1200),  # 17:00-20:00
 )
-
-
-@dataclass
-class AvailabilitySeries:
-    """Per-minute sliding-window passage counts for one stop or cluster."""
-
-    key: str
-    window_minutes: int
-    counts: np.ndarray
-    span: tuple[int, int] = DEFAULT_SPAN_MINUTES
-
-    @property
-    def start_minutes(self) -> np.ndarray:
-        return np.arange(self.span[0], self.span[1] - self.window_minutes + 1)
 
 
 # The columns of a passage table, those of ``detected_itineraries.csv`` in
@@ -274,52 +262,32 @@ def build_availability(
     times: Mapping[str, np.ndarray],
     windows: Sequence[int] = (DEFAULT_WINDOW_MINUTES,),
     span: tuple[int, int] = DEFAULT_SPAN_MINUTES,
-) -> dict[int, dict[str, AvailabilitySeries]]:
-    """Per window size, one series per key of the passage times by key.
+) -> dict[int, np.ndarray]:
+    """Per window size, the :func:`window_counts` matrix of the passage times by key.
 
-    Every key and every window is counted from one histogram
-    (:func:`window_counts`).
+    Row i counts the passages of the i-th key of ``times``; column j the
+    window starting at minute span[0] + j.
     """
     arrays = [np.asarray(key_times) for key_times in times.values()]
-    counts = window_counts(
+    return window_counts(
         np.repeat(np.arange(len(arrays)), [len(a) for a in arrays]),
         np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64),
         len(arrays),
         windows,
         span,
     )
-    return {
-        w: {
-            key: AvailabilitySeries(key=key, window_minutes=w, counts=row, span=span)
-            for key, row in zip(times, counts[w])
-        }
-        for w in windows
-    }
 
 
-def aggregate_by_category(
-    series: Mapping[str, AvailabilitySeries], categories: Mapping[str, StopType]
-) -> dict[StopType, np.ndarray]:
-    """Element-wise mean series per stop category; empty categories omitted."""
-    shapes = {(s.window_minutes, s.span) for s in series.values()}
-    if len(shapes) > 1:
-        raise ValueError("all series must share window size and span")
-    grouped: dict[StopType, list[np.ndarray]] = {}
-    for key, s in series.items():
-        grouped.setdefault(categories[key], []).append(s.counts)
+def aggregate_by_category(counts: np.ndarray, categories: Sequence[StopType]) -> dict[StopType, np.ndarray]:
+    """Mean of the count rows of each category, ``categories`` giving each row's; empty categories omitted."""
     means: dict[StopType, np.ndarray] = {}
     for category in StopType:
-        vectors = grouped.get(category)
-        if not vectors:
+        rows = [i for i, row_category in enumerate(categories) if row_category is category]
+        if not rows:
             log.warning("category %s has no stops with passages; omitted", category.value)
             continue
-        means[category] = np.mean(np.stack(vectors), axis=0)
+        means[category] = np.mean(counts[rows], axis=0)
     return means
-
-
-def daily_average(series: AvailabilitySeries) -> float:
-    """Mean window count over the whole span."""
-    return float(np.mean(series.counts))
 
 
 def find_outlier_stops(
@@ -358,13 +326,12 @@ def find_outlier_stops(
 # ── Correlation ─────────────────────────────────────────────────────────
 
 
-def restrict_to_period(series: AvailabilitySeries, period: Period | None) -> np.ndarray:
-    """Counts of the windows whose start minute lies inside the period."""
+def restrict_to_period(counts: np.ndarray, span: tuple[int, int], period: Period | None) -> np.ndarray:
+    """The columns of ``counts`` (a row or a matrix) whose window start minute, span[0] + column, lies in the period."""
     if period is None:
-        return series.counts
-    starts = series.start_minutes
-    mask = (starts >= period.start_minute) & (starts < period.end_minute)
-    return series.counts[mask]
+        return counts
+    starts = span[0] + np.arange(counts.shape[-1])
+    return counts[..., (starts >= period.start_minute) & (starts < period.end_minute)]
 
 
 def pearson_matrix(rows: Sequence[Sequence[float]]) -> np.ndarray:
@@ -426,62 +393,26 @@ def pearson_p_value(r: float, n: int) -> float:
     return max(0.0, 1.0 - inside)
 
 
-@dataclass
-class CorrelationMatrix:
-    """Symmetric r-value matrix; NaN marks undefined pairs, diagonal is 1."""
-
-    keys: list[str]
-    values: np.ndarray
-
-    def __post_init__(self):
-        self._index = {key: i for i, key in enumerate(self.keys)}
-
-    def entry(self, a: str, b: str) -> float:
-        return float(self.values[self._index[a], self._index[b]])
+def correlation_matrix(counts: np.ndarray, span: tuple[int, int], period: Period | None) -> np.ndarray:
+    """The :func:`pearson_matrix` of the count rows, restricted to the period's windows."""
+    return pearson_matrix(restrict_to_period(counts, span, period))
 
 
-def correlation_matrix(
-    series: Mapping[str, AvailabilitySeries],
-    keys: Sequence[str] | None = None,
-    period: Period | None = None,
-) -> CorrelationMatrix:
-    ordered = list(keys) if keys is not None else sorted(series)
-    values = pearson_matrix([restrict_to_period(series[k], period) for k in ordered])
-    return CorrelationMatrix(keys=ordered, values=values)
+def cluster_sync_profile(matrices: Mapping[tuple[Period, int], np.ndarray]) -> dict[tuple[str, int], float | None]:
+    """Mean pairwise correlation of member stops per (period name, window).
 
-
-def cluster_sync_profile(
-    member_keys: Sequence[str],
-    series: Mapping[int, Mapping[str, AvailabilitySeries]],
-    periods: Sequence[Period] = DEFAULT_PERIODS,
-    matrices: Mapping[tuple[Period, int], CorrelationMatrix] | None = None,
-) -> dict[tuple[str, int], float | None]:
-    """Mean pairwise correlation of member-stop series per (period, window).
-
-    ``series`` maps each window size to the series by stop id, as
-    :func:`build_availability` gives them; members without a series have
-    no passage data. ``matrices`` may map some (period, window) cells to
-    their :func:`correlation_matrix`, already built from those series; one
-    whose keys are the members with passage data, in order, is read instead
-    of being computed again. Pairs whose correlation is undefined are left
-    out of the mean; a cell with no defined pair at all is None. Requires at
-    least two members with passage data.
+    ``matrices`` maps each (period, window) cell to the
+    :func:`correlation_matrix` of the members' counts. Pairs whose
+    correlation is undefined are left out of the mean; a cell with no
+    defined pair at all is None. Requires at least two members.
     """
     profile: dict[tuple[str, int], float | None] = {}
-    matrices = matrices or {}
-    for window, by_key in series.items():
-        members = [k for k in member_keys if k in by_key]
-        if len(members) < 2:
+    for (period, window), values in matrices.items():
+        if len(values) < 2:
             raise ValueError("synchronization profile needs at least 2 member stops with passages")
-        pairs = np.triu_indices(len(members), 1)
-        for period in periods:
-            known = matrices.get((period, window))
-            if known is not None and known.keys == members:
-                rs = known.values[pairs]
-            else:
-                rs = pearson_matrix([restrict_to_period(by_key[k], period) for k in members])[pairs]
-            rs = rs[~np.isnan(rs)]
-            profile[(period.name, window)] = float(np.mean(rs)) if rs.size else None
+        rs = values[np.triu_indices(len(values), 1)]
+        rs = rs[~np.isnan(rs)]
+        profile[(period.name, window)] = float(np.mean(rs)) if rs.size else None
     return profile
 
 

@@ -185,13 +185,18 @@ class PipelineConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        if "periods" in kwargs:
-            kwargs["periods"] = tuple(
-                analytics.Period(name, *bounds) for name, bounds in sorted(kwargs["periods"].items())
-            )
         for key in ("window_set", "span_minutes"):
             if key in kwargs:
+                if not isinstance(kwargs[key], (list, tuple)):
+                    raise ValueError(f"{key}: {kwargs[key]!r} is not a list")
                 kwargs[key] = tuple(kwargs[key])
+        if "periods" in kwargs:
+            periods = kwargs["periods"]
+            if not isinstance(periods, dict) or any(
+                not isinstance(bounds, (list, tuple)) or len(bounds) != 2 for bounds in periods.values()
+            ):
+                raise ValueError(f"periods: {periods!r} is not a mapping of names to [start, end]")
+            kwargs["periods"] = tuple(analytics.Period(name, *bounds) for name, bounds in sorted(periods.items()))
         return cls(**kwargs)
 
     def to_mapping(self) -> dict:
@@ -521,33 +526,31 @@ def _terminal_key_meta(stops: dict[str, BusStop]) -> dict[str, tuple[str, float,
 def run_analyze(
     out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: analytics.PassageTable
 ) -> None:
-    series: dict[tuple[date, str], analytics.AvailabilitySeries] = {}
+    window, span = config.window_minutes, config.span_minutes
+    # one count row per (day, key), in day order
+    keys: list[str] = []
+    counts = [np.zeros((0, span[1] - span[0] - window + 1), dtype=np.int64)]
     categories: dict[str, StopType] = {}
     for day in np.unique(passages.day).tolist():
         merged, day_categories = analytics.merge_terminals(
             passages.select(passages.day == day), dataset.stops
         )
         categories.update(day_categories)
-        day_series = analytics.build_availability(
-            merged, [config.window_minutes], config.span_minutes
-        )[config.window_minutes]
-        series.update(((day, key), s) for key, s in day_series.items())
+        keys.extend(merged)
+        counts.append(analytics.build_availability(merged, [window], span)[window])
+    counts = np.concatenate(counts)
 
-    span_start, span_end = config.span_minutes
-    starts = np.arange(span_start, span_end - config.window_minutes + 1)
-    means = analytics.aggregate_by_category(
-        series, {day_key: categories[day_key[1]] for day_key in series}
-    )
+    means = analytics.aggregate_by_category(counts, [categories[key] for key in keys])
     rows_out = [
-        (category.value, int(minute), f"{minute // 60:02d}:{minute % 60:02d}", float(value))
+        (category.value, minute, f"{minute // 60:02d}:{minute % 60:02d}", value)
         for category, mean in means.items()
-        for minute, value in zip(starts, mean)
+        for minute, value in enumerate(mean.tolist(), start=span[0])
     ]
     write_csv(out_dir, "availability_by_category.csv", rows_out)
 
     key_day_means: dict[str, list[float]] = {}
-    for (_day, key), s in series.items():
-        key_day_means.setdefault(key, []).append(analytics.daily_average(s))
+    for key, mean in zip(keys, counts.mean(axis=1).tolist()):
+        key_day_means.setdefault(key, []).append(mean)
     daily_avg = {key: float(np.mean(values)) for key, values in key_day_means.items()}
     outliers = analytics.find_outlier_stops(daily_avg, categories)
 
@@ -624,32 +627,30 @@ def run_cluster(
 
     # Days are pooled: every passage counts at its time of day.
     times = passages.times_by_stop()
-    windows = sorted({config.window_minutes, *config.window_set})
+    # the full day and each period at the correlation window, for the pair
+    # rows; each period at every sync window, for the profile
+    corr_cells = [(period, config.window_minutes) for period in (None, *config.periods)]
+    sync_cells = [(period, w) for period in config.periods for w in config.window_set]
     corr_rows = []
     profile_rows = []
     profiles = []
-    period_choices: list[analytics.Period | None] = [None, *config.periods]
     for cluster in enriched:
         members = [m for m in cluster.member_list if m in times]
         if len(members) < 2:
             continue
-        series = analytics.build_availability(
-            {m: times[m] for m in members}, windows, config.span_minutes
+        counts = analytics.build_availability(
+            {m: times[m] for m in members}, [config.window_minutes, *config.window_set], config.span_minutes
         )
-        matrices = {}
-        for period in period_choices:
-            matrix = analytics.correlation_matrix(series[config.window_minutes], members, period)
+        matrices = {
+            (period, w): analytics.correlation_matrix(counts[w], config.span_minutes, period)
+            for period, w in dict.fromkeys(corr_cells + sync_cells)
+        }
+        first, second = np.triu_indices(len(members), 1)
+        for period, w in corr_cells:
             label = period.name if period else "full_day"
-            matrices[period, config.window_minutes] = matrix
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    value = matrix.entry(a, b)
-                    corr_rows.append(
-                        (cluster.cluster_id, label, a, b, None if math.isnan(value) else value)
-                    )
-        profile = analytics.cluster_sync_profile(
-            members, {w: series[w] for w in config.window_set}, config.periods, matrices
-        )
+            for i, j, r in zip(first.tolist(), second.tolist(), matrices[period, w][first, second].tolist()):
+                corr_rows.append((cluster.cluster_id, label, members[i], members[j], None if math.isnan(r) else r))
+        profile = analytics.cluster_sync_profile({cell: matrices[cell] for cell in sync_cells})
         profiles.append(profile)
         for (period_name, window), value in sorted(profile.items()):
             profile_rows.append((cluster.cluster_id, period_name, window, value))

@@ -14,7 +14,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from bustrace.analytics import correlation_matrix, moving_window_counts, pearson
+from bustrace.analytics import DEFAULT_SPAN_MINUTES, correlation_matrix, moving_window_counts, pearson
 from bustrace.clustering import Candidate, build_candidates, cluster_stops
 from bustrace.detection import (
     GroupOutcome,
@@ -269,18 +269,13 @@ def test_criterion_06_pearson_and_matrix_contracts():
         assert pearson(x, y) == pytest.approx(closed_form, abs=1e-12)
 
         rng = np.random.default_rng(5)
-        from bustrace.analytics import AvailabilitySeries
-
-        series = {
-            "A": AvailabilitySeries("A", 10, rng.integers(0, 6, size=1071)),
-            "B": AvailabilitySeries("B", 10, rng.integers(0, 6, size=1071)),
-            "F": AvailabilitySeries("F", 10, np.zeros(1071, dtype=int)),  # flat
-        }
-        matrix = correlation_matrix(series)
-        assert np.array_equal(np.diag(matrix.values), np.ones(3))
-        assert np.allclose(matrix.values, matrix.values.T, equal_nan=True)
-        assert np.isnan(matrix.entry("A", "F")) and np.isnan(matrix.entry("B", "F"))
-        assert pearson(series["F"].counts, series["A"].counts) is None  # flagged, not 0
+        a, b = rng.integers(0, 6, size=1071), rng.integers(0, 6, size=1071)
+        flat = np.zeros(1071, dtype=int)
+        matrix = correlation_matrix(np.stack([a, b, flat]), DEFAULT_SPAN_MINUTES, None)
+        assert np.array_equal(np.diag(matrix), np.ones(3))
+        assert np.allclose(matrix, matrix.T, equal_nan=True)
+        assert np.isnan(matrix[0, 2]) and np.isnan(matrix[1, 2])
+        assert pearson(flat, a) is None  # flagged, not 0
 
 
 # ── 7. clustering oracle ────────────────────────────────────────────────

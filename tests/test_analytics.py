@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 from bustrace.analytics import (
     DEFAULT_PERIODS,
     PASSAGE_COLUMNS,
-    AvailabilitySeries,
     PassageTable,
     aggregate_by_category,
     build_availability,
     cluster_sync_profile,
     correlation_matrix,
-    daily_average,
     find_outlier_stops,
     mean_sync_across_clusters,
     merge_terminals,
@@ -32,10 +30,6 @@ from bustrace.detection import DetectedItinerary, parse_time_of_day, round_to_se
 from bustrace.model import BusStop, StopType
 
 SPAN = (300, 1380)
-
-
-def _series(counts, key="S1", window=10):
-    return AvailabilitySeries(key=key, window_minutes=window, counts=np.asarray(counts), span=SPAN)
 
 
 def _brute_force_counts(times, window_minutes, span=SPAN):
@@ -118,19 +112,20 @@ def _keyed_times(draw):
 @settings(max_examples=300, deadline=None)
 def test_build_availability_counts_every_window_like_moving_window_counts(case):
     times, windows, span = case
-    series = build_availability(times, windows, span)
-    assert sorted(series) == sorted(set(windows))
-    for window, by_key in series.items():
-        assert list(by_key) == list(times)
-        for key, key_times in times.items():
+    counts = build_availability(times, windows, span)
+    assert sorted(counts) == sorted(set(windows))
+    for window, matrix in counts.items():
+        # a row per key, in the mapping's order; a column per start minute
+        assert matrix.shape == (len(times), len(np.arange(span[0], span[1] - window + 1)))
+        for row, (key, key_times) in zip(matrix, times.items()):
             expected = moving_window_counts(key_times, window, span)
-            assert by_key[key].counts.dtype == expected.dtype
-            assert np.array_equal(by_key[key].counts, expected), (key, window)
-            assert np.array_equal(by_key[key].start_minutes, np.arange(span[0], span[1] - window + 1))
+            assert row.dtype == expected.dtype
+            assert np.array_equal(row, expected), (key, window)
 
 
 def test_build_availability_of_no_keys():
-    assert build_availability({}, (10, 15)) == {10: {}, 15: {}}
+    counts = build_availability({}, (10, 15))
+    assert {w: m.shape for w, m in counts.items()} == {10: (0, 1071), 15: (0, 1066)}
     with pytest.raises(ValueError):
         build_availability({"A": [30000]}, (0,))
 
@@ -138,60 +133,36 @@ def test_build_availability_of_no_keys():
 # ── aggregation ─────────────────────────────────────────────────────────
 
 
-def _cat(mapping):
-    return {k: v for k, v in mapping.items()}
-
-
 def test_aggregate_single_stop_category():
-    series = {"A": _series([1, 2, 3])}
-    means = aggregate_by_category(series, _cat({"A": StopType.TERMINAL}))
+    means = aggregate_by_category(np.array([[1, 2, 3]]), [StopType.TERMINAL])
     assert np.array_equal(means[StopType.TERMINAL], [1, 2, 3])
 
 
 def test_aggregate_two_constant_series():
-    series = {"A": _series([2, 2]), "B": _series([4, 4], key="B")}
-    cats = _cat({"A": StopType.STREET_STOP, "B": StopType.STREET_STOP})
-    means = aggregate_by_category(series, cats)
+    means = aggregate_by_category(np.array([[2, 2], [4, 4]]), [StopType.STREET_STOP] * 2)
     assert np.array_equal(means[StopType.STREET_STOP], [3.0, 3.0])
 
 
 def test_aggregate_five_stop_hand_oracle():
-    vectors = {f"S{i}": [i, 2 * i, i * i] for i in range(5)}
-    series = {k: _series(v, key=k) for k, v in vectors.items()}
-    cats = _cat({k: StopType.TUBE_STATION for k in vectors})
-    means = aggregate_by_category(series, cats)
-    expected = [sum(v[j] for v in vectors.values()) / 5 for j in range(3)]
+    vectors = [[i, 2 * i, i * i] for i in range(5)]
+    means = aggregate_by_category(np.array(vectors), [StopType.TUBE_STATION] * 5)
+    expected = [sum(v[j] for v in vectors) / 5 for j in range(3)]
     assert np.allclose(means[StopType.TUBE_STATION], expected)
 
 
 def test_aggregate_commutes_with_reordering():
-    series = {"A": _series([1, 5]), "B": _series([3, 1], key="B"), "C": _series([2, 0], key="C")}
-    cats = _cat({k: StopType.STREET_STOP for k in series})
-    forward = aggregate_by_category(series, cats)
-    backward = aggregate_by_category(dict(reversed(series.items())), cats)
+    counts = np.array([[1, 5], [3, 1], [2, 0]])
+    cats = [StopType.STREET_STOP] * 3
+    forward = aggregate_by_category(counts, cats)
+    backward = aggregate_by_category(counts[::-1], cats[::-1])
     assert np.array_equal(forward[StopType.STREET_STOP], backward[StopType.STREET_STOP])
 
 
 def test_aggregate_warns_on_empty_category(caplog):
-    series = {"A": _series([1, 1])}
     with caplog.at_level(logging.WARNING):
-        means = aggregate_by_category(series, _cat({"A": StopType.STREET_STOP}))
+        means = aggregate_by_category(np.array([[1, 1]]), [StopType.STREET_STOP])
     assert StopType.TERMINAL not in means
     assert any("TERMINAL" in r.message for r in caplog.records)
-
-
-def test_aggregate_rejects_mixed_windows():
-    series = {"A": _series([1]), "B": _series([1], key="B", window=20)}
-    with pytest.raises(ValueError, match="share"):
-        aggregate_by_category(series, _cat({"A": StopType.STREET_STOP, "B": StopType.STREET_STOP}))
-
-
-def test_daily_average_cases():
-    assert daily_average(_series([7, 7, 7])) == 7.0
-    assert daily_average(_series([0, 0])) == 0.0
-    rng = np.random.default_rng(1)
-    counts = rng.integers(0, 20, size=100)
-    assert daily_average(_series(counts)) == pytest.approx(float(np.mean(counts)), abs=1e-12)
 
 
 # ── outliers ────────────────────────────────────────────────────────────
@@ -299,26 +270,28 @@ def test_pearson_p_value_equals_scipy_stdtr():
 
 def test_correlation_matrix_contracts():
     rng = np.random.default_rng(2)
-    series = {
-        "A": _series(rng.integers(0, 5, size=1071)),
-        "B": _series(rng.integers(0, 5, size=1071), key="B"),
-        "C": _series(np.zeros(1071, dtype=int), key="C"),  # no variance
-    }
-    matrix = correlation_matrix(series)
-    assert matrix.keys == ["A", "B", "C"]
-    assert np.array_equal(np.diag(matrix.values), np.ones(3))
-    assert np.allclose(matrix.values, matrix.values.T, equal_nan=True)
-    assert np.isnan(matrix.entry("A", "C"))
-    assert -1.0 <= matrix.entry("A", "B") <= 1.0
+    counts = np.stack([
+        rng.integers(0, 5, size=1071),
+        rng.integers(0, 5, size=1071),
+        np.zeros(1071, dtype=int),  # no variance
+    ])
+    matrix = correlation_matrix(counts, SPAN, None)
+    assert matrix.shape == (3, 3)
+    assert np.array_equal(np.diag(matrix), np.ones(3))
+    assert np.allclose(matrix, matrix.T, equal_nan=True)
+    assert np.isnan(matrix[0, 2])
+    assert -1.0 <= matrix[0, 1] <= 1.0
 
 
 def test_restrict_to_period_bounds():
-    series = _series(np.arange(1071))
+    counts = np.arange(1071)
     morning = next(p for p in DEFAULT_PERIODS if p.name == "morning")
-    got = restrict_to_period(series, morning)
+    got = restrict_to_period(counts, SPAN, morning)
     assert len(got) == 180
     assert got[0] == morning.start_minute - 300
-    assert restrict_to_period(series, None) is series.counts
+    assert restrict_to_period(counts, SPAN, None) is counts
+    # a matrix keeps its rows and loses the same columns
+    assert np.array_equal(restrict_to_period(np.stack([counts, -counts]), SPAN, morning), [got, -got])
 
 
 # ── synchronization profiles ────────────────────────────────────────────
@@ -507,6 +480,13 @@ def _passages(times_by_stop, vehicle="V1", line="L1"):
     )
 
 
+def _profile(times, windows):
+    counts = build_availability(times, windows)
+    return cluster_sync_profile(
+        {(period, w): correlation_matrix(counts[w], SPAN, period) for period in DEFAULT_PERIODS for w in windows}
+    )
+
+
 def test_sync_profile_two_members_equals_pair():
     rng = np.random.default_rng(4)
     passages = _passages(
@@ -515,11 +495,9 @@ def test_sync_profile_two_members_equals_pair():
             "B": rng.uniform(300 * 60, 1380 * 60, 120),
         }
     ).times_by_stop()
-    profile = cluster_sync_profile(["A", "B"], build_availability(passages, (10,)), DEFAULT_PERIODS)
+    profile = _profile(passages, (10,))
     for period in DEFAULT_PERIODS:
-        series = build_availability(passages, [10])[10]
-        a = restrict_to_period(series["A"], period)
-        b = restrict_to_period(series["B"], period)
+        a, b = restrict_to_period(build_availability(passages, [10])[10], SPAN, period)
         expected = pearson(a, b)
         got = profile[(period.name, 10)]
         if expected is None:
@@ -531,7 +509,7 @@ def test_sync_profile_two_members_equals_pair():
 def test_sync_profile_identical_members_is_one():
     times = np.linspace(300 * 60, 1380 * 60, 200)
     passages = _passages({"A": times, "B": times}).times_by_stop()
-    profile = cluster_sync_profile(["A", "B"], build_availability(passages, (10, 20)))
+    profile = _profile(passages, (10, 20))
     for value in profile.values():
         assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -541,13 +519,13 @@ def test_sync_profile_three_members_matches_pair_enumeration():
     passages = _passages(
         {k: rng.uniform(300 * 60, 1380 * 60, 150) for k in ("A", "B", "C")}
     ).times_by_stop()
-    profile = cluster_sync_profile(["A", "B", "C"], build_availability(passages, (15,)))
-    series = build_availability(passages, [15])[15]
+    profile = _profile(passages, (15,))
+    series = dict(zip(passages, build_availability(passages, [15])[15]))
     for period in DEFAULT_PERIODS:
         rs = []
         for x, y in (("A", "B"), ("A", "C"), ("B", "C")):
             r = pearson(
-                restrict_to_period(series[x], period), restrict_to_period(series[y], period)
+                restrict_to_period(series[x], SPAN, period), restrict_to_period(series[y], SPAN, period)
             )
             if r is not None:
                 rs.append(r)
@@ -557,7 +535,7 @@ def test_sync_profile_three_members_matches_pair_enumeration():
 
 def test_sync_profile_requires_two_members():
     with pytest.raises(ValueError, match="at least 2"):
-        cluster_sync_profile(["A"], build_availability(_passages({"A": [30000]}).times_by_stop()))
+        _profile(_passages({"A": [30000]}).times_by_stop(), (10,))
 
 
 def test_mean_sync_across_clusters_skips_undefined():

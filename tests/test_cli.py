@@ -210,12 +210,19 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ({"span_minutes": [300, 1380.5]}, "span_minutes"),
         ({"periods": {"morning": [360.5, 540]}}, "periods"),
         ({"seed": 1.5}, "seed"),
+        ({"window_set": 10}, "window_set"),
+        ({"window_set": "10"}, "window_set"),
+        ({"span_minutes": 5}, "span_minutes"),
+        ({"periods": [1, 2]}, "periods"),
+        ({"periods": {"morning": [360]}}, "periods"),
+        ({"periods": {"morning": [360, 540, 600]}}, "periods"),
     ],
     ids=[
         "span", "window", "window_set", "period", "od_pairs", "nan_radius", "inf_radius", "nan_jitter",
         "jobs", "fractional_window", "fractional_k", "fractional_od_pairs", "nan_idle_gap",
         "fractional_window_set", "float_window", "bool_k", "fractional_span", "fractional_period",
-        "fractional_seed",
+        "fractional_seed", "scalar_window_set", "string_window_set", "scalar_span", "period_list",
+        "period_one_bound", "period_three_bounds",
     ],
 )
 def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys, overrides, key):
@@ -524,6 +531,73 @@ def test_cluster_builds_each_pearson_matrix_once(tmp_path, monkeypatch):
     assert len(calls) == per_cluster * len(clusters) + 1  # and one for the cluster scatter's r
 
 
+def _brute_force_r(a_times: list[int], b_times: list[int], window: int, period) -> float | None:
+    """Pearson r of two stops' counts over the windows whose start minute lies inside ``period``."""
+    span = analytics.DEFAULT_SPAN_MINUTES
+    a, b = (analytics.moving_window_counts(times, window, span) for times in (a_times, b_times))
+    starts = range(span[0], span[1] - window + 1)
+    keep = [period is None or period.start_minute <= m < period.end_minute for m in starts]
+    return analytics.pearson(a[keep], b[keep])
+
+
+def test_cluster_stage_numbers_equal_a_brute_force(tmp_path):
+    """Daily averages, per-pair r and sync profiles, each from per-stop counts and per-pair r."""
+    dataset = three_hub_dataset()
+    config = write_config(tmp_path, dataset)
+    out = tmp_path / "out"
+    for stage in ("detect", "analyze", "cluster"):
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+    span, periods = analytics.DEFAULT_SPAN_MINUTES, analytics.DEFAULT_PERIODS
+
+    times: dict[tuple[str, str], list[int]] = {}  # (day, key) -> seconds of day
+    for row in read_csv_rows(out / pipeline.DETECTED_FILE)[1]:
+        stop = dataset.stops[row["stop_id"]]
+        key = f"terminal:{stop.name}" if stop.stop_type is StopType.TERMINAL else stop.stop_id
+        hours, minutes, seconds = map(int, row["time"].split(":"))
+        times.setdefault((row["day"], key), []).append(hours * 3600 + minutes * 60 + seconds)
+    day_means: dict[str, list[float]] = {}
+    for (_day, key), key_times in sorted(times.items()):
+        counts = analytics.moving_window_counts(key_times, analytics.DEFAULT_WINDOW_MINUTES, span)
+        day_means.setdefault(key, []).append(sum(counts.tolist()) / len(counts))
+    rows = read_csv_rows(out / pipeline.DAILY_AVERAGES_FILE)[1]
+    averages = {r["key"]: float(r["daily_avg_buses"]) for r in rows}
+    assert sorted(averages) == sorted(day_means)
+    for key, means in day_means.items():
+        assert averages[key] == pytest.approx(sum(means) / len(means), abs=5e-7), key
+
+    def same(cell: str, expected: float | None) -> bool:
+        return cell == "undefined" if expected is None else float(cell) == pytest.approx(expected, abs=5e-7)
+
+    by_stop: dict[str, list[int]] = {}
+    for (_day, key), key_times in times.items():
+        by_stop.setdefault(key, []).extend(key_times)
+    correlations = read_csv_rows(out / "cluster_stop_correlations.csv")[1]
+    profiles = read_csv_rows(out / "sync_profiles.csv")[1]
+    expected_pairs, expected_cells = [], []
+    for cluster in read_csv_rows(out / pipeline.CLUSTERS_FILE)[1]:
+        members = [m for m in sorted(cluster["members"].split(records.STOP_ID_SEPARATOR)) if m in by_stop]
+        if len(members) < 2:
+            continue
+        pairs = [(by_stop[a], by_stop[b], (a, b)) for i, a in enumerate(members) for b in members[i + 1 :]]
+        for period in (None, *periods):
+            label = period.name if period else "full_day"
+            for a, b, names in pairs:
+                r = _brute_force_r(a, b, analytics.DEFAULT_WINDOW_MINUTES, period)
+                expected_pairs.append((cluster["cluster_id"], label, *names, r))
+        for period in sorted(periods, key=lambda p: p.name):
+            for w in sorted(analytics.SYNC_WINDOW_SET):
+                rs = [r for a, b, _ in pairs if (r := _brute_force_r(a, b, w, period)) is not None]
+                expected_cells.append((cluster["cluster_id"], period.name, str(w), sum(rs) / len(rs) if rs else None))
+    assert len(expected_pairs) == len(correlations) > 0
+    for row, (*names, r) in zip(correlations, expected_pairs):
+        assert [row["cluster_id"], row["period"], row["stop_a"], row["stop_b"]] == names
+        assert same(row["r"], r), names
+    assert len(expected_cells) == len(profiles) > 0
+    for row, (*names, mean_r) in zip(profiles, expected_cells):
+        assert [row["cluster_id"], row["period"], row["window_minutes"]] == names
+        assert same(row["mean_r"], mean_r), names
+
+
 @pytest.mark.parametrize("dataset", [line829_dataset, three_hub_dataset])
 def test_all_runs_without_scipy(tmp_path, dataset):
     config = write_config(tmp_path, dataset())
@@ -610,6 +684,9 @@ def test_stages_call_through_the_names_the_bench_tracer_wraps(tmp_path, monkeypa
         (cli, "run_analyze"), (cli, "run_cluster"), (cli, "run_route"), (cli, "load_config"),
         (cli, "_write_manifest"), (pipeline, "read_detection_rows"), (pipeline, "validate_dataset"),
     ]
+    # called at least once by `all` on a dataset that clusters
+    analytics_names = ["build_availability", "find_outlier_stops", "correlation_matrix", "cluster_sync_profile"]
+    names += [(analytics, name) for name in analytics_names]
     calls = {}
 
     def counter(name, inner):
@@ -625,8 +702,12 @@ def test_stages_call_through_the_names_the_bench_tracer_wraps(tmp_path, monkeypa
 
     for module, name in names:
         monkeypatch.setattr(module, name, counter(name, getattr(module, name)))
-    config = write_config(tmp_path)
+    config = write_config(tmp_path, three_hub_dataset())
     out = tmp_path / "out"
-    assert run("all", out) == {name: int(name != "read_detection_rows") for _, name in names}
+    counts = run("all", out)
+    assert [name for name in analytics_names if counts.pop(name) < 1] == []
+    assert counts == {name: int(name != "read_detection_rows") for _, name in names if name not in analytics_names}
     analyze = run("analyze", out)
     assert analyze["read_detection_rows"] == 1 and analyze["run_analyze"] == 1
+    # the tracer looks these two up as well; no stage calls them through the module
+    assert callable(analytics.moving_window_counts) and callable(analytics.pearson)

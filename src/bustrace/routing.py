@@ -7,8 +7,11 @@ Cluster transfer edges connect member stop nodes directly, weighted by the
 walk between them, and origin/destination access edges attach trip
 endpoints to every stop within the search radius. All weights are meters
 and non-negative, so trip distance minimization runs on Dijkstra inside
-Yen's loopless K-shortest-path scheme. A trip's transfers are its changes
-of line between consecutive ride steps.
+Yen's loopless K-shortest-path scheme. Each spur search is two passes: an
+A* search, guided by every node's distance to the destination, finds the
+spur path's weight, and the Dijkstra, bounded at that weight, returns the
+path. A trip's transfers are its changes of line between consecutive ride
+steps.
 """
 
 from __future__ import annotations
@@ -162,10 +165,15 @@ _INF = float("inf")
 # Search limit when no bound applies: nodes that cannot reach the target
 # (reverse distance inf) still fail ``label + inf <= _NO_LIMIT``.
 _NO_LIMIT = sys.float_info.max
-# Relative float slack of the spur bound. A label plus a reverse distance
+# Relative float slack of the search bounds. A label plus a reverse distance
 # and a canonical path weight sum the same edges in different orders;
 # their rounding differs by far less than this share of a path's weight.
 _BOUND_SLACK = 1e-9
+
+
+def _above(weight: float) -> float:
+    """A search limit that no path of this weight, summed in any order, exceeds."""
+    return weight + _BOUND_SLACK * (1.0 + weight)
 
 
 class GraphIndex:
@@ -301,6 +309,45 @@ def _shortest_path(
     return path
 
 
+def _spur_weight(
+    out: list[dict[int, float]],
+    to_target: list[float],
+    source: int,
+    target: int,
+    blocked: bytearray,
+    banned_next: Collection[int],
+    limit: float,
+) -> float | None:
+    """A* from source to target under the bans of :func:`_shortest_path`;
+    the weight of a shortest path, or None when no path fits ``limit``.
+
+    ``to_target`` is a consistent heuristic, up to rounding. Stale heap
+    entries are skipped by label rather than by a done set, so a node whose
+    label a rounding difference lowers after its first pop is expanded
+    again. ``blocked`` is only read.
+    """
+    source_out = out[source]
+    if banned_next:
+        source_out = {nxt: w for nxt, w in source_out.items() if nxt not in banned_next}
+    best = {source: 0.0}
+    heap = [(to_target[source], 0.0, source)]
+    while heap:
+        _, dist, node = heapq.heappop(heap)
+        if node == target:
+            return dist
+        if dist > best[node]:
+            continue
+        for nxt, w in (source_out if node == source else out[node]).items():
+            if blocked[nxt]:
+                continue
+            candidate = dist + w
+            estimate = candidate + to_target[nxt]
+            if candidate < best.get(nxt, _INF) and estimate <= limit:
+                best[nxt] = candidate
+                heapq.heappush(heap, (estimate, candidate, nxt))
+    return None
+
+
 def _prefix_weights(out: list[dict[int, float]], path: Sequence[int]) -> list[float]:
     """Canonical left-to-right weight sums of each prefix of a node path."""
     sums = [0.0]
@@ -320,13 +367,19 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
     Bounded spurs: once the candidates hold R = k - len(accepted) paths, a
     candidate heavier than the R-th lightest, W, can never be accepted, so
     each spur search drops labels that cannot end within W.
+
+    Spurs bounded by their own weight: :func:`_spur_weight` first finds the
+    spur's weight under the same bans and limit, and the Dijkstra then runs
+    bounded just above it, which returns the path an unbounded search
+    would. A spur with no path within the limit skips the Dijkstra.
     """
     n = len(index.nodes)
     out = index.out
     to_target = _distances_to(index, target)
     if to_target[source] == _INF:
         return []
-    first = _shortest_path(out, to_target, source, target, bytearray(n), (), _NO_LIMIT)
+    # the reverse search has already found the first path's weight
+    first = _shortest_path(out, to_target, source, target, bytearray(n), (), _above(to_target[source]))
     accepted = [(_prefix_weights(out, first)[-1], first)]
     deviations = [0]
     seen_paths = {tuple(first)}
@@ -352,13 +405,17 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
             limit = _NO_LIMIT
             if len(lightest) >= room:
                 bound = -lightest[0]
-                limit = bound - prefix[spur_idx] + _BOUND_SLACK * (1.0 + bound)
+                limit = _above(bound) - prefix[spur_idx]
             if to_target[spur] > limit:
                 continue
             banned_next = {p[spur_idx + 1] for p in sharing}
+            spur_weight = _spur_weight(out, to_target, spur, target, blocked, banned_next, limit)
+            if spur_weight is None:
+                continue
+            limit = min(limit, _above(spur_weight))
             spur_path = _shortest_path(out, to_target, spur, target, blocked, banned_next, limit)
             if spur_path is None:
-                continue
+                raise RuntimeError(f"spur search from node {spur} lost a path of weight {spur_weight}")
             candidate = tuple(base_path[:spur_idx]) + tuple(spur_path)
             if candidate in seen_paths:
                 continue

@@ -683,10 +683,12 @@ def test_stages_call_through_the_names_the_bench_tracer_wraps(tmp_path, monkeypa
         (cli, "run_validate"), (cli, "run_detection"), (cli, "write_detection_artifacts"),
         (cli, "run_analyze"), (cli, "run_cluster"), (cli, "run_route"), (cli, "load_config"),
         (cli, "_write_manifest"), (pipeline, "read_detection_rows"), (pipeline, "validate_dataset"),
+        (routing, "build_graph"), (routing, "add_cluster_transfers"), (routing, "evaluate_od"),
     ]
-    # called at least once by `all` on a dataset that clusters
+    # called at least once by `all` on a dataset that clusters and routes
     analytics_names = ["build_availability", "find_outlier_stops", "correlation_matrix", "cluster_sync_profile"]
-    names += [(analytics, name) for name in analytics_names]
+    routing_names = ["evaluate_trip", "yen_k_shortest"]  # yen_k_shortest counts routing.paths_ranked
+    names += [(analytics, name) for name in analytics_names] + [(routing, name) for name in routing_names]
     calls = {}
 
     def counter(name, inner):
@@ -705,8 +707,9 @@ def test_stages_call_through_the_names_the_bench_tracer_wraps(tmp_path, monkeypa
     config = write_config(tmp_path, three_hub_dataset())
     out = tmp_path / "out"
     counts = run("all", out)
-    assert [name for name in analytics_names if counts.pop(name) < 1] == []
-    assert counts == {name: int(name != "read_detection_rows") for _, name in names if name not in analytics_names}
+    repeated = analytics_names + routing_names
+    assert [name for name in repeated if counts.pop(name) < 1] == []
+    assert counts == {name: int(name != "read_detection_rows") for _, name in names if name not in repeated}
     analyze = run("analyze", out)
     assert analyze["read_detection_rows"] == 1 and analyze["run_analyze"] == 1
     # the tracer looks these two up as well; no stage calls them through the module

@@ -11,6 +11,7 @@ from bustrace.routing import (
     ORIGIN,
     Edge,
     EdgeKind,
+    GraphIndex,
     ODPair,
     add_cluster_transfers,
     build_graph,
@@ -23,6 +24,7 @@ from bustrace.routing import (
     stop_sequence,
     yen_k_shortest,
 )
+from bustrace.routing import _NO_LIMIT, _above, _distances_to, _prefix_weights, _shortest_path, _spur_weight
 from bustrace.synthetic import line829_dataset, two_corridor_network, two_corridor_od_pairs
 
 ORIGIN_POINT = GeoPoint(-25.45, -49.30)
@@ -398,6 +400,59 @@ def test_yen_equals_reference_on_tie_heavy_graphs(k):
         # parallel lines repeat a node path in the enumeration; Yen ranks node paths
         unique = sorted({(w, tuple(p)) for w, p in _enumerate_simple_paths(adjacency, source, target)})
         assert [w for w, _ in got] == [w for w, _ in unique[:k]]
+
+
+def _float_tie_adjacency(rng):
+    """Weights whose sums tie only up to rounding: 0.1 + 0.2 != 0.3."""
+    adjacency, source, target = _tie_heavy_adjacency(rng)
+    weights = (0.0, 0.1, 0.2, 0.3, 0.6, 0.7)
+    for edges in adjacency.values():
+        step = {}  # parallel lines keep one shared weight
+        for i, edge in enumerate(edges):
+            w = step.setdefault(edge.target, weights[int(rng.integers(0, len(weights)))])
+            edges[i] = Edge(edge.target, w, edge.kind, edge.line_code)
+    return adjacency, source, target
+
+
+@pytest.mark.parametrize("k", [1, 3, 30])
+def test_yen_equals_reference_on_float_tie_graphs(k):
+    rng = np.random.default_rng(70 + k)
+    for _ in range(150):
+        adjacency, source, target = _float_tie_adjacency(rng)
+        got = yen_k_shortest(adjacency, source, target, k)
+        assert got == _reference_yen(adjacency, source, target, k)
+
+
+def test_spur_weight_bounds_the_same_spur_path():
+    """A* under a spur search's bans finds the weight of the path Dijkstra
+    returns, and Dijkstra bounded just above that weight returns it again."""
+    rng = np.random.default_rng(16)
+    found = 0
+    for trial in range(600):
+        make = (_tie_heavy_adjacency, _float_tie_adjacency)[trial % 2]
+        index = GraphIndex.build(make(rng)[0])
+        n = len(index.nodes)
+        source, target = (int(i) for i in rng.choice(n, size=2, replace=False))
+        to_target = _distances_to(index, target)
+        blocked = bytearray(int(i not in (source, target) and rng.random() < 0.2) for i in range(n))
+        banned_next = {nxt for nxt in index.out[source] if rng.random() < 0.4}
+
+        def search(find, limit):
+            return find(index.out, to_target, source, target, bytearray(blocked), banned_next, limit)
+
+        path = search(_shortest_path, _NO_LIMIT)
+        weight = search(_spur_weight, _NO_LIMIT)
+        assert (weight is None) == (path is None)
+        if path is None:
+            continue
+        found += 1
+        path_weight = _prefix_weights(index.out, path)[-1]
+        assert abs(weight - path_weight) <= _above(path_weight) - path_weight
+        assert search(_shortest_path, _above(weight)) == path
+        # under a tighter limit both searches still agree on whether a path fits
+        for limit in (weight, 0.5 * weight, float(rng.uniform(0.0, 2.0 * weight + 1.0))):
+            assert (search(_spur_weight, limit) is None) == (search(_shortest_path, limit) is None)
+    assert found > 200
 
 
 def _access_overlay(graph, pair, radius_m):

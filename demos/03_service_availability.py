@@ -11,7 +11,6 @@ like informal hubs.
 import numpy as np
 
 from bustrace.analytics import (
-    DEFAULT_SPAN_MINUTES,
     PassageTable,
     aggregate_by_category,
     build_availability,
@@ -20,7 +19,7 @@ from bustrace.analytics import (
 )
 from bustrace.detection import detect, segment_trips
 from bustrace.matching import match_fixes
-from bustrace.model import Dataset, LineCategory, StopType
+from bustrace.model import DEFAULT_SPAN_MINUTES, Dataset, LineCategory, StopType
 from bustrace.synthetic import straight_line_dataset
 
 # Three independent lines with different stop types and service levels.

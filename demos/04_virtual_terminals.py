@@ -12,9 +12,6 @@ within a rider's waiting window?
 from datetime import date
 
 from bustrace.analytics import (
-    DEFAULT_PERIODS,
-    DEFAULT_SPAN_MINUTES,
-    SYNC_WINDOW_SET,
     PassageTable,
     build_availability,
     cluster_sync_profile,
@@ -25,7 +22,18 @@ from bustrace.clustering import build_candidates, cluster_stats, cluster_stops
 from bustrace.detection import detect, segment_trips
 from bustrace.geo import GeoPoint, offset_point
 from bustrace.matching import match_fixes
-from bustrace.model import BusLine, BusStop, Dataset, FixTrack, ItineraryDef, LineCategory, StopType
+from bustrace.model import (
+    DEFAULT_PERIODS,
+    DEFAULT_SPAN_MINUTES,
+    SYNC_WINDOW_SET,
+    BusLine,
+    BusStop,
+    Dataset,
+    FixTrack,
+    ItineraryDef,
+    LineCategory,
+    StopType,
+)
 
 ORIGIN = GeoPoint(-25.46, -49.28)
 DAY = date(2022, 11, 7)

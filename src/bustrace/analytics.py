@@ -19,28 +19,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .detection import DetectedItinerary, round_to_second
-from .model import BusStop, StopType
+from .model import DEFAULT_SPAN_MINUTES, DEFAULT_WINDOW_MINUTES, BusStop, Period, StopType
 
 log = logging.getLogger(__name__)
 
-DEFAULT_SPAN_MINUTES = (300, 1380)  # 05:00 .. 23:00
-DEFAULT_WINDOW_MINUTES = 10
-SYNC_WINDOW_SET = (10, 15, 20, 25, 30, 35, 40, 45)
 MIN_CATEGORY_SIZE = 4  # smallest stop category the outlier rule applies to
-
-
-@dataclass(frozen=True)
-class Period:
-    name: str
-    start_minute: int
-    end_minute: int
-
-
-DEFAULT_PERIODS = (
-    Period("morning", 360, 540),  # 06:00-09:00
-    Period("midday", 660, 840),  # 11:00-14:00
-    Period("evening", 1020, 1200),  # 17:00-20:00
-)
 
 
 # The columns of a passage table, those of ``detected_itineraries.csv`` in

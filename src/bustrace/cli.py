@@ -8,6 +8,9 @@ staging directory inside the output directory and moves its artifacts and
 manifest out of it only once every stage has succeeded, so a failed run
 leaves the output directory's files as they were; a machine-readable error
 record then goes to stderr.
+
+Importing this module loads the configuration, the data model and the
+ingest, not the stages: each stage loads its modules when it runs.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import detection, pipeline
-from .analytics import PassageTable
+from . import pipeline
 from .model import Dataset
 from .pipeline import (
     ARTIFACTS,
@@ -35,6 +38,9 @@ from .pipeline import (
     run_validate,
     write_detection_artifacts,
 )
+
+if TYPE_CHECKING:
+    from .analytics import PassageTable
 
 MANIFEST_FILE = "manifest.json"
 
@@ -76,6 +82,9 @@ def _run_stage(
     if stage == "validate":
         run_validate(out_dir, dataset)
     elif stage == "detect":
+        from . import detection
+        from .analytics import PassageTable
+
         outcomes = run_detection(dataset, config)
         passages = PassageTable.from_itineraries(
             result.itinerary for outcome in outcomes for result in outcome.results if result.accepted

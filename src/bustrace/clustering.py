@@ -13,18 +13,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import (
-    DEFAULT_SPAN_MINUTES,
-    DEFAULT_WINDOW_MINUTES,
-    PassageTable,
-    pearson,
-    pearson_p_value,
-    window_counts,
-)
+from .analytics import PassageTable, pearson, pearson_p_value, window_counts
 from .geo import nearest_stops
-from .model import BusStop
-
-DEFAULT_CLUSTER_RADIUS_M = 600.0
+from .model import DEFAULT_CLUSTER_RADIUS_M, DEFAULT_SPAN_MINUTES, DEFAULT_WINDOW_MINUTES, BusStop, Cluster
 
 
 class Candidate(NamedTuple):
@@ -43,21 +34,6 @@ def build_candidates(
         (Candidate(stop_id, float(averages[stop_id])) for stop_id in set(outlier_stops)),
         key=lambda c: (-c.avg_buses, c.stop_id),
     )
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A virtual terminal: centroid stop plus every stop within the radius."""
-
-    cluster_id: str
-    centroid_stop_id: str
-    members: frozenset[str]
-    lines_served: frozenset[str] = frozenset()
-    avg_buses: float = 0.0
-
-    @property
-    def member_list(self) -> list[str]:
-        return sorted(self.members)
 
 
 def cluster_stops(

@@ -17,13 +17,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, fields
 from datetime import date
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .matching import Marks
-from .model import ItineraryDef, LineCategory
+from .model import DEFAULT_IDLE_GAP_MIN, ItineraryDef, LineCategory
 
-DEFAULT_IDLE_GAP_S = 1800
+if TYPE_CHECKING:
+    from .matching import Marks
+
+DEFAULT_IDLE_GAP_S = DEFAULT_IDLE_GAP_MIN * 60
 DEFAULT_WRAP_FRACTION = 0.5
 
 

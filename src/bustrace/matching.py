@@ -13,9 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geo import haversine_matrix
-from .model import BusStop, FixTrack, ItineraryDef
-
-DEFAULT_ACCEPTANCE_RADIUS_M = 100.0
+from .model import DEFAULT_ACCEPTANCE_RADIUS_M, BusStop, FixTrack, ItineraryDef
 
 # Fix-to-stop distance rows are computed in chunks to bound memory on
 # large trajectories.

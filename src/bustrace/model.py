@@ -1,4 +1,9 @@
-"""Canonical data model: lines, stops, itineraries, GPS fix tracks, datasets."""
+"""Canonical data model: lines, stops, itineraries, GPS fix tracks, datasets,
+virtual terminals, and the defaults of the pipeline configuration.
+
+Every stage module reads its defaults from here, so the configuration is
+defined without loading any stage.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +16,31 @@ from functools import cached_property
 import numpy as np
 
 from .geo import GeoPoint
+
+DEFAULT_ACCEPTANCE_RADIUS_M = 100.0  # a fix marks a stop within this distance
+DEFAULT_IDLE_GAP_MIN = 30  # a longer gap between marks ends a trip
+DEFAULT_SPAN_MINUTES = (300, 1380)  # 05:00 .. 23:00
+DEFAULT_WINDOW_MINUTES = 10
+SYNC_WINDOW_SET = (10, 15, 20, 25, 30, 35, 40, 45)
+DEFAULT_CLUSTER_RADIUS_M = 600.0
+DEFAULT_K = 30  # paths ranked per OD pair
+DEFAULT_OD_JITTER_M = 400.0  # largest offset of an OD endpoint from its stop
+
+
+@dataclass(frozen=True)
+class Period:
+    """A period of the day, in minutes of day from ``start_minute`` to ``end_minute``."""
+
+    name: str
+    start_minute: int
+    end_minute: int
+
+
+DEFAULT_PERIODS = (
+    Period("morning", 360, 540),  # 06:00-09:00
+    Period("midday", 660, 840),  # 11:00-14:00
+    Period("evening", 1020, 1200),  # 17:00-20:00
+)
 
 
 class LineCategory(enum.Enum):
@@ -120,7 +150,7 @@ class ItineraryDef:
                 "first and last stop to coincide"
             )
 
-    @property
+    @cached_property
     def stop_ids(self) -> tuple[str, ...]:
         """Stop ids by itinerary position (1-based positions map to index + 1)."""
         return tuple(stop_id for _, stop_id in self.stops)
@@ -177,6 +207,21 @@ class Dataset:
 
     def itineraries_for(self, line_code: str) -> list[ItineraryDef]:
         return [iti for iti in self.itineraries if iti.line_code == line_code]
+
+
+@dataclass(frozen=True)
+class Cluster:
+    """A virtual terminal: centroid stop plus every stop within the radius."""
+
+    cluster_id: str
+    centroid_stop_id: str
+    members: frozenset[str]
+    lines_served: frozenset[str] = frozenset()
+    avg_buses: float = 0.0
+
+    @property
+    def member_list(self) -> list[str]:
+        return sorted(self.members)
 
 
 @dataclass(frozen=True)

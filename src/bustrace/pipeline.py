@@ -8,6 +8,11 @@ writes it and :func:`read_detection_rows` reads it back. All
 outputs are deterministic functions of (inputs, config, seed): collections
 are sorted before writing and floats use fixed formatting, so repeated runs
 are byte-identical.
+
+The configuration, the artifact table and the CSV helpers need only the
+data model. Each stage imports the modules it computes with when it runs,
+so a process loads only the stages it runs: ``validate`` loads none, and
+``route`` loads :mod:`~bustrace.routing` alone.
 """
 
 from __future__ import annotations
@@ -21,14 +26,33 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import analytics, clustering, detection, matching, routing, synthetic
-from .detection import GroupOutcome, Provenance, TagReport, format_time_of_day
-from .model import BusStop, Dataset, StopType, validate_dataset
+from .geo import DEFAULT_OD_SEARCH_RADIUS_M
+from .model import (
+    DEFAULT_ACCEPTANCE_RADIUS_M,
+    DEFAULT_CLUSTER_RADIUS_M,
+    DEFAULT_IDLE_GAP_MIN,
+    DEFAULT_K,
+    DEFAULT_OD_JITTER_M,
+    DEFAULT_PERIODS,
+    DEFAULT_SPAN_MINUTES,
+    DEFAULT_WINDOW_MINUTES,
+    SYNC_WINDOW_SET,
+    BusStop,
+    Cluster,
+    Dataset,
+    Period,
+    StopType,
+    validate_dataset,
+)
 from .records import ID_FORBIDDEN, STOP_ID_SEPARATOR, id_fault, load_dataset
+
+if TYPE_CHECKING:
+    from .analytics import PassageTable
+    from .detection import GroupOutcome, TagReport
 
 DETECTED_FILE = "detected_itineraries.csv"
 # The grammar of DETECTED_FILE: its columns, in PassageTable order, each with
@@ -125,17 +149,17 @@ class PipelineConfig:
     lines_file: str = ""
     line_points_file: str = ""
     fixes_file: str = ""
-    acceptance_radius_m: float = matching.DEFAULT_ACCEPTANCE_RADIUS_M
-    cluster_radius_m: float = clustering.DEFAULT_CLUSTER_RADIUS_M
-    window_minutes: int = analytics.DEFAULT_WINDOW_MINUTES
-    window_set: tuple[int, ...] = analytics.SYNC_WINDOW_SET
-    periods: tuple[analytics.Period, ...] = analytics.DEFAULT_PERIODS
-    k_paths: int = routing.DEFAULT_K
-    od_search_radius_m: float = routing.DEFAULT_OD_SEARCH_RADIUS_M
+    acceptance_radius_m: float = DEFAULT_ACCEPTANCE_RADIUS_M
+    cluster_radius_m: float = DEFAULT_CLUSTER_RADIUS_M
+    window_minutes: int = DEFAULT_WINDOW_MINUTES
+    window_set: tuple[int, ...] = SYNC_WINDOW_SET
+    periods: tuple[Period, ...] = DEFAULT_PERIODS
+    k_paths: int = DEFAULT_K
+    od_search_radius_m: float = DEFAULT_OD_SEARCH_RADIUS_M
     od_pairs: int = 50
-    od_jitter_m: float = 400.0
-    idle_gap_min: int = 30
-    span_minutes: tuple[int, int] = analytics.DEFAULT_SPAN_MINUTES
+    od_jitter_m: float = DEFAULT_OD_JITTER_M
+    idle_gap_min: int = DEFAULT_IDLE_GAP_MIN
+    span_minutes: tuple[int, int] = DEFAULT_SPAN_MINUTES
     seed: int = 0
     jobs: int = 1
 
@@ -196,7 +220,7 @@ class PipelineConfig:
                 not isinstance(bounds, (list, tuple)) or len(bounds) != 2 for bounds in periods.values()
             ):
                 raise ValueError(f"periods: {periods!r} is not a mapping of names to [start, end]")
-            kwargs["periods"] = tuple(analytics.Period(name, *bounds) for name, bounds in sorted(periods.items()))
+            kwargs["periods"] = tuple(Period(name, *bounds) for name, bounds in sorted(periods.items()))
         return cls(**kwargs)
 
     def to_mapping(self) -> dict:
@@ -314,6 +338,8 @@ def run_detection(dataset: Dataset, config: PipelineConfig) -> list[GroupOutcome
 
     Groups come in key order and each group's itineraries by direction.
     """
+    from . import detection, matching
+
     idle_gap_s = config.idle_gap_min * 60
     outcomes = []
     for vehicle_id, line_code, day in sorted(dataset.fixes):
@@ -328,7 +354,7 @@ def run_detection(dataset: Dataset, config: PipelineConfig) -> list[GroupOutcome
                 for segment, borrowed in zip(segmentation.segments, segmentation.borrowed)
             ]
             outcomes.append(
-                GroupOutcome(
+                detection.GroupOutcome(
                     line_code=line_code,
                     direction=itinerary.direction,
                     vehicle_id=vehicle_id,
@@ -343,10 +369,13 @@ def run_detection(dataset: Dataset, config: PipelineConfig) -> list[GroupOutcome
 
 
 def _clock_texts(seconds: np.ndarray) -> np.ndarray:
-    """'HH:MM:SS' of each whole number of seconds, as :func:`format_time_of_day` writes it.
+    """'HH:MM:SS' of each whole number of seconds, as
+    :func:`~bustrace.detection.format_time_of_day` writes it.
 
     Digits are laid out as bytes; only hours outside 00-99 go through that function.
     """
+    from .detection import format_time_of_day
+
     if np.any((seconds < 0) | (seconds >= 100 * 3600)):
         return np.array([format_time_of_day(t) for t in seconds.tolist()], dtype=str)
     hours, rest = np.divmod(seconds, 3600)
@@ -358,11 +387,14 @@ def _clock_texts(seconds: np.ndarray) -> np.ndarray:
     return text.view("S8").ravel().astype(str)
 
 
-def write_detection_artifacts(out_dir: Path, passages: analytics.PassageTable, report: TagReport) -> None:
+def write_detection_artifacts(out_dir: Path, passages: PassageTable, report: TagReport) -> None:
     """Write the detection CSV, its cells joined as they are, and the tag reports.
 
     A table holding an id that :func:`~bustrace.records.id_fault` refuses raises ValueError.
     """
+    from . import analytics
+    from .detection import Provenance
+
     for name, ids_name in analytics.ID_NAMES.items():
         for value in getattr(passages, ids_name).tolist():
             fault = id_fault(name, value)
@@ -392,7 +424,7 @@ def write_detection_artifacts(out_dir: Path, passages: analytics.PassageTable, r
         write_csv(out_dir, name, [[getattr(r, column) for column in header] for r in rows], notes)
 
 
-def read_detection_rows(out_dir: Path, stage: str) -> analytics.PassageTable:
+def read_detection_rows(out_dir: Path, stage: str) -> PassageTable:
     """The passage table of the detection CSV in ``out_dir``.
 
     One regular expression checks every data row against the grammar of
@@ -450,11 +482,14 @@ def _gather(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarr
     return cells.view(f"S{width}").ravel()
 
 
-def _passage_table(cells: dict[str, np.ndarray]) -> analytics.PassageTable:
+def _passage_table(cells: dict[str, np.ndarray]) -> PassageTable:
     """The passage table of the detection CSV's cell columns by name, which match its grammar.
 
     A ValueError names the first data row whose day is not in the calendar.
     """
+    from . import analytics
+    from .detection import Provenance
+
     distinct, inverse = np.unique(cells["day"], return_inverse=True)
     inverse = inverse.reshape(-1)
     days = np.zeros(len(distinct), dtype="datetime64[D]")
@@ -509,6 +544,8 @@ def run_validate(out_dir: Path, dataset: Dataset) -> None:
 
 
 def _terminal_key_meta(stops: dict[str, BusStop]) -> dict[str, tuple[str, float, float]]:
+    from . import analytics
+
     groups: dict[str, list[BusStop]] = {}
     for stop in stops.values():
         if stop.stop_type is StopType.TERMINAL:
@@ -523,9 +560,9 @@ def _terminal_key_meta(stops: dict[str, BusStop]) -> dict[str, tuple[str, float,
     }
 
 
-def run_analyze(
-    out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: analytics.PassageTable
-) -> None:
+def run_analyze(out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: PassageTable) -> None:
+    from . import analytics
+
     window, span = config.window_minutes, config.span_minutes
     # one count row per (day, key), in day order
     keys: list[str] = []
@@ -581,9 +618,9 @@ def run_analyze(
 # ── Cluster stage ───────────────────────────────────────────────────────
 
 
-def run_cluster(
-    out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: analytics.PassageTable
-) -> None:
+def run_cluster(out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: PassageTable) -> None:
+    from . import analytics, clustering
+
     avg_rows = read_artifact(out_dir, DAILY_AVERAGES_FILE, "cluster")
     averages = {r["key"]: float(r["daily_avg_buses"]) for r in avg_rows}
     outlier_keys = [
@@ -660,7 +697,7 @@ def run_cluster(
     write_csv(out_dir, "sync_summary.csv", [(*key, value) for key, value in sorted(combined.items())])
 
 
-def _membership_counts(clusters: Sequence[clustering.Cluster]) -> dict[str, int]:
+def _membership_counts(clusters: Sequence[Cluster]) -> dict[str, int]:
     counts: dict[str, int] = {}
     for cluster in clusters:
         for member in cluster.members:
@@ -668,9 +705,9 @@ def _membership_counts(clusters: Sequence[clustering.Cluster]) -> dict[str, int]
     return counts
 
 
-def read_clusters(out_dir: Path) -> list[clustering.Cluster]:
+def read_clusters(out_dir: Path) -> list[Cluster]:
     return [
-        clustering.Cluster(
+        Cluster(
             cluster_id=r["cluster_id"],
             centroid_stop_id=r["centroid_stop_id"],
             members=frozenset(r["members"].split(STOP_ID_SEPARATOR)) if r["members"] else frozenset(),
@@ -685,10 +722,12 @@ def read_clusters(out_dir: Path) -> list[clustering.Cluster]:
 
 
 def run_route(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> None:
+    from . import routing
+
     clusters = read_clusters(out_dir)
     g_base = routing.build_graph(dataset.itineraries, dataset.stops)
     g_clustered = routing.add_cluster_transfers(g_base, clusters)
-    pairs = synthetic.generate_od_pairs(
+    pairs = routing.generate_od_pairs(
         dataset.stops, config.od_pairs, seed=config.seed, jitter_m=config.od_jitter_m
     )
     evaluation = routing.evaluate_od(

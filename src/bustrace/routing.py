@@ -24,11 +24,8 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .clustering import Cluster
-from .geo import DEFAULT_OD_SEARCH_RADIUS_M, GeoPoint, haversine, haversine_matrix, nearest_stops
-from .model import BusStop, ItineraryDef
-
-DEFAULT_K = 30
+from .geo import DEFAULT_OD_SEARCH_RADIUS_M, GeoPoint, haversine, haversine_matrix, nearest_stops, offset_point
+from .model import DEFAULT_K, DEFAULT_OD_JITTER_M, BusStop, Cluster, ItineraryDef
 
 Node = tuple[str, ...]
 
@@ -469,6 +466,30 @@ def yen_k_shortest(
 class ODPair:
     origin: GeoPoint
     destination: GeoPoint
+
+
+def generate_od_pairs(
+    stops: Mapping[str, BusStop], count: int, seed: int = 0, jitter_m: float = DEFAULT_OD_JITTER_M
+) -> list[ODPair]:
+    """Seeded OD pairs with endpoint density proportional to stop density.
+
+    Each endpoint is a uniformly chosen stop plus a uniform east/north
+    offset of at most ``jitter_m``.
+    """
+    rng = np.random.default_rng(seed)
+    stop_list = [stops[s] for s in sorted(stops)]
+    if not stop_list:
+        raise ValueError("cannot sample OD pairs without stops")
+
+    def sample() -> GeoPoint:
+        stop = stop_list[int(rng.integers(len(stop_list)))]
+        return offset_point(
+            GeoPoint(stop.lat, stop.lon),
+            float(rng.uniform(-jitter_m, jitter_m)),
+            float(rng.uniform(-jitter_m, jitter_m)),
+        )
+
+    return [ODPair(origin=sample(), destination=sample()) for _ in range(count)]
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Synthetic datasets: the circular case-study line, parametric straight
-lines for calibration experiments, a two-corridor routing network, and a
-seeded origin-destination pair generator.
+lines for calibration experiments, and a two-corridor routing network with
+its origin-destination pairs. The route stage's seeded OD pair generator,
+:func:`~bustrace.routing.generate_od_pairs`, is importable from here too.
 
 All geometry is laid out in a local east/north meter frame and projected
 onto the sphere, so Haversine distances match the design dimensions to
@@ -25,7 +26,7 @@ from .model import (
     LineCategory,
     StopType,
 )
-from .routing import ODPair
+from .routing import ODPair, generate_od_pairs  # noqa: F401  (tests and the bench import it from here)
 
 DEFAULT_CADENCE_S = 20
 
@@ -306,27 +307,3 @@ def two_corridor_od_pairs(count: int, seed: int = 0) -> list[ODPair]:
         )
         pairs.append(ODPair(origin=origin, destination=destination))
     return pairs
-
-
-def generate_od_pairs(
-    stops, count: int, seed: int = 0, jitter_m: float = 400.0
-) -> list[ODPair]:
-    """Seeded OD pairs with endpoint density proportional to stop density.
-
-    Each endpoint is a uniformly chosen stop plus a uniform east/north
-    offset of at most ``jitter_m``.
-    """
-    rng = np.random.default_rng(seed)
-    stop_list = [stops[s] for s in sorted(stops)]
-    if not stop_list:
-        raise ValueError("cannot sample OD pairs without stops")
-
-    def sample() -> GeoPoint:
-        stop = stop_list[int(rng.integers(len(stop_list)))]
-        return offset_point(
-            GeoPoint(stop.lat, stop.lon),
-            float(rng.uniform(-jitter_m, jitter_m)),
-            float(rng.uniform(-jitter_m, jitter_m)),
-        )
-
-    return [ODPair(origin=sample(), destination=sample()) for _ in range(count)]

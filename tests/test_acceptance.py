@@ -14,7 +14,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from bustrace.analytics import DEFAULT_SPAN_MINUTES, correlation_matrix, moving_window_counts, pearson
+from bustrace.analytics import correlation_matrix, moving_window_counts, pearson
 from bustrace.clustering import Candidate, build_candidates, cluster_stops
 from bustrace.detection import (
     GroupOutcome,
@@ -26,7 +26,7 @@ from bustrace.detection import (
 )
 from bustrace.geo import haversine_distance
 from bustrace.matching import Marks, match_fixes
-from bustrace.model import ItineraryDef, LineCategory
+from bustrace.model import DEFAULT_SPAN_MINUTES, ItineraryDef, LineCategory
 from bustrace.routing import (
     add_cluster_transfers,
     build_graph,

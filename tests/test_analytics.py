@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bustrace.analytics import (
-    DEFAULT_PERIODS,
     PASSAGE_COLUMNS,
     PassageTable,
     aggregate_by_category,
@@ -27,7 +26,7 @@ from bustrace.analytics import (
 )
 from bustrace import pipeline
 from bustrace.detection import DetectedItinerary, parse_time_of_day, round_to_second, tag_report
-from bustrace.model import BusStop, StopType
+from bustrace.model import DEFAULT_PERIODS, BusStop, StopType
 
 SPAN = (300, 1380)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bustrace
-from bustrace import analytics, cli, pipeline, records, routing
+from bustrace import analytics, cli, model, pipeline, records, routing
 from bustrace.cli import main
 from bustrace.geo import GeoPoint, offset_point
 from bustrace.model import BusLine, BusStop, Dataset, FixTrack, ItineraryDef, LineCategory, StopType
@@ -458,17 +458,76 @@ def test_malformed_detection_csv_is_refused(tmp_path, capsys, cut):
     assert not (out / "availability_by_category.csv").exists()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for a new interpreter."""
     src = str(Path(bustrace.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
     probe = (
         "import sys, bustrace.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=_src_env(), capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+# The bustrace modules a CLI process loads: the core on import, and each
+# stage's own modules once that stage runs.
+_CORE_MODULES = {"cli", "geo", "model", "pipeline", "records"}
+_STAGE_MODULES = {
+    "validate": set(),
+    "detect": {"analytics", "detection", "matching"},
+    "analyze": {"analytics", "detection"},
+    "cluster": {"analytics", "clustering", "detection"},
+    "route": {"routing"},
+    "all": {"analytics", "clustering", "detection", "matching", "routing"},
+}
+# Imports the CLI, runs it on the arguments after the first, if any, and at
+# exit writes the names of the loaded modules to the file the first names.
+_MODULES_PROBE = (
+    "import atexit, json, sys; path = sys.argv.pop(1); "
+    "atexit.register(lambda: open(path, 'w').write(json.dumps(sorted(sys.modules)))); "
+    "import bustrace.cli; sys.exit(bustrace.cli.main(sys.argv[1:]) if sys.argv[1:] else 0)"
+)
+
+
+def _fresh_process(tmp_path: Path, *args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """The CLI on ``args`` (none: the import alone) in a new interpreter, and the bustrace modules it loaded."""
+    modules = tmp_path / "modules.json"
+    result = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, str(modules), *args], env=_src_env(), capture_output=True, text=True
+    )
+    names = json.loads(modules.read_text(encoding="utf-8"))
+    return result, {name.split(".", 1)[1] for name in names if name.startswith("bustrace.")}
+
+
+def test_cli_import_help_and_validate_load_no_stage_module(tmp_path):
+    config = write_config(tmp_path)
+    for args in [(), ("--help",), ("validate", "--config", str(config), "--out", str(tmp_path / "out"))]:
+        result, loaded = _fresh_process(tmp_path, *args)
+        assert result.returncode == 0, result.stderr
+        assert loaded == _CORE_MODULES, args
+
+
+def test_each_stage_in_a_fresh_process_loads_its_modules_and_writes_the_bytes_of_all(tmp_path):
+    """Every stage runs in an interpreter of its own, so no earlier stage has loaded a module for it."""
+    config = write_config(tmp_path, three_hub_dataset())
+    together, staged = tmp_path / "all", tmp_path / "staged"
+    runs = [("all", together), *((stage, staged) for stage in ("validate", "detect", "analyze", "cluster", "route"))]
+    for stage, out in runs:
+        result, loaded = _fresh_process(tmp_path, stage, "--config", str(config), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert loaded == _CORE_MODULES | _STAGE_MODULES[stage], stage
+
+    names = sorted(p.name for p in together.iterdir())
+    assert names == sorted([*ARTIFACTS, "manifest.json"])
+    assert sorted(p.name for p in staged.iterdir()) == names
+    for name in names:
+        assert (staged / name).read_bytes() == (together / name).read_bytes(), name
 
 
 def three_hub_dataset() -> Dataset:
@@ -525,15 +584,15 @@ def test_cluster_builds_each_pearson_matrix_once(tmp_path, monkeypatch):
     assert main(["cluster", "--config", str(config), "--out", str(out)]) == 0
     clusters = {row["cluster_id"] for row in read_csv_rows(out / "sync_profiles.csv")[1]}
     # the full day at the correlation window, and each period at it and at every sync window
-    windows = {analytics.DEFAULT_WINDOW_MINUTES, *analytics.SYNC_WINDOW_SET}
-    per_cluster = 1 + len(analytics.DEFAULT_PERIODS) * len(windows)
+    windows = {model.DEFAULT_WINDOW_MINUTES, *model.SYNC_WINDOW_SET}
+    per_cluster = 1 + len(model.DEFAULT_PERIODS) * len(windows)
     assert len(clusters) == 3
     assert len(calls) == per_cluster * len(clusters) + 1  # and one for the cluster scatter's r
 
 
 def _brute_force_r(a_times: list[int], b_times: list[int], window: int, period) -> float | None:
     """Pearson r of two stops' counts over the windows whose start minute lies inside ``period``."""
-    span = analytics.DEFAULT_SPAN_MINUTES
+    span = model.DEFAULT_SPAN_MINUTES
     a, b = (analytics.moving_window_counts(times, window, span) for times in (a_times, b_times))
     starts = range(span[0], span[1] - window + 1)
     keep = [period is None or period.start_minute <= m < period.end_minute for m in starts]
@@ -547,7 +606,7 @@ def test_cluster_stage_numbers_equal_a_brute_force(tmp_path):
     out = tmp_path / "out"
     for stage in ("detect", "analyze", "cluster"):
         assert main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
-    span, periods = analytics.DEFAULT_SPAN_MINUTES, analytics.DEFAULT_PERIODS
+    span, periods = model.DEFAULT_SPAN_MINUTES, model.DEFAULT_PERIODS
 
     times: dict[tuple[str, str], list[int]] = {}  # (day, key) -> seconds of day
     for row in read_csv_rows(out / pipeline.DETECTED_FILE)[1]:
@@ -557,7 +616,7 @@ def test_cluster_stage_numbers_equal_a_brute_force(tmp_path):
         times.setdefault((row["day"], key), []).append(hours * 3600 + minutes * 60 + seconds)
     day_means: dict[str, list[float]] = {}
     for (_day, key), key_times in sorted(times.items()):
-        counts = analytics.moving_window_counts(key_times, analytics.DEFAULT_WINDOW_MINUTES, span)
+        counts = analytics.moving_window_counts(key_times, model.DEFAULT_WINDOW_MINUTES, span)
         day_means.setdefault(key, []).append(sum(counts.tolist()) / len(counts))
     rows = read_csv_rows(out / pipeline.DAILY_AVERAGES_FILE)[1]
     averages = {r["key"]: float(r["daily_avg_buses"]) for r in rows}
@@ -582,10 +641,10 @@ def test_cluster_stage_numbers_equal_a_brute_force(tmp_path):
         for period in (None, *periods):
             label = period.name if period else "full_day"
             for a, b, names in pairs:
-                r = _brute_force_r(a, b, analytics.DEFAULT_WINDOW_MINUTES, period)
+                r = _brute_force_r(a, b, model.DEFAULT_WINDOW_MINUTES, period)
                 expected_pairs.append((cluster["cluster_id"], label, *names, r))
         for period in sorted(periods, key=lambda p: p.name):
-            for w in sorted(analytics.SYNC_WINDOW_SET):
+            for w in sorted(model.SYNC_WINDOW_SET):
                 rs = [r for a, b, _ in pairs if (r := _brute_force_r(a, b, w, period)) is not None]
                 expected_cells.append((cluster["cluster_id"], period.name, str(w), sum(rs) / len(rs) if rs else None))
     assert len(expected_pairs) == len(correlations) > 0
@@ -604,15 +663,13 @@ def test_all_runs_without_scipy(tmp_path, dataset):
     plain, blocked = tmp_path / "plain", tmp_path / "blocked"
     assert main(["all", "--config", str(config), "--out", str(plain)]) == 0
 
-    src = str(Path(bustrace.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys; sys.modules['scipy'] = None; from bustrace.cli import main; "
         "sys.exit(main(sys.argv[1:]))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe, "all", "--config", str(config), "--out", str(blocked)],
-        env=env,
+        env=_src_env(),
         capture_output=True,
         text=True,
     )

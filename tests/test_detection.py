@@ -17,8 +17,9 @@ from bustrace.detection import (
     segment_trips,
     tag_report,
 )
+from bustrace.geo import GeoPoint, offset_point
 from bustrace.matching import Marks, match_fixes
-from bustrace.model import ItineraryDef, LineCategory
+from bustrace.model import BusLine, BusStop, Dataset, FixTrack, ItineraryDef, LineCategory, StopType
 from bustrace.synthetic import straight_line_dataset
 
 import stopmark_reference as ref
@@ -281,6 +282,62 @@ def test_segment_unknown_stop_rejected():
             segment_trips(Marks([1, position], [0, 60], [0.0, 0.0]), iti)
 
 
+def _shuttle_dataset(hidden_pass: int, n_stops: int = 5) -> Dataset:
+    """One vehicle shuttling on a two-way line: passes out, back, out, back.
+
+    Stops lie 400 m apart, a minute's drive each, and a pass leaves its
+    first stop two minutes after the previous pass reached it. Fixes come
+    every 10 s, except that a one-minute GPS outage hides the middle stop on
+    pass ``hidden_pass``.
+    """
+    origin = GeoPoint(-25.44, -49.34)
+    stop_ids = [f"S{i}" for i in range(n_stops)]
+    stops = {}
+    for i, stop_id in enumerate(stop_ids):
+        point = offset_point(origin, 400.0 * i, 0.0)
+        stops[stop_id] = BusStop(stop_id, stop_id, StopType.STREET_STOP, point.lat, point.lon)
+    waypoints = []  # (time_s, east_m) of each stop passage, pass after pass
+    t = 6 * 3600
+    for k in range(4):
+        for i in range(n_stops) if k % 2 == 0 else reversed(range(n_stops)):
+            waypoints.append((t, 400.0 * i))
+            t += 60
+        t += 60
+    times, east = np.array(waypoints).T
+    hidden_t = times[hidden_pass * n_stops + n_stops // 2]
+    fix_t = np.arange(times[0], times[-1] + 1, 10)
+    fix_t = fix_t[np.abs(fix_t - hidden_t) >= 30]
+    points = [offset_point(origin, x, 0.0) for x in np.interp(fix_t, times, east).tolist()]
+    track = FixTrack("V1", [p.lat for p in points], [p.lon for p in points], fix_t.astype(np.int64))
+    return Dataset(
+        lines={"L": BusLine("L", "shuttle", LineCategory.CONVENCIONAL)},
+        stops=stops,
+        itineraries=[
+            ItineraryDef("L", "OUT", tuple(enumerate(stop_ids, start=1))),
+            ItineraryDef("L", "BACK", tuple(enumerate(reversed(stop_ids), start=1))),
+        ],
+        fixes={("V1", "L", date(2022, 11, 7)): track},
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP.md item 1: segment_trips keeps the return pass's marks in a shuttle's segment, "
+    "so detect takes the return pass's mark at the hidden stop and rejects the trip",
+)
+@pytest.mark.parametrize("hidden_pass", [0, 1], ids=["out", "back"])
+def test_shuttle_trip_with_a_hidden_stop_is_accepted_in_both_directions(hidden_pass):
+    trips = run_detection_simple(_shuttle_dataset(hidden_pass))
+    assert sorted(trip.direction for trip in trips) == ["BACK", "BACK", "OUT", "OUT"]
+    interpolated = [
+        (trip.direction, stop_id)
+        for trip in trips
+        for stop_id, observed in zip(trip.stop_ids, trip.observed.tolist())
+        if not observed
+    ]
+    assert interpolated == [(("OUT", "BACK")[hidden_pass], "S2")]
+
+
 # ── detector invariants over random mark streams ────────────────────────
 
 
@@ -470,8 +527,8 @@ def test_case_study_errors_match_oracle_run(case_dataset, case_dataset_full):
     assert errors == {3: 0.5, 5: 6.5, 8: 117.0}
 
 
-def _detections(jitter, seed=0, n_trips=6, n_stops=20):
-    dataset = straight_line_dataset(n_stops=n_stops, n_trips=n_trips, jitter=jitter, seed=seed)
+def _detections(jitter, seed=0, n_trips=6, n_stops=20, segment_s=50):
+    dataset = straight_line_dataset(n_stops=n_stops, n_trips=n_trips, jitter=jitter, seed=seed, segment_s=segment_s)
     return run_detection_simple(dataset)
 
 
@@ -487,6 +544,35 @@ def test_error_protocol_deterministic_under_seed():
     a = evaluate_interpolation_error(detections, w=4, samples=30, seed=9)
     b = evaluate_interpolation_error(detections, w=4, samples=30, seed=9)
     assert a == b
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    segment_s=st.integers(min_value=20, max_value=120),
+    jitter=st.floats(min_value=0.01, max_value=0.9),
+    w=st.integers(min_value=2, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_error_protocol_within_the_generators_bound(segment_s, jitter, w, seed):
+    """Every error of the deletion protocol is at most j(w-j)/w times the
+    spread of the generator's segment durations, plus 1 s.
+
+    straight_line_dataset draws each duration as round(segment_s * (1 + u)),
+    u uniform in [-jitter, jitter), and at least 2 s; the stop passages fall
+    on fixes, so the detected times are exact. Uniform interpolation over w
+    intervals errs at the j-th deleted stop by at most j(w-j)/w times the
+    largest minus the shortest duration.
+    """
+    n_stops, n_trips = 12, 3
+    detections = _detections(jitter, seed=seed, n_trips=n_trips, n_stops=n_stops, segment_s=segment_s)
+    assert len(detections) == n_trips
+    shortest, longest = (max(2, round(segment_s * (1.0 + u))) for u in (-jitter, jitter))
+    samples = evaluate_interpolation_error(detections, w=w, samples=n_trips * (n_stops - w), seed=seed)
+    assert len(samples) == n_trips * (n_stops - w) * (w - 1)
+    # w - 1 samples per deleted gap, for j = 1 .. w - 1 in order
+    for index, sample in enumerate(samples):
+        j = index % (w - 1) + 1
+        assert sample.err_seconds <= j * (w - j) / w * (longest - shortest) + 1.0, (j, sample)
 
 
 def test_error_protocol_shortfall_reported():

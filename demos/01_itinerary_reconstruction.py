@@ -21,7 +21,7 @@ print(f"line {itinerary.line_code}, {len(itinerary)} positions, {len(fixes)} GPS
 # Step 1: label each fix with its nearest stop and collapse runs into
 # passage marks, in time order. A mark names its stop by the stop's first
 # itinerary position.
-marks = match_fixes(fixes, itinerary, dataset.stops)
+marks = match_fixes(fixes, [itinerary], dataset.stops)[0]
 
 
 def stop_name(position):

@@ -19,7 +19,7 @@ def reconstruct_all(dataset):
     detections = []
     for key in sorted(dataset.fixes):
         itinerary = dataset.itineraries[0]
-        marks = match_fixes(dataset.fixes[key], itinerary, dataset.stops)
+        marks = match_fixes(dataset.fixes[key], [itinerary], dataset.stops)[0]
         for segment in segment_trips(marks, itinerary).segments:
             result = detect(itinerary, segment, vehicle_id=key[0])
             if result.accepted:

@@ -47,7 +47,7 @@ for part in parts:
 detections = []
 for (vehicle, line_code, day), fixes in sorted(dataset.fixes.items()):
     for itinerary in dataset.itineraries_for(line_code):
-        marks = match_fixes(fixes, itinerary, dataset.stops)
+        marks = match_fixes(fixes, [itinerary], dataset.stops)[0]
         for segment in segment_trips(marks, itinerary).segments:
             result = detect(itinerary, segment, day=day, vehicle_id=vehicle)
             if result.accepted:

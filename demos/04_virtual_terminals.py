@@ -90,7 +90,7 @@ for code, stop_ids in routes.items():
 detections = []
 for (vehicle, line_code, day), track in sorted(dataset.fixes.items()):
     for itinerary in dataset.itineraries_for(line_code):
-        marks = match_fixes(track, itinerary, dataset.stops)
+        marks = match_fixes(track, [itinerary], dataset.stops)[0]
         for segment in segment_trips(marks, itinerary).segments:
             result = detect(itinerary, segment, day=day, vehicle_id=vehicle)
             if result.accepted:

@@ -21,13 +21,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import DEFAULT_IDLE_GAP_MIN, ItineraryDef, LineCategory
+from .model import DEFAULT_IDLE_GAP_MIN, DEFAULT_WRAP_FRACTION, ItineraryDef, LineCategory
 
 if TYPE_CHECKING:
     from .matching import Marks
 
 DEFAULT_IDLE_GAP_S = DEFAULT_IDLE_GAP_MIN * 60
-DEFAULT_WRAP_FRACTION = 0.5
 
 
 class Provenance(enum.Enum):
@@ -190,16 +189,14 @@ def segment_trips(
     """
     n = len(itinerary)
     threshold = DEFAULT_WRAP_FRACTION * n
-    first_of = itinerary.first_positions
-    positions_of: dict[int, list[int]] = {}
-    for position, first in enumerate(first_of, start=1):
-        positions_of.setdefault(first, []).append(position)
+    window_positions = itinerary.window_positions
+    fallback_confirmers = itinerary.fallback_confirmers
     outside = (marks.position < 1) | (marks.position > n)
     if outside.any():
         position = marks.position[outside][0]
         raise ValueError(f"mark position {position} is outside the itinerary (1..{n})")
     # each mark's stop as its first position: 1 is the itinerary's first stop
-    stops = [first_of[p - 1] for p in marks.position.tolist()]
+    stops = np.asarray(itinerary.first_positions)[marks.position - 1].tolist()
     times = marks.time_s.tolist()
 
     result = Segmentation(segments=[], borrowed=[], discarded=[])
@@ -227,9 +224,9 @@ def segment_trips(
         stop, time_s = stops[index], times[index]
         carry = None
         if time_s - times[index - 1] <= idle_gap_s:
-            in_window = [p for p in positions_of[stop] if p_max - p <= threshold]
-            if in_window:
-                p_eff = min(in_window)
+            # the stop's smallest position within the wrap window, 0 if none
+            p_eff = window_positions[stop][p_max]
+            if p_eff:
                 if p_eff - p_max > threshold:
                     if pending is not None and p_eff >= pending:
                         p_max, pending = p_eff, None
@@ -238,8 +235,7 @@ def segment_trips(
                 else:
                     p_max, pending = max(p_max, p_eff), None
                 continue
-            following = positions_of[stops[index + 1]] if index + 1 < len(stops) else ()
-            if not any(0 <= p - stop <= threshold for p in following):
+            if index + 1 == len(stops) or stop not in fallback_confirmers[stops[index + 1]]:
                 continue  # an unconfirmed fallback stays put
             if itinerary.circular:
                 # One terminal passage both closes a loop and opens the

@@ -19,6 +19,8 @@ from .geo import GeoPoint
 
 DEFAULT_ACCEPTANCE_RADIUS_M = 100.0  # a fix marks a stop within this distance
 DEFAULT_IDLE_GAP_MIN = 30  # a longer gap between marks ends a trip
+# a trip wraps when its position falls back by more than this share of the itinerary
+DEFAULT_WRAP_FRACTION = 0.5
 DEFAULT_SPAN_MINUTES = (300, 1380)  # 05:00 .. 23:00
 DEFAULT_WINDOW_MINUTES = 10
 SYNC_WINDOW_SET = (10, 15, 20, 25, 30, 35, 40, 45)
@@ -165,6 +167,45 @@ class ItineraryDef:
         """
         first: dict[str, int] = {}
         return tuple(first.setdefault(s, p) for p, s in enumerate(self.stop_ids, start=1))
+
+    @cached_property
+    def _positions_of(self) -> dict[int, list[int]]:
+        """Per stop, by its first position, every position holding it, ascending."""
+        positions_of: dict[int, list[int]] = {}
+        for position, first in enumerate(self.first_positions, start=1):
+            positions_of.setdefault(first, []).append(position)
+        return positions_of
+
+    @cached_property
+    def window_positions(self) -> list[list[int]]:
+        """Per stop s (by first position) and running maximum m in 1..n, the
+        smallest position p of s with ``m - p <= DEFAULT_WRAP_FRACTION * n``,
+        or 0 when s has none: ``window_positions[s][m]``.
+
+        Rows and columns are indexed by position, so entry 0 of each is unused.
+        """
+        n = len(self)
+        threshold = DEFAULT_WRAP_FRACTION * n
+        table = [[] for _ in range(n + 1)]
+        for stop, positions in self._positions_of.items():
+            table[stop] = [next((p for p in positions if m - p <= threshold), 0) for m in range(n + 1)]
+        return table
+
+    @cached_property
+    def fallback_confirmers(self) -> list[frozenset[int]]:
+        """Per next stop t (by first position), the stops s whose fall-back
+        it confirms: some position p of t has ``0 <= p - s <= DEFAULT_WRAP_FRACTION * n``.
+
+        Indexed by position, so entry 0 is unused.
+        """
+        n = len(self)
+        threshold = DEFAULT_WRAP_FRACTION * n
+        table = [frozenset()] * (n + 1)
+        for following, positions in self._positions_of.items():
+            table[following] = frozenset(
+                stop for stop in self._positions_of if any(0 <= p - stop <= threshold for p in positions)
+            )
+        return table
 
     def __len__(self) -> int:
         return len(self.stops)

@@ -336,7 +336,9 @@ def read_artifact(out_dir: Path, name: str, stage: str) -> list[dict[str, str]]:
 def run_detection(dataset: Dataset, config: PipelineConfig) -> list[GroupOutcome]:
     """Match, segment, and detect every (vehicle, line, day, itinerary) group.
 
-    Groups come in key order and each group's itineraries by direction.
+    Each (vehicle, line, day) track is matched once against all its line's
+    itineraries. Groups come in key order and each group's itineraries by
+    direction.
     """
     from . import detection, matching
 
@@ -344,8 +346,9 @@ def run_detection(dataset: Dataset, config: PipelineConfig) -> list[GroupOutcome
     outcomes = []
     for vehicle_id, line_code, day in sorted(dataset.fixes):
         track = dataset.fixes[vehicle_id, line_code, day]
-        for itinerary in sorted(dataset.itineraries_for(line_code), key=lambda i: i.direction):
-            marks = matching.match_fixes(track, itinerary, dataset.stops, config.acceptance_radius_m)
+        itineraries = sorted(dataset.itineraries_for(line_code), key=lambda i: i.direction)
+        line_marks = matching.match_fixes(track, itineraries, dataset.stops, config.acceptance_radius_m)
+        for itinerary, marks in zip(itineraries, line_marks):
             segmentation = detection.segment_trips(marks, itinerary, idle_gap_s=idle_gap_s)
             results = [
                 detection.detect(

@@ -23,9 +23,12 @@ once. Any other block (a blank line, other spacing or key order, an int
 coordinate, an escaped string, an impossible time) goes line by line
 through ``json.loads``, which gives the same values and the same errors;
 its timestamps in the digit layout are still decoded together first.
-Both append to typed arrays; id and range checks, deduplication and
-sorting then run in bulk on a :class:`FixTable`, and :func:`group_fixes`
-cuts it into zero-copy :class:`~bustrace.model.FixTrack` slices.
+Both append to typed arrays; id and range checks, sorting and
+deduplication then run in bulk on a :class:`FixTable`, and
+:func:`group_fixes` cuts it into zero-copy
+:class:`~bustrace.model.FixTrack` slices. The fixes are sorted once,
+stably, on (vehicle, line, day, time); exact duplicates are sought only
+among fixes tied on those four keys.
 """
 
 from __future__ import annotations
@@ -424,21 +427,20 @@ class _FixColumns:
         self.stamp, self.vehicle, self.line = array("q"), array("i"), array("i")
         self.lat, self.lon, self.line_no = array("d"), array("d"), array("q")
 
-    def add_block(self, first_line_no: int, text: str) -> None:
-        """Append the fixes of ``text``, whole lines from ``first_line_no`` on.
+    def add_block(self, first_line_no: int, count: int, text: str) -> None:
+        """Append the fixes of ``text``, ``count`` whole lines from ``first_line_no`` on.
 
         A block of canonical lines only is decoded in bulk; any other goes
         line by line, its timestamps in the canonical layout decoded in bulk
         first. Raises :class:`RecordError` at its first bad line.
         """
-        if not self._add_canonical(first_line_no, text):
+        if not self._add_canonical(first_line_no, count, text):
             self._add_lines(first_line_no, text.removesuffix("\n").split("\n"))
 
-    def _add_canonical(self, first_line_no: int, text: str) -> bool:
+    def _add_canonical(self, first_line_no: int, count: int, text: str) -> bool:
         if not _CANONICAL_FIX.match(text):
             return False  # without scanning a block of some other spelling to its end
         rows = _CANONICAL_FIX.findall(text)
-        count = text.count("\n") + (not text.endswith("\n"))
         if len(rows) != count:
             return False
         vehicle_ids, line_codes, lats, lons, dthrs = zip(*rows)
@@ -507,8 +509,9 @@ def _chunks(stream: IO[str] | Iterable[str]) -> Iterator[str]:
     yield "".join(batch)
 
 
-def _blocks(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
-    """(line number of its first line, text) of each block of ``stream``.
+def _blocks(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, int, str]]:
+    """(line number of its first line, number of lines, text) of each block
+    of ``stream``.
 
     Every block but the last ends with a newline; the last one does when
     the stream does.
@@ -520,10 +523,11 @@ def _blocks(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
             rest += chunk
             continue
         text, rest = rest + chunk[:cut], chunk[cut:]
-        yield line_no, text
-        line_no += text.count("\n")
+        count = text.count("\n")
+        yield line_no, count, text
+        line_no += count
     if rest:
-        yield line_no, rest
+        yield line_no, 1, rest  # one line: rest holds no newline
 
 
 def parse_vehicle_fixes(stream: IO[str] | Iterable[str]) -> FixTable:
@@ -548,8 +552,8 @@ def parse_vehicle_fixes(stream: IO[str] | Iterable[str]) -> FixTable:
     fixes = _FixColumns()
     error = None
     try:
-        for line_no, text in _blocks(stream):
-            fixes.add_block(line_no, text)
+        for line_no, count, text in _blocks(stream):
+            fixes.add_block(line_no, count, text)
     except RecordError as exc:
         error = exc  # raised unless an earlier line fails a range check
 
@@ -570,16 +574,24 @@ def parse_vehicle_fixes(stream: IO[str] | Iterable[str]) -> FixTable:
     line = _ranks(line_codes)[line]
     ordinals, day = np.unique(day, return_inverse=True)
     day = day.astype(np.int32)
-    # 0.0 + 0.0 and -0.0 + 0.0 are both 0.0: the two zeros are one key
-    order = np.lexsort((lon + 0.0, lat + 0.0, time_s, day, line, vehicle))
-    repeat = np.ones(max(len(order) - 1, 0), dtype=bool)
-    for key in (vehicle, line, day, time_s, lat, lon):
-        sorted_key = key[order]
-        repeat &= sorted_key[1:] == sorted_key[:-1]
-    keep = np.ones(len(order), dtype=bool)
-    keep[order[1:][repeat]] = False  # a stable sort puts the first occurrence first
-    rows = np.flatnonzero(keep)
-    rows = rows[np.lexsort((time_s[rows], day[rows], line[rows], vehicle[rows]))]
+    # a stable sort: fixes with equal keys keep their input order
+    rows = np.lexsort((time_s, day, line, vehicle))
+    tied = _equal_neighbours(rows, (vehicle, line, day, time_s))
+    in_tie = np.zeros(len(rows), dtype=bool)
+    in_tie[1:] |= tied
+    in_tie[:-1] |= tied
+    # Only fixes tied on those keys can be exact duplicates; sort just them
+    # once more, stably, with the coordinates. 0.0 + 0.0 and -0.0 + 0.0 are
+    # both 0.0: the two zeros are one key.
+    tie_rows = rows[in_tie]
+    tie_rows = tie_rows[np.lexsort((
+        lon[tie_rows] + 0.0, lat[tie_rows] + 0.0,
+        time_s[tie_rows], day[tie_rows], line[tie_rows], vehicle[tie_rows],
+    ))]
+    repeat = _equal_neighbours(tie_rows, (vehicle, line, day, time_s, lat, lon))
+    keep = np.ones(len(rows), dtype=bool)
+    keep[tie_rows[1:][repeat]] = False  # a stable sort puts the first occurrence first
+    rows = rows[keep[rows]]
     return FixTable(
         vehicle_ids=sorted(fixes.vehicles.by_name),
         line_codes=sorted(fixes.lines.by_name),
@@ -591,6 +603,15 @@ def parse_vehicle_fixes(stream: IO[str] | Iterable[str]) -> FixTable:
         lat=lat[rows],
         lon=lon[rows],
     )
+
+
+def _equal_neighbours(rows: np.ndarray, keys: Iterable[np.ndarray]) -> np.ndarray:
+    """Per pair of neighbours in ``rows``, whether they agree on every key."""
+    equal = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    for key in keys:
+        sorted_key = key[rows]
+        equal &= sorted_key[1:] == sorted_key[:-1]
+    return equal
 
 
 def group_fixes(table: FixTable) -> dict[FixGroupKey, FixTrack]:

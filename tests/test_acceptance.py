@@ -70,7 +70,7 @@ def test_criterion_01_case_study_exactness():
         fixes = next(iter(dataset.fixes.values()))
 
         started = time.perf_counter()
-        marks = match_fixes(fixes, itinerary, dataset.stops)
+        marks = match_fixes(fixes, [itinerary], dataset.stops)[0]
         segmentation = segment_trips(marks, itinerary)
         assert len(segmentation.segments) == 1
         segment = segmentation.segments[0]
@@ -397,7 +397,7 @@ def test_criterion_11_bulk_throughput_soft_target():
         started = time.perf_counter()
         detected = 0
         for key in sorted(dataset.fixes):
-            marks = match_fixes(dataset.fixes[key], itinerary, dataset.stops)
+            marks = match_fixes(dataset.fixes[key], [itinerary], dataset.stops)[0]
             segmentation = segment_trips(marks, itinerary)
             for segment in segmentation.segments:
                 detected += detect(itinerary, segment).accepted

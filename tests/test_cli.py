@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bustrace
-from bustrace import analytics, cli, model, pipeline, records, routing
+from bustrace import analytics, cli, detection, matching, model, pipeline, records, routing
 from bustrace.cli import main
 from bustrace.geo import GeoPoint, offset_point
 from bustrace.model import BusLine, BusStop, Dataset, FixTrack, ItineraryDef, LineCategory, StopType
@@ -741,10 +741,13 @@ def test_stages_call_through_the_names_the_bench_tracer_wraps(tmp_path, monkeypa
         (cli, "run_analyze"), (cli, "run_cluster"), (cli, "run_route"), (cli, "load_config"),
         (cli, "_write_manifest"), (pipeline, "read_detection_rows"), (pipeline, "validate_dataset"),
         (routing, "build_graph"), (routing, "add_cluster_transfers"), (routing, "evaluate_od"),
+        (records, "parse_vehicle_fixes"), (detection, "tag_report"),
     ]
     # called at least once by `all` on a dataset that clusters and routes
+    detection_names = ["match_fixes", "segment_trips", "detect"]  # once per group, itinerary, segment
     analytics_names = ["build_availability", "find_outlier_stops", "correlation_matrix", "cluster_sync_profile"]
     routing_names = ["evaluate_trip", "yen_k_shortest"]  # yen_k_shortest counts routing.paths_ranked
+    names += [(matching, "match_fixes"), (detection, "segment_trips"), (detection, "detect")]
     names += [(analytics, name) for name in analytics_names] + [(routing, name) for name in routing_names]
     calls = {}
 
@@ -764,7 +767,7 @@ def test_stages_call_through_the_names_the_bench_tracer_wraps(tmp_path, monkeypa
     config = write_config(tmp_path, three_hub_dataset())
     out = tmp_path / "out"
     counts = run("all", out)
-    repeated = analytics_names + routing_names
+    repeated = detection_names + analytics_names + routing_names
     assert [name for name in repeated if counts.pop(name) < 1] == []
     assert counts == {name: int(name != "read_detection_rows") for _, name in names if name not in repeated}
     analyze = run("analyze", out)

@@ -131,7 +131,7 @@ def test_format_parse_invert_on_whole_seconds():
 def test_case_study_reconstruction(case_dataset):
     iti = case_dataset.itineraries[0]
     fixes = next(iter(case_dataset.fixes.values()))
-    marks = match_fixes(fixes, iti, case_dataset.stops)
+    marks = match_fixes(fixes, [iti], case_dataset.stops)[0]
     segmentation = segment_trips(marks, iti)
     assert len(segmentation.segments) == 1
     assert not segmentation.discarded
@@ -205,7 +205,7 @@ def test_detect_circular_terminal_serves_first_and_last_position():
 def test_segment_single_pass(case_dataset):
     iti = case_dataset.itineraries[0]
     fixes = next(iter(case_dataset.fixes.values()))
-    marks = match_fixes(fixes, iti, case_dataset.stops)
+    marks = match_fixes(fixes, [iti], case_dataset.stops)[0]
     segmentation = segment_trips(marks, iti)
     assert len(segmentation.segments) == 1
     assert len(segmentation.segments[0]) == len(marks)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bustrace import matching
 from bustrace.detection import format_time_of_day
 from bustrace.geo import GeoPoint, haversine_distance, haversine_matrix, offset_point
 from bustrace.matching import match_fixes
@@ -78,7 +79,7 @@ def test_fix_exactly_at_stop():
     stops = [_stop("A", origin.lat, origin.lon), _stop("B", away.lat, away.lon)]
     iti = _line(stops)
     lookup = {s.stop_id: s for s in stops}
-    marks = match_fixes(_track((origin.lat, origin.lon, 100)), iti, lookup)
+    marks = match_fixes(_track((origin.lat, origin.lon, 100)), [iti], lookup)[0]
     assert len(marks) == 1
     stop_id, _, time_s, distance_m = _rows(iti, marks)[0]
     assert stop_id == "A"
@@ -89,14 +90,14 @@ def test_fix_exactly_at_stop():
 def test_empty_fixes_empty_marks():
     origin = GeoPoint(-25.4, -49.3)
     stops = [_stop("A", origin.lat, origin.lon), _stop("B", origin.lat, origin.lon + 0.01)]
-    assert len(match_fixes(_track(), _line(stops), {s.stop_id: s for s in stops})) == 0
+    assert len(match_fixes(_track(), [_line(stops)], {s.stop_id: s for s in stops})[0]) == 0
 
 
 def test_unresolvable_stop_raises():
     origin = GeoPoint(-25.4, -49.3)
     stops = [_stop("A", origin.lat, origin.lon), _stop("B", origin.lat, origin.lon + 0.01)]
     with pytest.raises(ValueError, match="not resolvable"):
-        match_fixes(_track((origin.lat, origin.lon, 0)), _line(stops), {"A": stops[0]})
+        match_fixes(_track((origin.lat, origin.lon, 0)), [_line(stops)], {"A": stops[0]})
 
 
 def test_unsorted_fixes_rejected():
@@ -104,7 +105,7 @@ def test_unsorted_fixes_rejected():
     stops = [_stop("A", origin.lat, origin.lon), _stop("B", origin.lat, origin.lon + 0.01)]
     fixes = _track((origin.lat, origin.lon, 100), (origin.lat, origin.lon, 50))
     with pytest.raises(ValueError, match="sorted"):
-        match_fixes(fixes, _line(stops), {s.stop_id: s for s in stops})
+        match_fixes(fixes, [_line(stops)], {s.stop_id: s for s in stops})
 
 
 def test_nearest_label_matches_bruteforce_scan():
@@ -125,7 +126,7 @@ def test_nearest_label_matches_bruteforce_scan():
             d = haversine_distance(p, s)
             if d < best_d:
                 best_stop, best_d = s.stop_id, d
-        marks = match_fixes(_track((p.lat, p.lon, t)), iti, lookup, acceptance_radius_m=float("inf"))
+        marks = match_fixes(_track((p.lat, p.lon, t)), [iti], lookup, acceptance_radius_m=float("inf"))[0]
         assert len(marks) == 1
         stop_id, _, _, distance_m = _rows(iti, marks)[0]
         assert stop_id == best_stop
@@ -144,7 +145,7 @@ def test_run_collapse_takes_earliest_minimum():
     for t, north in enumerate(offsets):
         p = offset_point(origin, 0, north)
         fixes.append((p.lat, p.lon, t * 20))
-    marks = match_fixes(_track(*fixes), iti, lookup)
+    marks = match_fixes(_track(*fixes), [iti], lookup)[0]
     assert len(marks) == 1
     assert marks.time_s[0] == 20  # earliest fix at the minimum distance
     assert marks.distance_m[0] == pytest.approx(10.0, abs=1e-6)
@@ -157,14 +158,14 @@ def test_runs_beyond_acceptance_radius_yield_no_mark():
     stop_b = _stop("B", far.lat, far.lon)
     iti = _line([stop_a, stop_b])
     p = offset_point(origin, 0, 150)
-    marks = match_fixes(_track((p.lat, p.lon, 0)), iti, {"A": stop_a, "B": stop_b})
+    marks = match_fixes(_track((p.lat, p.lon, 0)), [iti], {"A": stop_a, "B": stop_b})[0]
     assert len(marks) == 0
 
 
 def test_case_study_marks(case_dataset):
     iti = case_dataset.itineraries[0]
     (key, fixes), = case_dataset.fixes.items()
-    marks = match_fixes(fixes, iti, case_dataset.stops)
+    marks = match_fixes(fixes, [iti], case_dataset.stops)[0]
     got = [(stop_id, format_time_of_day(t), pos) for stop_id, pos, t, _ in _rows(iti, marks)]
     assert got == CASE_MARKS
     assert all(d <= 100.0 for d in marks.distance_m.tolist())
@@ -176,7 +177,7 @@ def test_case_study_marks(case_dataset):
 def test_case_study_full_trajectory_marks(case_dataset_full):
     iti = case_dataset_full.itineraries[0]
     fixes = next(iter(case_dataset_full.fixes.values()))
-    marks = match_fixes(fixes, iti, case_dataset_full.stops)
+    marks = match_fixes(fixes, [iti], case_dataset_full.stops)[0]
     got = [(stop_id, format_time_of_day(t)) for stop_id, _, t, _ in _rows(iti, marks)]
     assert got == [
         ("829001", "06:04:51"),
@@ -258,7 +259,7 @@ def _tie_heavy_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_marks_equal_per_run_reference(case):
     track, iti, stops, radius = case
-    marks = match_fixes(track, iti, stops, radius)
+    marks = match_fixes(track, [iti], stops, radius)[0]
     expected = _reference_match(track, iti, stops, radius)
     assert _rows(iti, marks) == [
         (m.stop_id, m.seq_hint, m.time_s, m.distance_m) for m, _ in expected
@@ -272,3 +273,45 @@ def test_marks_equal_per_run_reference(case):
         for a, b, fa, fb in zip(times, times[1:], fix_indices, fix_indices[1:])
         if a == b
     )
+
+
+@st.composite
+def _line_cases(draw):
+    """A line of one to three itineraries on the tie-heavy grid: they share
+    some stops and not others, any may serve a stop twice, and a circular
+    one ends at its first stop."""
+    cells = draw(st.lists(_cell, min_size=2, max_size=8))
+    stops = {f"S{i}": _stop(f"S{i}", la * 5e-4, lo * 5e-4) for i, (la, lo) in enumerate(cells)}
+    itineraries = []
+    for direction in "ABC"[: draw(st.integers(1, 3))]:
+        order = draw(st.lists(st.sampled_from(sorted(stops)), min_size=2, max_size=8))
+        circular = draw(st.booleans())
+        if circular:
+            order.append(order[0])
+        itineraries.append(
+            ItineraryDef("L1", direction, tuple(enumerate(order, start=1)), circular=circular)
+        )
+    fixes = draw(st.lists(_cell, max_size=60))
+    times = sorted(draw(st.lists(st.integers(0, 600), min_size=len(fixes), max_size=len(fixes))))
+    track = _track(*((la * 5e-4, lo * 5e-4, t) for (la, lo), t in zip(fixes, times)))
+    radius = draw(st.sampled_from([0.0, 60.0, 100.0, 200.0, float("inf")]))
+    return track, itineraries, stops, radius
+
+
+@given(_line_cases(), st.sampled_from([1, 2, 3, 7, matching._CHUNK]))
+@settings(max_examples=300, deadline=None)
+def test_line_marks_equal_the_one_itinerary_reference(case, chunk):
+    """One distance matrix over the line's stops gives each itinerary, bit
+    for bit, the marks of a matrix over that itinerary's stops alone, with
+    chunk edges falling inside runs."""
+    track, itineraries, stops, radius = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matching, "_CHUNK", chunk)
+        got = match_fixes(track, itineraries, stops, radius)
+    assert len(got) == len(itineraries)
+    for iti, marks in zip(itineraries, got):
+        expected = _reference_match(track, iti, stops, radius)
+        assert [float.hex(d) for d in marks.distance_m.tolist()] == [
+            float.hex(m.distance_m) for m, _ in expected
+        ]
+        assert _rows(iti, marks) == [(m.stop_id, m.seq_hint, m.time_s, m.distance_m) for m, _ in expected]

@@ -206,6 +206,20 @@ def test_parse_fixes_sorted_by_time():
     assert list(got.time_s) == sorted(got.time_s)
 
 
+def test_parse_fixes_tied_keys_keep_input_order_and_lose_later_exact_copies():
+    """Fixes sharing (vehicle, line, day, time) keep their input order, even
+    where their coordinates would sort them the other way; a later exact
+    copy of one, -0.0 for 0.0 included, is dropped."""
+    a = _fix_record(lat=-25.44, lon=0.0)
+    b = _fix_record(lat=-25.45, lon=0.0)  # sorts before A on its coordinates
+    got = records.parse_vehicle_fixes(
+        lines_stream(_fix_record("07/11/2022 06:05:00"), a, b, a, a | {"lon": -0.0})
+    )
+    assert got.time_s.tolist() == [21891, 21891, 21900]
+    assert got.lat.tolist() == [-25.44, -25.45, -25.44]
+    assert [float.hex(x) for x in got.lon.tolist()[:2]] == [float.hex(0.0)] * 2  # A, not its twin
+
+
 def test_parse_fixes_bad_timestamp():
     with pytest.raises(RecordError, match="unparseable timestamp"):
         records.parse_vehicle_fixes(lines_stream(_fix_record("2022-11-07 06:00:00")))

@@ -55,18 +55,20 @@ for (vehicle, line_code, day), fixes in sorted(dataset.fixes.items()):
 print(f"{len(detections)} trips reconstructed across {len(dataset.lines)} lines")
 
 passages = PassageTable.from_itineraries(detections)
-merged, categories = merge_terminals(passages, dataset.stops)
-counts = build_availability(merged, [10])[10]  # a row per key of merged, a column per start minute
+keys, key_code, categories = merge_terminals(passages, dataset.stops)
+keys = keys.tolist()
+# a row per key, a column per start minute
+counts = build_availability(key_code, passages.time_s, len(keys), [10])[10]
 
 print("\nmean buses per 10-minute window, by category (selected hours):")
-means = aggregate_by_category(counts, [categories[key] for key in merged])
+means = aggregate_by_category(counts, [categories[key] for key in keys])
 starts = DEFAULT_SPAN_MINUTES[0] + np.arange(counts.shape[1])
 for category, mean in means.items():
     picks = [np.argmin(np.abs(starts - h * 60)) for h in (6, 9, 12, 17, 21)]
     summary = "  ".join(f"{starts[i] // 60:02d}h={mean[i]:4.2f}" for i in picks)
     print(f"  {category.value:12s} {summary}")
 
-averages = dict(zip(merged, counts.mean(axis=1).tolist()))
+averages = dict(zip(keys, counts.mean(axis=1).tolist()))
 top = sorted(averages, key=averages.get, reverse=True)[:3]
 print("\nbusiest stops by daily average:")
 for key in top:

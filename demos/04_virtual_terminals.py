@@ -98,8 +98,8 @@ for (vehicle, line_code, day), track in sorted(dataset.fixes.items()):
 print(f"{len(detections)} trips reconstructed")
 
 passages = PassageTable.from_itineraries(detections)
-times = passages.times_by_stop()
-averages = dict(zip(times, build_availability(times, [10])[10].mean(axis=1).tolist()))
+counts = build_availability(passages.stop_id, passages.time_s, len(passages.stop_ids), [10])[10]
+averages = dict(zip(passages.stop_ids.tolist(), counts.mean(axis=1).tolist()))
 categories = {key: StopType.STREET_STOP for key in averages}
 outliers = find_outlier_stops(averages, categories)
 print(f"availability outliers: {sorted(outliers)}")
@@ -113,8 +113,10 @@ for cluster in enriched:
         f"lines={sorted(cluster.lines_served)} avg_buses={cluster.avg_buses:.2f}"
     )
 
-members = [m for m in enriched[0].member_list if m in times]  # those with passages
-counts = build_availability({m: times[m] for m in members}, SYNC_WINDOW_SET)
+# the members with passages, and each of their passages' member index
+rows = passages.at_stops(enriched[0].member_list)
+members, member = np.unique(passages.stop_id[rows], return_inverse=True)
+counts = build_availability(member, passages.time_s[rows], len(members), SYNC_WINDOW_SET)
 profile = cluster_sync_profile({
     (period, w): correlation_matrix(counts[w], DEFAULT_SPAN_MINUTES, period)
     for period in DEFAULT_PERIODS

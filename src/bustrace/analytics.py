@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -130,11 +130,6 @@ class PassageTable:
         values = getattr(self, name)
         return getattr(self, ID_NAMES[name])[values] if name in ID_NAMES else values
 
-    def select(self, mask: np.ndarray) -> "PassageTable":
-        """The rows under ``mask``; the ids stay those of this table."""
-        rows = {name: getattr(self, name)[mask] for name in PASSAGE_COLUMNS}
-        return replace(self, **rows)
-
     def at_stops(self, stop_ids: Sequence[str]) -> np.ndarray:
         """Whether each row passes one of ``stop_ids``: a lookup over stop codes."""
         wanted = np.asarray(stop_ids, dtype=str)
@@ -145,21 +140,6 @@ class PassageTable:
         member[codes] = True
         return member[self.stop_id]
 
-    def times_by_stop(self) -> dict[str, np.ndarray]:
-        return group_times(self.stop_id, self.time_s, self.stop_ids)
-
-
-def group_times(codes: np.ndarray, times: np.ndarray, ids: np.ndarray) -> dict[str, np.ndarray]:
-    """Ascending times per distinct code, keyed by its id ``ids[code]``, in code order.
-
-    The one passage index: stops and merged terminals are grouped here.
-    """
-    order = np.lexsort((times, codes))
-    sorted_codes = codes[order]
-    cuts = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-    keys = ids[sorted_codes[np.concatenate(([0], cuts))]].tolist() if len(order) else []
-    return dict(zip(keys, np.split(times[order], cuts)))
-
 
 def terminal_key(stop: BusStop) -> str:
     """The key of the pseudo-stop :func:`merge_terminals` folds a terminal's stops into."""
@@ -168,11 +148,12 @@ def terminal_key(stop: BusStop) -> str:
 
 def merge_terminals(
     passages: PassageTable, stops: Mapping[str, BusStop]
-) -> tuple[dict[str, np.ndarray], dict[str, StopType]]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, StopType]]:
     """Fold all stops of one terminal (same name) into a single pseudo-stop.
 
-    Returns the ascending passage times per key plus a category map for
-    every key. Non-terminal stops pass through unchanged.
+    Returns the sorted distinct keys of the passed stops, each row's int32
+    code into them, and a category map for every key. Non-terminal stops
+    are their own keys.
     """
     present = np.unique(passages.stop_id)
     keys: list[str] = []
@@ -188,7 +169,7 @@ def merge_terminals(
     key_ids, key_codes = _encode_ids(keys)
     key_of_stop = np.zeros(len(passages.stop_ids), dtype=np.int32)
     key_of_stop[present] = key_codes
-    return group_times(key_of_stop[passages.stop_id], passages.time_s, key_ids), categories
+    return key_ids, key_of_stop[passages.stop_id], categories
 
 
 def moving_window_counts(
@@ -211,7 +192,7 @@ def moving_window_counts(
     return (hi - lo).astype(np.int64)
 
 
-def window_counts(
+def build_availability(
     codes: np.ndarray,
     times: np.ndarray,
     n_keys: int,
@@ -239,26 +220,6 @@ def window_counts(
     per_minute = np.bincount(bins, minlength=n_keys * width).reshape(n_keys, width)
     np.cumsum(per_minute, axis=1, out=cumulative[:, 1:])
     return {w: cumulative[:, w:] - cumulative[:, :-w] for w in windows}
-
-
-def build_availability(
-    times: Mapping[str, np.ndarray],
-    windows: Sequence[int] = (DEFAULT_WINDOW_MINUTES,),
-    span: tuple[int, int] = DEFAULT_SPAN_MINUTES,
-) -> dict[int, np.ndarray]:
-    """Per window size, the :func:`window_counts` matrix of the passage times by key.
-
-    Row i counts the passages of the i-th key of ``times``; column j the
-    window starting at minute span[0] + j.
-    """
-    arrays = [np.asarray(key_times) for key_times in times.values()]
-    return window_counts(
-        np.repeat(np.arange(len(arrays)), [len(a) for a in arrays]),
-        np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64),
-        len(arrays),
-        windows,
-        span,
-    )
 
 
 def aggregate_by_category(counts: np.ndarray, categories: Sequence[StopType]) -> dict[StopType, np.ndarray]:

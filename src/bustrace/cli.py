@@ -59,6 +59,8 @@ def _sha256(path: Path) -> str:
 def load_config(path: str, seed: int | None, jobs: int | None) -> PipelineConfig:
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: the config is not a JSON object")
     if seed is not None:
         data["seed"] = seed
     if jobs is not None:

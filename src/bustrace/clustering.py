@@ -13,7 +13,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import PassageTable, pearson, pearson_p_value, window_counts
+from .analytics import PassageTable, build_availability, pearson, pearson_p_value
 from .geo import nearest_stops
 from .model import DEFAULT_CLUSTER_RADIUS_M, DEFAULT_SPAN_MINUTES, DEFAULT_WINDOW_MINUTES, BusStop, Cluster
 
@@ -96,7 +96,7 @@ def _distinct_vehicles(
 ) -> np.ndarray:
     """Per window, the vehicles with a passage among ``rows`` in it."""
     vehicles, vehicle = np.unique(passages.vehicle_id[rows], return_inverse=True)
-    counts = window_counts(vehicle, passages.time_s[rows], len(vehicles), [window_minutes], span)
+    counts = build_availability(vehicle, passages.time_s[rows], len(vehicles), [window_minutes], span)
     return np.count_nonzero(counts[window_minutes], axis=0).astype(np.int64)
 
 

@@ -81,6 +81,8 @@ _DETECTION_BODY = re.compile(_DETECTION_ROWS.pattern + b"(?:%s)?" % _DETECTION_R
 _MATCH_BYTES = 1 << 16
 DAILY_AVERAGES_FILE = "stop_daily_averages.csv"
 CLUSTERS_FILE = "clusters.csv"
+# the period label of a cluster's whole-day correlation rows
+FULL_DAY = "full_day"
 
 
 class Artifact(NamedTuple):
@@ -189,6 +191,8 @@ class PipelineConfig:
         if any(not 1 <= w <= span for w in self.window_set):
             raise ValueError(f"window_set entries must be from 1 to the span's {span} minutes")
         for period in self.periods:
+            if period.name == FULL_DAY:
+                raise ValueError(f"periods: '{FULL_DAY}' labels the whole day; name the period otherwise")
             if not period.start_minute < period.end_minute:
                 raise ValueError(f"periods: '{period.name}' must start below its end")
         if self.od_pairs < 0:
@@ -567,20 +571,14 @@ def run_analyze(out_dir: Path, dataset: Dataset, config: PipelineConfig, passage
     from . import analytics
 
     window, span = config.window_minutes, config.span_minutes
-    # one count row per (day, key), in day order
-    keys: list[str] = []
-    counts = [np.zeros((0, span[1] - span[0] - window + 1), dtype=np.int64)]
-    categories: dict[str, StopType] = {}
-    for day in np.unique(passages.day).tolist():
-        merged, day_categories = analytics.merge_terminals(
-            passages.select(passages.day == day), dataset.stops
-        )
-        categories.update(day_categories)
-        keys.extend(merged)
-        counts.append(analytics.build_availability(merged, [window], span)[window])
-    counts = np.concatenate(counts)
+    keys, key_code, categories = analytics.merge_terminals(passages, dataset.stops)
+    # one count row per (day, key) with passages, in (day, key) order
+    day_index = np.unique(passages.day, return_inverse=True)[1]
+    codes, row = np.unique(day_index * len(keys) + key_code, return_inverse=True)
+    counts = analytics.build_availability(row, passages.time_s, len(codes), [window], span)[window]
+    row_keys = keys[codes % len(keys)].tolist()
 
-    means = analytics.aggregate_by_category(counts, [categories[key] for key in keys])
+    means = analytics.aggregate_by_category(counts, [categories[key] for key in row_keys])
     rows_out = [
         (category.value, minute, f"{minute // 60:02d}:{minute % 60:02d}", value)
         for category, mean in means.items()
@@ -589,7 +587,7 @@ def run_analyze(out_dir: Path, dataset: Dataset, config: PipelineConfig, passage
     write_csv(out_dir, "availability_by_category.csv", rows_out)
 
     key_day_means: dict[str, list[float]] = {}
-    for key, mean in zip(keys, counts.mean(axis=1).tolist()):
+    for key, mean in zip(row_keys, counts.mean(axis=1).tolist()):
         key_day_means.setdefault(key, []).append(mean)
     daily_avg = {key: float(np.mean(values)) for key, values in key_day_means.items()}
     outliers = analytics.find_outlier_stops(daily_avg, categories)
@@ -666,7 +664,6 @@ def run_cluster(out_dir: Path, dataset: Dataset, config: PipelineConfig, passage
     write_csv(out_dir, "cluster_scatter.csv", scatter_rows, notes=[scatter_note])
 
     # Days are pooled: every passage counts at its time of day.
-    times = passages.times_by_stop()
     # the full day and each period at the correlation window, for the pair
     # rows; each period at every sync window, for the profile
     corr_cells = [(period, config.window_minutes) for period in (None, *config.periods)]
@@ -675,11 +672,14 @@ def run_cluster(out_dir: Path, dataset: Dataset, config: PipelineConfig, passage
     profile_rows = []
     profiles = []
     for cluster in enriched:
-        members = [m for m in cluster.member_list if m in times]
-        if len(members) < 2:
+        rows = passages.at_stops(cluster.member_list)
+        present, member = np.unique(passages.stop_id[rows], return_inverse=True)
+        if len(present) < 2:
             continue
+        members = passages.stop_ids[present].tolist()
         counts = analytics.build_availability(
-            {m: times[m] for m in members}, [config.window_minutes, *config.window_set], config.span_minutes
+            member, passages.time_s[rows], len(members),
+            [config.window_minutes, *config.window_set], config.span_minutes,
         )
         matrices = {
             (period, w): analytics.correlation_matrix(counts[w], config.span_minutes, period)
@@ -687,7 +687,7 @@ def run_cluster(out_dir: Path, dataset: Dataset, config: PipelineConfig, passage
         }
         first, second = np.triu_indices(len(members), 1)
         for period, w in corr_cells:
-            label = period.name if period else "full_day"
+            label = period.name if period else FULL_DAY
             for i, j, r in zip(first.tolist(), second.tolist(), matrices[period, w][first, second].tolist()):
                 corr_rows.append((cluster.cluster_id, label, members[i], members[j], None if math.isnan(r) else r))
         profile = analytics.cluster_sync_profile({cell: matrices[cell] for cell in sync_cells})

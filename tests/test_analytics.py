@@ -98,35 +98,37 @@ def _minute_times(span_minutes):
 
 
 @st.composite
-def _keyed_times(draw):
+def _coded_times(draw):
     start = draw(st.integers(0, 1400))
     span = (start, start + draw(st.integers(1, 60)))
-    keys = draw(st.lists(st.text("AB9", min_size=1, max_size=3), min_size=1, max_size=8, unique=True))
-    times = {key: draw(st.lists(_minute_times(span), max_size=12)) for key in keys}
+    n_keys = draw(st.integers(1, 8))
+    # passages in drawn order: neither codes nor times sorted
+    passages = draw(st.lists(st.tuples(st.integers(0, n_keys - 1), _minute_times(span)), max_size=12 * n_keys))
     windows = draw(st.lists(st.integers(1, span[1] - span[0] + 2), min_size=1, max_size=5))
-    return times, windows, span
+    codes = np.array([code for code, _ in passages], dtype=np.int32)
+    return codes, np.array([t for _, t in passages]), n_keys, windows, span
 
 
-@given(_keyed_times())
+@given(_coded_times())
 @settings(max_examples=300, deadline=None)
 def test_build_availability_counts_every_window_like_moving_window_counts(case):
-    times, windows, span = case
-    counts = build_availability(times, windows, span)
+    codes, times, n_keys, windows, span = case
+    counts = build_availability(codes, times, n_keys, windows, span)
     assert sorted(counts) == sorted(set(windows))
     for window, matrix in counts.items():
-        # a row per key, in the mapping's order; a column per start minute
-        assert matrix.shape == (len(times), len(np.arange(span[0], span[1] - window + 1)))
-        for row, (key, key_times) in zip(matrix, times.items()):
-            expected = moving_window_counts(key_times, window, span)
+        # a row per key code; a column per start minute
+        assert matrix.shape == (n_keys, len(np.arange(span[0], span[1] - window + 1)))
+        for key, row in enumerate(matrix):
+            expected = moving_window_counts(times[codes == key], window, span)
             assert row.dtype == expected.dtype
             assert np.array_equal(row, expected), (key, window)
 
 
 def test_build_availability_of_no_keys():
-    counts = build_availability({}, (10, 15))
+    counts = build_availability(np.zeros(0, dtype=np.int32), np.zeros(0), 0, (10, 15))
     assert {w: m.shape for w, m in counts.items()} == {10: (0, 1071), 15: (0, 1066)}
     with pytest.raises(ValueError):
-        build_availability({"A": [30000]}, (0,))
+        build_availability(np.zeros(1, dtype=np.int32), np.array([30000]), 1, (0,))
 
 
 # ── aggregation ─────────────────────────────────────────────────────────
@@ -479,8 +481,13 @@ def _passages(times_by_stop, vehicle="V1", line="L1"):
     )
 
 
-def _profile(times, windows):
-    counts = build_availability(times, windows)
+def _counts(passages, windows):
+    """Per window size, the count matrix of the table's stops, a row per stop id."""
+    return build_availability(passages.stop_id, passages.time_s, len(passages.stop_ids), windows)
+
+
+def _profile(passages, windows):
+    counts = _counts(passages, windows)
     return cluster_sync_profile(
         {(period, w): correlation_matrix(counts[w], SPAN, period) for period in DEFAULT_PERIODS for w in windows}
     )
@@ -493,10 +500,10 @@ def test_sync_profile_two_members_equals_pair():
             "A": rng.uniform(300 * 60, 1380 * 60, 120),
             "B": rng.uniform(300 * 60, 1380 * 60, 120),
         }
-    ).times_by_stop()
+    )
     profile = _profile(passages, (10,))
     for period in DEFAULT_PERIODS:
-        a, b = restrict_to_period(build_availability(passages, [10])[10], SPAN, period)
+        a, b = restrict_to_period(_counts(passages, [10])[10], SPAN, period)
         expected = pearson(a, b)
         got = profile[(period.name, 10)]
         if expected is None:
@@ -507,7 +514,7 @@ def test_sync_profile_two_members_equals_pair():
 
 def test_sync_profile_identical_members_is_one():
     times = np.linspace(300 * 60, 1380 * 60, 200)
-    passages = _passages({"A": times, "B": times}).times_by_stop()
+    passages = _passages({"A": times, "B": times})
     profile = _profile(passages, (10, 20))
     for value in profile.values():
         assert value == pytest.approx(1.0, abs=1e-12)
@@ -517,9 +524,9 @@ def test_sync_profile_three_members_matches_pair_enumeration():
     rng = np.random.default_rng(5)
     passages = _passages(
         {k: rng.uniform(300 * 60, 1380 * 60, 150) for k in ("A", "B", "C")}
-    ).times_by_stop()
+    )
     profile = _profile(passages, (15,))
-    series = dict(zip(passages, build_availability(passages, [15])[15]))
+    series = dict(zip(passages.stop_ids.tolist(), _counts(passages, [15])[15]))
     for period in DEFAULT_PERIODS:
         rs = []
         for x, y in (("A", "B"), ("A", "C"), ("B", "C")):
@@ -534,7 +541,7 @@ def test_sync_profile_three_members_matches_pair_enumeration():
 
 def test_sync_profile_requires_two_members():
     with pytest.raises(ValueError, match="at least 2"):
-        _profile(_passages({"A": [30000]}).times_by_stop(), (10,))
+        _profile(_passages({"A": [30000]}), (10,))
 
 
 def test_mean_sync_across_clusters_skips_undefined():
@@ -554,8 +561,8 @@ def test_merge_terminals_folds_same_name():
         "S1": BusStop("S1", "Rua A", StopType.STREET_STOP, -25.41, -49.31),
     }
     passages = _passages({"T1": [30000], "T2": [31000], "S1": [32000]})
-    merged, categories = merge_terminals(passages, stops)
-    assert sorted(merged) == ["S1", "terminal:Terminal X"]
-    assert merged["terminal:Terminal X"].tolist() == [30000.0, 31000.0]
+    keys, key_code, categories = merge_terminals(passages, stops)
+    assert keys.tolist() == ["S1", "terminal:Terminal X"]
+    assert passages.time_s[keys[key_code] == "terminal:Terminal X"].tolist() == [30000.0, 31000.0]
     assert categories["terminal:Terminal X"] is StopType.TERMINAL
     assert categories["S1"] is StopType.STREET_STOP

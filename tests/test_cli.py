@@ -216,13 +216,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ({"periods": [1, 2]}, "periods"),
         ({"periods": {"morning": [360]}}, "periods"),
         ({"periods": {"morning": [360, 540, 600]}}, "periods"),
+        ({"periods": {"full_day": [360, 540]}}, "periods"),
     ],
     ids=[
         "span", "window", "window_set", "period", "od_pairs", "nan_radius", "inf_radius", "nan_jitter",
         "jobs", "fractional_window", "fractional_k", "fractional_od_pairs", "nan_idle_gap",
         "fractional_window_set", "float_window", "bool_k", "fractional_span", "fractional_period",
         "fractional_seed", "scalar_window_set", "string_window_set", "scalar_span", "period_list",
-        "period_one_bound", "period_three_bounds",
+        "period_one_bound", "period_three_bounds", "full_day_period",
     ],
 )
 def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys, overrides, key):
@@ -234,6 +235,18 @@ def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys, overrid
     assert error["type"] == "ValueError"
     assert key in error["message"]
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("text, flags", [("[]", ["--seed", "3"]), ('"lines_file"', [])], ids=["list", "string"])
+def test_config_that_is_not_a_json_object_is_refused_by_name(tmp_path, capsys, text, flags):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(config), "--out", str(out), *flags]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "ValueError"
+    assert str(config) in error["message"]
+    assert not out.exists()
 
 
 def test_jobs_flag_accepts_only_one(tmp_path, capsys):
@@ -458,6 +471,19 @@ def test_malformed_detection_csv_is_refused(tmp_path, capsys, cut):
     assert not (out / "availability_by_category.csv").exists()
 
 
+def test_analyze_and_cluster_run_on_a_detection_csv_of_no_rows(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / pipeline.DETECTED_FILE).write_text(",".join(pipeline.DETECTION_HEADER) + "\n", encoding="utf-8")
+    for stage in ("analyze", "cluster"):
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+        written = [name for name, artifact in ARTIFACTS.items() if artifact.stage == stage]
+        assert [read_csv_rows(out / name)[0] for name in written] == [ARTIFACTS[name].header for name in written]
+    assert read_csv_rows(out / pipeline.DAILY_AVERAGES_FILE)[1] == []
+    assert read_csv_rows(out / pipeline.CLUSTERS_FILE)[1] == []
+
+
 def _src_env() -> dict:
     """The environment with this checkout's ``src`` first on PYTHONPATH, for a new interpreter."""
     src = str(Path(bustrace.__file__).resolve().parents[1])
@@ -599,9 +625,14 @@ def _brute_force_r(a_times: list[int], b_times: list[int], window: int, period) 
     return analytics.pearson(a[keep], b[keep])
 
 
-def test_cluster_stage_numbers_equal_a_brute_force(tmp_path):
-    """Daily averages, per-pair r and sync profiles, each from per-stop counts and per-pair r."""
-    dataset = three_hub_dataset()
+@pytest.mark.parametrize(
+    "make_dataset, n_days", [(three_hub_dataset, 1), (lambda: two_days(three_hub_dataset()), 2)],
+    ids=["one_day", "two_days"],
+)
+def test_cluster_stage_numbers_equal_a_brute_force(tmp_path, make_dataset, n_days):
+    """Category series, daily averages, per-pair r and sync profiles, each from
+    per-(day, key) counts and per-pair r."""
+    dataset = make_dataset()
     config = write_config(tmp_path, dataset)
     out = tmp_path / "out"
     for stage in ("detect", "analyze", "cluster"):
@@ -609,15 +640,28 @@ def test_cluster_stage_numbers_equal_a_brute_force(tmp_path):
     span, periods = model.DEFAULT_SPAN_MINUTES, model.DEFAULT_PERIODS
 
     times: dict[tuple[str, str], list[int]] = {}  # (day, key) -> seconds of day
+    categories: dict[str, str] = {}  # key -> its stops' category
     for row in read_csv_rows(out / pipeline.DETECTED_FILE)[1]:
         stop = dataset.stops[row["stop_id"]]
         key = f"terminal:{stop.name}" if stop.stop_type is StopType.TERMINAL else stop.stop_id
+        categories[key] = stop.stop_type.value
         hours, minutes, seconds = map(int, row["time"].split(":"))
         times.setdefault((row["day"], key), []).append(hours * 3600 + minutes * 60 + seconds)
     day_means: dict[str, list[float]] = {}
+    category_rows: dict[str, list[list[int]]] = {}  # category -> the counts of its (day, key) rows
     for (_day, key), key_times in sorted(times.items()):
-        counts = analytics.moving_window_counts(key_times, model.DEFAULT_WINDOW_MINUTES, span)
-        day_means.setdefault(key, []).append(sum(counts.tolist()) / len(counts))
+        counts = analytics.moving_window_counts(key_times, model.DEFAULT_WINDOW_MINUTES, span).tolist()
+        day_means.setdefault(key, []).append(sum(counts) / len(counts))
+        category_rows.setdefault(categories[key], []).append(counts)
+    assert {len(means) for means in day_means.values()} == {n_days}  # every key on every day
+    availability = read_csv_rows(out / "availability_by_category.csv")[1]
+    assert sorted({row["category"] for row in availability}) == sorted(category_rows)
+    assert len(availability) == sum(len(rows[0]) for rows in category_rows.values())
+    for row in availability:
+        rows = category_rows[row["category"]]
+        column = int(row["start_minute"]) - span[0]
+        expected = sum(counts[column] for counts in rows) / len(rows)
+        assert float(row["mean_count"]) == pytest.approx(expected, abs=5e-7), (row["category"], column)
     rows = read_csv_rows(out / pipeline.DAILY_AVERAGES_FILE)[1]
     averages = {r["key"]: float(r["daily_avg_buses"]) for r in rows}
     assert sorted(averages) == sorted(day_means)

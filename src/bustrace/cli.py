@@ -23,7 +23,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import Any
 
 from . import pipeline
 from .model import Dataset
@@ -39,13 +39,14 @@ from .pipeline import (
     write_detection_artifacts,
 )
 
-if TYPE_CHECKING:
-    from .analytics import PassageTable
-
 MANIFEST_FILE = "manifest.json"
 
 _STAGES = ("validate", "detect", "analyze", "cluster", "route")
 _FIX_STAGES = {"validate", "detect"}  # the only stages that read GPS fixes
+# The stages whose products a stage takes, in the order it reads their files
+# when this invocation did not run them, and the pipeline reader of each file.
+_UPSTREAM = {"analyze": ("detect",), "cluster": ("detect", "analyze"), "route": ("cluster",)}
+_READERS = {"detect": "read_detection_rows", "analyze": "read_daily_averages", "cluster": "read_clusters"}
 
 
 def _sha256(path: Path) -> str:
@@ -68,19 +69,16 @@ def load_config(path: str, seed: int | None, jobs: int | None) -> PipelineConfig
     return PipelineConfig.from_mapping(data)
 
 
-def _run_stage(
-    stage: str,
-    out_dir: Path,
-    dataset: Dataset,
-    config: PipelineConfig,
-    passages: PassageTable | None,
-) -> PassageTable | None:
-    """Run one stage, which writes its artifacts; return the passage table for later stages.
+def _run_stage(stage: str, out_dir: Path, dataset: Dataset, config: PipelineConfig, products: dict[str, Any]) -> None:
+    """Run one stage, which writes its artifacts, and keep its product in ``products`` for later stages.
 
-    ``detect`` builds the table from its accepted trips and writes it as
-    the detection CSV. A later analyze or cluster stage uses that table,
-    or reads it back from the CSV when this invocation did not detect.
+    A stage takes each upstream product from ``products``, or reads it from
+    that stage's file when this invocation did not run that stage.
     """
+    inputs = [
+        products[upstream] if upstream in products else getattr(pipeline, _READERS[upstream])(out_dir, stage)
+        for upstream in _UPSTREAM.get(stage, ())
+    ]
     if stage == "validate":
         run_validate(out_dir, dataset)
     elif stage == "detect":
@@ -94,18 +92,15 @@ def _run_stage(
         categories = {line.code: line.category for line in dataset.lines.values()}
         report = detection.tag_report(outcomes, categories)
         write_detection_artifacts(out_dir, passages, report)
+        products[stage] = passages
+    elif stage == "analyze":
+        products[stage] = run_analyze(out_dir, dataset, config, *inputs)
+    elif stage == "cluster":
+        products[stage] = run_cluster(out_dir, dataset, config, *inputs)
     elif stage == "route":
-        run_route(out_dir, dataset, config)
-    elif stage in ("analyze", "cluster"):
-        if passages is None:
-            passages = pipeline.read_detection_rows(out_dir, stage)
-        if stage == "analyze":
-            run_analyze(out_dir, dataset, config, passages)
-        else:
-            run_cluster(out_dir, dataset, config, passages)
+        run_route(out_dir, dataset, config, *inputs)
     else:
         raise ValueError(f"unknown stage: {stage}")
-    return passages
 
 
 def _write_manifest(out_dir: Path, config: PipelineConfig) -> None:
@@ -185,9 +180,9 @@ def main(argv: list[str] | None = None) -> int:
         dataset = config.load_inputs(with_fixes=not _FIX_STAGES.isdisjoint(stages))
         out_dir.mkdir(parents=True, exist_ok=True)
         staging = _staging_dir(out_dir)
-        passages = None
+        products: dict[str, Any] = {}
         for running in stages:
-            passages = _run_stage(running, staging, dataset, config, passages)
+            _run_stage(running, staging, dataset, config, products)
         running = args.command
         _write_manifest(staging, config)
         produced = [name for name, artifact in ARTIFACTS.items() if artifact.stage in stages]

@@ -76,25 +76,12 @@ class ClusterScatter:
     n_clusters: int
 
 
-def cluster_availability_counts(
-    members: Sequence[str],
-    passages: PassageTable,
-    window_minutes: int = DEFAULT_WINDOW_MINUTES,
-    span: tuple[int, int] = DEFAULT_SPAN_MINUTES,
-) -> np.ndarray:
-    """Distinct buses observed at any member stop per sliding window.
-
-    A vehicle touching several member stops inside one window counts once,
-    so the cluster series reflects buses available rather than raw passage
-    volume. Days are pooled: passages count at their time of day.
-    """
-    return _distinct_vehicles(passages, passages.at_stops(members), window_minutes, span)
-
-
-def _distinct_vehicles(
+def distinct_vehicle_counts(
     passages: PassageTable, rows: np.ndarray, window_minutes: int, span: tuple[int, int]
 ) -> np.ndarray:
-    """Per window, the vehicles with a passage among ``rows`` in it."""
+    """Distinct buses with a passage among ``rows`` per sliding window: buses available, not passages.
+
+    Days are pooled: passages count at their time of day."""
     vehicles, vehicle = np.unique(passages.vehicle_id[rows], return_inverse=True)
     counts = build_availability(vehicle, passages.time_s[rows], len(vehicles), [window_minutes], span)
     return np.count_nonzero(counts[window_minutes], axis=0).astype(np.int64)
@@ -110,7 +97,7 @@ def cluster_stats(
     enriched: list[Cluster] = []
     for cluster in clusters:
         rows = passages.at_stops(cluster.member_list)
-        counts = _distinct_vehicles(passages, rows, window_minutes, span)
+        counts = distinct_vehicle_counts(passages, rows, window_minutes, span)
         lines = frozenset(passages.line_codes[np.unique(passages.line_code[rows])].tolist())
         enriched.append(
             replace(cluster, avg_buses=float(np.mean(counts)), lines_served=lines)

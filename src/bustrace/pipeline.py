@@ -1,13 +1,14 @@
 """Stage orchestration: ingestion, detection, analytics, clustering, routing.
 
-Each stage reads the raw record files and/or artifacts written by earlier
-stages into the output directory, computes, and writes CSV artifacts. The
-detected passages are one :class:`~bustrace.analytics.PassageTable`, whose
-rows are those of the detection CSV: :func:`write_detection_artifacts`
-writes it and :func:`read_detection_rows` reads it back. All
-outputs are deterministic functions of (inputs, config, seed): collections
-are sorted before writing and floats use fixed formatting, so repeated runs
-are byte-identical.
+Each stage computes from the dataset, the config and the typed products of
+earlier stages, writes its CSV artifacts and returns its own product: the
+detected :class:`~bustrace.analytics.PassageTable`, the
+:class:`DailyAverages`, the clusters. No stage reads an artifact; the readers
+:func:`read_detection_rows`, :func:`read_daily_averages` and
+:func:`read_clusters` rebuild a product from its file for a CLI invocation
+that did not run its stage. All outputs are deterministic functions of
+(inputs, config, seed): collections are sorted before writing and floats
+use fixed formatting, so repeated runs are byte-identical.
 
 The configuration, the artifact table and the CSV helpers need only the
 data model. Each stage imports the modules it computes with when it runs,
@@ -125,6 +126,13 @@ ARTIFACTS = {
         "q3_distance_m", "mean_transfers",
     ]),
 }
+
+
+class DailyAverages(NamedTuple):
+    """Analyze's product: each key's daily average, rounded as its file writes it, and the outlier keys."""
+
+    averages: dict[str, float]
+    outliers: frozenset[str]
 
 
 class PipelineError(RuntimeError):
@@ -323,14 +331,23 @@ def _check_header(name: str, header: list[str]) -> None:
         raise ValueError(f"{name} has header {header}, expected {expected}")
 
 
-def read_artifact(out_dir: Path, name: str, stage: str) -> list[dict[str, str]]:
-    """The rows of the artifact ``name`` in ``out_dir``, which ``stage`` reads.
+def read_artifact(out_dir: Path, name: str, stage: str, numbers: Sequence[str] = ()) -> list[dict]:
+    """The rows of the artifact ``name`` in ``out_dir``, which ``stage`` reads, the cells of ``numbers`` as floats.
 
-    MissingDependencyError if the file is absent; ValueError if its header
-    is not the one in :data:`ARTIFACTS`.
+    MissingDependencyError if the file is absent; ValueError if its header is not the one in
+    :data:`ARTIFACTS`, or a data row has another number of cells or a cell of ``numbers`` not a number.
     """
     header, rows = read_csv_rows(_artifact_path(out_dir, name, stage))
     _check_header(name, header)
+    for row, cells in enumerate(rows, start=1):
+        # DictReader files surplus cells under None and fills missing ones with None
+        if None in cells or None in cells.values():
+            raise ValueError(f"{name} data row {row} does not have {len(header)} cells")
+        for column in numbers:
+            try:
+                cells[column] = float(cells[column])
+            except ValueError:
+                raise ValueError(f"{name} data row {row}: {column} {cells[column]!r} is not a number") from None
     return rows
 
 
@@ -567,7 +584,7 @@ def _terminal_key_meta(stops: dict[str, BusStop]) -> dict[str, tuple[str, float,
     }
 
 
-def run_analyze(out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: PassageTable) -> None:
+def run_analyze(out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: PassageTable) -> DailyAverages:
     from . import analytics
 
     window, span = config.window_minutes, config.span_minutes
@@ -614,22 +631,26 @@ def run_analyze(out_dir: Path, dataset: Dataset, config: PipelineConfig, passage
             )
         )
     write_csv(out_dir, DAILY_AVERAGES_FILE, avg_rows)
+    # rounded as written, so that cluster orders its candidates as it does from the file
+    return DailyAverages({key: float(_fmt(value)) for key, value in daily_avg.items()}, frozenset(outliers))
+
+
+def read_daily_averages(out_dir: Path, stage: str) -> DailyAverages:
+    """The :class:`DailyAverages` of :data:`DAILY_AVERAGES_FILE` in ``out_dir``, which ``stage`` reads."""
+    rows = read_artifact(out_dir, DAILY_AVERAGES_FILE, stage, ["daily_avg_buses"])
+    outliers = frozenset(r["key"] for r in rows if r["outlier"] == "1")
+    return DailyAverages({r["key"]: r["daily_avg_buses"] for r in rows}, outliers)
 
 
 # ── Cluster stage ───────────────────────────────────────────────────────
 
 
-def run_cluster(out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: PassageTable) -> None:
+def run_cluster(
+    out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: PassageTable, analyzed: DailyAverages
+) -> list[Cluster]:
     from . import analytics, clustering
 
-    avg_rows = read_artifact(out_dir, DAILY_AVERAGES_FILE, "cluster")
-    averages = {r["key"]: float(r["daily_avg_buses"]) for r in avg_rows}
-    outlier_keys = [
-        r["key"]
-        for r in avg_rows
-        if r["outlier"] == "1" and r["key"] in dataset.stops
-    ]
-    candidates = clustering.build_candidates(outlier_keys, averages)
+    candidates = clustering.build_candidates(analyzed.outliers.intersection(dataset.stops), analyzed.averages)
     clusters = clustering.cluster_stops(candidates, dataset.stops, config.cluster_radius_m)
     enriched, scatter = clustering.cluster_stats(
         clusters, passages, config.window_minutes, config.span_minutes
@@ -698,6 +719,7 @@ def run_cluster(out_dir: Path, dataset: Dataset, config: PipelineConfig, passage
     write_csv(out_dir, "sync_profiles.csv", profile_rows)
     combined = analytics.mean_sync_across_clusters(profiles) if profiles else {}
     write_csv(out_dir, "sync_summary.csv", [(*key, value) for key, value in sorted(combined.items())])
+    return enriched
 
 
 def _membership_counts(clusters: Sequence[Cluster]) -> dict[str, int]:
@@ -708,26 +730,26 @@ def _membership_counts(clusters: Sequence[Cluster]) -> dict[str, int]:
     return counts
 
 
-def read_clusters(out_dir: Path) -> list[Cluster]:
+def read_clusters(out_dir: Path, stage: str) -> list[Cluster]:
+    """The clusters of :data:`CLUSTERS_FILE` in ``out_dir``, which ``stage`` reads."""
     return [
         Cluster(
             cluster_id=r["cluster_id"],
             centroid_stop_id=r["centroid_stop_id"],
             members=frozenset(r["members"].split(STOP_ID_SEPARATOR)) if r["members"] else frozenset(),
             lines_served=frozenset(r["lines"].split(";")) if r["lines"] else frozenset(),
-            avg_buses=float(r["avg_buses"]),
+            avg_buses=r["avg_buses"],
         )
-        for r in read_artifact(out_dir, CLUSTERS_FILE, "route")
+        for r in read_artifact(out_dir, CLUSTERS_FILE, stage, ["avg_buses"])
     ]
 
 
 # ── Route stage ─────────────────────────────────────────────────────────
 
 
-def run_route(out_dir: Path, dataset: Dataset, config: PipelineConfig) -> None:
+def run_route(out_dir: Path, dataset: Dataset, config: PipelineConfig, clusters: Sequence[Cluster]) -> None:
     from . import routing
 
-    clusters = read_clusters(out_dir)
     g_base = routing.build_graph(dataset.itineraries, dataset.stops)
     g_clustered = routing.add_cluster_transfers(g_base, clusters)
     pairs = routing.generate_od_pairs(

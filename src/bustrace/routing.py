@@ -82,12 +82,6 @@ class TransitGraph:
             self._index = GraphIndex.build(self.adjacency, extra)
         return self._index
 
-    def edge_between(self, source: Node, target: Node) -> Edge:
-        for edge in self.adjacency.get(source, ()):
-            if edge.target == target:
-                return edge
-        raise KeyError(f"no edge {source} -> {target}")
-
     def copy(self) -> "TransitGraph":
         return TransitGraph(
             adjacency={node: list(edges) for node, edges in self.adjacency.items()},

@@ -1,4 +1,6 @@
+import csv
 import errno
+import io
 import json
 import os
 import subprocess
@@ -761,6 +763,92 @@ def test_artifact_with_another_header_is_refused_by_name(tmp_path, capsys):
     assert error["type"] == "ValueError"
     assert error["message"].startswith("stop_daily_averages.csv has header ")
     assert not (out / "clusters.csv").exists()
+
+
+# Corrupt rows of an artifact a later stage reads: (file, the stage that
+# reads it, cut), where the cut "column=cell" replaces that column's cell of
+# data row 1 and "cells=N" leaves that row N cells.
+_BAD_ARTIFACT_ROWS = [
+    ("stop_daily_averages.csv", "cluster", "daily_avg_buses=abc"),
+    ("stop_daily_averages.csv", "cluster", "daily_avg_buses="),
+    ("stop_daily_averages.csv", "cluster", "cells=5"),
+    ("stop_daily_averages.csv", "cluster", "cells=8"),
+    ("clusters.csv", "route", "avg_buses=x"),
+    ("clusters.csv", "route", "cells=7"),
+]
+
+
+@pytest.mark.parametrize("name, stage, cut", _BAD_ARTIFACT_ROWS)
+def test_malformed_artifact_row_is_refused_by_file_row_and_column(tmp_path, capsys, name, stage, cut):
+    config = write_config(tmp_path, three_hub_dataset())
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+    path = out / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    [cells] = csv.reader([lines[header + 1]])
+    column, cell = cut.split("=")
+    if column == "cells":
+        cells = (cells + ["0"])[: int(cell)]
+    else:
+        cells[ARTIFACTS[name].header.index(column)] = cell
+    row = io.StringIO()
+    csv.writer(row, lineterminator="").writerow(cells)
+    lines[header + 1] = row.getvalue()
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main([stage, "--config", str(config), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert (error["stage"], error["type"]) == (stage, "ValueError")
+    if column == "cells":
+        assert error["message"] == f"{name} data row 1 does not have {len(ARTIFACTS[name].header)} cells"
+    else:
+        assert error["message"] == f"{name} data row 1: {column} {cell!r} is not a number"
+
+
+def test_all_reads_no_artifact_back(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an artifact was read back")
+
+    monkeypatch.setattr(pipeline, "read_artifact", refuse)
+    monkeypatch.setattr(pipeline, "read_detection_rows", refuse)
+    config = write_config(tmp_path, three_hub_dataset())
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+    assert len(read_csv_rows(out / pipeline.CLUSTERS_FILE)[1]) == 3
+
+
+@pytest.mark.parametrize(
+    "make_dataset, n_outliers, n_clusters",
+    [(three_hub_dataset, 6, 3), (lambda: two_days(three_hub_dataset()), 6, 3), (line829_dataset, 0, 0)],
+    ids=["three_hubs", "two_days", "line829"],
+)
+def test_what_a_stage_hands_on_equals_what_a_lone_stage_reads(
+    tmp_path, monkeypatch, make_dataset, n_outliers, n_clusters
+):
+    """Analyze hands on its averages rounded as its file writes them, so
+    cluster orders its candidates the same way under ``all`` as alone."""
+    products = {}
+
+    def keep(name, inner):
+        def kept(*args):
+            products[name] = inner(*args)
+            return products[name]
+        return kept
+
+    for name in ("run_analyze", "run_cluster"):
+        monkeypatch.setattr(cli, name, keep(name, getattr(cli, name)))
+    config = write_config(tmp_path, make_dataset())
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+    assert len(products["run_analyze"].outliers) == n_outliers
+    # the averages compare as floats, exactly
+    assert products["run_analyze"] == pipeline.read_daily_averages(out, "cluster")
+
+    def fields(clusters):
+        return [(c.cluster_id, c.centroid_stop_id, c.members, c.lines_served) for c in clusters]
+
+    assert len(products["run_cluster"]) == n_clusters
+    assert fields(products["run_cluster"]) == fields(pipeline.read_clusters(out, "route"))
 
 
 def test_a_users_csv_in_the_output_directory_is_not_an_artifact(tmp_path):

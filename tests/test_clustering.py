@@ -8,12 +8,12 @@ from bustrace.clustering import (
     Candidate,
     Cluster,
     build_candidates,
-    cluster_availability_counts,
     cluster_stats,
     cluster_stops,
+    distinct_vehicle_counts,
 )
 from bustrace.geo import GeoPoint, haversine_distance, offset_point
-from bustrace.model import BusStop, StopType
+from bustrace.model import DEFAULT_SPAN_MINUTES, DEFAULT_WINDOW_MINUTES, BusStop, StopType
 
 ORIGIN = GeoPoint(-25.45, -49.30)
 
@@ -187,11 +187,12 @@ def test_stats_distinct_vehicles_counted_once_per_window():
     stops = _field({"A": (0, 0), "B": (300, 0)})
     clusters = cluster_stops([Candidate("A", 1.0)], stops)
     passages = _passages([("A", 36000, "BUS1", "L1"), ("B", 36060, "BUS1", "L1")])
-    counts = cluster_availability_counts(clusters[0].member_list, passages)
+    window, span = DEFAULT_WINDOW_MINUTES, DEFAULT_SPAN_MINUTES
+    counts = distinct_vehicle_counts(passages, passages.at_stops(clusters[0].member_list), window, span)
     assert counts.max() == 1
     per_stop_sum = (
-        cluster_availability_counts(["A"], passages)
-        + cluster_availability_counts(["B"], passages)
+        distinct_vehicle_counts(passages, passages.at_stops(["A"]), window, span)
+        + distinct_vehicle_counts(passages, passages.at_stops(["B"]), window, span)
     )
     assert per_stop_sum.max() == 2
 
@@ -233,7 +234,7 @@ def test_distinct_vehicle_counts_equal_a_brute_force_set_count(case):
              if stop in members and m * 60 <= t < (m + window) * 60})
         for m in range(span[0], span[1] - window + 1)
     ]
-    counts = cluster_availability_counts(members, passages, window, span)
+    counts = distinct_vehicle_counts(passages, passages.at_stops(members), window, span)
     assert counts.tolist() == expected
     cluster = Cluster(cluster_id="C", centroid_stop_id=members[0], members=frozenset(members))
     [enriched], _ = cluster_stats([cluster], passages, window, span)

@@ -55,7 +55,8 @@ for (vehicle, line_code, day), fixes in sorted(dataset.fixes.items()):
 print(f"{len(detections)} trips reconstructed across {len(dataset.lines)} lines")
 
 passages = PassageTable.from_itineraries(detections)
-keys, key_code, categories = merge_terminals(passages, dataset.stops)
+keys, key_code, facts = merge_terminals(passages, dataset.stops)
+categories = {key: fact.category for key, fact in facts.items()}
 keys = keys.tolist()
 # a row per key, a column per start minute
 counts = build_availability(key_code, passages.time_s, len(keys), [10])[10]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -146,30 +146,50 @@ def terminal_key(stop: BusStop) -> str:
     return f"terminal:{stop.name}"
 
 
+class KeyFacts(NamedTuple):
+    """What the analyze stage states of one key besides its passages."""
+
+    name: str
+    lat: float
+    lon: float
+    category: StopType
+
+
 def merge_terminals(
     passages: PassageTable, stops: Mapping[str, BusStop]
-) -> tuple[np.ndarray, np.ndarray, dict[str, StopType]]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, KeyFacts]]:
     """Fold all stops of one terminal (same name) into a single pseudo-stop.
 
     Returns the sorted distinct keys of the passed stops, each row's int32
-    code into them, and a category map for every key. Non-terminal stops
-    are their own keys.
+    code into them, and the :class:`KeyFacts` of every key. Non-terminal
+    stops are their own keys. A terminal key lies at the mean position of
+    all its terminal's stops in ``stops``, passed or not; a stop missing
+    from ``stops`` is named by its id, has no position and is a street stop.
     """
+    terminals: dict[str, list[BusStop]] = {}
+    for stop in stops.values():
+        if stop.stop_type is StopType.TERMINAL:
+            terminals.setdefault(terminal_key(stop), []).append(stop)
     present = np.unique(passages.stop_id)
     keys: list[str] = []
-    categories: dict[str, StopType] = {}
+    facts: dict[str, KeyFacts] = {}
     for stop_id in passages.stop_ids[present].tolist():
         stop = stops.get(stop_id)
-        if stop is not None and stop.stop_type is StopType.TERMINAL:
+        if stop is None:
+            key, fact = stop_id, KeyFacts(stop_id, math.nan, math.nan, StopType.STREET_STOP)
+        elif stop.stop_type is StopType.TERMINAL:
             key = terminal_key(stop)
+            lat = float(np.mean([member.lat for member in terminals[key]]))
+            lon = float(np.mean([member.lon for member in terminals[key]]))
+            fact = KeyFacts(stop.name, lat, lon, stop.stop_type)
         else:
-            key = stop_id
+            key, fact = stop_id, KeyFacts(stop.name, stop.lat, stop.lon, stop.stop_type)
         keys.append(key)
-        categories[key] = stop.stop_type if stop is not None else StopType.STREET_STOP
+        facts[key] = fact
     key_ids, key_codes = _encode_ids(keys)
     key_of_stop = np.zeros(len(passages.stop_ids), dtype=np.int32)
     key_of_stop[present] = key_codes
-    return key_ids, key_of_stop[passages.stop_id], categories
+    return key_ids, key_of_stop[passages.stop_id], facts
 
 
 def moving_window_counts(
@@ -240,13 +260,15 @@ def find_outlier_stops(
 ) -> set[str]:
     """Upper boxplot outliers (value > Q3 + 1.5 IQR) per category.
 
-    Quantiles use linear interpolation. Terminals never appear in the
-    result; they are physically integrated already. Categories with fewer
-    than ``MIN_CATEGORY_SIZE`` stops are skipped with a warning.
+    Quantiles use linear interpolation. Terminal keys are left out before
+    any fence is computed; they are physically integrated already.
+    Categories with fewer than ``MIN_CATEGORY_SIZE`` stops are skipped
+    with a warning.
     """
     by_category: dict[StopType, list[str]] = {}
     for key in averages:
-        by_category.setdefault(categories[key], []).append(key)
+        if categories[key] is not StopType.TERMINAL:
+            by_category.setdefault(categories[key], []).append(key)
 
     outliers: set[str] = set()
     for category, keys in by_category.items():
@@ -264,7 +286,7 @@ def find_outlier_stops(
             if value > fence:
                 outliers.add(key)
 
-    return {k for k in outliers if categories[k] is not StopType.TERMINAL}
+    return outliers
 
 
 # ── Correlation ─────────────────────────────────────────────────────────

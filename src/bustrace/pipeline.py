@@ -42,11 +42,9 @@ from .model import (
     DEFAULT_SPAN_MINUTES,
     DEFAULT_WINDOW_MINUTES,
     SYNC_WINDOW_SET,
-    BusStop,
     Cluster,
     Dataset,
     Period,
-    StopType,
     validate_dataset,
 )
 from .records import ID_FORBIDDEN, STOP_ID_SEPARATOR, id_fault, load_dataset
@@ -567,28 +565,12 @@ def run_validate(out_dir: Path, dataset: Dataset) -> None:
 # ── Analyze stage ───────────────────────────────────────────────────────
 
 
-def _terminal_key_meta(stops: dict[str, BusStop]) -> dict[str, tuple[str, float, float]]:
-    from . import analytics
-
-    groups: dict[str, list[BusStop]] = {}
-    for stop in stops.values():
-        if stop.stop_type is StopType.TERMINAL:
-            groups.setdefault(analytics.terminal_key(stop), []).append(stop)
-    return {
-        key: (
-            members[0].name,
-            float(np.mean([m.lat for m in members])),
-            float(np.mean([m.lon for m in members])),
-        )
-        for key, members in groups.items()
-    }
-
-
 def run_analyze(out_dir: Path, dataset: Dataset, config: PipelineConfig, passages: PassageTable) -> DailyAverages:
     from . import analytics
 
     window, span = config.window_minutes, config.span_minutes
-    keys, key_code, categories = analytics.merge_terminals(passages, dataset.stops)
+    keys, key_code, facts = analytics.merge_terminals(passages, dataset.stops)
+    categories = {key: fact.category for key, fact in facts.items()}
     # one count row per (day, key) with passages, in (day, key) order
     day_index = np.unique(passages.day, return_inverse=True)[1]
     codes, row = np.unique(day_index * len(keys) + key_code, return_inverse=True)
@@ -609,27 +591,10 @@ def run_analyze(out_dir: Path, dataset: Dataset, config: PipelineConfig, passage
     daily_avg = {key: float(np.mean(values)) for key, values in key_day_means.items()}
     outliers = analytics.find_outlier_stops(daily_avg, categories)
 
-    terminal_meta = _terminal_key_meta(dataset.stops)
-    avg_rows = []
-    for key in sorted(daily_avg):
-        if key in terminal_meta:
-            name, lat, lon = terminal_meta[key]
-        else:
-            stop = dataset.stops.get(key)
-            name = stop.name if stop else key
-            lat = stop.lat if stop else float("nan")
-            lon = stop.lon if stop else float("nan")
-        avg_rows.append(
-            (
-                key,
-                name,
-                lat,
-                lon,
-                categories[key].value,
-                daily_avg[key],
-                int(key in outliers),
-            )
-        )
+    avg_rows = [
+        (key, facts[key].name, facts[key].lat, facts[key].lon, categories[key].value, value, int(key in outliers))
+        for key, value in sorted(daily_avg.items())
+    ]
     write_csv(out_dir, DAILY_AVERAGES_FILE, avg_rows)
     # rounded as written, so that cluster orders its candidates as it does from the file
     return DailyAverages({key: float(_fmt(value)) for key, value in daily_avg.items()}, frozenset(outliers))
@@ -638,6 +603,9 @@ def run_analyze(out_dir: Path, dataset: Dataset, config: PipelineConfig, passage
 def read_daily_averages(out_dir: Path, stage: str) -> DailyAverages:
     """The :class:`DailyAverages` of :data:`DAILY_AVERAGES_FILE` in ``out_dir``, which ``stage`` reads."""
     rows = read_artifact(out_dir, DAILY_AVERAGES_FILE, stage, ["daily_avg_buses"])
+    for row, cells in enumerate(rows, start=1):
+        if cells["outlier"] not in ("0", "1"):
+            raise ValueError(f"{DAILY_AVERAGES_FILE} data row {row}: outlier {cells['outlier']!r} is not 0 or 1")
     outliers = frozenset(r["key"] for r in rows if r["outlier"] == "1")
     return DailyAverages({r["key"]: r["daily_avg_buses"] for r in rows}, outliers)
 

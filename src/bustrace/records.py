@@ -489,35 +489,15 @@ class _FixColumns:
             self.line_no.append(line_no)
 
 
-def _chunks(stream: IO[str] | Iterable[str]) -> Iterator[str]:
-    """The text of ``stream`` in pieces of about ``_BLOCK_CHARS`` characters.
-
-    An object without ``read`` is taken as lines, each given a newline at
-    its end if it has none.
-    """
-    read = getattr(stream, "read", None)
-    if read is not None:
-        yield from iter(partial(read, _BLOCK_CHARS), "")
-        return
-    batch, size = [], 0
-    for line in stream:
-        batch.append(line if line.endswith("\n") else line + "\n")
-        size += len(batch[-1])
-        if size >= _BLOCK_CHARS:
-            yield "".join(batch)
-            batch, size = [], 0
-    yield "".join(batch)
-
-
-def _blocks(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, int, str]]:
+def _blocks(stream: IO[str]) -> Iterator[tuple[int, int, str]]:
     """(line number of its first line, number of lines, text) of each block
-    of ``stream``.
+    of ``stream``, which is read ``_BLOCK_CHARS`` characters at a time.
 
     Every block but the last ends with a newline; the last one does when
     the stream does.
     """
     line_no, rest = 1, ""
-    for chunk in _chunks(stream):
+    for chunk in iter(partial(stream.read, _BLOCK_CHARS), ""):
         cut = chunk.rfind("\n") + 1
         if not cut:
             rest += chunk
@@ -530,15 +510,14 @@ def _blocks(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, int, str]]:
         yield line_no, 1, rest  # one line: rest holds no newline
 
 
-def parse_vehicle_fixes(stream: IO[str] | Iterable[str]) -> FixTable:
-    """Parse the fixes file, a text stream or its lines, into a :class:`FixTable`.
+def parse_vehicle_fixes(stream: IO[str]) -> FixTable:
+    """Parse the fixes file, a text stream, into a :class:`FixTable`.
 
     The text is read in blocks of whole lines, a line ending at each
-    newline character; an iterable of lines is gathered into such blocks.
-    A block whose every line is a fix exactly as :func:`write_vehicle_fixes`
-    writes it (keys in its order and spacing, strings without escapes,
-    coordinates with a fraction or an exponent, a valid
-    ``dd/MM/yyyy HH:mm:ss`` time) is decoded in bulk by one regular
+    newline character. A block whose every line is a fix exactly as
+    :func:`write_vehicle_fixes` writes it (keys in its order and spacing,
+    strings without escapes, coordinates with a fraction or an exponent,
+    a valid ``dd/MM/yyyy HH:mm:ss`` time) is decoded in bulk by one regular
     expression; any other block goes line by line through ``json.loads``,
     its timestamps in that digit layout decoded together and any other
     spelling through :func:`parse_timestamp`. Both give the same values

@@ -1,4 +1,5 @@
 import logging
+import math
 import tempfile
 from datetime import date
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from bustrace.analytics import (
     PASSAGE_COLUMNS,
+    KeyFacts,
     PassageTable,
     aggregate_by_category,
     build_availability,
@@ -188,6 +190,14 @@ def test_outliers_terminals_excluded():
     for k in ("T", "T2", "T3", "T4"):
         cats[k] = StopType.TERMINAL
     assert find_outlier_stops(averages, cats) == set()
+
+
+def test_outliers_compute_no_fence_for_terminals(caplog):
+    averages = {f"S{i}": 1.0 for i in range(5)} | {"terminal:X": 50.0}
+    cats = {k: StopType.STREET_STOP for k in averages} | {"terminal:X": StopType.TERMINAL}
+    with caplog.at_level(logging.WARNING):
+        assert find_outlier_stops(averages, cats) == set()
+    assert not caplog.records  # no "category TERMINAL has only 1 stops" warning
 
 
 def test_outliers_small_category_skipped(caplog):
@@ -561,8 +571,28 @@ def test_merge_terminals_folds_same_name():
         "S1": BusStop("S1", "Rua A", StopType.STREET_STOP, -25.41, -49.31),
     }
     passages = _passages({"T1": [30000], "T2": [31000], "S1": [32000]})
-    keys, key_code, categories = merge_terminals(passages, stops)
+    keys, key_code, facts = merge_terminals(passages, stops)
     assert keys.tolist() == ["S1", "terminal:Terminal X"]
     assert passages.time_s[keys[key_code] == "terminal:Terminal X"].tolist() == [30000.0, 31000.0]
-    assert categories["terminal:Terminal X"] is StopType.TERMINAL
-    assert categories["S1"] is StopType.STREET_STOP
+    assert facts["terminal:Terminal X"].category is StopType.TERMINAL
+    assert facts["S1"].category is StopType.STREET_STOP
+
+
+def test_merge_terminals_states_each_keys_facts():
+    stops = {
+        "T1": BusStop("T1", "Terminal X", StopType.TERMINAL, -25.4, -49.3),
+        "S1": BusStop("S1", "Rua A", StopType.TUBE_STATION, -25.41, -49.31),
+        "T2": BusStop("T2", "Terminal X", StopType.TERMINAL, -25.4002, -49.3004),
+        "T3": BusStop("T3", "Terminal X", StopType.TERMINAL, -25.4007, -49.3011),
+    }
+    passages = _passages({"T1": [30000], "S1": [31000], "Z9": [32000]})
+    facts = merge_terminals(passages, stops)[2]
+    # a terminal lies at the mean of all its stops, T2 and T3 without passages too
+    terminal = facts["terminal:Terminal X"]
+    assert terminal == KeyFacts("Terminal X", float(np.mean([-25.4, -25.4002, -25.4007])),
+                                float(np.mean([-49.3, -49.3004, -49.3011])), StopType.TERMINAL)
+    assert facts["S1"] == KeyFacts("Rua A", -25.41, -49.31, StopType.TUBE_STATION)
+    unknown = facts["Z9"]
+    assert (unknown.name, unknown.category) == ("Z9", StopType.STREET_STOP)
+    assert math.isnan(unknown.lat) and math.isnan(unknown.lon)
+    assert sorted(facts) == ["S1", "Z9", "terminal:Terminal X"]

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -773,6 +774,8 @@ _BAD_ARTIFACT_ROWS = [
     ("stop_daily_averages.csv", "cluster", "daily_avg_buses="),
     ("stop_daily_averages.csv", "cluster", "cells=5"),
     ("stop_daily_averages.csv", "cluster", "cells=8"),
+    ("stop_daily_averages.csv", "cluster", "outlier=yes"),
+    ("stop_daily_averages.csv", "cluster", "outlier=2"),
     ("clusters.csv", "route", "avg_buses=x"),
     ("clusters.csv", "route", "cells=7"),
 ]
@@ -802,7 +805,8 @@ def test_malformed_artifact_row_is_refused_by_file_row_and_column(tmp_path, caps
     if column == "cells":
         assert error["message"] == f"{name} data row 1 does not have {len(ARTIFACTS[name].header)} cells"
     else:
-        assert error["message"] == f"{name} data row 1: {column} {cell!r} is not a number"
+        expected = "0 or 1" if column == "outlier" else "a number"
+        assert error["message"] == f"{name} data row 1: {column} {cell!r} is not {expected}"
 
 
 def test_all_reads_no_artifact_back(tmp_path, monkeypatch):
@@ -849,6 +853,94 @@ def test_what_a_stage_hands_on_equals_what_a_lone_stage_reads(
 
     assert len(products["run_cluster"]) == n_clusters
     assert fields(products["run_cluster"]) == fields(pipeline.read_clusters(out, "route"))
+
+
+def test_candidates_tied_at_six_decimals_go_to_the_lower_id(tmp_path):
+    """Two stops whose daily averages differ only past the sixth decimal.
+
+    With W = 1 over the whole day a stop's daily average is its passages
+    over 1440 times its days present: S2's 38 over 37 days (0.000713213...)
+    exceeds S1's 39 over 38 days (0.000712719...), but both are written as
+    0.000713, so the tie goes to S1 by id whether cluster takes analyze's
+    product or reads its file.
+    """
+    origin = GeoPoint(-25.46, -49.28)
+    dataset = Dataset()
+    places = {"S1": (0.0, 0.0), "S2": (100.0, 0.0)} | {f"F{i}": (3000.0 * i, 5000.0) for i in range(1, 9)}
+    for stop_id, (east, north) in places.items():
+        point = offset_point(origin, east, north)
+        dataset.stops[stop_id] = BusStop(stop_id, stop_id, StopType.STREET_STOP, point.lat, point.lon)
+    first = date(2022, 11, 7)
+    days = {"S1": [0] + list(range(38)), "S2": [0] + list(range(37))} | {f"F{i}": [0] for i in range(1, 9)}
+    rows = [(stop_id, first + timedelta(days=d)) for stop_id, offsets in days.items() for d in offsets]
+    passages = analytics.PassageTable.from_columns(
+        line_code=["L1"] * len(rows),
+        direction=["A"] * len(rows),
+        vehicle_id=["V1"] * len(rows),
+        day=[day.isoformat() for _, day in rows],
+        trip=range(1, len(rows) + 1),
+        position=[1] * len(rows),
+        stop_id=[stop_id for stop_id, _ in rows],
+        time_s=[8 * 3600] * len(rows),
+        observed=[True] * len(rows),
+    )
+    config = pipeline.PipelineConfig(span_minutes=(0, 1440), window_minutes=1)
+    analyzed = pipeline.run_analyze(tmp_path, dataset, config, passages)
+    for product in (analyzed, pipeline.read_daily_averages(tmp_path, "cluster")):
+        clusters = pipeline.run_cluster(tmp_path, dataset, config, passages, product)
+        assert [c.centroid_stop_id for c in clusters] == ["S1"]
+    assert analyzed.outliers == {"S1", "S2"}
+    assert analyzed.averages["S1"] == analyzed.averages["S2"] == 0.000713
+
+
+def _csvs_of_fixes_lines(tmp_path: Path, dataset: Dataset, arrange) -> list[dict[str, bytes]]:
+    """Every CSV of ``all`` on the dataset, as written and with its fixes
+    file's lines put in each order ``arrange`` yields.
+
+    The dataset gets one fix group on a line with no itinerary, which only
+    ``validation.csv`` counts, so that a fix kept twice shows there too.
+    """
+    dataset.lines["Z"] = BusLine("Z", "line Z", LineCategory.CONVENCIONAL)
+    track = FixTrack("Z001", [-25.46] * 3, [-49.3] * 3, [25000, 25060, 25120])
+    dataset.fixes[("Z001", "Z", date(2022, 11, 7))] = track
+    config = write_config(tmp_path, dataset)
+    fixes = Path(json.loads(config.read_text(encoding="utf-8"))["fixes_file"])
+    lines = fixes.read_text(encoding="utf-8").splitlines(keepends=True)
+    runs = []
+    for index, arranged in enumerate([lines, *arrange(lines)]):
+        fixes.write_text("".join(arranged), encoding="utf-8")
+        out = tmp_path / f"out{index}"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+        runs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+    assert len(runs[0]) == 15
+    assert "3 fixes reference a line with no itinerary" in runs[0]["validation.csv"].decode()
+    return runs
+
+
+_ONE_AND_TWO_DAYS = pytest.mark.parametrize(
+    "make_dataset", [three_hub_dataset, lambda: two_days(three_hub_dataset())], ids=["one_day", "two_days"]
+)
+
+
+@_ONE_AND_TWO_DAYS
+def test_shuffling_the_fixes_lines_changes_no_csv(tmp_path, make_dataset):
+    """No two fixes tie on (vehicle, line, day, time), so input order is no part of any output."""
+
+    def shuffled(lines):
+        for seed in (5, 6):
+            lines = lines.copy()
+            random.Random(seed).shuffle(lines)
+            yield lines
+
+    written, *others = _csvs_of_fixes_lines(tmp_path, make_dataset(), shuffled)
+    for other in others:
+        assert other == written
+
+
+@_ONE_AND_TWO_DAYS
+def test_writing_every_fix_twice_changes_no_csv(tmp_path, make_dataset):
+    written, twice = _csvs_of_fixes_lines(tmp_path, make_dataset(), lambda lines: [lines + lines])
+    assert twice == written
 
 
 def test_a_users_csv_in_the_output_directory_is_not_an_artifact(tmp_path):

@@ -598,22 +598,6 @@ def test_canonical_stamps_decode_every_digit_and_check_every_field():
         assert value == day.toordinal() * 86_400 + time_s, text
 
 
-def test_fixes_parse_from_lines_as_from_a_stream():
-    text = "".join(
-        json.dumps({"vehicle_id": v, "line_code": "L1", "lat": -25.4, "lon": -49.2, "dthr": t}) + "\n"
-        for v, t in [("V1", "07/11/2022 06:04:51"), ("V2", "7/11/2022 6:05:00"), ("V1", "08/11/2022 06:00:00")]
-    )
-    from_stream = records.parse_vehicle_fixes(io.StringIO(text))
-    for lines in (text.splitlines(keepends=True), text.splitlines()):
-        from_lines = records.parse_vehicle_fixes(iter(lines))
-        assert from_lines.days == from_stream.days == [date(2022, 11, 7), date(2022, 11, 8)]
-        for name in ("vehicle", "line", "day", "time_s", "lat", "lon"):
-            assert getattr(from_lines, name).tobytes() == getattr(from_stream, name).tobytes(), name
-    with pytest.raises(RecordError) as got:
-        records.parse_vehicle_fixes([*text.splitlines(), "", "{"])
-    assert got.value.line_no == 5
-
-
 # ── load_dataset ────────────────────────────────────────────────────────
 
 

@@ -11,20 +11,13 @@ within a rider's waiting window?
 
 from datetime import date
 
-from bustrace.analytics import (
-    PassageTable,
-    build_availability,
-    cluster_sync_profile,
-    correlation_matrix,
-    find_outlier_stops,
-)
+from bustrace.analytics import PassageTable, build_availability, cluster_sync_profile, find_outlier_stops
 from bustrace.clustering import build_candidates, cluster_stats, cluster_stops
 from bustrace.detection import detect, segment_trips
 from bustrace.geo import GeoPoint, offset_point
 from bustrace.matching import match_fixes
 from bustrace.model import (
     DEFAULT_PERIODS,
-    DEFAULT_SPAN_MINUTES,
     SYNC_WINDOW_SET,
     BusLine,
     BusStop,
@@ -106,22 +99,17 @@ print(f"availability outliers: {sorted(outliers)}")
 
 candidates = build_candidates(outliers, averages)
 clusters = cluster_stops(candidates, dataset.stops)
-enriched, scatter = cluster_stats(clusters, passages)
+# the members' correlation at every (period, sync window) cell, for the profile
+sync_cells = [(period, w) for period in DEFAULT_PERIODS for w in SYNC_WINDOW_SET]
+enriched, scatter, correlations = cluster_stats(clusters, passages, cells=sync_cells)
 for cluster in enriched:
     print(
         f"\ncluster {cluster.cluster_id}: members={cluster.member_list} "
         f"lines={sorted(cluster.lines_served)} avg_buses={cluster.avg_buses:.2f}"
     )
 
-# the members with passages, and each of their passages' member index
-rows = passages.at_stops(enriched[0].member_list)
-members, member = np.unique(passages.stop_id[rows], return_inverse=True)
-counts = build_availability(member, passages.time_s[rows], len(members), SYNC_WINDOW_SET)
-profile = cluster_sync_profile({
-    (period, w): correlation_matrix(counts[w], DEFAULT_SPAN_MINUTES, period)
-    for period in DEFAULT_PERIODS
-    for w in SYNC_WINDOW_SET
-})
+_, matrices = correlations[0]
+profile = cluster_sync_profile(matrices)
 print("\nmean pairwise correlation inside the cluster:")
 print("window:  " + "  ".join(f"{w:>5d}" for w in SYNC_WINDOW_SET))
 for period in ("morning", "midday", "evening"):

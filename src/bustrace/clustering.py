@@ -13,9 +13,10 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import PassageTable, build_availability, pearson, pearson_p_value
+from . import analytics
+from .analytics import PassageTable, pearson, pearson_p_value
 from .geo import nearest_stops
-from .model import DEFAULT_CLUSTER_RADIUS_M, DEFAULT_SPAN_MINUTES, DEFAULT_WINDOW_MINUTES, BusStop, Cluster
+from .model import DEFAULT_CLUSTER_RADIUS_M, DEFAULT_SPAN_MINUTES, DEFAULT_WINDOW_MINUTES, BusStop, Cluster, Period
 
 
 class Candidate(NamedTuple):
@@ -79,12 +80,13 @@ class ClusterScatter:
 def distinct_vehicle_counts(
     passages: PassageTable, rows: np.ndarray, window_minutes: int, span: tuple[int, int]
 ) -> np.ndarray:
-    """Distinct buses with a passage among ``rows`` per sliding window: buses available, not passages.
-
-    Days are pooled: passages count at their time of day."""
+    """Distinct buses with a passage among ``rows`` per sliding window: buses available, not passages."""
     vehicles, vehicle = np.unique(passages.vehicle_id[rows], return_inverse=True)
-    counts = build_availability(vehicle, passages.time_s[rows], len(vehicles), [window_minutes], span)
+    counts = analytics.build_availability(vehicle, passages.time_s[rows], len(vehicles), [window_minutes], span)
     return np.count_nonzero(counts[window_minutes], axis=0).astype(np.int64)
+
+
+Cell = tuple[Period | None, int]  # a period (None: the whole span) at a window size in minutes
 
 
 def cluster_stats(
@@ -92,16 +94,31 @@ def cluster_stats(
     passages: PassageTable,
     window_minutes: int = DEFAULT_WINDOW_MINUTES,
     span: tuple[int, int] = DEFAULT_SPAN_MINUTES,
-) -> tuple[list[Cluster], ClusterScatter]:
-    """Fill per-cluster averages and line sets; correlate them across clusters."""
+    cells: Sequence[Cell] = (),
+) -> tuple[list[Cluster], ClusterScatter, list[tuple[list[str], dict[Cell, np.ndarray]]]]:
+    """Fill per-cluster averages and line sets; correlate them across clusters.
+
+    Also gives, per cluster, its members with passages in id order and the
+    :func:`~bustrace.analytics.correlation_matrix` of their window counts at
+    each distinct cell, or ``([], {})`` when fewer than two members have
+    passages. Days are pooled: every passage counts at its time of day.
+    """
+    cells = list(dict.fromkeys(cells))
+    windows = sorted({w for _, w in cells})
     enriched: list[Cluster] = []
+    correlations: list[tuple[list[str], dict[Cell, np.ndarray]]] = []
     for cluster in clusters:
         rows = passages.at_stops(cluster.member_list)
         counts = distinct_vehicle_counts(passages, rows, window_minutes, span)
         lines = frozenset(passages.line_codes[np.unique(passages.line_code[rows])].tolist())
-        enriched.append(
-            replace(cluster, avg_buses=float(np.mean(counts)), lines_served=lines)
-        )
+        enriched.append(replace(cluster, avg_buses=float(np.mean(counts)), lines_served=lines))
+        present, member = np.unique(passages.stop_id[rows], return_inverse=True)
+        if len(present) < 2:
+            correlations.append(([], {}))
+            continue
+        by_member = analytics.build_availability(member, passages.time_s[rows], len(present), windows, span)
+        matrices = {(period, w): analytics.correlation_matrix(by_member[w], span, period) for period, w in cells}
+        correlations.append((passages.stop_ids[present].tolist(), matrices))
 
     if len(enriched) < 2:
         scatter = ClusterScatter(r=None, p_value=None, n_clusters=len(enriched))
@@ -114,4 +131,4 @@ def cluster_stats(
             p_value=pearson_p_value(r, len(enriched)) if r is not None else None,
             n_clusters=len(enriched),
         )
-    return enriched, scatter
+    return enriched, scatter, correlations

@@ -23,6 +23,7 @@ import itertools
 import math
 import os
 import re
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date
@@ -203,6 +204,8 @@ class PipelineConfig:
                 raise ValueError(f"periods: '{period.name}' must start below its end")
         if self.od_pairs < 0:
             raise ValueError("od_pairs must not be negative")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         if not 0 <= self.od_jitter_m < math.inf:
             raise ValueError("od_jitter_m must be non-negative and finite")
         if self.k_paths < 1:
@@ -620,17 +623,18 @@ def run_cluster(
 
     candidates = clustering.build_candidates(analyzed.outliers.intersection(dataset.stops), analyzed.averages)
     clusters = clustering.cluster_stops(candidates, dataset.stops, config.cluster_radius_m)
-    enriched, scatter = clustering.cluster_stats(
-        clusters, passages, config.window_minutes, config.span_minutes
+    # the full day and each period at the correlation window, for the pair
+    # rows; each period at every sync window, for the profile
+    corr_cells = [(period, config.window_minutes) for period in (None, *config.periods)]
+    sync_cells = [(period, w) for period in config.periods for w in config.window_set]
+    enriched, scatter, correlations = clustering.cluster_stats(
+        clusters, passages, config.window_minutes, config.span_minutes, corr_cells + sync_cells
     )
 
-    membership = _membership_counts(enriched)
+    membership = Counter(member for c in enriched for member in c.members)
     # distinct stops covered vs total membership slots: differ when
     # non-candidate stops join several clusters
-    cover_note = (
-        f"distinct_stops_covered={len(membership)} "
-        f"total_memberships={sum(membership.values())}"
-    )
+    cover_note = f"distinct_stops_covered={len(membership)} total_memberships={sum(membership.values())}"
     cluster_rows = [
         (
             c.cluster_id,
@@ -652,28 +656,10 @@ def run_cluster(
     scatter_rows = [(c.cluster_id, c.avg_buses, len(c.lines_served)) for c in enriched]
     write_csv(out_dir, "cluster_scatter.csv", scatter_rows, notes=[scatter_note])
 
-    # Days are pooled: every passage counts at its time of day.
-    # the full day and each period at the correlation window, for the pair
-    # rows; each period at every sync window, for the profile
-    corr_cells = [(period, config.window_minutes) for period in (None, *config.periods)]
-    sync_cells = [(period, w) for period in config.periods for w in config.window_set]
-    corr_rows = []
-    profile_rows = []
-    profiles = []
-    for cluster in enriched:
-        rows = passages.at_stops(cluster.member_list)
-        present, member = np.unique(passages.stop_id[rows], return_inverse=True)
-        if len(present) < 2:
+    corr_rows, profile_rows, profiles = [], [], []
+    for cluster, (members, matrices) in zip(enriched, correlations):
+        if not members:
             continue
-        members = passages.stop_ids[present].tolist()
-        counts = analytics.build_availability(
-            member, passages.time_s[rows], len(members),
-            [config.window_minutes, *config.window_set], config.span_minutes,
-        )
-        matrices = {
-            (period, w): analytics.correlation_matrix(counts[w], config.span_minutes, period)
-            for period, w in dict.fromkeys(corr_cells + sync_cells)
-        }
         first, second = np.triu_indices(len(members), 1)
         for period, w in corr_cells:
             label = period.name if period else FULL_DAY
@@ -688,14 +674,6 @@ def run_cluster(
     combined = analytics.mean_sync_across_clusters(profiles) if profiles else {}
     write_csv(out_dir, "sync_summary.csv", [(*key, value) for key, value in sorted(combined.items())])
     return enriched
-
-
-def _membership_counts(clusters: Sequence[Cluster]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for cluster in clusters:
-        for member in cluster.members:
-            counts[member] = counts.get(member, 0) + 1
-    return counts
 
 
 def read_clusters(out_dir: Path, stage: str) -> list[Cluster]:

@@ -194,8 +194,11 @@ def parse_line_points(stream: Iterable[str]) -> tuple[list[BusStop], list[Itiner
 
         line_code = _require_id(record, "line_code", line_no)
         direction = _require_id(record, "direction", line_no)
+        seq = _require(record, "seq", line_no)
         try:
-            seq = int(_require(record, "seq", line_no))
+            if isinstance(seq, bool) or isinstance(seq, float) and not seq.is_integer():
+                raise ValueError  # int() would truncate it, or read true as 1
+            seq = int(seq)
         except (TypeError, ValueError):
             raise RecordError(line_no, f"seq is not an integer: {record.get('seq')!r}") from None
         sequence = sequences[(line_code, direction)]

@@ -10,10 +10,11 @@ from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bustrace
-from bustrace import analytics, cli, detection, matching, model, pipeline, records, routing
+from bustrace import analytics, cli, clustering, detection, matching, model, pipeline, records, routing
 from bustrace.cli import main
 from bustrace.geo import GeoPoint, offset_point
 from bustrace.model import BusLine, BusStop, Dataset, FixTrack, ItineraryDef, LineCategory, StopType
@@ -220,13 +221,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ({"periods": {"morning": [360]}}, "periods"),
         ({"periods": {"morning": [360, 540, 600]}}, "periods"),
         ({"periods": {"full_day": [360, 540]}}, "periods"),
+        ({"seed": -1}, "seed"),
     ],
     ids=[
         "span", "window", "window_set", "period", "od_pairs", "nan_radius", "inf_radius", "nan_jitter",
         "jobs", "fractional_window", "fractional_k", "fractional_od_pairs", "nan_idle_gap",
         "fractional_window_set", "float_window", "bool_k", "fractional_span", "fractional_period",
         "fractional_seed", "scalar_window_set", "string_window_set", "scalar_span", "period_list",
-        "period_one_bound", "period_three_bounds", "full_day_period",
+        "period_one_bound", "period_three_bounds", "full_day_period", "negative_seed",
     ],
 )
 def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys, overrides, key):
@@ -704,6 +706,37 @@ def test_cluster_stage_numbers_equal_a_brute_force(tmp_path, make_dataset, n_day
         assert same(row["mean_r"], mean_r), names
 
 
+def two_different_days() -> Dataset:
+    """``three_hub_dataset()``, then a day on which lines A and B run in full
+    and the shuttles run every other trip."""
+    dataset = three_hub_dataset()
+    fixes = dict(dataset.fixes)
+    for (vehicle, line, day), track in dataset.fixes.items():
+        if line in ("A", "B") or int(vehicle[1:]) % 2 == 0:
+            fixes[(vehicle, line, day + timedelta(days=1))] = track
+    return replace(dataset, fixes=fixes)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: cluster statistics pool the days instead of averaging per-day values")
+def test_cluster_average_is_the_mean_of_its_single_day_values(tmp_path):
+    """Per-day cluster statistics, as analyze averages per-stop counts over days."""
+    config = write_config(tmp_path, two_different_days())
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+    clusters = pipeline.read_clusters(out, "cluster")
+    passages = pipeline.read_detection_rows(out, "cluster")
+    days = np.unique(passages.day)
+    assert len(clusters) > 1 and len(days) == 2
+    per_day = []
+    for day in days:
+        alone = analytics.PassageTable.from_columns(
+            **{name: passages.column(name)[passages.day == day] for name in analytics.PASSAGE_COLUMNS}
+        )
+        per_day.append([c.avg_buses for c in clustering.cluster_stats(clusters, alone)[0]])
+    for cluster, values in zip(clusters, zip(*per_day)):
+        assert cluster.avg_buses == pytest.approx(sum(values) / len(values), abs=5e-7), cluster.cluster_id
+
+
 @pytest.mark.parametrize("dataset", [line829_dataset, three_hub_dataset])
 def test_all_runs_without_scipy(tmp_path, dataset):
     config = write_config(tmp_path, dataset())
@@ -943,6 +976,30 @@ def test_writing_every_fix_twice_changes_no_csv(tmp_path, make_dataset):
     assert twice == written
 
 
+@_ONE_AND_TWO_DAYS
+def test_relabelling_the_days_changes_only_the_day_column(tmp_path, make_dataset):
+    """Every fix group moved 130 days on, across a year's end and onto other weekdays."""
+    shift = timedelta(days=130)
+    dataset = make_dataset()
+    moved = replace(dataset, fixes={(v, line, day + shift): track for (v, line, day), track in dataset.fixes.items()})
+    runs = []
+    for name, data in (("plain", dataset), ("moved", moved)):
+        (tmp_path / name).mkdir()
+        config = write_config(tmp_path / name, data)
+        out = tmp_path / name / "out"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+        runs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+    plain, shifted = runs
+    assert len(plain) == 15
+    assert [name for name in plain if plain[name] != shifted[name]] == [pipeline.DETECTED_FILE]
+    rows, moved_rows = (
+        read_csv_rows(tmp_path / name / "out" / pipeline.DETECTED_FILE)[1] for name in ("plain", "moved")
+    )
+    assert len(moved_rows) == len(rows) > 0
+    for row, moved_row in zip(rows, moved_rows):
+        assert moved_row == {**row, "day": (date.fromisoformat(row["day"]) + shift).isoformat()}
+
+
 def test_a_users_csv_in_the_output_directory_is_not_an_artifact(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"
@@ -965,7 +1022,8 @@ def test_stages_call_through_the_names_the_bench_tracer_wraps(tmp_path, monkeypa
         (cli, "run_analyze"), (cli, "run_cluster"), (cli, "run_route"), (cli, "load_config"),
         (cli, "_write_manifest"), (pipeline, "read_detection_rows"), (pipeline, "validate_dataset"),
         (routing, "build_graph"), (routing, "add_cluster_transfers"), (routing, "evaluate_od"),
-        (records, "parse_vehicle_fixes"), (detection, "tag_report"),
+        (records, "parse_vehicle_fixes"), (detection, "tag_report"), (clustering, "cluster_stops"),
+        (clustering, "cluster_stats"),
     ]
     # called at least once by `all` on a dataset that clusters and routes
     detection_names = ["match_fixes", "segment_trips", "detect"]  # once per group, itinerary, segment

@@ -174,7 +174,7 @@ def _passages(rows):
 def test_stats_empty_cluster_zeroes():
     stops = _field({"A": (0, 0)})
     clusters = cluster_stops([Candidate("A", 1.0)], stops)
-    enriched, scatter = cluster_stats(clusters, _passages([]))
+    enriched, scatter, _ = cluster_stats(clusters, _passages([]))
     assert enriched[0].avg_buses == 0.0
     assert enriched[0].lines_served == frozenset()
     assert scatter.r is None and scatter.p_value is None
@@ -237,7 +237,7 @@ def test_distinct_vehicle_counts_equal_a_brute_force_set_count(case):
     counts = distinct_vehicle_counts(passages, passages.at_stops(members), window, span)
     assert counts.tolist() == expected
     cluster = Cluster(cluster_id="C", centroid_stop_id=members[0], members=frozenset(members))
-    [enriched], _ = cluster_stats([cluster], passages, window, span)
+    [enriched], _, _ = cluster_stats([cluster], passages, window, span)
     assert enriched.avg_buses == float(np.mean(expected))
     assert enriched.lines_served == ({"L1"} if any(r[0] in members for r in rows) else set())
 
@@ -251,7 +251,7 @@ def test_stats_scatter_matches_closed_form():
         for line in range(i + 1):  # cluster i sees i+1 lines
             for k in range(4 * (i + 1)):
                 rows.append((f"C{i}", 30000 + 900 * k + 37 * line, f"V{line}-{k}", f"L{line}"))
-    enriched, scatter = cluster_stats(clusters, _passages(rows))
+    enriched, scatter, _ = cluster_stats(clusters, _passages(rows))
 
     xs = np.array([c.avg_buses for c in enriched])
     ys = np.array([len(c.lines_served) for c in enriched])

@@ -135,6 +135,29 @@ def test_parse_line_points_duplicate_seq_rejected():
         records.parse_line_points(lines_stream(*recs))
 
 
+@pytest.mark.parametrize("seq", [2.5, 1.5, True, float("nan"), float("inf")])
+def test_parse_line_points_seq_that_is_not_an_integer_rejected(seq):
+    """int() would truncate 2.5 to 2, report 1.5 as a duplicate of 1, and read true as 1."""
+    recs = [
+        _point_record("S1", -25.4, -49.3, seq=1),
+        _point_record("S2", -25.5, -49.3, seq=seq),
+        _point_record("S3", -25.6, -49.3, seq=3),
+    ]
+    with pytest.raises(RecordError, match=f"seq is not an integer: {seq!r}"):
+        records.parse_line_points(lines_stream(*recs))
+
+
+@pytest.mark.parametrize("seq", [2, 2.0, "2"])
+def test_parse_line_points_integral_seq_loads(seq):
+    recs = [
+        _point_record("S1", -25.4, -49.3, seq=1),
+        _point_record("S2", -25.5, -49.3, seq=seq),
+        _point_record("S3", -25.6, -49.3, seq=3),
+    ]
+    _, [itinerary] = records.parse_line_points(lines_stream(*recs))
+    assert itinerary.stops == ((1, "S1"), (2, "S2"), (3, "S3"))
+
+
 def test_parse_line_points_conflicting_coordinates_rejected():
     recs = [
         _point_record("S1", -25.4, -49.3, seq=1),

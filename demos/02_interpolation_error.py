@@ -10,26 +10,13 @@ consecutive missing stops.
 
 import numpy as np
 
-from bustrace.detection import detect, evaluate_interpolation_error, segment_trips
-from bustrace.matching import match_fixes
+from bustrace.detection import evaluate_interpolation_error
+from bustrace.pipeline import PipelineConfig, run_detection
 from bustrace.synthetic import straight_line_dataset
-
-
-def reconstruct_all(dataset):
-    detections = []
-    for key in sorted(dataset.fixes):
-        itinerary = dataset.itineraries[0]
-        marks = match_fixes(dataset.fixes[key], [itinerary], dataset.stops)[0]
-        for segment in segment_trips(marks, itinerary).segments:
-            result = detect(itinerary, segment, vehicle_id=key[0])
-            if result.accepted:
-                detections.append(result.itinerary)
-    return detections
-
 
 for jitter, label in ((0.0, "constant speed"), (0.35, "speed jitter +/-35%")):
     dataset = straight_line_dataset(n_stops=30, n_trips=10, jitter=jitter, seed=42)
-    detections = reconstruct_all(dataset)
+    detections = [trip for outcome in run_detection(dataset, PipelineConfig()) for trip in outcome.trips]
     print(f"\n{label}: {len(detections)} fully observed trips")
     print(f"{'w':>3s} {'median':>8s} {'q3':>8s} {'max':>8s}   (seconds of error per deleted stop)")
     for w in range(2, 9):

@@ -17,9 +17,8 @@ from bustrace.analytics import (
     find_outlier_stops,
     merge_terminals,
 )
-from bustrace.detection import detect, segment_trips
-from bustrace.matching import match_fixes
 from bustrace.model import DEFAULT_SPAN_MINUTES, Dataset, LineCategory, StopType
+from bustrace.pipeline import PipelineConfig, run_detection
 from bustrace.synthetic import straight_line_dataset
 
 # Three independent lines with different stop types and service levels.
@@ -44,14 +43,7 @@ for part in parts:
     dataset.itineraries += part.itineraries
     dataset.fixes |= part.fixes
 
-detections = []
-for (vehicle, line_code, day), fixes in sorted(dataset.fixes.items()):
-    for itinerary in dataset.itineraries_for(line_code):
-        marks = match_fixes(fixes, [itinerary], dataset.stops)[0]
-        for segment in segment_trips(marks, itinerary).segments:
-            result = detect(itinerary, segment, day=day, vehicle_id=vehicle)
-            if result.accepted:
-                detections.append(result.itinerary)
+detections = [trip for outcome in run_detection(dataset, PipelineConfig()) for trip in outcome.trips]
 print(f"{len(detections)} trips reconstructed across {len(dataset.lines)} lines")
 
 passages = PassageTable.from_itineraries(detections)

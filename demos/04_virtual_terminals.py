@@ -13,9 +13,7 @@ from datetime import date
 
 from bustrace.analytics import PassageTable, build_availability, cluster_sync_profile, find_outlier_stops
 from bustrace.clustering import build_candidates, cluster_stats, cluster_stops
-from bustrace.detection import detect, segment_trips
 from bustrace.geo import GeoPoint, offset_point
-from bustrace.matching import match_fixes
 from bustrace.model import (
     DEFAULT_PERIODS,
     SYNC_WINDOW_SET,
@@ -27,6 +25,7 @@ from bustrace.model import (
     LineCategory,
     StopType,
 )
+from bustrace.pipeline import PipelineConfig, run_detection
 
 ORIGIN = GeoPoint(-25.46, -49.28)
 DAY = date(2022, 11, 7)
@@ -80,14 +79,7 @@ for code, stop_ids in routes.items():
         start += headways[code] // 2 if in_peak else headways[code]
         trip += 1
 
-detections = []
-for (vehicle, line_code, day), track in sorted(dataset.fixes.items()):
-    for itinerary in dataset.itineraries_for(line_code):
-        marks = match_fixes(track, [itinerary], dataset.stops)[0]
-        for segment in segment_trips(marks, itinerary).segments:
-            result = detect(itinerary, segment, day=day, vehicle_id=vehicle)
-            if result.accepted:
-                detections.append(result.itinerary)
+detections = [trip for outcome in run_detection(dataset, PipelineConfig()) for trip in outcome.trips]
 print(f"{len(detections)} trips reconstructed")
 
 passages = PassageTable.from_itineraries(detections)

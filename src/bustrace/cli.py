@@ -86,9 +86,7 @@ def _run_stage(stage: str, out_dir: Path, dataset: Dataset, config: PipelineConf
         from .analytics import PassageTable
 
         outcomes = run_detection(dataset, config)
-        passages = PassageTable.from_itineraries(
-            result.itinerary for outcome in outcomes for result in outcome.results if result.accepted
-        )
+        passages = PassageTable.from_itineraries(trip for outcome in outcomes for trip in outcome.trips)
         categories = {line.code: line.category for line in dataset.lines.values()}
         report = detection.tag_report(outcomes, categories)
         write_detection_artifacts(out_dir, passages, report)
@@ -106,11 +104,8 @@ def _run_stage(stage: str, out_dir: Path, dataset: Dataset, config: PipelineConf
 def _write_manifest(out_dir: Path, config: PipelineConfig) -> None:
     """Write the manifest: the config, the inputs' digests and those of the artifacts in ``out_dir``."""
     inputs = {}
-    for label, path in (
-        ("lines_file", config.lines_file),
-        ("line_points_file", config.line_points_file),
-        ("fixes_file", config.fixes_file),
-    ):
+    for label in pipeline.INPUT_FILES:
+        path = getattr(config, label)
         if path and Path(path).is_file():
             inputs[label] = _sha256(Path(path))
     artifacts = {name: _sha256(out_dir / name) for name in ARTIFACTS if (out_dir / name).is_file()}

@@ -9,13 +9,15 @@ monotonicity (typically produced where the route passes close to an
 out-of-sequence stop) are dropped. Interior positions left without a mark
 get their times estimated by uniform subdivision of the enclosing observed
 interval; trips missing a mark at the first or last position are rejected
-instead of extrapolated.
+instead of extrapolated. :func:`detect_group` runs both steps on one
+track's marks and returns the :class:`GroupOutcome` that trips and tag
+tallies are read from.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import date
 from typing import TYPE_CHECKING
 
@@ -326,6 +328,62 @@ def detect(
     return result
 
 
+# ── One track on one itinerary ──────────────────────────────────────────
+
+
+@dataclass
+class GroupOutcome:
+    """Detection outcome for one (vehicle, line, day, itinerary) run.
+
+    :func:`detect_group` is the one path from a track's marks to an
+    outcome: :attr:`trips` gives its accepted trips and :func:`tag_report`
+    tallies its marks.
+    """
+
+    line_code: str
+    direction: str
+    vehicle_id: str
+    day: date | None
+    total_marks: int
+    results: list[DetectionResult]
+    discarded_segments: int
+    discarded_marks: int
+
+    @property
+    def trips(self) -> list[DetectedItinerary]:
+        """The accepted trips, in segment order."""
+        return [result.itinerary for result in self.results if result.accepted]
+
+
+def detect_group(
+    marks: Marks,
+    itinerary: ItineraryDef,
+    *,
+    vehicle_id: str = "",
+    day: date | None = None,
+    idle_gap_s: int = DEFAULT_IDLE_GAP_S,
+) -> GroupOutcome:
+    """Segment one track's time-ordered marks on ``itinerary`` and detect every segment.
+
+    Each segment is detected with the boundary mark it borrowed from the
+    previous trip, so :func:`tag_report` tallies every mark once.
+    """
+    segmentation = segment_trips(marks, itinerary, idle_gap_s=idle_gap_s)
+    return GroupOutcome(
+        line_code=itinerary.line_code,
+        direction=itinerary.direction,
+        vehicle_id=vehicle_id,
+        day=day,
+        total_marks=len(marks),
+        results=[
+            detect(itinerary, segment, day=day, borrowed_marks=borrowed, vehicle_id=vehicle_id)
+            for segment, borrowed in zip(segmentation.segments, segmentation.borrowed)
+        ],
+        discarded_segments=len(segmentation.discarded),
+        discarded_marks=segmentation.discarded_marks,
+    )
+
+
 # ── Interpolation-error protocol ────────────────────────────────────────
 
 
@@ -383,20 +441,6 @@ def evaluate_interpolation_error(
 
 
 # ── Tag validity report ─────────────────────────────────────────────────
-
-
-@dataclass
-class GroupOutcome:
-    """Detection outcome for one (vehicle, line, day, itinerary) run."""
-
-    line_code: str
-    direction: str
-    vehicle_id: str
-    day: date | None
-    total_marks: int
-    results: list[DetectionResult] = field(default_factory=list)
-    discarded_segments: int = 0
-    discarded_marks: int = 0
 
 
 @dataclass

@@ -152,6 +152,9 @@ class MissingDependencyError(PipelineError):
 
 # ── Configuration ───────────────────────────────────────────────────────
 
+# the config keys of the input files, which load_inputs checks and the manifest digests
+INPUT_FILES = ("lines_file", "line_points_file", "fixes_file")
+
 
 @dataclass
 class PipelineConfig:
@@ -182,11 +185,16 @@ class PipelineConfig:
             "od_pairs": [self.od_pairs],
             "idle_gap_min": [self.idle_gap_min],
             "seed": [self.seed],
+            "jobs": [self.jobs],
         }
         for key, values in integers.items():
             for value in values:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ValueError(f"{key}: {value!r} is not an integer")
+        for key in ("acceptance_radius_m", "cluster_radius_m", "od_search_radius_m", "od_jitter_m"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{key}: {value!r} is not a number")
         for key in ("acceptance_radius_m", "cluster_radius_m", "od_search_radius_m"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be positive and finite")
@@ -249,11 +257,8 @@ class PipelineConfig:
 
     def load_inputs(self, with_fixes: bool) -> Dataset:
         """Check that all three input files exist; parse the fixes only ``with_fixes``."""
-        for label, path in (
-            ("lines_file", self.lines_file),
-            ("line_points_file", self.line_points_file),
-            ("fixes_file", self.fixes_file),
-        ):
+        for label in INPUT_FILES:
+            path = getattr(self, label)
             if not path:
                 raise ValueError(f"config is missing {label}")
             if not Path(path).is_file():
@@ -359,8 +364,9 @@ def run_detection(dataset: Dataset, config: PipelineConfig) -> list[GroupOutcome
     """Match, segment, and detect every (vehicle, line, day, itinerary) group.
 
     Each (vehicle, line, day) track is matched once against all its line's
-    itineraries. Groups come in key order and each group's itineraries by
-    direction.
+    itineraries, and :func:`~bustrace.detection.detect_group` turns its
+    marks on each itinerary into that group's outcome. Groups come in key
+    order and each group's itineraries by direction.
     """
     from . import detection, matching
 
@@ -370,26 +376,10 @@ def run_detection(dataset: Dataset, config: PipelineConfig) -> list[GroupOutcome
         track = dataset.fixes[vehicle_id, line_code, day]
         itineraries = sorted(dataset.itineraries_for(line_code), key=lambda i: i.direction)
         line_marks = matching.match_fixes(track, itineraries, dataset.stops, config.acceptance_radius_m)
-        for itinerary, marks in zip(itineraries, line_marks):
-            segmentation = detection.segment_trips(marks, itinerary, idle_gap_s=idle_gap_s)
-            results = [
-                detection.detect(
-                    itinerary, segment, day=day, borrowed_marks=borrowed, vehicle_id=vehicle_id
-                )
-                for segment, borrowed in zip(segmentation.segments, segmentation.borrowed)
-            ]
-            outcomes.append(
-                detection.GroupOutcome(
-                    line_code=line_code,
-                    direction=itinerary.direction,
-                    vehicle_id=vehicle_id,
-                    day=day,
-                    total_marks=len(marks),
-                    results=results,
-                    discarded_segments=len(segmentation.discarded),
-                    discarded_marks=segmentation.discarded_marks,
-                )
-            )
+        outcomes += [
+            detection.detect_group(marks, itinerary, vehicle_id=vehicle_id, day=day, idle_gap_s=idle_gap_s)
+            for itinerary, marks in zip(itineraries, line_marks)
+        ]
     return outcomes
 
 

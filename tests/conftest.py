@@ -54,12 +54,7 @@ def case_dataset_full() -> Dataset:
 
 def run_detection_simple(dataset: Dataset):
     """The accepted itineraries of ``pipeline.run_detection`` at the default config."""
-    return [
-        result.itinerary
-        for outcome in run_detection(dataset, PipelineConfig())
-        for result in outcome.results
-        if result.accepted
-    ]
+    return [trip for outcome in run_detection(dataset, PipelineConfig()) for trip in outcome.trips]
 
 
 def marks_at(itinerary: ItineraryDef, *stop_times: tuple[str, int]) -> Marks:

@@ -17,8 +17,8 @@ import pytest
 from bustrace.analytics import correlation_matrix, moving_window_counts, pearson
 from bustrace.clustering import Candidate, build_candidates, cluster_stops
 from bustrace.detection import (
-    GroupOutcome,
     detect,
+    detect_group,
     evaluate_interpolation_error,
     format_time_of_day,
     segment_trips,
@@ -204,22 +204,13 @@ def test_criterion_04_tag_report_matches_independent_tally():
         tally["ALIMENTADOR"]["disc_seg"] += 1
         tally["ALIMENTADOR"]["disc_marks"] += 1
 
-        outcomes = []
-        for (line, vehicle), rows in sorted(streams.items()):
-            marks = Marks(*zip(*sorted(rows, key=lambda m: m[1])))
-            segmentation = segment_trips(marks, itineraries[line])
-            results = [
-                detect(itineraries[line], s, borrowed_marks=b, vehicle_id=vehicle)
-                for s, b in zip(segmentation.segments, segmentation.borrowed)
-            ]
-            outcomes.append(
-                GroupOutcome(
-                    line_code=line, direction="A", vehicle_id=vehicle, day=date(2022, 11, 7),
-                    total_marks=len(marks), results=results,
-                    discarded_segments=len(segmentation.discarded),
-                    discarded_marks=segmentation.discarded_marks,
-                )
+        outcomes = [
+            detect_group(
+                Marks(*zip(*sorted(rows, key=lambda m: m[1]))), itineraries[line],
+                vehicle_id=vehicle, day=date(2022, 11, 7),
             )
+            for (line, vehicle), rows in sorted(streams.items())
+        ]
         report = tag_report(outcomes, {code: cat for code, (cat, _n) in lines.items()})
 
         for cat_value, expected in tally.items():

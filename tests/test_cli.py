@@ -222,6 +222,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ({"periods": {"morning": [360, 540, 600]}}, "periods"),
         ({"periods": {"full_day": [360, 540]}}, "periods"),
         ({"seed": -1}, "seed"),
+        ({"cluster_radius_m": True}, "cluster_radius_m"),
+        ({"acceptance_radius_m": True}, "acceptance_radius_m"),
+        ({"od_search_radius_m": True}, "od_search_radius_m"),
+        ({"od_jitter_m": False}, "od_jitter_m"),
+        ({"cluster_radius_m": "600"}, "cluster_radius_m"),
+        ({"od_jitter_m": None}, "od_jitter_m"),
+        ({"od_search_radius_m": [1]}, "od_search_radius_m"),
+        ({"jobs": True}, "jobs"),
+        ({"jobs": 1.0}, "jobs"),
     ],
     ids=[
         "span", "window", "window_set", "period", "od_pairs", "nan_radius", "inf_radius", "nan_jitter",
@@ -229,6 +238,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         "fractional_window_set", "float_window", "bool_k", "fractional_span", "fractional_period",
         "fractional_seed", "scalar_window_set", "string_window_set", "scalar_span", "period_list",
         "period_one_bound", "period_three_bounds", "full_day_period", "negative_seed",
+        "bool_cluster_radius", "bool_acceptance_radius", "bool_od_search_radius", "bool_jitter",
+        "string_cluster_radius", "null_jitter", "list_od_search_radius", "bool_jobs", "float_jobs",
     ],
 )
 def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys, overrides, key):
@@ -240,6 +251,21 @@ def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys, overrid
     assert error["type"] == "ValueError"
     assert key in error["message"]
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("idle_gap_min, trips, discarded", [(3, 0, 2), (30, 1, 0)])
+def test_idle_gap_min_reaches_segmentation(tmp_path, idle_gap_min, trips, discarded):
+    # two of the case-study track's gaps between marks exceed 3 minutes: a
+    # 3-minute idle gap cuts off two lone marks and leaves two pieces that
+    # each miss an end stop
+    config = write_config(tmp_path, idle_gap_min=idle_gap_min)
+    out = tmp_path / "out"
+    assert main(["detect", "--config", str(config), "--out", str(out)]) == 0
+    _, rows = read_csv_rows(out / "detected_itineraries.csv")
+    assert len({(row["vehicle_id"], row["trip"]) for row in rows}) == trips
+    _, tallies = read_csv_rows(out / "tag_errors_by_category.csv")
+    assert tallies[-1]["category"] == "TOTAL"
+    assert int(tallies[-1]["discarded_segments"]) == discarded
 
 
 @pytest.mark.parametrize("text, flags", [("[]", ["--seed", "3"]), ('"lines_file"', [])], ids=["list", "string"])

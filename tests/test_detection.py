@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bustrace.detection import (
-    GroupOutcome,
     Provenance,
     detect,
+    detect_group,
     evaluate_interpolation_error,
     format_time_of_day,
     interpolate_gap,
@@ -34,9 +34,9 @@ from conftest import (
 )
 
 
-def _iti(stop_ids, circular=False):
+def _iti(stop_ids, circular=False, line_code="L1"):
     return ItineraryDef(
-        line_code="L1",
+        line_code=line_code,
         direction="A",
         stops=tuple((i + 1, s) for i, s in enumerate(stop_ids)),
         circular=circular,
@@ -592,30 +592,14 @@ def test_error_protocol_rejects_interpolated_input(case_dataset):
 CATEGORIES = {"L1": LineCategory.ALIMENTADOR, "L2": LineCategory.EXPRESSO}
 
 
-def _outcome(line, stop_times, iti, **kwargs):
-    marks = marks_at(iti, *stop_times)
-    segmentation = segment_trips(marks, iti)
-    results = [
-        detect(iti, s, borrowed_marks=b)
-        for s, b in zip(segmentation.segments, segmentation.borrowed)
-    ]
-    return GroupOutcome(
-        line_code=line,
-        direction="A",
-        vehicle_id="V1",
-        day=date(2022, 11, 7),
-        total_marks=len(marks),
-        results=results,
-        discarded_segments=len(segmentation.discarded),
-        discarded_marks=segmentation.discarded_marks,
-        **kwargs,
-    )
+def _outcome(stop_times, iti):
+    return detect_group(marks_at(iti, *stop_times), iti, vehicle_id="V1", day=date(2022, 11, 7))
 
 
 def test_tag_report_all_clean():
     iti = _iti(["A", "B", "C"])
     marks = [("A", 0), ("B", 60), ("C", 120)]
-    report = tag_report([_outcome("L1", marks, iti)], CATEGORIES)
+    report = tag_report([_outcome(marks, iti)], CATEGORIES)
     row = report.rows["ALIMENTADOR"]
     assert row.valid_pct == 100.0
     assert row.out_of_order == 0
@@ -626,7 +610,7 @@ def test_tag_report_all_clean():
 def test_tag_report_counts_injected_spurious_mark():
     iti = _iti(["A", "B", "C"])
     marks = [("A", 0), ("C", 30), ("B", 60), ("C", 120)]
-    report = tag_report([_outcome("L1", marks, iti)], CATEGORIES)
+    report = tag_report([_outcome(marks, iti)], CATEGORIES)
     row = report.rows["ALIMENTADOR"]
     assert row.out_of_order == 1
     assert row.valid_tags == 4  # the dropped mark still belongs to a valid trip
@@ -636,7 +620,7 @@ def test_tag_report_counts_injected_spurious_mark():
 def test_tag_report_counts_missing_stops():
     iti = _iti(["A", "B", "C", "D"])
     marks = [("A", 0), ("C", 60), ("D", 120)]
-    report = tag_report([_outcome("L1", marks, iti)], CATEGORIES)
+    report = tag_report([_outcome(marks, iti)], CATEGORIES)
     row = report.rows["ALIMENTADOR"]
     assert row.missing == 1
     assert row.valid_tags == 3
@@ -650,7 +634,7 @@ def test_tag_report_chained_circular_passes_stay_at_100_pct():
     marks = [(s, 60 * i) for i, s in enumerate(loop)]
     marks += [(s, 300 + 60 * i) for i, s in enumerate(loop)]
     marks.append(("T", 600))
-    report = tag_report([_outcome("L1", marks, iti)], CATEGORIES)
+    report = tag_report([_outcome(marks, iti)], CATEGORIES)
     row = report.rows["ALIMENTADOR"]
     assert row.total_marks == 11
     assert row.valid_tags == 11
@@ -662,7 +646,7 @@ def test_tag_report_rejected_marks_stay_in_denominator():
     good = [("A", 0), ("B", 60), ("C", 120)]
     bad = [("A", 7200), ("B", 7260)]  # no final anchor
     report = tag_report(
-        [_outcome("L1", good, iti), _outcome("L2", bad, iti)], CATEGORIES
+        [_outcome(good, iti), _outcome(bad, _iti(["A", "B", "C"], line_code="L2"))], CATEGORIES
     )
     assert report.rows["EXPRESSO"].valid_tags == 0
     assert report.rows["EXPRESSO"].rejected_segments == 1

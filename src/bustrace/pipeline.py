@@ -176,6 +176,21 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        # every key is checked here, from JSON or code; lists become tuples, {name: [start, end]} Periods by name
+        for key in INPUT_FILES:
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"{key}: {getattr(self, key)!r} is not a string")
+        for key in ("window_set", "span_minutes"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise ValueError(f"{key}: {getattr(self, key)!r} is not a list")
+            setattr(self, key, tuple(getattr(self, key)))
+        if isinstance(self.periods, dict) and all(
+            isinstance(name, str) and isinstance(bounds, (list, tuple)) and len(bounds) == 2
+            for name, bounds in self.periods.items()
+        ):
+            self.periods = tuple(Period(name, *bounds) for name, bounds in sorted(self.periods.items()))
+        if not isinstance(self.periods, tuple) or not all(isinstance(p, Period) for p in self.periods):
+            raise ValueError(f"periods: {self.periods!r} is not a mapping of names to [start, end]")
         integers = {
             "window_minutes": [self.window_minutes],
             "window_set": self.window_set,
@@ -229,20 +244,7 @@ class PipelineConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("window_set", "span_minutes"):
-            if key in kwargs:
-                if not isinstance(kwargs[key], (list, tuple)):
-                    raise ValueError(f"{key}: {kwargs[key]!r} is not a list")
-                kwargs[key] = tuple(kwargs[key])
-        if "periods" in kwargs:
-            periods = kwargs["periods"]
-            if not isinstance(periods, dict) or any(
-                not isinstance(bounds, (list, tuple)) or len(bounds) != 2 for bounds in periods.values()
-            ):
-                raise ValueError(f"periods: {periods!r} is not a mapping of names to [start, end]")
-            kwargs["periods"] = tuple(Period(name, *bounds) for name, bounds in sorted(periods.items()))
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_mapping(self) -> dict:
         data = {}
@@ -278,8 +280,6 @@ def _fmt(value) -> str:
         if math.isnan(value):
             return ""
         return f"{value:.6f}"
-    if isinstance(value, date):
-        return value.isoformat()
     return str(value)
 
 
@@ -341,7 +341,7 @@ def read_artifact(out_dir: Path, name: str, stage: str, numbers: Sequence[str] =
     """The rows of the artifact ``name`` in ``out_dir``, which ``stage`` reads, the cells of ``numbers`` as floats.
 
     MissingDependencyError if the file is absent; ValueError if its header is not the one in
-    :data:`ARTIFACTS`, or a data row has another number of cells or a cell of ``numbers`` not a number.
+    :data:`ARTIFACTS`, or a data row has another number of cells or a cell of ``numbers`` not a finite number.
     """
     header, rows = read_csv_rows(_artifact_path(out_dir, name, stage))
     _check_header(name, header)
@@ -351,9 +351,12 @@ def read_artifact(out_dir: Path, name: str, stage: str, numbers: Sequence[str] =
             raise ValueError(f"{name} data row {row} does not have {len(header)} cells")
         for column in numbers:
             try:
-                cells[column] = float(cells[column])
+                number = float(cells[column])
             except ValueError:
-                raise ValueError(f"{name} data row {row}: {column} {cells[column]!r} is not a number") from None
+                number = math.nan
+            if not math.isfinite(number):  # no writer emits nan or inf (_fmt writes NaN empty)
+                raise ValueError(f"{name} data row {row}: {column} {cells[column]!r} is not a number")
+            cells[column] = number
     return rows
 
 

@@ -174,8 +174,8 @@ def parse_line_points(stream: Iterable[str]) -> tuple[list[BusStop], list[Itiner
                 stop_id=stop_id,
                 name=str(_require(record, "name", line_no)),
                 stop_type=parse_stop_type(str(_require(record, "stop_type", line_no))),
-                lat=float(_require(record, "lat", line_no)),
-                lon=float(_require(record, "lon", line_no)),
+                lat=_coordinate(record, "lat", line_no),
+                lon=_coordinate(record, "lon", line_no),
             )
         except RecordError:
             raise
@@ -306,7 +306,10 @@ def _canonical_stamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coordinate(record: dict, key: str, line_no: int) -> float:
+    """The coordinate ``key`` of a line-points or fixes record; never a boolean, which float() reads as 1.0 or 0.0."""
     value = _require(record, key, line_no)
+    if isinstance(value, bool):
+        raise RecordError(line_no, f"{key} is not a number: {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -335,15 +338,15 @@ def _fix_row(line_no: int, raw: str, stamps: _Stamps, vehicles: _Codes, lines: _
 
 
 def _check_ranges(
-    lat: np.ndarray, lon: np.ndarray, time_s: np.ndarray,
+    lat: np.ndarray, lon: np.ndarray,
     vehicle: np.ndarray, line: np.ndarray, vehicle_ids: list[str], line_codes: list[str],
 ) -> tuple[int, str] | None:
-    """The first row with a bad id or a coordinate or time out of range, and its message.
+    """The first row with a bad id or a coordinate out of range, and its message.
 
     ``vehicle`` and ``line`` are codes into ``vehicle_ids`` and
     ``line_codes``; each distinct id is checked once (:func:`id_fault`).
     NaN fails every range. Within a row, the vehicle id is reported before
-    the line code, then latitude, longitude and time.
+    the line code, then latitude and longitude.
     """
     id_faults = []
     bad_id = np.zeros(len(vehicle), dtype=bool)
@@ -354,8 +357,7 @@ def _check_ranges(
             bad_id |= np.array([fault is not None for fault in faults])[codes]
     bad_lat = ~((lat >= -90.0) & (lat <= 90.0))
     bad_lon = ~((lon >= -180.0) & (lon <= 180.0))
-    bad_time = (time_s < 0) | (time_s >= 86_400)
-    bad = np.flatnonzero(bad_id | bad_lat | bad_lon | bad_time)
+    bad = np.flatnonzero(bad_id | bad_lat | bad_lon)
     if not len(bad):
         return None
     row = int(bad[0])
@@ -365,9 +367,7 @@ def _check_ranges(
     who = f"fix {vehicle_ids[vehicle[row]]}"
     if bad_lat[row]:
         return row, f"{who}: latitude out of range: {float(lat[row])}"
-    if bad_lon[row]:
-        return row, f"{who}: longitude out of range: {float(lon[row])}"
-    return row, f"{who}: time outside service day: {int(time_s[row])}"
+    return row, f"{who}: longitude out of range: {float(lon[row])}"
 
 
 def _ranks(names: list) -> np.ndarray:
@@ -476,8 +476,8 @@ class _FixColumns:
                 stamp = stamps[record["dthr"]]
                 vehicle = vehicles[record["vehicle_id"]]
                 line = lines[record["line_code"]]
-                lat = float(record["lat"])
-                lon = float(record["lon"])
+                lat = _coordinate(record, "lat", line_no)
+                lon = _coordinate(record, "lon", line_no)
             except (KeyError, TypeError, ValueError, OverflowError):
                 # blank or malformed, or a value the lookups above cannot take
                 row = _fix_row(line_no, raw, stamps, vehicles, lines)
@@ -545,7 +545,7 @@ def parse_vehicle_fixes(stream: IO[str]) -> FixTable:
     vehicle = np.array(fixes.vehicle, dtype=np.int32)
     line = np.array(fixes.line, dtype=np.int32)
     vehicle_ids, line_codes = list(fixes.vehicles.by_name), list(fixes.lines.by_name)
-    bad = _check_ranges(lat, lon, time_s, vehicle, line, vehicle_ids, line_codes)
+    bad = _check_ranges(lat, lon, vehicle, line, vehicle_ids, line_codes)
     if bad is not None:
         row, message = bad
         raise RecordError(fixes.line_no[row], message)

@@ -231,6 +231,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ({"od_search_radius_m": [1]}, "od_search_radius_m"),
         ({"jobs": True}, "jobs"),
         ({"jobs": 1.0}, "jobs"),
+        ({"lines_file": 5}, "lines_file"),
+        ({"fixes_file": True}, "fixes_file"),
+        ({"line_points_file": ["points.ndjson"]}, "line_points_file"),
     ],
     ids=[
         "span", "window", "window_set", "period", "od_pairs", "nan_radius", "inf_radius", "nan_jitter",
@@ -240,6 +243,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         "period_one_bound", "period_three_bounds", "full_day_period", "negative_seed",
         "bool_cluster_radius", "bool_acceptance_radius", "bool_od_search_radius", "bool_jitter",
         "string_cluster_radius", "null_jitter", "list_od_search_radius", "bool_jobs", "float_jobs",
+        "int_lines_file", "bool_fixes_file", "list_line_points_file",
     ],
 )
 def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys, overrides, key):
@@ -251,6 +255,35 @@ def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys, overrid
     assert error["type"] == "ValueError"
     assert key in error["message"]
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"window_set": 5},
+        {"span_minutes": 300},
+        {"periods": [1, 2]},
+        {"periods": {"morning": [540, 360]}},
+        {"lines_file": 5},
+    ],
+    ids=["scalar_window_set", "scalar_span", "period_list", "period_backwards", "int_lines_file"],
+)
+def test_config_built_in_code_is_refused_like_one_read_from_json(values):
+    [key] = values
+    with pytest.raises(ValueError, match=key) as built:
+        pipeline.PipelineConfig(**values)
+    with pytest.raises(ValueError) as read:
+        pipeline.PipelineConfig.from_mapping(json.loads(json.dumps(values)))
+    assert str(built.value) == str(read.value)
+
+
+def test_config_built_in_code_is_shaped_like_one_read_from_json():
+    values = {"window_set": [20, 10], "span_minutes": [300, 1380], "periods": {"pm": [960, 1080], "am": [420, 540]}}
+    built = pipeline.PipelineConfig(**values)
+    assert built == pipeline.PipelineConfig.from_mapping(json.loads(json.dumps(values)))
+    assert (built.window_set, built.span_minutes) == ((20, 10), (300, 1380))
+    assert built.periods == (model.Period("am", 420, 540), model.Period("pm", 960, 1080))
+    assert pipeline.PipelineConfig.from_mapping(built.to_mapping()) == built
 
 
 @pytest.mark.parametrize("idle_gap_min, trips, discarded", [(3, 0, 2), (30, 1, 0)])
@@ -837,6 +870,11 @@ _BAD_ARTIFACT_ROWS = [
     ("stop_daily_averages.csv", "cluster", "outlier=2"),
     ("clusters.csv", "route", "avg_buses=x"),
     ("clusters.csv", "route", "cells=7"),
+    # float() reads these, but no writer emits them: _fmt writes NaN as an empty cell
+    ("stop_daily_averages.csv", "cluster", "daily_avg_buses=nan"),
+    ("stop_daily_averages.csv", "cluster", "daily_avg_buses=inf"),
+    ("clusters.csv", "route", "avg_buses=-Infinity"),
+    ("clusters.csv", "route", "avg_buses=1e999"),
 ]
 
 
@@ -1024,6 +1062,64 @@ def test_relabelling_the_days_changes_only_the_day_column(tmp_path, make_dataset
     assert len(moved_rows) == len(rows) > 0
     for row, moved_row in zip(rows, moved_rows):
         assert moved_row == {**row, "day": (date.fromisoformat(row["day"]) + shift).isoformat()}
+
+
+def _renamed(dataset: Dataset, new: dict[str, str]) -> Dataset:
+    """The dataset with every line code, direction, stop id and vehicle id ``x`` renamed ``new[x]``."""
+    return Dataset(
+        lines={new[code]: replace(line, code=new[code]) for code, line in dataset.lines.items()},
+        stops={new[stop_id]: replace(stop, stop_id=new[stop_id]) for stop_id, stop in dataset.stops.items()},
+        itineraries=[
+            replace(
+                itinerary,
+                line_code=new[itinerary.line_code],
+                direction=new[itinerary.direction],
+                stops=tuple((seq, new[stop_id]) for seq, stop_id in itinerary.stops),
+            )
+            for itinerary in dataset.itineraries
+        ],
+        fixes={
+            (new[vehicle], new[line], day): FixTrack(new[vehicle], track.lat, track.lon, track.time_s)
+            for (vehicle, line, day), track in dataset.fixes.items()
+        },
+    )
+
+
+@_ONE_AND_TWO_DAYS
+def test_renaming_the_ids_in_their_order_changes_each_csv_only_by_the_renaming(tmp_path, make_dataset):
+    """Every id becomes ``s<rank>``, its rank among all ids, which keeps their
+    order among themselves and against the ``terminal:<name>`` keys sorted
+    beside them. Stop names are not ids and stay; each is made to differ
+    from every id, so that only id cells are renamed below."""
+    dataset = make_dataset()
+    dataset = replace(dataset, stops={s: replace(stop, name=f"stop {s}") for s, stop in dataset.stops.items()})
+    ids = {*dataset.lines, *dataset.stops, *(i.direction for i in dataset.itineraries)}
+    ids |= {vehicle for vehicle, _, _ in dataset.fixes}
+    new = {old: f"s{rank:05d}" for rank, old in enumerate(sorted(ids))}
+    runs = []
+    for name, data in (("plain", dataset), ("renamed", _renamed(dataset, new))):
+        (tmp_path / name).mkdir()
+        config = write_config(tmp_path / name, data)
+        out = tmp_path / name / "out"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+        runs.append({path.name: path.read_text(encoding="utf-8") for path in sorted(out.glob("*.csv"))})
+    plain, renamed = runs
+    assert len(plain) == 15
+
+    def rename(text: str) -> str:
+        # no id needs quoting, so every cell lies between commas; some join several ids with ';'
+        return "\n".join(
+            ",".join(";".join(new.get(part, part) for part in cell.split(";")) for cell in line.split(","))
+            for line in text.split("\n")
+        )
+
+    assert {name: rename(text) for name, text in plain.items()} == renamed
+    assert len(read_csv_rows(tmp_path / "plain" / "out" / pipeline.CLUSTERS_FILE)[1]) == 3
+    # every file that holds an id, and no other, differs
+    assert {name for name in plain if plain[name] != renamed[name]} == {
+        pipeline.DETECTED_FILE, pipeline.DAILY_AVERAGES_FILE, pipeline.CLUSTERS_FILE, "cluster_centroids.csv",
+        "cluster_scatter.csv", "cluster_stop_correlations.csv", "sync_profiles.csv", "od_results.csv", "od_paths.csv",
+    }
 
 
 def test_a_users_csv_in_the_output_directory_is_not_an_artifact(tmp_path):

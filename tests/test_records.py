@@ -158,6 +158,14 @@ def test_parse_line_points_integral_seq_loads(seq):
     assert itinerary.stops == ((1, "S1"), (2, "S2"), (3, "S3"))
 
 
+@pytest.mark.parametrize("key, value", [("lat", True), ("lon", False)])
+def test_parse_line_points_boolean_coordinate_rejected(key, value):
+    """float() would read true as 1.0 and false as 0.0."""
+    recs = [_point_record("S1", -25.4, -49.3, seq=1), _point_record("S2", -25.5, -49.3, seq=2) | {key: value}]
+    with pytest.raises(RecordError, match=f"^line 2: {key} is not a number: {value!r}$"):
+        records.parse_line_points(lines_stream(*recs))
+
+
 def test_parse_line_points_conflicting_coordinates_rejected():
     recs = [
         _point_record("S1", -25.4, -49.3, seq=1),
@@ -253,6 +261,12 @@ def test_parse_fixes_coordinate_out_of_range():
         records.parse_vehicle_fixes(lines_stream(_fix_record(lat=-95.0)))
 
 
+@pytest.mark.parametrize("key, value", [("lat", True), ("lon", False)])
+def test_parse_fixes_boolean_coordinate_rejected(key, value):
+    with pytest.raises(RecordError, match=f"^line 2: {key} is not a number: {value!r}$"):
+        records.parse_vehicle_fixes(lines_stream(_fix_record(), _fix_record() | {key: value}))
+
+
 def test_parse_fixes_missing_field_names_its_line_once():
     record = _fix_record()
     del record["vehicle_id"]
@@ -309,14 +323,22 @@ class _RefFix:
             raise ValueError(f"fix {self.vehicle_id}: time outside service day: {self.time_s}")
 
 
+def _reference_coordinate(record, key, line_no):
+    value = records._require(record, key, line_no)
+    if value is True or value is False:
+        raise RecordError(line_no, f"{key} is not a number: {value!r}")
+    return float(value)
+
+
 def _reference_parse(stream):
     """The per-record fixes parser, one object per fix, kept as an oracle.
 
-    Two deliberate changes: a missing field inside the fix constructor used
+    Three deliberate changes: a missing field inside the fix constructor used
     to be wrapped in a second RecordError, which printed its line prefix
-    twice; the ``except RecordError`` clause reports it once. And a vehicle
+    twice; the ``except RecordError`` clause reports it once. A vehicle
     id or line code holding one of , ; " CR LF is refused, before the
-    coordinate ranges are checked.
+    coordinate ranges are checked. And a coordinate that is a JSON boolean
+    is refused where it is read, which float() would take as 1.0 or 0.0.
     """
     fixes = []
     seen = set()
@@ -330,8 +352,8 @@ def _reference_parse(stream):
             fix = _RefFix(
                 vehicle_id=str(records._require(record, "vehicle_id", line_no)),
                 line_code=str(records._require(record, "line_code", line_no)),
-                lat=float(records._require(record, "lat", line_no)),
-                lon=float(records._require(record, "lon", line_no)),
+                lat=_reference_coordinate(record, "lat", line_no),
+                lon=_reference_coordinate(record, "lon", line_no),
                 day=day,
                 time_s=time_s,
             )
@@ -474,6 +496,7 @@ _MALFORMED = {
     "NaN longitude": lambda r: json.dumps(r | {"lon": "nan"}),
     "null coordinate": lambda r: json.dumps(r | {"lat": None}),
     "huge integer latitude": lambda r: json.dumps(r | {"lat": 10**400}),
+    "boolean latitude": lambda r: json.dumps(r | {"lat": True}),
 }
 
 
@@ -513,8 +536,8 @@ _WRITER_COORDS = ["-25.44", "0.0", "-0.0", "5e-324", "-25.432208140724651", "2.5
 _WRITER_TIMES = ["07/11/2022 06:04:51", "07/11/2022 00:00:00", "08/11/2022 23:59:59", "29/02/2024 12:00:00"]
 _ODD_VALUES = {
     "vehicle_id": ['"q\\"x"', "7", '"V\\u0031"'],
-    "lat": ["-0", "5", "1e+16", "-95.0", "NaN", " 12.5"],
-    "lon": ["-0", "180.5", "-Infinity", "-49.0E+0"],
+    "lat": ["-0", "5", "1e+16", "-95.0", "NaN", " 12.5", "true", "false"],
+    "lon": ["-0", "180.5", "-Infinity", "-49.0E+0", "true", "false"],
     "dthr": ['"31/02/2024 10:00:00"', '"07/11/2022 24:00:00"', '"07/11/2022 06:60:00"', '"7/11/2022 6:4:51"'],
 }
 

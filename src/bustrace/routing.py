@@ -1,22 +1,22 @@
 """Transit graph construction and K-shortest-path trip evaluation.
 
-The graph keeps one node per stop and one node per (line, direction, stop)
-riding state. Boarding and alighting edges between them carry zero length;
-ride edges carry the Haversine distance of consecutive itinerary stops.
-Cluster transfer edges connect member stop nodes directly, weighted by the
-walk between them, and origin/destination access edges attach trip
-endpoints to every stop within the search radius. All weights are meters
-and non-negative, so trip distance minimization runs on Dijkstra inside
-Yen's loopless K-shortest-path scheme. Each spur search is two passes: an
-A* search, guided by every node's distance to the destination, finds the
-spur path's weight, and the Dijkstra, bounded at that weight, returns the
-path. A trip's transfers are its changes of line between consecutive ride
-steps.
+The graph maps each node to its successors and each step's weight. It
+keeps one node per stop and one node per (line, direction, stop) riding
+state, and a step's kind follows from its endpoints: stop → ride boards and
+ride → stop alights, both 0 m; ride → ride rides between consecutive
+itinerary stops, weighted by their Haversine distance; stop → stop walks
+between two members of one cluster, weighted by the walk; and a step from
+the origin or to the destination is access to a stop within the search
+radius. All weights are meters and non-negative, so trip distance
+minimization runs on Dijkstra inside Yen's loopless K-shortest-path
+scheme. Each spur search is two passes: an A* search, guided by every
+node's distance to the destination, finds the spur path's weight, and the
+Dijkstra, bounded at that weight, returns the path. A trip's transfers are
+its changes of line between consecutive ride steps.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 import sys
 from dataclasses import dataclass, field
@@ -33,22 +33,6 @@ ORIGIN: Node = ("od", "origin")
 DESTINATION: Node = ("od", "destination")
 
 
-class EdgeKind(enum.Enum):
-    RIDE = "RIDE"
-    BOARD = "BOARD"
-    ALIGHT = "ALIGHT"
-    TRANSFER = "TRANSFER"
-    ACCESS = "ACCESS"
-
-
-@dataclass(frozen=True)
-class Edge:
-    target: Node
-    weight_m: float
-    kind: EdgeKind
-    line_code: str = ""
-
-
 def stop_node(stop_id: str) -> Node:
     return ("stop", stop_id)
 
@@ -59,20 +43,22 @@ def ride_node(line_code: str, direction: str, stop_id: str) -> Node:
 
 @dataclass
 class TransitGraph:
-    """Node adjacency of a network; add edges through :meth:`add_edge`."""
+    """Each node's successors with the step's weight in meters; add steps through :meth:`link`."""
 
-    adjacency: dict[Node, list[Edge]] = field(default_factory=dict)
+    adjacency: dict[Node, dict[Node, float]] = field(default_factory=dict)
     stops: dict[str, BusStop] = field(default_factory=dict)
-    transfer_pairs: set[tuple[str, str]] = field(default_factory=set)
     _index: "GraphIndex | None" = field(default=None, init=False, repr=False, compare=False)
 
-    def add_edge(self, source: Node, edge: Edge) -> None:
-        self.adjacency.setdefault(source, []).append(edge)
-        self.adjacency.setdefault(edge.target, [])
+    def link(self, source: Node, target: Node, weight_m: float) -> None:
+        """Add the step; a step linked twice keeps the lighter weight, a new successor goes last."""
+        successors = self.adjacency.setdefault(source, {})
+        if weight_m < successors.get(target, _INF):
+            successors[target] = weight_m
+        self.adjacency.setdefault(target, {})
         self._index = None
 
     def index(self) -> "GraphIndex":
-        """The graph's integer index, built once and dropped by :meth:`add_edge`.
+        """The graph's integer index, built once and dropped by :meth:`link`.
 
         Every stop node and the ORIGIN/DESTINATION pair are indexed, so
         :meth:`GraphIndex.with_access` can attach any trip's endpoints.
@@ -84,16 +70,15 @@ class TransitGraph:
 
     def copy(self) -> "TransitGraph":
         return TransitGraph(
-            adjacency={node: list(edges) for node, edges in self.adjacency.items()},
+            adjacency={node: dict(successors) for node, successors in self.adjacency.items()},
             stops=dict(self.stops),
-            transfer_pairs=set(self.transfer_pairs),
         )
 
 
 def build_graph(
     itineraries: Sequence[ItineraryDef], stops: Mapping[str, BusStop]
 ) -> TransitGraph:
-    """Assemble ride/board/alight edges for a set of itineraries."""
+    """Link the board, alight and ride steps of a set of itineraries."""
     graph = TransitGraph(stops=dict(stops))
     for iti in sorted(itineraries, key=lambda i: (i.line_code, i.direction)):
         stop_ids = iti.stop_ids
@@ -102,14 +87,10 @@ def build_graph(
                 raise ValueError(
                     f"itinerary {iti.line_code}/{iti.direction} references unknown stop {stop_id}"
                 )
-        seen: set[str] = set()
         for stop_id in stop_ids:
-            if stop_id in seen:
-                continue
-            seen.add(stop_id)
             rn = ride_node(iti.line_code, iti.direction, stop_id)
-            graph.add_edge(stop_node(stop_id), Edge(rn, 0.0, EdgeKind.BOARD, iti.line_code))
-            graph.add_edge(rn, Edge(stop_node(stop_id), 0.0, EdgeKind.ALIGHT, iti.line_code))
+            graph.link(stop_node(stop_id), rn, 0.0)
+            graph.link(rn, stop_node(stop_id), 0.0)
         lats = np.array([stops[stop_id].lat for stop_id in stop_ids])
         lons = np.array([stops[stop_id].lon for stop_id in stop_ids])
         lengths = haversine(lats[:-1], lons[:-1], lats[1:], lons[1:]).tolist()
@@ -119,34 +100,31 @@ def build_graph(
                     f"itinerary {iti.line_code}/{iti.direction}: consecutive stops "
                     f"{a} and {b} coincide"
                 )
-            graph.add_edge(
-                ride_node(iti.line_code, iti.direction, a),
-                Edge(ride_node(iti.line_code, iti.direction, b), length, EdgeKind.RIDE, iti.line_code),
+            graph.link(
+                ride_node(iti.line_code, iti.direction, a), ride_node(iti.line_code, iti.direction, b), length
             )
     return graph
 
 
 def add_cluster_transfers(graph: TransitGraph, clusters: Sequence[Cluster]) -> TransitGraph:
-    """Return a copy of the graph with walk edges between cluster members.
+    """Return a copy of the graph with walk steps between cluster members.
 
-    Every unordered member pair gains a bidirectional transfer edge
-    weighted by the walk distance; pairs already linked are skipped, so
-    re-application is a no-op.
+    Every unordered member pair gains a walk each way, weighted by the walk
+    distance; linking a pair again is a no-op, so re-application is too.
     """
     result = graph.copy()
     for cluster in sorted(clusters, key=lambda c: c.cluster_id):
-        members = [m for m in cluster.member_list if m in result.stops]
+        members = cluster.member_list
+        for member in members:
+            if member not in result.stops:
+                raise ValueError(f"cluster {cluster.cluster_id} references unknown stop {member}")
         lats = np.array([result.stops[m].lat for m in members])
         lons = np.array([result.stops[m].lon for m in members])
         walks = haversine_matrix(lats, lons, lats, lons).tolist()
         for i, a in enumerate(members):
             for b, walk in zip(members[i + 1 :], walks[i][i + 1 :]):
-                pair = (a, b) if a < b else (b, a)
-                if pair in result.transfer_pairs:
-                    continue
-                result.transfer_pairs.add(pair)
-                result.add_edge(stop_node(a), Edge(stop_node(b), walk, EdgeKind.TRANSFER))
-                result.add_edge(stop_node(b), Edge(stop_node(a), walk, EdgeKind.TRANSFER))
+                result.link(stop_node(a), stop_node(b), walk)
+                result.link(stop_node(b), stop_node(a), walk)
     return result
 
 
@@ -172,9 +150,8 @@ class GraphIndex:
 
     Node ids follow sorted Node order, so ``(dist, id)`` heap ties pop in
     the order ``(dist, node)`` ties would, and id paths compare as node
-    paths do. ``out[a]`` maps each successor of ``a`` to its lightest
-    parallel edge, the one weight of that step that the searches and the
-    path sums read; ``into`` is ``out`` reversed.
+    paths do. ``out[a]`` maps each successor of ``a`` to the step's
+    weight; ``into`` is ``out`` reversed.
     """
 
     __slots__ = ("nodes", "ids", "out", "into")
@@ -187,31 +164,23 @@ class GraphIndex:
 
     @classmethod
     def build(
-        cls, adjacency: Mapping[Node, list[Edge]], extra: Iterable[Node] = ()
+        cls, adjacency: Mapping[Node, Mapping[Node, float]], extra: Iterable[Node] = ()
     ) -> "GraphIndex":
-        """Index every node of the adjacency (keys and targets) plus ``extra``."""
+        """Index every node of the adjacency (keys and successors) plus ``extra``."""
         nodes = set(adjacency)
         nodes.update(extra)
-        for edges in adjacency.values():
-            nodes.update(edge.target for edge in edges)
+        for successors in adjacency.values():
+            nodes.update(successors)
         ordered = sorted(nodes)
-        index = cls(
-            ordered,
-            {node: i for i, node in enumerate(ordered)},
-            [{} for _ in ordered],
-            [{} for _ in ordered],
-        )
-        ids = index.ids
-        for node, edges in adjacency.items():
+        ids = {node: i for i, node in enumerate(ordered)}
+        out: list[dict[int, float]] = [{} for _ in ordered]
+        into: list[dict[int, float]] = [{} for _ in ordered]
+        for node, successors in adjacency.items():
             a = ids[node]
-            for edge in edges:
-                index._link(a, ids[edge.target], edge.weight_m)
-        return index
-
-    def _link(self, a: int, b: int, w: float) -> None:
-        if w < self.out[a].get(b, _INF):
-            self.out[a][b] = w
-            self.into[b][a] = w
+            for target, w in successors.items():
+                b = ids[target]
+                out[a][b] = into[b][a] = w
+        return cls(ordered, ids, out, into)
 
     def with_access(
         self, origin_stops: Sequence[tuple[str, float]], dest_stops: Sequence[tuple[str, float]]
@@ -230,7 +199,7 @@ class GraphIndex:
                 stop = self.ids[stop_node(stop_id)]
                 a, b = (end, stop) if end == origin else (stop, end)
                 view.out[a], view.into[b] = dict(view.out[a]), dict(view.into[b])
-                view._link(a, b, dist)
+                view.out[a][b] = view.into[b][a] = dist
         return view
 
 
@@ -397,8 +366,6 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
             if len(lightest) >= room:
                 bound = -lightest[0]
                 limit = _above(bound) - prefix[spur_idx]
-            if to_target[spur] > limit:
-                continue
             banned_next = {p[spur_idx + 1] for p in sharing}
             spur_weight = _spur_weight(out, to_target, spur, target, blocked, banned_next, limit)
             if spur_weight is None:
@@ -427,18 +394,18 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
 
 
 def yen_k_shortest(
-    graph: GraphIndex | Mapping[Node, list[Edge]],
+    graph: GraphIndex | Mapping[Node, Mapping[Node, float]],
     source: Node,
     target: Node,
     k: int = DEFAULT_K,
 ) -> list[tuple[float, list[Node]]]:
     """Up to k loopless paths in ascending (weight, path) order.
 
-    The graph is an index or an adjacency mapping; a node that is only an
-    edge target is still a node. The first path equals the plain shortest
+    The graph is an index or an adjacency mapping; a node that is only a
+    successor is still a node. The first path equals the plain shortest
     path; fewer than k paths come back when the graph runs out of simple
-    paths. Weights are recomputed as left-to-right sums of the lightest
-    edge between consecutive nodes, so equal paths always compare equal.
+    paths. Weights are recomputed as left-to-right sums of the steps'
+    weights, so equal paths always compare equal.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -507,8 +474,8 @@ def stop_sequence(path: Sequence[Node]) -> list[str]:
 def count_transfers(path: Sequence[Node]) -> int:
     """Changes of line between a path's consecutive ride steps.
 
-    A ride step joins two ``("ride", line, direction, stop)`` nodes, which
-    only a RIDE edge does; boarding, alighting, walks and access never count.
+    A ride step joins two ``("ride", line, direction, stop)`` nodes of
+    one line; boarding, alighting, walks and access never count.
     """
     lines = [a[1] for a, b in zip(path, path[1:]) if a[0] == b[0] == "ride"]
     return sum(x != y for x, y in zip(lines, lines[1:]))
@@ -566,7 +533,7 @@ def evaluate_od(
     """Evaluate every pair on both networks and summarize the distributions.
 
     Infeasible pairs are excluded from the means and counted. The clustered
-    graph's edges are a superset of the base graph's, so per-pair minimum
+    graph's steps are a superset of the base graph's, so per-pair minimum
     distances can only shrink.
     """
     results: dict[str, list[TripResult]] = {"base": [], "clustered": []}

@@ -318,8 +318,8 @@ def test_criterion_08_yen_equals_exhaustive_enumeration():
             ]
             adjacency = _adj(edges)
             source, target = ("n", "0"), ("n", str(n - 1))
-            adjacency.setdefault(source, [])
-            adjacency.setdefault(target, [])
+            adjacency.setdefault(source, {})
+            adjacency.setdefault(target, {})
             expected = _enumerate_simple_paths(adjacency, source, target)[:30]
             got = yen_k_shortest(adjacency, source, target, 30)
             assert got == expected

@@ -906,6 +906,26 @@ def test_malformed_artifact_row_is_refused_by_file_row_and_column(tmp_path, caps
         assert error["message"] == f"{name} data row 1: {column} {cell!r} is not {expected}"
 
 
+def test_route_refuses_a_cluster_member_the_network_lacks(tmp_path, capsys):
+    config = write_config(tmp_path, three_hub_dataset())
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+    path = out / "clusters.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    [cells] = csv.reader([lines[header + 1]])
+    column = ARTIFACTS["clusters.csv"].header.index("members")
+    cells[column] += ";ZZ_NOT_A_STOP"
+    row = io.StringIO()
+    csv.writer(row, lineterminator="").writerow(cells)
+    lines[header + 1] = row.getvalue()
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["route", "--config", str(config), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert (error["stage"], error["type"]) == ("route", "ValueError")
+    assert error["message"] == f"cluster {cells[0]} references unknown stop ZZ_NOT_A_STOP"
+
+
 def test_all_reads_no_artifact_back(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an artifact was read back")

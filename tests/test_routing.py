@@ -1,5 +1,6 @@
 import heapq
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -9,8 +10,6 @@ from bustrace.model import BusStop, ItineraryDef, StopType
 from bustrace.routing import (
     DESTINATION,
     ORIGIN,
-    Edge,
-    EdgeKind,
     GraphIndex,
     ODPair,
     add_cluster_transfers,
@@ -50,17 +49,15 @@ def test_three_stop_line_structure():
     stops = {s.stop_id: s for s in [_stop("A", 0, 0), _stop("B", 500, 0), _stop("C", 1000, 0)]}
     g = build_graph([_iti("L1", ["A", "B", "C"])], stops)
 
-    ride_edges = [
-        e for edges in g.adjacency.values() for e in edges if e.kind is EdgeKind.RIDE
-    ]
-    assert len(ride_edges) == 2
+    ride_steps = [(a, b) for a, successors in g.adjacency.items() for b in successors if a[0] == b[0] == "ride"]
+    assert len(ride_steps) == 2
     stop_nodes = [n for n in g.adjacency if n[0] == "stop"]
     assert sorted(n[1] for n in stop_nodes) == ["A", "B", "C"]
     for sid in "ABC":
-        board = [e for e in g.adjacency[stop_node(sid)] if e.kind is EdgeKind.BOARD]
+        board = [w for b, w in g.adjacency[stop_node(sid)].items() if b[0] == "ride"]
         assert len(board) == 1
-        assert board[0].weight_m == 0.0
-        alight = [e for e in g.adjacency[ride_node("L1", "A", sid)] if e.kind is EdgeKind.ALIGHT]
+        assert board[0] == 0.0
+        alight = [b for b in g.adjacency[ride_node("L1", "A", sid)] if b[0] == "stop"]
         assert len(alight) == 1
 
 
@@ -71,9 +68,9 @@ def test_ride_weights_match_haversine_oracle():
     order = sorted(stops)
     g = build_graph([_iti("L1", order)], stops)
     for a, b in zip(order, order[1:]):
-        [edge] = [e for e in g.adjacency[ride_node("L1", "A", a)] if e.target == ride_node("L1", "A", b)]
+        weight = g.adjacency[ride_node("L1", "A", a)][ride_node("L1", "A", b)]
         expected = haversine_distance(stops[a], stops[b])
-        assert edge.weight_m == pytest.approx(expected, rel=1e-9)
+        assert weight == pytest.approx(expected, rel=1e-9)
 
 
 def test_two_lines_transfer_only_through_shared_stop():
@@ -89,13 +86,13 @@ def test_two_lines_transfer_only_through_shared_stop():
     }
     g = build_graph([_iti("L1", ["A", "X", "B"]), _iti("L2", ["C", "X", "D"])], stops)
     # the stop node of X links to both lines' ride nodes
-    boards = [e.target for e in g.adjacency[stop_node("X")] if e.kind is EdgeKind.BOARD]
+    boards = [b for b in g.adjacency[stop_node("X")] if b[0] == "ride"]
     assert set(boards) == {ride_node("L1", "A", "X"), ride_node("L2", "A", "X")}
-    # no direct ride edge between lines
-    for edges in g.adjacency.values():
-        for e in edges:
-            if e.kind is EdgeKind.RIDE:
-                assert e.line_code in {"L1", "L2"}
+    # no direct ride step between lines
+    for a, successors in g.adjacency.items():
+        for b in successors:
+            if a[0] == b[0] == "ride":
+                assert a[1] == b[1] and a[1] in {"L1", "L2"}
 
 
 def test_unknown_stop_in_itinerary_rejected():
@@ -134,11 +131,10 @@ def test_two_member_cluster_adds_bidirectional_pair():
     stops = {s.stop_id: s for s in [_stop("A", 0, 0), _stop("B", 400, 0), _stop("C", 4000, 0)]}
     g = build_graph([_iti("L1", ["A", "C"]), _iti("L2", ["B", "C"])], stops)
     g2 = add_cluster_transfers(g, [_cluster({"A", "B"})])
-    [ab] = [e for e in g2.adjacency[stop_node("A")] if e.target == stop_node("B")]
-    [ba] = [e for e in g2.adjacency[stop_node("B")] if e.target == stop_node("A")]
-    assert ab.kind is EdgeKind.TRANSFER and ba.kind is EdgeKind.TRANSFER
-    assert ab.weight_m == pytest.approx(haversine_distance(stops["A"], stops["B"]), rel=1e-9)
-    assert stop_node("B") not in [e.target for e in g.adjacency[stop_node("A")]]  # base graph untouched
+    ab = g2.adjacency[stop_node("A")][stop_node("B")]
+    assert g2.adjacency[stop_node("B")][stop_node("A")] == ab
+    assert ab == pytest.approx(haversine_distance(stops["A"], stops["B"]), rel=1e-9)
+    assert stop_node("B") not in g.adjacency[stop_node("A")]  # base graph untouched
 
 
 def test_k_member_cluster_pair_count():
@@ -147,9 +143,7 @@ def test_k_member_cluster_pair_count():
     stops["far"] = _stop("far", 50000, 0)
     g = build_graph([_iti("L1", [*sorted(members), "far"])], stops)
     g2 = add_cluster_transfers(g, [_cluster(members)])
-    transfers = [
-        e for edges in g2.adjacency.values() for e in edges if e.kind is EdgeKind.TRANSFER
-    ]
+    transfers = [(a, b) for a, successors in g2.adjacency.items() for b in successors if a[0] == b[0] == "stop"]
     assert len(transfers) == 2 * (5 * 4 // 2)
 
 
@@ -205,8 +199,8 @@ def test_nearest_stops_match_exhaustive_scan():
 def _adj(edges):
     adjacency = {}
     for a, b, w in edges:
-        adjacency.setdefault(("n", a), []).append(Edge(("n", b), float(w), EdgeKind.RIDE, "x"))
-        adjacency.setdefault(("n", b), [])
+        adjacency.setdefault(("n", a), {})[("n", b)] = float(w)
+        adjacency.setdefault(("n", b), {})
     return adjacency
 
 
@@ -218,24 +212,18 @@ def _enumerate_simple_paths(adjacency, source, target):
         if node == target:
             found.append((weight, list(path)))
             return
-        for edge in adjacency.get(node, ()):
-            if edge.target in visited:
+        for nxt, w in adjacency.get(node, {}).items():
+            if nxt in visited:
                 continue
-            visited.add(edge.target)
-            path.append(edge.target)
-            walk(edge.target, path, weight + edge.weight_m)
+            visited.add(nxt)
+            path.append(nxt)
+            walk(nxt, path, weight + w)
             path.pop()
-            visited.discard(edge.target)
+            visited.discard(nxt)
 
     walk(source, [source], 0.0)
-    canonical = []
-    for _, path in found:
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            total += next(e.weight_m for e in adjacency[a] if e.target == b)
-        canonical.append((total, path))
-    canonical.sort(key=lambda item: (item[0], item[1]))
-    return canonical
+    found.sort(key=lambda item: (item[0], item[1]))
+    return found
 
 
 def test_yen_k1_equals_shortest_path():
@@ -265,12 +253,12 @@ def test_yen_five_node_fixture_all_paths():
 
 def test_yen_disconnected_target_empty():
     adjacency = _adj([("s", "a", 1)])
-    adjacency[("n", "t")] = []
+    adjacency[("n", "t")] = {}
     assert yen_k_shortest(adjacency, ("n", "s"), ("n", "t"), 5) == []
 
 
 def test_yen_reaches_a_node_that_is_only_an_edge_target():
-    adjacency = {("n", "s"): [Edge(("n", "t"), 1.0, EdgeKind.RIDE)]}
+    adjacency = {("n", "s"): {("n", "t"): 1.0}}
     assert yen_k_shortest(adjacency, ("n", "s"), ("n", "t"), 5) == [(1.0, [("n", "s"), ("n", "t")])]
 
 
@@ -285,8 +273,8 @@ def test_yen_paths_are_loopless_sorted_unique():
             if i != j and rng.random() < 0.4
         ]
         adjacency = _adj(edges)
-        adjacency.setdefault(("n", "0"), [])
-        adjacency.setdefault(("n", str(n - 1)), [])
+        adjacency.setdefault(("n", "0"), {})
+        adjacency.setdefault(("n", str(n - 1)), {})
         got = yen_k_shortest(adjacency, ("n", "0"), ("n", str(n - 1)), 30)
         weights = [w for w, _ in got]
         assert weights == sorted(weights)
@@ -319,11 +307,10 @@ def _reference_dijkstra(adjacency, source, target, banned_nodes, banned_edges):
         done.add(node)
         if node == target:
             break
-        for edge in adjacency.get(node, ()):
-            nxt = edge.target
+        for nxt, w in adjacency.get(node, {}).items():
             if nxt in banned_nodes or (node, nxt) in banned_edges or nxt in done:
                 continue
-            candidate = dist + edge.weight_m
+            candidate = dist + w
             if candidate < best.get(nxt, float("inf")):
                 best[nxt] = candidate
                 parent[nxt] = node
@@ -340,7 +327,7 @@ def _reference_dijkstra(adjacency, source, target, banned_nodes, banned_edges):
 def _reference_weight(adjacency, path):
     total = 0.0
     for a, b in zip(path, path[1:]):
-        total += next(e.weight_m for e in adjacency[a] if e.target == b)
+        total += adjacency[a][b]
     return total
 
 
@@ -376,16 +363,13 @@ def _reference_yen(adjacency, source, target, k):
 
 
 def _tie_heavy_adjacency(rng):
-    """Integer and zero weights; some edges doubled by an equal-weight parallel line."""
+    """Integer and zero weights."""
     n = int(rng.integers(4, 9))
-    adjacency = {("n", str(i)): [] for i in range(n)}
+    adjacency = {("n", str(i)): {} for i in range(n)}
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < 0.45:
-                w = float(rng.integers(0, 4))
-                lines = ("x", "y") if rng.random() < 0.2 else ("x",)
-                for line in lines:
-                    adjacency[("n", str(i))].append(Edge(("n", str(j)), w, EdgeKind.RIDE, line))
+                adjacency[("n", str(i))][("n", str(j))] = float(rng.integers(0, 4))
     return adjacency, ("n", "0"), ("n", str(n - 1))
 
 
@@ -396,8 +380,7 @@ def test_yen_equals_reference_on_tie_heavy_graphs(k):
         adjacency, source, target = _tie_heavy_adjacency(rng)
         got = yen_k_shortest(adjacency, source, target, k)
         assert got == _reference_yen(adjacency, source, target, k)
-        # parallel lines repeat a node path in the enumeration; Yen ranks node paths
-        unique = sorted({(w, tuple(p)) for w, p in _enumerate_simple_paths(adjacency, source, target)})
+        unique = _enumerate_simple_paths(adjacency, source, target)
         assert [w for w, _ in got] == [w for w, _ in unique[:k]]
 
 
@@ -405,11 +388,9 @@ def _float_tie_adjacency(rng):
     """Weights whose sums tie only up to rounding: 0.1 + 0.2 != 0.3."""
     adjacency, source, target = _tie_heavy_adjacency(rng)
     weights = (0.0, 0.1, 0.2, 0.3, 0.6, 0.7)
-    for edges in adjacency.values():
-        step = {}  # parallel lines keep one shared weight
-        for i, edge in enumerate(edges):
-            w = step.setdefault(edge.target, weights[int(rng.integers(0, len(weights)))])
-            edges[i] = Edge(edge.target, w, edge.kind, edge.line_code)
+    for successors in adjacency.values():
+        for nxt in successors:
+            successors[nxt] = weights[int(rng.integers(0, len(weights)))]
     return adjacency, source, target
 
 
@@ -457,12 +438,10 @@ def test_spur_weight_bounds_the_same_spur_path():
 def _access_overlay(graph, pair, radius_m):
     """The graph's adjacency plus one trip's access edges, destination edges last."""
     overlay = dict(graph.adjacency)
-    overlay[ORIGIN] = [
-        Edge(stop_node(s), d, EdgeKind.ACCESS) for s, d in nearest_stops(pair.origin, graph.stops, radius_m)
-    ]
-    overlay[DESTINATION] = []
+    overlay[ORIGIN] = {stop_node(s): d for s, d in nearest_stops(pair.origin, graph.stops, radius_m)}
+    overlay[DESTINATION] = {}
     for s, d in nearest_stops(pair.destination, graph.stops, radius_m):
-        overlay[stop_node(s)] = overlay.get(stop_node(s), []) + [Edge(DESTINATION, d, EdgeKind.ACCESS)]
+        overlay[stop_node(s)] = {**overlay.get(stop_node(s), {}), DESTINATION: d}
     return overlay
 
 
@@ -505,7 +484,6 @@ def test_evaluate_trip_equals_reference_with_parallel_lines():
 
 
 def test_street_grid_ranking_equals_networkx():
-    nx = pytest.importorskip("networkx")
     stops, itineraries = _street_grid(9)
     row = [f"g4{c}" for c in range(9)]
     itineraries += [_iti("T", row, "A"), _iti("T", row[::-1], "B")]  # a trunk sharing row 4's stops
@@ -517,9 +495,9 @@ def test_street_grid_ranking_equals_networkx():
     assert len(trip.alternatives) == 30
 
     digraph = nx.DiGraph()
-    for source, edges in _access_overlay(g, pair, 600.0).items():
-        for edge in edges:
-            digraph.add_edge(source, edge.target, weight=edge.weight_m)
+    for source, successors in _access_overlay(g, pair, 600.0).items():
+        for target, w in successors.items():
+            digraph.add_edge(source, target, weight=w)
     expected = []
     for path in nx.shortest_simple_paths(digraph, ORIGIN, DESTINATION, weight="weight"):
         expected.append(sum(digraph[a][b]["weight"] for a, b in zip(path, path[1:])))
@@ -612,31 +590,40 @@ def _program_networks():
 
 
 @pytest.mark.parametrize("name, stops, itineraries, clusters", list(_program_networks()))
-def test_parallel_edges_of_program_graphs_share_one_weight(name, stops, itineraries, clusters):
+def test_every_step_of_program_graphs_boards_alights_rides_or_walks(name, stops, itineraries, clusters):
+    """Boards and alights at one stop (0 m), rides between consecutive stops
+    of one itinerary, and walks between members of one cluster, in the
+    clustered graph only; a step repeated in an itinerary is one step."""
+    steps = {}
+    for iti in itineraries:
+        line = (iti.line_code, iti.direction)
+        for s in iti.stop_ids:
+            steps[stop_node(s), ride_node(*line, s)] = steps[ride_node(*line, s), stop_node(s)] = 0.0
+        for a, b in zip(iti.stop_ids, iti.stop_ids[1:]):
+            steps[ride_node(*line, a), ride_node(*line, b)] = haversine_distance(stops[a], stops[b])
+    walks = {
+        (stop_node(a), stop_node(b)): haversine_distance(stops[a], stops[b])
+        for cluster in clusters
+        for a in cluster.members
+        for b in cluster.members
+        if a != b
+    }
+    assert walks
     g = build_graph(itineraries, stops)
-    parallel = 0
-    for graph in (g, add_cluster_transfers(g, clusters)):
-        for node, edges in graph.adjacency.items():
-            weights = {}
-            for edge in edges:
-                parallel += edge.target in weights
-                assert weights.setdefault(edge.target, edge.weight_m) == edge.weight_m, (node, edge)
-    assert parallel or name != "street_grid"  # the loop line's repeated ride step
+    for graph, expected in ((g, steps), (add_cluster_transfers(g, clusters), steps | walks)):
+        got = {(a, b): w for a, successors in graph.adjacency.items() for b, w in successors.items()}
+        assert got.keys() == expected.keys()
+        for step, w in got.items():
+            assert w == pytest.approx(expected[step], rel=1e-9), step
+
+
+@pytest.mark.parametrize("name, stops, itineraries, clusters", list(_program_networks()))
+def test_access_edges_of_program_networks_reach_distinct_stops(name, stops, itineraries, clusters):
     rng = np.random.default_rng(5)
     for stop in list(stops.values())[:10]:
         point = offset_point(GeoPoint(stop.lat, stop.lon), *rng.uniform(-300, 300, 2))
         found = [s for s, _ in nearest_stops(point, stops, 2000.0)]
         assert found and len(found) == len(set(found))  # one access edge per stop
-
-
-def _edge_walk_transfers(adjacency, path):
-    """Line changes over the RIDE edges of a path, the first edge of each step."""
-    lines = []
-    for a, b in zip(path, path[1:]):
-        edge = next(e for e in adjacency[a] if e.target == b)
-        if edge.kind is EdgeKind.RIDE and (not lines or lines[-1] != edge.line_code):
-            lines.append(edge.line_code)
-    return max(0, len(lines) - 1)
 
 
 def test_count_transfers_counts_each_change_of_line():
@@ -648,27 +635,3 @@ def test_count_transfers_counts_each_change_of_line():
     assert count_transfers(path) == 2
     assert count_transfers(path[:5]) == 0
     assert count_transfers([ORIGIN, stop_node("a"), DESTINATION]) == 0
-
-
-def test_transfers_read_off_the_path_equal_an_edge_walk():
-    rng = np.random.default_rng(9)
-    grid_pairs = [
-        ODPair(*(offset_point(ORIGIN_POINT, *rng.uniform(0, 900, 2)) for _ in range(2))) for _ in range(6)
-    ]
-    stops, itineraries, bridges = two_corridor_network()
-    corridor_clusters = cluster_stops([Candidate(b, 3.0 - i) for i, b in enumerate(bridges)], stops)
-    suites = [
-        (*_grid_network(), grid_pairs, 350.0),
-        (stops, itineraries, corridor_clusters, two_corridor_od_pairs(8, seed=13), 600.0),
-    ]
-    counts = []
-    for stops, itineraries, clusters, pairs, radius_m in suites:
-        g = build_graph(itineraries, stops)
-        for graph in (g, add_cluster_transfers(g, clusters)):
-            for pair in pairs:
-                trip = evaluate_trip(graph, pair, k=30, radius_m=radius_m)
-                overlay = _access_overlay(graph, pair, radius_m)
-                for _, path in trip.alternatives:
-                    counts.append(count_transfers(path))
-                    assert counts[-1] == _edge_walk_transfers(overlay, path), path
-    assert len(counts) > 500 and max(counts) >= 3  # the suites do change lines

@@ -487,12 +487,15 @@ def tag_report(
     A mark is valid when its segment was accepted; dropped out-of-order
     marks inside accepted segments count as error type i, interpolated
     entries as error type ii (missing stops). Aggregation is commutative,
-    so outcome order does not affect the report.
+    so outcome order does not affect the report. A line without a category
+    is refused.
     """
     rows: dict[str, TagCategoryRow] = {}
     total = TagCategoryRow(category="TOTAL")
 
     for outcome in outcomes:
+        if outcome.line_code not in categories:
+            raise ValueError(f"line {outcome.line_code} has no record in the lines file")
         category = categories[outcome.line_code].value
         row = rows.setdefault(category, TagCategoryRow(category=category))
         for target in (row, total):

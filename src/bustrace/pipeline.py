@@ -694,43 +694,19 @@ def run_route(out_dir: Path, dataset: Dataset, config: PipelineConfig, clusters:
     pairs = routing.generate_od_pairs(
         dataset.stops, config.od_pairs, seed=config.seed, jitter_m=config.od_jitter_m
     )
-    evaluation = routing.evaluate_od(
-        pairs, g_base, g_clustered, k=config.k_paths, radius_m=config.od_search_radius_m
-    )
+    trips = routing.evaluate_od(pairs, g_base, g_clustered, k=config.k_paths, radius_m=config.od_search_radius_m)
 
-    result_rows = []
-    path_rows = []
-    for network in ("base", "clustered"):
-        for pair_id, trip in enumerate(evaluation.results[network]):
-            result_rows.append(
-                (
-                    pair_id,
-                    network,
-                    int(trip.feasible),
-                    trip.distance_m if trip.feasible else float("nan"),
-                    trip.transfers if trip.feasible else "",
-                    STOP_ID_SEPARATOR.join(routing.stop_sequence(trip.path)),
-                )
-            )
-            for rank, (weight, path) in enumerate(trip.alternatives, start=1):
-                stops = STOP_ID_SEPARATOR.join(routing.stop_sequence(path))
-                path_rows.append((pair_id, network, rank, weight, stops))
+    def stops(path):
+        return STOP_ID_SEPARATOR.join(routing.stop_sequence(path))
+
+    result_rows, path_rows, summary_rows = [], [], []
+    for network, network_trips in trips.items():
+        for pair_id, paths in enumerate(network_trips):
+            weight, path = paths[0] if paths else (float("nan"), [])
+            transfers = routing.count_transfers(path) if paths else ""
+            result_rows.append((pair_id, network, int(bool(paths)), weight, transfers, stops(path)))
+            path_rows += [(pair_id, network, rank, w, stops(p)) for rank, (w, p) in enumerate(paths, start=1)]
+        summary_rows.append((network, *routing.summarize(network_trips)))
     write_csv(out_dir, "od_results.csv", result_rows)
     write_csv(out_dir, "od_paths.csv", path_rows)
-
-    summary_rows = []
-    for network in ("base", "clustered"):
-        s = evaluation.summaries[network]
-        summary_rows.append(
-            (
-                network,
-                s.feasible,
-                s.infeasible,
-                s.mean_distance_m,
-                s.quartiles_m[0],
-                s.quartiles_m[1],
-                s.quartiles_m[2],
-                s.mean_transfers,
-            )
-        )
     write_csv(out_dir, "od_summary.csv", summary_rows)

@@ -160,12 +160,14 @@ def parse_line_points(stream: Iterable[str]) -> tuple[list[BusStop], list[Itiner
     Stops are deduplicated by stop_id; a stop re-appearing more than one
     meter away from its first coordinates is an error. Itineraries are
     assembled per (line_code, direction), ordered by seq, and flagged
-    circular when first and last stop coincide.
+    circular when first and last stop coincide; an itinerary that
+    :class:`ItineraryDef` refuses is reported at its first record's line.
     """
     from .geo import haversine_distance
 
     stops: dict[str, BusStop] = {}
     sequences: dict[tuple[str, str], dict[int, str]] = defaultdict(dict)
+    first_lines: dict[tuple[str, str], int] = {}
 
     for line_no, record in _iter_records(stream):
         stop_id = _require_id(record, "stop_id", line_no)
@@ -201,6 +203,7 @@ def parse_line_points(stream: Iterable[str]) -> tuple[list[BusStop], list[Itiner
             seq = int(seq)
         except (TypeError, ValueError):
             raise RecordError(line_no, f"seq is not an integer: {record.get('seq')!r}") from None
+        first_lines.setdefault((line_code, direction), line_no)
         sequence = sequences[(line_code, direction)]
         if seq in sequence:
             raise RecordError(
@@ -212,14 +215,17 @@ def parse_line_points(stream: Iterable[str]) -> tuple[list[BusStop], list[Itiner
     for (line_code, direction), sequence in sequences.items():
         ordered = tuple(sorted(sequence.items()))
         stop_ids = [stop_id for _, stop_id in ordered]
-        itineraries.append(
-            ItineraryDef(
-                line_code=line_code,
-                direction=direction,
-                stops=ordered,
-                circular=len(stop_ids) >= 2 and stop_ids[0] == stop_ids[-1],
+        try:
+            itineraries.append(
+                ItineraryDef(
+                    line_code=line_code,
+                    direction=direction,
+                    stops=ordered,
+                    circular=len(stop_ids) >= 2 and stop_ids[0] == stop_ids[-1],
+                )
             )
-        )
+        except ValueError as exc:
+            raise RecordError(first_lines[(line_code, direction)], str(exc)) from None
     return list(stops.values()), itineraries
 
 

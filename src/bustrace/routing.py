@@ -11,8 +11,11 @@ radius. All weights are meters and non-negative, so trip distance
 minimization runs on Dijkstra inside Yen's loopless K-shortest-path
 scheme. Each spur search is two passes: an A* search, guided by every
 node's distance to the destination, finds the spur path's weight, and the
-Dijkstra, bounded at that weight, returns the path. A trip's transfers are
-its changes of line between consecutive ride steps.
+Dijkstra, bounded at that weight, returns the path. An OD trip is its
+ranked paths: a list of (weight, node path) pairs, lightest first, empty
+when the trip is infeasible. A network's summary numbers are read off each
+feasible trip's lightest path, whose transfers are its changes of line
+between consecutive ride steps.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import heapq
 import sys
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +31,8 @@ from .geo import DEFAULT_OD_SEARCH_RADIUS_M, GeoPoint, haversine, haversine_matr
 from .model import DEFAULT_K, DEFAULT_OD_JITTER_M, BusStop, Cluster, ItineraryDef
 
 Node = tuple[str, ...]
+# A trip's (weight, node path) pairs, lightest first
+RankedPaths = list[tuple[float, list[Node]]]
 
 ORIGIN: Node = ("od", "origin")
 DESTINATION: Node = ("od", "destination")
@@ -398,7 +403,7 @@ def yen_k_shortest(
     source: Node,
     target: Node,
     k: int = DEFAULT_K,
-) -> list[tuple[float, list[Node]]]:
+) -> RankedPaths:
     """Up to k loopless paths in ascending (weight, path) order.
 
     The graph is an index or an adjacency mapping; a node that is only a
@@ -453,15 +458,6 @@ def generate_od_pairs(
     return [ODPair(origin=sample(), destination=sample()) for _ in range(count)]
 
 
-@dataclass
-class TripResult:
-    feasible: bool
-    distance_m: float = float("nan")
-    transfers: int = 0
-    path: list[Node] = field(default_factory=list)
-    alternatives: list[tuple[float, list[Node]]] = field(default_factory=list)
-
-
 def stop_sequence(path: Sequence[Node]) -> list[str]:
     """The stop ids a path visits, a stop repeated back to back listed once."""
     seen: list[str] = []
@@ -486,41 +482,17 @@ def evaluate_trip(
     pair: ODPair,
     k: int = DEFAULT_K,
     radius_m: float = DEFAULT_OD_SEARCH_RADIUS_M,
-) -> TripResult:
-    """Route one OD pair: K-shortest paths, minimum-distance trip selected."""
+) -> RankedPaths:
+    """Route one OD pair: its up to k ranked paths, lightest first.
+
+    The list is empty when the trip is infeasible: either end has no stop
+    within ``radius_m``, or no path joins them.
+    """
     origin_stops = nearest_stops(pair.origin, graph.stops, radius_m)
     dest_stops = nearest_stops(pair.destination, graph.stops, radius_m)
     if not origin_stops or not dest_stops:
-        return TripResult(feasible=False)
-    paths = yen_k_shortest(
-        graph.index().with_access(origin_stops, dest_stops), ORIGIN, DESTINATION, k
-    )
-    if not paths:
-        return TripResult(feasible=False)
-    weight, path = paths[0]
-    return TripResult(
-        feasible=True,
-        distance_m=weight,
-        transfers=count_transfers(path),
-        path=path,
-        alternatives=paths,
-    )
-
-
-@dataclass
-class NetworkSummary:
-    network: str
-    feasible: int = 0
-    infeasible: int = 0
-    mean_distance_m: float = float("nan")
-    quartiles_m: tuple[float, float, float] = (float("nan"),) * 3
-    mean_transfers: float = float("nan")
-
-
-@dataclass
-class ODEvaluation:
-    results: dict[str, list[TripResult]]
-    summaries: dict[str, NetworkSummary]
+        return []
+    return yen_k_shortest(graph.index().with_access(origin_stops, dest_stops), ORIGIN, DESTINATION, k)
 
 
 def evaluate_od(
@@ -529,31 +501,41 @@ def evaluate_od(
     g_clustered: TransitGraph,
     k: int = DEFAULT_K,
     radius_m: float = DEFAULT_OD_SEARCH_RADIUS_M,
-) -> ODEvaluation:
-    """Evaluate every pair on both networks and summarize the distributions.
+) -> dict[str, list[RankedPaths]]:
+    """Every pair's ranked paths on the base and the clustered network.
 
-    Infeasible pairs are excluded from the means and counted. The clustered
-    graph's steps are a superset of the base graph's, so per-pair minimum
-    distances can only shrink.
+    Each network maps to one list in pair order, so index i is pair i on
+    both. The clustered graph's steps are a superset of the base graph's,
+    so per-pair minimum distances can only shrink.
     """
-    results: dict[str, list[TripResult]] = {"base": [], "clustered": []}
-    for pair in pairs:
-        results["base"].append(evaluate_trip(g_base, pair, k, radius_m))
-        results["clustered"].append(evaluate_trip(g_clustered, pair, k, radius_m))
+    return {
+        network: [evaluate_trip(graph, pair, k, radius_m) for pair in pairs]
+        for network, graph in (("base", g_base), ("clustered", g_clustered))
+    }
 
-    summaries: dict[str, NetworkSummary] = {}
-    for network, trips in results.items():
-        feasible = [t for t in trips if t.feasible]
-        summary = NetworkSummary(
-            network=network,
-            feasible=len(feasible),
-            infeasible=len(trips) - len(feasible),
-        )
-        if feasible:
-            distances = np.array([t.distance_m for t in feasible])
-            summary.mean_distance_m = float(np.mean(distances))
-            q1, q2, q3 = np.quantile(distances, [0.25, 0.5, 0.75], method="linear")
-            summary.quartiles_m = (float(q1), float(q2), float(q3))
-            summary.mean_transfers = float(np.mean([t.transfers for t in feasible]))
-        summaries[network] = summary
-    return ODEvaluation(results=results, summaries=summaries)
+
+class NetworkSummary(NamedTuple):
+    """One network's trip numbers, in the order of ``od_summary.csv``'s columns after ``network``."""
+
+    feasible: int
+    infeasible: int
+    mean_distance_m: float
+    q1_distance_m: float
+    median_distance_m: float
+    q3_distance_m: float
+    mean_transfers: float
+
+
+def summarize(trips: Sequence[RankedPaths]) -> NetworkSummary:
+    """Count the feasible trips and read the distance and transfer numbers off their lightest paths.
+
+    Infeasible trips are counted and left out of the numbers, which are
+    NaN when no trip is feasible. The quartiles interpolate linearly.
+    """
+    best = [paths[0] for paths in trips if paths]
+    if not best:
+        return NetworkSummary(0, len(trips), *[float("nan")] * 5)
+    distances = np.array([weight for weight, _ in best])
+    q1, q2, q3 = np.quantile(distances, [0.25, 0.5, 0.75], method="linear").tolist()
+    mean_transfers = float(np.mean([count_transfers(path) for _, path in best]))
+    return NetworkSummary(len(best), len(trips) - len(best), float(np.mean(distances)), q1, q2, q3, mean_transfers)

@@ -4,8 +4,10 @@ import io
 import json
 import os
 import random
+import statistics
 import subprocess
 import sys
+from collections import defaultdict
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -76,6 +78,17 @@ def test_input_error_names_its_file(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "RecordError"
     assert error["message"].startswith("fixes.ndjson line 7: ")
+
+
+def test_fixes_of_a_line_the_lines_file_lacks_are_refused_by_name(tmp_path, capsys):
+    dataset = line829_dataset()
+    dataset.itineraries += [replace(iti, line_code="L2") for iti in dataset.itineraries]
+    dataset.fixes |= {(vehicle, "L2", day): track for (vehicle, _, day), track in dataset.fixes.items()}
+    config = write_config(tmp_path, dataset)
+    assert main(["all", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == "line L2 has no record in the lines file"
 
 
 def test_all_is_deterministic_byte_for_byte(tmp_path):
@@ -661,6 +674,45 @@ def three_hub_dataset() -> Dataset:
                 [depart + 60 * i for i in range(len(stops))],
             )
     return dataset
+
+
+def test_route_files_agree_with_each_other(tmp_path):
+    """Per trip and network, od_results is the rank-1 row of od_paths, and
+    od_summary equals a brute force over the feasible od_results rows."""
+    config = write_config(tmp_path, three_hub_dataset(), od_pairs=20)
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+    results = read_csv_rows(out / "od_results.csv")[1]
+    ranked = defaultdict(list)
+    for row in read_csv_rows(out / "od_paths.csv")[1]:
+        ranked[row["pair_id"], row["network"]].append(row)
+    for row in results:
+        paths = ranked.pop((row["pair_id"], row["network"]), [])
+        assert [int(path["rank"]) for path in paths] == list(range(1, len(paths) + 1))
+        distances = [float(path["distance_m"]) for path in paths]
+        assert distances == sorted(distances)
+        assert row["feasible"] == str(int(bool(paths)))
+        if paths:
+            assert (row["distance_m"], row["stops"]) == (paths[0]["distance_m"], paths[0]["stops"])
+    assert not ranked  # no ranked path without its trip
+
+    header, summary = read_csv_rows(out / "od_summary.csv")
+    assert header == ARTIFACTS["od_summary.csv"].header
+    assert [row["network"] for row in summary] == ["base", "clustered"]
+    for row in summary:
+        trips = [r for r in results if r["network"] == row["network"]]
+        feasible = [r for r in trips if r["feasible"] == "1"]
+        distances = [float(r["distance_m"]) for r in feasible]
+        expected = [
+            statistics.fmean(distances),
+            *statistics.quantiles(distances, n=4, method="inclusive"),
+            statistics.fmean(int(r["transfers"]) for r in feasible),
+        ]
+        counts = (int(row["feasible"]), int(row["infeasible"]))
+        assert counts == (len(feasible), len(trips) - len(feasible)) == (12, 8)
+        # both sides are rounded to 6 decimals once
+        assert [float(row[name]) for name in header[3:]] == pytest.approx(expected, abs=2e-6)
+    assert summary[0]["mean_distance_m"] != summary[1]["mean_distance_m"]
 
 
 def test_cluster_builds_each_pearson_matrix_once(tmp_path, monkeypatch):

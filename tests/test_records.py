@@ -114,6 +114,27 @@ def test_parse_line_points_single_record_rejected():
         records.parse_line_points(lines_stream(_point_record("S1", -25.4, -49.3)))
 
 
+@pytest.mark.parametrize(
+    "seqs, message",
+    [
+        ({"E": [1, 2], "W": [1]}, "points.ndjson line 3: itinerary L1/W: needs at least 2 stops, got 1"),
+        ({"E": [2, 0], "W": [1, 2]}, "points.ndjson line 1: itinerary L1/E: seq values must be positive"),
+    ],
+    ids=["one_stop", "seq_zero"],
+)
+def test_load_dataset_names_the_first_line_of_an_itinerary_the_model_refuses(tmp_path, seqs, message):
+    recs = [
+        _point_record(f"S{seq}", -25.4 - seq / 100, -49.3, direction=direction, seq=seq)
+        for direction, direction_seqs in seqs.items()
+        for seq in direction_seqs
+    ]
+    (tmp_path / "lines.ndjson").write_text("", encoding="utf-8")
+    (tmp_path / "points.ndjson").write_text(lines_stream(*recs).getvalue(), encoding="utf-8")
+    with pytest.raises(RecordError) as info:
+        records.load_dataset(tmp_path / "lines.ndjson", tmp_path / "points.ndjson", None)
+    assert str(info.value) == message
+
+
 def test_parse_line_points_shared_stop_deduplicated():
     recs = [
         _point_record("S1", -25.4, -49.3, line_code="L1", seq=1),

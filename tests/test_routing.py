@@ -1,4 +1,5 @@
 import heapq
+import math
 
 import networkx as nx
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from bustrace.clustering import Candidate, Cluster, cluster_stops
 from bustrace.geo import GeoPoint, haversine_distance, offset_point
 from bustrace.model import BusStop, ItineraryDef, StopType
+from bustrace.pipeline import ARTIFACTS
 from bustrace.routing import (
     DESTINATION,
     ORIGIN,
     GraphIndex,
+    NetworkSummary,
     ODPair,
     add_cluster_transfers,
     build_graph,
@@ -21,6 +24,7 @@ from bustrace.routing import (
     ride_node,
     stop_node,
     stop_sequence,
+    summarize,
     yen_k_shortest,
 )
 from bustrace.routing import _NO_LIMIT, _above, _distances_to, _prefix_weights, _shortest_path, _spur_weight
@@ -479,8 +483,7 @@ def test_evaluate_trip_equals_reference_with_parallel_lines():
             for k in (1, 3, 30):
                 trip = evaluate_trip(graph, pair, k=k, radius_m=350.0)
                 expected = _reference_yen(_access_overlay(graph, pair, 350.0), ORIGIN, DESTINATION, k)
-                assert trip.alternatives == expected
-                assert trip.feasible == bool(expected)
+                assert trip == expected
 
 
 def test_street_grid_ranking_equals_networkx():
@@ -492,7 +495,7 @@ def test_street_grid_ranking_equals_networkx():
         offset_point(ORIGIN_POINT, 250.0, 180.0), offset_point(ORIGIN_POINT, 2150.0, 2300.0)
     )
     trip = evaluate_trip(g, pair, k=30)
-    assert len(trip.alternatives) == 30
+    assert len(trip) == 30
 
     digraph = nx.DiGraph()
     for source, successors in _access_overlay(g, pair, 600.0).items():
@@ -503,8 +506,8 @@ def test_street_grid_ranking_equals_networkx():
         expected.append(sum(digraph[a][b]["weight"] for a, b in zip(path, path[1:])))
         if len(expected) == 30:
             break
-    assert [w for w, _ in trip.alternatives] == pytest.approx(expected, abs=1e-6)
-    assert trip.path == evaluate_trip(g, pair, k=1).path
+    assert [w for w, _ in trip] == pytest.approx(expected, abs=1e-6)
+    assert trip[0][1] == evaluate_trip(g, pair, k=1)[0][1]
 
 
 # ── evaluate_trip / evaluate_od ─────────────────────────────────────────
@@ -515,10 +518,11 @@ def test_trip_same_stop_origin_destination_zero_distance():
     g = build_graph([_iti("L1", ["A", "B"])], stops)
     point = GeoPoint(stops["A"].lat, stops["A"].lon)
     trip = evaluate_trip(g, ODPair(point, point), k=5)
-    assert trip.feasible
-    assert trip.distance_m == 0.0
-    assert trip.transfers == 0
-    assert stop_sequence(trip.path) == ["A"]
+    assert trip
+    distance_m, path = trip[0]
+    assert distance_m == 0.0
+    assert count_transfers(path) == 0
+    assert stop_sequence(path) == ["A"]
 
 
 def test_trip_infeasible_when_no_stop_in_radius():
@@ -526,7 +530,7 @@ def test_trip_infeasible_when_no_stop_in_radius():
     g = build_graph([_iti("L1", ["A", "B"])], stops)
     far = offset_point(ORIGIN_POINT, 20000, 0)
     trip = evaluate_trip(g, ODPair(far, GeoPoint(stops["A"].lat, stops["A"].lon)), k=5)
-    assert not trip.feasible
+    assert trip == []
 
 
 def test_trip_distance_is_minimum_of_sorted_alternatives():
@@ -534,9 +538,9 @@ def test_trip_distance_is_minimum_of_sorted_alternatives():
     g = build_graph(itineraries, stops)
     pair = two_corridor_od_pairs(1, seed=5)[0]
     trip = evaluate_trip(g, pair, k=3)
-    assert trip.feasible
-    assert trip.alternatives[0][0] == trip.distance_m
-    weights = [w for w, _ in trip.alternatives]
+    assert trip
+    assert summarize([trip]).mean_distance_m == trip[0][0]
+    weights = [w for w, _ in trip]
     assert weights == sorted(weights)
 
 
@@ -547,9 +551,9 @@ def test_transfer_counting_ignores_walks_and_access():
     gc = add_cluster_transfers(g, clusters)
     pair = two_corridor_od_pairs(1, seed=11)[0]
     trip = evaluate_trip(gc, pair, k=5)
-    assert trip.feasible
+    assert trip
     # corridor chain S1 -> S2 -> S3 -> S4: three line changes
-    assert trip.transfers == 3
+    assert summarize([trip]).mean_transfers == 3
 
 
 def test_evaluate_od_superset_dominance_sample():
@@ -558,11 +562,18 @@ def test_evaluate_od_superset_dominance_sample():
     clusters = cluster_stops([Candidate(b, 3.0 - i) for i, b in enumerate(bridges)], stops)
     gc = add_cluster_transfers(g, clusters)
     pairs = two_corridor_od_pairs(40, seed=8)
-    evaluation = evaluate_od(pairs, g, gc, k=1)
-    for base, clustered in zip(evaluation.results["base"], evaluation.results["clustered"]):
-        assert base.feasible and clustered.feasible
-        assert clustered.distance_m <= base.distance_m + 1e-9
-    assert evaluation.summaries["base"].feasible == 40
+    trips = evaluate_od(pairs, g, gc, k=1)
+    for base, clustered in zip(trips["base"], trips["clustered"]):
+        assert base and clustered
+        assert clustered[0][0] <= base[0][0] + 1e-9
+    assert summarize(trips["base"]).feasible == 40
+
+
+def test_summary_fields_are_the_summary_file_columns_and_read_nan_without_a_feasible_trip():
+    assert list(NetworkSummary._fields) == ARTIFACTS["od_summary.csv"].header[1:]
+    summary = summarize([[], []])
+    assert summary[:2] == (0, 2)
+    assert all(math.isnan(value) for value in summary[2:])
 
 
 # ── what the search may assume of the program's graphs ─────────────────

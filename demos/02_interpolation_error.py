@@ -20,6 +20,5 @@ for jitter, label in ((0.0, "constant speed"), (0.35, "speed jitter +/-35%")):
     print(f"\n{label}: {len(detections)} fully observed trips")
     print(f"{'w':>3s} {'median':>8s} {'q3':>8s} {'max':>8s}   (seconds of error per deleted stop)")
     for w in range(2, 9):
-        samples = evaluate_interpolation_error(detections, w=w, samples=100, seed=7)
-        errs = np.array([s.err_seconds for s in samples])
+        errs = evaluate_interpolation_error(detections, w=w, samples=100, seed=7)
         print(f"{w:>3d} {np.median(errs):8.1f} {np.quantile(errs, 0.75):8.1f} {errs.max():8.1f}")

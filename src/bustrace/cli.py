@@ -146,21 +146,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _staging_dir(out_dir: Path) -> Path:
-    """A new directory inside ``out_dir`` holding its files, for a run to write in.
+    """A new directory inside ``out_dir`` holding its artifacts, for a run to write in.
 
     Inside, it needs no write access beyond ``out_dir`` and shares its file
-    system even when ``out_dir`` is a mount point. Files are hard-linked
-    where the file system allows, else copied. Every artifact is written by
-    replacing its file, never in place, so a link never changes the file in
-    ``out_dir`` it shares.
+    system even when ``out_dir`` is a mount point. Artifacts are hard-linked
+    where the file system allows, else copied; no other file is read, so no
+    other file is mirrored. Every artifact is written by replacing its file,
+    never in place, so a link never changes the file in ``out_dir`` it shares.
     """
     staging = Path(tempfile.mkdtemp(prefix=".staging.", dir=out_dir))
-    for path in out_dir.iterdir():
-        if path.is_file():
+    for name in ARTIFACTS:
+        source = out_dir / name
+        if source.is_file():
             try:
-                os.link(path, staging / path.name)
+                os.link(source, staging / name)
             except OSError:
-                shutil.copy2(path, staging / path.name)
+                shutil.copy2(source, staging / name)
     return staging
 
 

@@ -10,8 +10,8 @@ out-of-sequence stop) are dropped. Interior positions left without a mark
 get their times estimated by uniform subdivision of the enclosing observed
 interval; trips missing a mark at the first or last position are rejected
 instead of extrapolated. :func:`detect_group` runs both steps on one
-track's marks and returns the :class:`GroupOutcome` that trips and tag
-tallies are read from.
+track's marks and returns its accepted trips and the :class:`Tally` of its
+marks, which :func:`tag_report` sums by line category.
 """
 
 from __future__ import annotations
@@ -115,16 +115,48 @@ class DetectionResult:
     itinerary: DetectedItinerary | None
     rejection: str | None
     dropped: tuple[int, ...]  # segment indices of marks left out by the monotone-time rule
-    segment_size: int
-    borrowed_marks: int = 0  # boundary marks already tallied with the previous trip
 
     @property
     def accepted(self) -> bool:
         return self.itinerary is not None
 
+
+@dataclass
+class Tally:
+    """Mark counts of one group, or summed over a category.
+
+    Every mark counts once in ``total_marks`` and once in ``valid_tags``,
+    ``rejected_marks`` or ``discarded_marks``: valid when its segment was
+    accepted, rejected when its segment was not, discarded when its segment
+    had fewer than 2 distinct stops. Dropped out-of-order marks inside
+    accepted segments count as error type i, interpolated entries as error
+    type ii (missing stops).
+    """
+
+    total_marks: int = 0
+    valid_tags: int = 0
+    out_of_order: int = 0
+    missing: int = 0
+    rejected_segments: int = 0
+    rejected_marks: int = 0
+    discarded_segments: int = 0
+    discarded_marks: int = 0
+
+    def add(self, other: Tally) -> None:
+        for f in fields(Tally):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
     @property
-    def own_marks(self) -> int:
-        return self.segment_size - self.borrowed_marks
+    def valid_pct(self) -> float:
+        return 100.0 * self.valid_tags / self.total_marks if self.total_marks else 0.0
+
+    @property
+    def error_total(self) -> int:
+        return self.out_of_order + self.missing
+
+    @property
+    def error_pct(self) -> float:
+        return 100.0 * self.error_total / self.valid_tags if self.valid_tags else 0.0
 
 
 # ── Interpolation ───────────────────────────────────────────────────────
@@ -263,7 +295,6 @@ def detect(
     itinerary: ItineraryDef,
     segment: Marks,
     day: date | None = None,
-    borrowed_marks: int = 0,
     vehicle_id: str = "",
 ) -> DetectionResult:
     """Associate one segment's marks with the itinerary.
@@ -271,9 +302,7 @@ def detect(
     Returns an accepted DetectedItinerary with interpolated interior gaps,
     or a rejection when the first or last position has no usable mark.
     Marks excluded by the monotone-time rule (or outside the itinerary)
-    are reported as dropped, by index in the segment. ``borrowed_marks``
-    (from the segmentation) flows through to the result so reporting can
-    avoid double-counting shared boundary passages.
+    are reported as dropped, by index in the segment.
     """
     stop_ids = itinerary.stop_ids
     n = len(stop_ids)
@@ -294,19 +323,11 @@ def detect(
                 break
 
     taken = set(accepted)
-    result = DetectionResult(
-        itinerary=None,
-        rejection=None,
-        dropped=tuple(i for i in range(len(times)) if i not in taken),
-        segment_size=len(times),
-        borrowed_marks=borrowed_marks,
-    )
+    dropped = tuple(i for i in range(len(times)) if i not in taken)
     if accepted[0] is None:
-        result.rejection = REJECT_NO_FIRST
-        return result
+        return DetectionResult(None, REJECT_NO_FIRST, dropped)
     if accepted[-1] is None:
-        result.rejection = REJECT_NO_LAST
-        return result
+        return DetectionResult(None, REJECT_NO_LAST, dropped)
 
     anchors = [pos_idx for pos_idx, index in enumerate(accepted) if index is not None]
     time_s = np.empty(n)
@@ -316,7 +337,7 @@ def detect(
     for a, b in zip(anchors, anchors[1:]):
         if b - a > 1:
             time_s[a + 1 : b] = interpolate_gap(float(time_s[a]), float(time_s[b]), b - a)
-    result.itinerary = DetectedItinerary(
+    trip = DetectedItinerary(
         line_code=itinerary.line_code,
         vehicle_id=vehicle_id,
         direction=itinerary.direction,
@@ -325,7 +346,7 @@ def detect(
         observed=observed,
         day=day,
     )
-    return result
+    return DetectionResult(trip, None, dropped)
 
 
 # ── One track on one itinerary ──────────────────────────────────────────
@@ -333,26 +354,12 @@ def detect(
 
 @dataclass
 class GroupOutcome:
-    """Detection outcome for one (vehicle, line, day, itinerary) run.
-
-    :func:`detect_group` is the one path from a track's marks to an
-    outcome: :attr:`trips` gives its accepted trips and :func:`tag_report`
-    tallies its marks.
-    """
+    """Detection outcome for one (vehicle, line, day, itinerary) run: its
+    accepted trips, in segment order, and the tally of its marks."""
 
     line_code: str
-    direction: str
-    vehicle_id: str
-    day: date | None
-    total_marks: int
-    results: list[DetectionResult]
-    discarded_segments: int
-    discarded_marks: int
-
-    @property
-    def trips(self) -> list[DetectedItinerary]:
-        """The accepted trips, in segment order."""
-        return [result.itinerary for result in self.results if result.accepted]
+    trips: list[DetectedItinerary]
+    tally: Tally
 
 
 def detect_group(
@@ -363,34 +370,34 @@ def detect_group(
     day: date | None = None,
     idle_gap_s: int = DEFAULT_IDLE_GAP_S,
 ) -> GroupOutcome:
-    """Segment one track's time-ordered marks on ``itinerary`` and detect every segment.
+    """Segment one track's time-ordered marks on ``itinerary``, detect every
+    segment and tally every mark once.
 
-    Each segment is detected with the boundary mark it borrowed from the
-    previous trip, so :func:`tag_report` tallies every mark once.
+    A segment's own marks leave out the boundary mark it borrowed from the
+    previous trip, which that trip already tallied.
     """
     segmentation = segment_trips(marks, itinerary, idle_gap_s=idle_gap_s)
-    return GroupOutcome(
-        line_code=itinerary.line_code,
-        direction=itinerary.direction,
-        vehicle_id=vehicle_id,
-        day=day,
+    tally = Tally(
         total_marks=len(marks),
-        results=[
-            detect(itinerary, segment, day=day, borrowed_marks=borrowed, vehicle_id=vehicle_id)
-            for segment, borrowed in zip(segmentation.segments, segmentation.borrowed)
-        ],
         discarded_segments=len(segmentation.discarded),
         discarded_marks=segmentation.discarded_marks,
     )
+    trips = []
+    for segment, borrowed in zip(segmentation.segments, segmentation.borrowed):
+        result = detect(itinerary, segment, day=day, vehicle_id=vehicle_id)
+        own_marks = len(segment) - borrowed
+        if result.accepted:
+            trips.append(result.itinerary)
+            tally.valid_tags += own_marks
+            tally.out_of_order += len(result.dropped)
+            tally.missing += result.itinerary.interpolated_count
+        else:
+            tally.rejected_segments += 1
+            tally.rejected_marks += own_marks
+    return GroupOutcome(itinerary.line_code, trips, tally)
 
 
 # ── Interpolation-error protocol ────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class InterpolationErrorSample:
-    w: int
-    err_seconds: float
 
 
 def evaluate_interpolation_error(
@@ -398,12 +405,13 @@ def evaluate_interpolation_error(
     w: int,
     samples: int,
     seed: int = 0,
-) -> list[InterpolationErrorSample]:
+) -> np.ndarray:
     """Measure interpolation error by deleting known stop times.
 
     Each sample deletes w-1 consecutive interior entries from one fully
     observed trip, re-estimates them from the surviving anchors, and
-    records |true - estimated| per deleted stop. Gap start positions are
+    records |true - estimated| per deleted stop: the float64 array returned
+    holds the w-1 errors of each sample in turn. Gap start positions are
     sampled without replacement across all trips; the evaluation protocol
     uses w in 2..8 with 100 samples per width.
     """
@@ -429,43 +437,23 @@ def evaluate_interpolation_error(
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(eligible), size=samples, replace=False)
 
-    results: list[InterpolationErrorSample] = []
+    errors: list[float] = []
     for index in chosen:
         trip_idx, anchor = eligible[int(index)]
         times = detections[trip_idx].time_s.tolist()
         estimates = interpolate_gap(times[anchor], times[anchor + w], w)
-        for offset, estimate in enumerate(estimates, start=1):
-            err = abs(times[anchor + offset] - estimate)
-            results.append(InterpolationErrorSample(w=w, err_seconds=err))
-    return results
+        errors += [abs(true - estimate) for true, estimate in zip(times[anchor + 1 :], estimates)]
+    return np.array(errors, dtype=np.float64)
 
 
 # ── Tag validity report ─────────────────────────────────────────────────
 
 
-@dataclass
-class TagCategoryRow:
+@dataclass(kw_only=True)
+class TagCategoryRow(Tally):
+    """One row of the tag report: the summed tallies of a line category, or TOTAL."""
+
     category: str
-    total_marks: int = 0
-    valid_tags: int = 0
-    out_of_order: int = 0
-    missing: int = 0
-    rejected_segments: int = 0
-    rejected_marks: int = 0
-    discarded_segments: int = 0
-    discarded_marks: int = 0
-
-    @property
-    def valid_pct(self) -> float:
-        return 100.0 * self.valid_tags / self.total_marks if self.total_marks else 0.0
-
-    @property
-    def error_total(self) -> int:
-        return self.out_of_order + self.missing
-
-    @property
-    def error_pct(self) -> float:
-        return 100.0 * self.error_total / self.valid_tags if self.valid_tags else 0.0
 
 
 @dataclass
@@ -482,35 +470,19 @@ class TagReport:
 def tag_report(
     outcomes: list[GroupOutcome], categories: dict[str, LineCategory]
 ) -> TagReport:
-    """Aggregate per-category tag validity and error-type counts.
+    """Sum each outcome's tally into its line's category row; TOTAL is the
+    sum of the rows.
 
-    A mark is valid when its segment was accepted; dropped out-of-order
-    marks inside accepted segments count as error type i, interpolated
-    entries as error type ii (missing stops). Aggregation is commutative,
-    so outcome order does not affect the report. A line without a category
-    is refused.
+    Addition is commutative, so outcome order does not affect the report.
+    A line without a category is refused.
     """
     rows: dict[str, TagCategoryRow] = {}
-    total = TagCategoryRow(category="TOTAL")
-
     for outcome in outcomes:
         if outcome.line_code not in categories:
             raise ValueError(f"line {outcome.line_code} has no record in the lines file")
         category = categories[outcome.line_code].value
-        row = rows.setdefault(category, TagCategoryRow(category=category))
-        for target in (row, total):
-            target.total_marks += outcome.total_marks
-            target.discarded_segments += outcome.discarded_segments
-            target.discarded_marks += outcome.discarded_marks
-        for result in outcome.results:
-            if result.accepted:
-                for target in (row, total):
-                    target.valid_tags += result.own_marks
-                    target.out_of_order += len(result.dropped)
-                    target.missing += result.itinerary.interpolated_count
-            else:
-                for target in (row, total):
-                    target.rejected_segments += 1
-                    target.rejected_marks += result.own_marks
-
+        rows.setdefault(category, TagCategoryRow(category=category)).add(outcome.tally)
+    total = TagCategoryRow(category="TOTAL")
+    for row in rows.values():
+        total.add(row)
     return TagReport(rows=dict(sorted(rows.items())), total=total)

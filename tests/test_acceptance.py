@@ -104,7 +104,7 @@ def test_criterion_02_interpolation_zero_error_uniform_motion():
         for w in range(2, 9):
             samples = evaluate_interpolation_error(detections, w=w, samples=100, seed=w)
             assert len(samples) == 100 * (w - 1)
-            assert all(s.err_seconds == 0.0 for s in samples)
+            assert all(samples == 0.0)
         assert time.perf_counter() - started < 5.0
 
 
@@ -118,7 +118,7 @@ def test_criterion_03_error_median_grows_with_gap_width():
         medians = []
         for w in range(2, 9):
             samples = evaluate_interpolation_error(detections, w=w, samples=100, seed=7)
-            medians.append(float(np.median([s.err_seconds for s in samples])))
+            medians.append(float(np.median(samples)))
         assert all(b >= a for a, b in zip(medians, medians[1:])), medians
         # absolute error magnitudes are dataset-specific and not asserted
 

@@ -165,6 +165,8 @@ def merge_terminals(
     stops are their own keys. A terminal key lies at the mean position of
     all its terminal's stops in ``stops``, passed or not; a stop missing
     from ``stops`` is named by its id, has no position and is a street stop.
+    A passed stop that is its own key and whose id is a terminal's key
+    raises ValueError: its passages would be counted as the terminal's.
     """
     terminals: dict[str, list[BusStop]] = {}
     for stop in stops.values():
@@ -184,6 +186,8 @@ def merge_terminals(
             fact = KeyFacts(stop.name, lat, lon, stop.stop_type)
         else:
             key, fact = stop_id, KeyFacts(stop.name, stop.lat, stop.lon, stop.stop_type)
+        if key in terminals and fact.category is not StopType.TERMINAL:
+            raise ValueError(f"stop {stop_id} has the key of terminal {terminals[key][0].name!r}")
         keys.append(key)
         facts[key] = fact
     key_ids, key_codes = _encode_ids(keys)

@@ -23,9 +23,10 @@ once. Any other block (a blank line, other spacing or key order, an int
 coordinate, an escaped string, an impossible time) goes line by line
 through ``json.loads``, which gives the same values and the same errors;
 its timestamps in the digit layout are still decoded together first.
-Both append to typed arrays; id and range checks, sorting and
-deduplication then run in bulk on a :class:`FixTable`, and
-:func:`group_fixes` cuts it into zero-copy
+Both check each fix's ids and coordinate ranges as they decode it
+(:func:`_fix_fault`), so the first bad line of the file is the first one
+refused, and append to typed arrays; sorting and deduplication then run
+in bulk on a :class:`FixTable`, and :func:`group_fixes` cuts it into zero-copy
 :class:`~bustrace.model.FixTrack` slices. The fixes are sorted once,
 stably, on (vehicle, line, day, time); exact duplicates are sought only
 among fixes tied on those four keys.
@@ -322,11 +323,26 @@ def _coordinate(record: dict, key: str, line_no: int) -> float:
         raise RecordError(line_no, str(exc)) from None
 
 
+def _fix_fault(vehicle_id: str, line_code: str, lat: float, lon: float) -> str | None:
+    """Why a fix whose fields have parsed is refused, or None when it is kept.
+
+    The vehicle id is checked before the line code (:func:`id_fault`), then
+    the latitude and the longitude; NaN is out of either range.
+    """
+    fault = id_fault("vehicle_id", vehicle_id) or id_fault("line_code", line_code)
+    if fault is None and not -90.0 <= lat <= 90.0:
+        fault = f"fix {vehicle_id}: latitude out of range: {lat}"
+    if fault is None and not -180.0 <= lon <= 180.0:
+        fault = f"fix {vehicle_id}: longitude out of range: {lon}"
+    return fault
+
+
 def _fix_row(line_no: int, raw: str, stamps: _Stamps, vehicles: _Codes, lines: _Codes):
-    """One fixes-file line checked field by field, in the order errors are reported.
+    """One fixes-file line checked field by field, in the order errors are
+    reported, and then by :func:`_fix_fault`.
 
     Returns (stamp, vehicle code, line code, lat, lon), or None for a blank
-    line. Coordinate ranges are left to :func:`_check_ranges`.
+    line.
     """
     record = _decode(line_no, raw)
     if record is None:
@@ -336,44 +352,14 @@ def _fix_row(line_no: int, raw: str, stamps: _Stamps, vehicles: _Codes, lines: _
         stamp = stamps[raw_ts]
     except ValueError:
         raise RecordError(line_no, f"unparseable timestamp: {raw_ts!r}") from None
-    vehicle = vehicles[str(_require(record, "vehicle_id", line_no))]
-    line = lines[str(_require(record, "line_code", line_no))]
+    vehicle_id = str(_require(record, "vehicle_id", line_no))
+    line_code = str(_require(record, "line_code", line_no))
     lat = _coordinate(record, "lat", line_no)
     lon = _coordinate(record, "lon", line_no)
-    return stamp, vehicle, line, lat, lon
-
-
-def _check_ranges(
-    lat: np.ndarray, lon: np.ndarray,
-    vehicle: np.ndarray, line: np.ndarray, vehicle_ids: list[str], line_codes: list[str],
-) -> tuple[int, str] | None:
-    """The first row with a bad id or a coordinate out of range, and its message.
-
-    ``vehicle`` and ``line`` are codes into ``vehicle_ids`` and
-    ``line_codes``; each distinct id is checked once (:func:`id_fault`).
-    NaN fails every range. Within a row, the vehicle id is reported before
-    the line code, then latitude and longitude.
-    """
-    id_faults = []
-    bad_id = np.zeros(len(vehicle), dtype=bool)
-    for field, codes, ids in (("vehicle_id", vehicle, vehicle_ids), ("line_code", line, line_codes)):
-        faults = [id_fault(field, value) for value in ids]
-        if any(faults):
-            id_faults.append((codes, faults))
-            bad_id |= np.array([fault is not None for fault in faults])[codes]
-    bad_lat = ~((lat >= -90.0) & (lat <= 90.0))
-    bad_lon = ~((lon >= -180.0) & (lon <= 180.0))
-    bad = np.flatnonzero(bad_id | bad_lat | bad_lon)
-    if not len(bad):
-        return None
-    row = int(bad[0])
-    for codes, faults in id_faults:
-        if faults[codes[row]] is not None:
-            return row, faults[codes[row]]
-    who = f"fix {vehicle_ids[vehicle[row]]}"
-    if bad_lat[row]:
-        return row, f"{who}: latitude out of range: {float(lat[row])}"
-    return row, f"{who}: longitude out of range: {float(lon[row])}"
+    fault = _fix_fault(vehicle_id, line_code, lat, lon)
+    if fault is not None:
+        raise RecordError(line_no, fault)
+    return stamp, vehicles[vehicle_id], lines[line_code], lat, lon
 
 
 def _ranks(names: list) -> np.ndarray:
@@ -428,13 +414,14 @@ _CANONICAL_FIX = re.compile(
 
 
 class _FixColumns:
-    """Parsed fixes in file order, each with its line number, before any
-    range check."""
+    """Parsed fixes in file order. Each block checks its fixes by
+    :func:`_fix_fault` as it decodes them, so every id interned so far
+    belongs to a fix that passed."""
 
     def __init__(self):
         self.stamps, self.vehicles, self.lines = _Stamps(), _Codes(), _Codes()
         self.stamp, self.vehicle, self.line = array("q"), array("i"), array("i")
-        self.lat, self.lon, self.line_no = array("d"), array("d"), array("q")
+        self.lat, self.lon = array("d"), array("d")
 
     def add_block(self, first_line_no: int, count: int, text: str) -> None:
         """Append the fixes of ``text``, ``count`` whole lines from ``first_line_no`` on.
@@ -456,12 +443,24 @@ class _FixColumns:
         stamp, ok = _canonical_stamps(dthrs)
         if not ok.all():
             return False
-        self.stamp.frombytes(stamp.tobytes())
-        self.vehicle.extend(map(self.vehicles.__getitem__, vehicle_ids))
-        self.line.extend(map(self.lines.__getitem__, line_codes))
-        self.lat.extend(map(float, lats))
-        self.lon.extend(map(float, lons))
-        self.line_no.extend(range(first_line_no, first_line_no + count))
+        known = len(self.vehicles.by_name), len(self.lines.by_name)
+        vehicle = np.fromiter(map(self.vehicles.__getitem__, vehicle_ids), np.int32, count)
+        line = np.fromiter(map(self.lines.__getitem__, line_codes), np.int32, count)
+        lat = np.fromiter(map(float, lats), np.float64, count)
+        lon = np.fromiter(map(float, lons), np.float64, count)
+        # Only a row out of range, or the first row of an id new in this
+        # block, can fail _fix_fault: the ids known before have passed it.
+        suspect = ~((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0))
+        for codes, known_codes in zip((vehicle, line), known):
+            distinct, first = np.unique(codes, return_index=True)
+            suspect[first[distinct >= known_codes]] = True
+        for row in np.flatnonzero(suspect).tolist():
+            fault = _fix_fault(vehicle_ids[row], line_codes[row], float(lat[row]), float(lon[row]))
+            if fault is not None:
+                raise RecordError(first_line_no + row, fault)
+        columns = (self.stamp, self.vehicle, self.line, self.lat, self.lon)
+        for column, values in zip(columns, (stamp, vehicle, line, lat, lon)):
+            column.frombytes(values.tobytes())
         return True
 
     def _add_lines(self, first_line_no: int, raw_lines: list[str]) -> None:
@@ -477,6 +476,7 @@ class _FixColumns:
             stamps.learn(map(itemgetter("dthr"), filter(None, decoded)))
         except (KeyError, TypeError):
             pass  # some line has no usable time: the lookups below decode them one by one
+        known_vehicles, known_lines = len(vehicles.by_name), len(lines.by_name)
         for line_no, (raw, record) in enumerate(zip(raw_lines, decoded), start=first_line_no):
             try:
                 stamp = stamps[record["dthr"]]
@@ -485,17 +485,22 @@ class _FixColumns:
                 lat = _coordinate(record, "lat", line_no)
                 lon = _coordinate(record, "lon", line_no)
             except (KeyError, TypeError, ValueError, OverflowError):
-                # blank or malformed, or a value the lookups above cannot take
+                record = None  # blank or malformed, or a value the lookups above cannot take
+            if (
+                record is None or vehicle >= known_vehicles or line >= known_lines
+                or not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0)
+            ):
+                # malformed, a new id or out of range: read once more field by field, then _fix_fault
                 row = _fix_row(line_no, raw, stamps, vehicles, lines)
                 if row is None:
                     continue
                 stamp, vehicle, line, lat, lon = row
+                known_vehicles, known_lines = len(vehicles.by_name), len(lines.by_name)
             self.stamp.append(stamp)
             self.vehicle.append(vehicle)
             self.line.append(line)
             self.lat.append(lat)
             self.lon.append(lon)
-            self.line_no.append(line_no)
 
 
 def _blocks(stream: IO[str]) -> Iterator[tuple[int, int, str]]:
@@ -538,28 +543,14 @@ def parse_vehicle_fixes(stream: IO[str]) -> FixTable:
     equal (vehicle, line, day, time) keep their input order.
     """
     fixes = _FixColumns()
-    error = None
-    try:
-        for line_no, count, text in _blocks(stream):
-            fixes.add_block(line_no, count, text)
-    except RecordError as exc:
-        error = exc  # raised unless an earlier line fails a range check
+    for line_no, count, text in _blocks(stream):
+        fixes.add_block(line_no, count, text)
 
     lat = np.array(fixes.lat, dtype=np.float64)
     lon = np.array(fixes.lon, dtype=np.float64)
     day, time_s = np.divmod(np.array(fixes.stamp, dtype=np.int64), 86_400)
-    vehicle = np.array(fixes.vehicle, dtype=np.int32)
-    line = np.array(fixes.line, dtype=np.int32)
-    vehicle_ids, line_codes = list(fixes.vehicles.by_name), list(fixes.lines.by_name)
-    bad = _check_ranges(lat, lon, vehicle, line, vehicle_ids, line_codes)
-    if bad is not None:
-        row, message = bad
-        raise RecordError(fixes.line_no[row], message)
-    if error is not None:
-        raise error
-
-    vehicle = _ranks(vehicle_ids)[vehicle]
-    line = _ranks(line_codes)[line]
+    vehicle = _ranks(list(fixes.vehicles.by_name))[np.array(fixes.vehicle, dtype=np.int32)]
+    line = _ranks(list(fixes.lines.by_name))[np.array(fixes.line, dtype=np.int32)]
     ordinals, day = np.unique(day, return_inverse=True)
     day = day.astype(np.int32)
     # a stable sort: fixes with equal keys keep their input order

@@ -582,6 +582,26 @@ def test_analyze_and_cluster_run_on_a_detection_csv_of_no_rows(tmp_path):
     assert read_csv_rows(out / pipeline.CLUSTERS_FILE)[1] == []
 
 
+def test_analyze_refuses_a_stop_whose_id_is_a_terminals_key(tmp_path, capsys):
+    """Line 829's second stop, a street stop, renamed to the key its terminal
+    is merged into: analyze would count both stops' passages as one key's."""
+    dataset = line829_dataset()
+    ids = {*dataset.lines, *dataset.stops, *(i.direction for i in dataset.itineraries)}
+    ids |= {vehicle for vehicle, _, _ in dataset.fixes}
+    new = {old: old for old in ids} | {"829002": "terminal:Terminal Campo Comprido"}
+    config = write_config(tmp_path, _renamed(dataset, new))
+    out = tmp_path / "out"
+    assert main(["detect", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error == {
+        "stage": "analyze",
+        "type": "ValueError",
+        "message": "stop terminal:Terminal Campo Comprido has the key of terminal 'Terminal Campo Comprido'",
+    }
+    assert not (out / pipeline.DAILY_AVERAGES_FILE).exists()
+
+
 def _src_env() -> dict:
     """The environment with this checkout's ``src`` first on PYTHONPATH, for a new interpreter."""
     src = str(Path(bustrace.__file__).resolve().parents[1])
@@ -1213,6 +1233,44 @@ def test_renaming_the_ids_in_their_order_changes_each_csv_only_by_the_renaming(t
         pipeline.DETECTED_FILE, pipeline.DAILY_AVERAGES_FILE, pipeline.CLUSTERS_FILE, "cluster_centroids.csv",
         "cluster_scatter.csv", "cluster_stop_correlations.csv", "sync_profiles.csv", "od_results.csv", "od_paths.csv",
     }
+
+
+def _detect_csvs_with_far_fixes(tmp_path: Path, times_s: list[int]) -> tuple[dict[str, bytes], dict[str, bytes]]:
+    """Every CSV of ``detect`` on line 829, as generated and with one fix
+    5 km north of its terminal, farther than the acceptance radius from
+    every stop, at each of ``times_s``."""
+    dataset = line829_dataset()
+    (key, track), = dataset.fixes.items()
+    far = offset_point(dataset.stops["829001"], 0.0, 5000.0)
+    time_s = np.concatenate([track.time_s, times_s])
+    order = np.argsort(time_s, kind="stable")
+    lat = np.concatenate([track.lat, [far.lat] * len(times_s)])[order]
+    lon = np.concatenate([track.lon, [far.lon] * len(times_s)])[order]
+    runs = []
+    for name, fixes in (("plain", track), ("far", FixTrack(track.vehicle_id, lat, lon, time_s[order]))):
+        (tmp_path / name).mkdir()
+        config = write_config(tmp_path / name, replace(dataset, fixes={key: fixes}))
+        out = tmp_path / name / "out"
+        assert main(["detect", "--config", str(config), "--out", str(out)]) == 0
+        runs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+    assert len(runs[0]) == 3
+    return runs[0], runs[1]
+
+
+def test_far_fixes_before_and_after_a_track_change_no_detect_csv(tmp_path):
+    first, last = 6 * 3600 + 4 * 60 + 51, 6 * 3600 + 31 * 60 + 41  # line 829's first and last fix
+    plain, far = _detect_csvs_with_far_fixes(tmp_path, [first - 600, first - 60, last + 60, last + 600])
+    assert far == plain
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a far fix inside the terminal dwell splits its matching run in two: "
+    "TOTAL total_marks 9 -> 10 and out_of_order 1 -> 2 (ROADMAP item 12)",
+)
+def test_a_far_fix_inside_a_dwell_changes_no_detect_csv(tmp_path):
+    plain, far = _detect_csvs_with_far_fixes(tmp_path, [6 * 3600 + 10 * 60 + 5])
+    assert far == plain
 
 
 def test_a_users_csv_in_the_output_directory_is_not_an_artifact(tmp_path):

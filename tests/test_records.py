@@ -550,13 +550,15 @@ def test_malformed_fix_reported_like_per_record_reference(lines, injected):
 # write_vehicle_fixes writes and the bulk decoder takes: floats with a
 # fraction or an exponent (both zeros, a subnormal, a 17-digit mantissa),
 # ids with non-ASCII text, a raw U+2028 line separator and DEL. The odd
-# values are out of range, impossible, or spelled so that their block goes
-# line by line (a bare -0 is an int 0 to json.loads, not -0.0).
+# values are ids a CSV cell would quote, out of range, impossible, or
+# spelled so that their block goes line by line (a bare -0 is an int 0 to
+# json.loads, not -0.0).
 _WRITER_IDS = ['"V1"', '"V2"', '"Ônibus 7"', '"a\u2028b"', '"d\x7f"']
 _WRITER_COORDS = ["-25.44", "0.0", "-0.0", "5e-324", "-25.432208140724651", "2.5e+1", "1.25E-2", "-0.0e0"]
 _WRITER_TIMES = ["07/11/2022 06:04:51", "07/11/2022 00:00:00", "08/11/2022 23:59:59", "29/02/2024 12:00:00"]
 _ODD_VALUES = {
-    "vehicle_id": ['"q\\"x"', "7", '"V\\u0031"'],
+    "vehicle_id": ['"q\\"x"', "7", '"V\\u0031"', '"V;1"', '"V,\\r"'],
+    "line_code": ['"L,2"', "3", '"L\\n2"'],
     "lat": ["-0", "5", "1e+16", "-95.0", "NaN", " 12.5", "true", "false"],
     "lon": ["-0", "180.5", "-Infinity", "-49.0E+0", "true", "false"],
     "dthr": ['"31/02/2024 10:00:00"', '"07/11/2022 24:00:00"', '"07/11/2022 06:60:00"', '"7/11/2022 6:4:51"'],

@@ -69,18 +69,22 @@ def load_config(path: str, seed: int | None, jobs: int | None) -> PipelineConfig
     return PipelineConfig.from_mapping(data)
 
 
-def _run_stage(stage: str, out_dir: Path, dataset: Dataset, config: PipelineConfig, products: dict[str, Any]) -> None:
-    """Run one stage, which writes its artifacts, and keep its product in ``products`` for later stages.
+def _run_stage(
+    stage: str, out_dir: Path, staging: Path, dataset: Dataset, config: PipelineConfig, products: dict[str, Any]
+) -> None:
+    """Run one stage, which writes its artifacts into ``staging``, and keep
+    its product in ``products`` for later stages.
 
     A stage takes each upstream product from ``products``, or reads it from
-    that stage's file when this invocation did not run that stage.
+    that stage's file in ``out_dir`` when this invocation did not run that
+    stage.
     """
     inputs = [
         products[upstream] if upstream in products else getattr(pipeline, _READERS[upstream])(out_dir, stage)
         for upstream in _UPSTREAM.get(stage, ())
     ]
     if stage == "validate":
-        run_validate(out_dir, dataset)
+        run_validate(staging, dataset)
     elif stage == "detect":
         from . import detection
         from .analytics import PassageTable
@@ -89,33 +93,37 @@ def _run_stage(stage: str, out_dir: Path, dataset: Dataset, config: PipelineConf
         passages = PassageTable.from_itineraries(trip for outcome in outcomes for trip in outcome.trips)
         categories = {line.code: line.category for line in dataset.lines.values()}
         report = detection.tag_report(outcomes, categories)
-        write_detection_artifacts(out_dir, passages, report)
+        write_detection_artifacts(staging, passages, report)
         products[stage] = passages
     elif stage == "analyze":
-        products[stage] = run_analyze(out_dir, dataset, config, *inputs)
+        products[stage] = run_analyze(staging, dataset, config, *inputs)
     elif stage == "cluster":
-        products[stage] = run_cluster(out_dir, dataset, config, *inputs)
+        products[stage] = run_cluster(staging, dataset, config, *inputs)
     elif stage == "route":
-        run_route(out_dir, dataset, config, *inputs)
+        run_route(staging, dataset, config, *inputs)
     else:
         raise ValueError(f"unknown stage: {stage}")
 
 
-def _write_manifest(out_dir: Path, config: PipelineConfig) -> None:
-    """Write the manifest: the config, the inputs' digests and those of the artifacts in ``out_dir``."""
-    inputs = {}
-    for label in pipeline.INPUT_FILES:
-        path = getattr(config, label)
-        if path and Path(path).is_file():
-            inputs[label] = _sha256(Path(path))
-    artifacts = {name: _sha256(out_dir / name) for name in ARTIFACTS if (out_dir / name).is_file()}
+def _write_manifest(out_dir: Path, staging: Path, config: PipelineConfig) -> None:
+    """Write the manifest into ``staging``: the config, the inputs' digests and those of the artifacts.
+
+    An artifact is read from ``staging`` if the run wrote it and from
+    ``out_dir`` otherwise.
+    """
+    inputs = {label: _sha256(Path(getattr(config, label))) for label in pipeline.INPUT_FILES}
+    artifacts = {}
+    for name in ARTIFACTS:
+        path = staging / name if (staging / name).is_file() else out_dir / name
+        if path.is_file():
+            artifacts[name] = _sha256(path)
     manifest = {
         "config": config.to_mapping(),
         "seed": config.seed,
         "inputs": inputs,
         "artifacts": artifacts,
     }
-    with atomic_write(out_dir / MANIFEST_FILE) as f:
+    with atomic_write(staging / MANIFEST_FILE) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -145,26 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _staging_dir(out_dir: Path) -> Path:
-    """A new directory inside ``out_dir`` holding its artifacts, for a run to write in.
-
-    Inside, it needs no write access beyond ``out_dir`` and shares its file
-    system even when ``out_dir`` is a mount point. Artifacts are hard-linked
-    where the file system allows, else copied; no other file is read, so no
-    other file is mirrored. Every artifact is written by replacing its file,
-    never in place, so a link never changes the file in ``out_dir`` it shares.
-    """
-    staging = Path(tempfile.mkdtemp(prefix=".staging.", dir=out_dir))
-    for name in ARTIFACTS:
-        source = out_dir / name
-        if source.is_file():
-            try:
-                os.link(source, staging / name)
-            except OSError:
-                shutil.copy2(source, staging / name)
-    return staging
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
@@ -175,12 +163,13 @@ def main(argv: list[str] | None = None) -> int:
         stages = list(_STAGES) if args.command == "all" else [args.command]
         dataset = config.load_inputs(with_fixes=not _FIX_STAGES.isdisjoint(stages))
         out_dir.mkdir(parents=True, exist_ok=True)
-        staging = _staging_dir(out_dir)
+        # inside out_dir, so on its file system, where os.replace moves the run's files out
+        staging = Path(tempfile.mkdtemp(prefix=".staging.", dir=out_dir))
         products: dict[str, Any] = {}
         for running in stages:
-            _run_stage(running, staging, dataset, config, products)
+            _run_stage(running, out_dir, staging, dataset, config, products)
         running = args.command
-        _write_manifest(staging, config)
+        _write_manifest(out_dir, staging, config)
         produced = [name for name, artifact in ARTIFACTS.items() if artifact.stage in stages]
         for name in [*produced, MANIFEST_FILE]:
             os.replace(staging / name, out_dir / name)

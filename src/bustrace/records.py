@@ -20,14 +20,15 @@ exact shape :func:`write_vehicle_fixes` writes is decoded in bulk: one
 regular expression splits it into fields, ids are interned to codes, and
 timestamps are decoded as digit arrays with each distinct date checked
 once. Any other block (a blank line, other spacing or key order, an int
-coordinate, an escaped string, an impossible time) goes line by line
-through ``json.loads``, which gives the same values and the same errors;
-its timestamps in the digit layout are still decoded together first.
-Both check each fix's ids and coordinate ranges as they decode it
-(:func:`_fix_fault`), so the first bad line of the file is the first one
-refused, and append to typed arrays; sorting and deduplication then run
-in bulk on a :class:`FixTable`, and :func:`group_fixes` cuts it into zero-copy
-:class:`~bustrace.model.FixTrack` slices. The fixes are sorted once,
+coordinate, an escaped string, an impossible time) goes line by line: its
+timestamps in the digit layout are decoded together first, and then each
+line's ``json.loads`` object is read once, field by field, in the order
+its errors are reported. Both check each fix's ids and coordinate ranges
+as they decode it (:func:`_fix_fault`), so the first bad line of the file
+is the first one refused, and append to typed arrays; sorting and
+deduplication then run in bulk on a :class:`FixTable`, and
+:func:`group_fixes` cuts it into zero-copy :class:`~bustrace.model.FixTrack`
+slices. The fixes are sorted once,
 stably, on (vehicle, line, day, time); exact duplicates are sought only
 among fixes tied on those four keys.
 """
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from functools import partial
 from itertools import compress
-from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -102,6 +102,8 @@ def _decode(line_no: int, raw: str) -> dict | None:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
         raise RecordError(line_no, f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise RecordError(line_no, "invalid JSON: nested too deeply") from None
     if not isinstance(record, dict):
         raise RecordError(line_no, "record must be a JSON object")
     return record
@@ -159,10 +161,11 @@ def parse_line_points(stream: Iterable[str]) -> tuple[list[BusStop], list[Itiner
     """Parse the line-points file into deduplicated stops and itineraries.
 
     Stops are deduplicated by stop_id; a stop re-appearing more than one
-    meter away from its first coordinates is an error. Itineraries are
-    assembled per (line_code, direction), ordered by seq, and flagged
-    circular when first and last stop coincide; an itinerary that
-    :class:`ItineraryDef` refuses is reported at its first record's line.
+    meter away from its first coordinates, or with another name or stop
+    type, is an error. Itineraries are assembled per (line_code,
+    direction), ordered by seq, and flagged circular when first and last
+    stop coincide; an itinerary that :class:`ItineraryDef` refuses is
+    reported at its first record's line.
     """
     from .geo import haversine_distance
 
@@ -193,6 +196,12 @@ def parse_line_points(stream: Iterable[str]) -> tuple[list[BusStop], list[Itiner
                 line_no,
                 f"stop {stop_id} re-declared {haversine_distance(known, stop):.1f} m away "
                 "from its first coordinates",
+            )
+        elif (stop.name, stop.stop_type) != (known.name, known.stop_type):
+            raise RecordError(
+                line_no,
+                f"stop {stop_id} re-declared as {stop.stop_type.value} {stop.name!r}, "
+                f"first declared as {known.stop_type.value} {known.name!r}",
             )
 
         line_code = _require_id(record, "line_code", line_no)
@@ -243,28 +252,18 @@ def format_timestamp(day: date, time_s: int) -> str:
 
 
 class _Codes(dict):
-    """Interns ids to dense int codes, keyed by ``str(value)``.
+    """Interns id strings to dense int codes: iterating it gives the ids in code order."""
 
-    ``by_name`` maps each id to its code, in code order. Only str keys are
-    cached, because 1, 1.0 and True hash alike but print differently.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.by_name: dict[str, int] = {}
-
-    def __missing__(self, value) -> int:
-        code = self.by_name.setdefault(str(value), len(self.by_name))
-        if type(value) is str:
-            self[value] = code
+    def __missing__(self, name: str) -> int:
+        code = self[name] = len(self)
         return code
 
 
 class _Stamps(dict):
     """Memoised timestamp text → ``day ordinal * 86400 + seconds of day``.
 
-    A miss goes through :func:`parse_timestamp`: it raises ValueError for
-    text that function rejects and TypeError for a non-string.
+    A miss goes through :func:`parse_timestamp`, which raises ValueError
+    for text it rejects.
     """
 
     def learn(self, texts: Iterable[str]) -> None:
@@ -275,8 +274,6 @@ class _Stamps(dict):
             self.update(zip(compress(texts, ok), stamp[ok].tolist()))
 
     def __missing__(self, text: str) -> int:
-        if type(text) is not str:
-            raise TypeError("timestamp is not a string")
         day, time_s = parse_timestamp(text)
         stamp = self[text] = day.toordinal() * 86_400 + time_s
         return stamp
@@ -337,31 +334,6 @@ def _fix_fault(vehicle_id: str, line_code: str, lat: float, lon: float) -> str |
     return fault
 
 
-def _fix_row(line_no: int, raw: str, stamps: _Stamps, vehicles: _Codes, lines: _Codes):
-    """One fixes-file line checked field by field, in the order errors are
-    reported, and then by :func:`_fix_fault`.
-
-    Returns (stamp, vehicle code, line code, lat, lon), or None for a blank
-    line.
-    """
-    record = _decode(line_no, raw)
-    if record is None:
-        return None
-    raw_ts = str(_require(record, "dthr", line_no))
-    try:
-        stamp = stamps[raw_ts]
-    except ValueError:
-        raise RecordError(line_no, f"unparseable timestamp: {raw_ts!r}") from None
-    vehicle_id = str(_require(record, "vehicle_id", line_no))
-    line_code = str(_require(record, "line_code", line_no))
-    lat = _coordinate(record, "lat", line_no)
-    lon = _coordinate(record, "lon", line_no)
-    fault = _fix_fault(vehicle_id, line_code, lat, lon)
-    if fault is not None:
-        raise RecordError(line_no, fault)
-    return stamp, vehicles[vehicle_id], lines[line_code], lat, lon
-
-
 def _ranks(names: list) -> np.ndarray:
     """Code → position of its name in sorted order."""
     ranks = np.empty(len(names), dtype=np.int32)
@@ -415,8 +387,9 @@ _CANONICAL_FIX = re.compile(
 
 class _FixColumns:
     """Parsed fixes in file order. Each block checks its fixes by
-    :func:`_fix_fault` as it decodes them, so every id interned so far
-    belongs to a fix that passed."""
+    :func:`_fix_fault` as it decodes them, so once a block is added every
+    id interned belongs to a fix that passed: only a fix with a new id or a
+    coordinate out of range needs the check."""
 
     def __init__(self):
         self.stamps, self.vehicles, self.lines = _Stamps(), _Codes(), _Codes()
@@ -443,7 +416,7 @@ class _FixColumns:
         stamp, ok = _canonical_stamps(dthrs)
         if not ok.all():
             return False
-        known = len(self.vehicles.by_name), len(self.lines.by_name)
+        known = len(self.vehicles), len(self.lines)
         vehicle = np.fromiter(map(self.vehicles.__getitem__, vehicle_ids), np.int32, count)
         line = np.fromiter(map(self.lines.__getitem__, line_codes), np.int32, count)
         lat = np.fromiter(map(float, lats), np.float64, count)
@@ -465,40 +438,37 @@ class _FixColumns:
 
     def _add_lines(self, first_line_no: int, raw_lines: list[str]) -> None:
         stamps, vehicles, lines = self.stamps, self.vehicles, self.lines
-        loads = json.loads
         decoded = []
         for raw in raw_lines:
             try:
-                decoded.append(loads(raw))
+                decoded.append(json.loads(raw))
             except (ValueError, RecursionError):
-                decoded.append(None)  # reported by _fix_row below, in line order
-        try:
-            stamps.learn(map(itemgetter("dthr"), filter(None, decoded)))
-        except (KeyError, TypeError):
-            pass  # some line has no usable time: the lookups below decode them one by one
-        known_vehicles, known_lines = len(vehicles.by_name), len(lines.by_name)
+                decoded.append(None)  # _decode reports it below, in line order
+        stamps.learn(str(record["dthr"]) for record in decoded if isinstance(record, dict) and "dthr" in record)
         for line_no, (raw, record) in enumerate(zip(raw_lines, decoded), start=first_line_no):
+            if not isinstance(record, dict):
+                record = _decode(line_no, raw)  # None when blank; else it raises, unless JSON takes the stripped line
+                if record is None:
+                    continue
+            raw_ts = str(_require(record, "dthr", line_no))
             try:
-                stamp = stamps[record["dthr"]]
-                vehicle = vehicles[record["vehicle_id"]]
-                line = lines[record["line_code"]]
-                lat = _coordinate(record, "lat", line_no)
-                lon = _coordinate(record, "lon", line_no)
-            except (KeyError, TypeError, ValueError, OverflowError):
-                record = None  # blank or malformed, or a value the lookups above cannot take
+                stamp = stamps[raw_ts]
+            except ValueError:
+                raise RecordError(line_no, f"unparseable timestamp: {raw_ts!r}") from None
+            vehicle_id = str(_require(record, "vehicle_id", line_no))
+            line_code = str(_require(record, "line_code", line_no))
+            lat = _coordinate(record, "lat", line_no)
+            lon = _coordinate(record, "lon", line_no)
             if (
-                record is None or vehicle >= known_vehicles or line >= known_lines
+                vehicle_id not in vehicles or line_code not in lines
                 or not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0)
             ):
-                # malformed, a new id or out of range: read once more field by field, then _fix_fault
-                row = _fix_row(line_no, raw, stamps, vehicles, lines)
-                if row is None:
-                    continue
-                stamp, vehicle, line, lat, lon = row
-                known_vehicles, known_lines = len(vehicles.by_name), len(lines.by_name)
+                fault = _fix_fault(vehicle_id, line_code, lat, lon)
+                if fault is not None:
+                    raise RecordError(line_no, fault)
             self.stamp.append(stamp)
-            self.vehicle.append(vehicle)
-            self.line.append(line)
+            self.vehicle.append(vehicles[vehicle_id])
+            self.line.append(lines[line_code])
             self.lat.append(lat)
             self.lon.append(lon)
 
@@ -549,8 +519,8 @@ def parse_vehicle_fixes(stream: IO[str]) -> FixTable:
     lat = np.array(fixes.lat, dtype=np.float64)
     lon = np.array(fixes.lon, dtype=np.float64)
     day, time_s = np.divmod(np.array(fixes.stamp, dtype=np.int64), 86_400)
-    vehicle = _ranks(list(fixes.vehicles.by_name))[np.array(fixes.vehicle, dtype=np.int32)]
-    line = _ranks(list(fixes.lines.by_name))[np.array(fixes.line, dtype=np.int32)]
+    vehicle = _ranks(list(fixes.vehicles))[np.array(fixes.vehicle, dtype=np.int32)]
+    line = _ranks(list(fixes.lines))[np.array(fixes.line, dtype=np.int32)]
     ordinals, day = np.unique(day, return_inverse=True)
     day = day.astype(np.int32)
     # a stable sort: fixes with equal keys keep their input order
@@ -572,8 +542,8 @@ def parse_vehicle_fixes(stream: IO[str]) -> FixTable:
     keep[tie_rows[1:][repeat]] = False  # a stable sort puts the first occurrence first
     rows = rows[keep[rows]]
     return FixTable(
-        vehicle_ids=sorted(fixes.vehicles.by_name),
-        line_codes=sorted(fixes.lines.by_name),
+        vehicle_ids=sorted(fixes.vehicles),
+        line_codes=sorted(fixes.lines),
         days=[date.fromordinal(o) for o in ordinals.tolist()],
         vehicle=vehicle[rows],
         line=line[rows],

@@ -429,7 +429,7 @@ def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.json, "dump", partial_dump)
     with pytest.raises(OSError, match="disk full"):
-        cli._write_manifest(out, cli.load_config(str(config), None, None))
+        cli._write_manifest(out, out, cli.load_config(str(config), None, None))
     assert (out / "manifest.json").read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == names
 
@@ -496,27 +496,6 @@ def test_stages_run_where_files_cannot_be_linked(tmp_path, monkeypatch):
     assert names == sorted(p.name for p in staged.iterdir())
     for name in names:
         assert (staged / name).read_bytes() == (together / name).read_bytes(), name
-
-
-def test_staging_copies_only_artifacts_where_files_cannot_be_linked(tmp_path, monkeypatch):
-    config = write_config(tmp_path)
-    out = tmp_path / "out"
-    assert main(["all", "--config", str(config), "--out", str(out)]) == 0
-    (out / "notes.csv").write_text("what,why\nradius,450 m what-if\n", encoding="utf-8")
-    copied = []
-    copy2 = cli.shutil.copy2
-
-    def refuse(*args, **kwargs):
-        raise OSError("hard links not supported")
-
-    def recording_copy2(src, dst):
-        copied.append(Path(src).name)
-        return copy2(src, dst)
-
-    monkeypatch.setattr(cli.os, "link", refuse)
-    monkeypatch.setattr(cli.shutil, "copy2", recording_copy2)
-    assert main(["cluster", "--config", str(config), "--out", str(out)]) == 0
-    assert sorted(copied) == sorted(ARTIFACTS)
 
 
 def test_stages_after_detect_parse_no_fixes(tmp_path, monkeypatch):

@@ -187,15 +187,36 @@ def test_parse_line_points_boolean_coordinate_rejected(key, value):
         records.parse_line_points(lines_stream(*recs))
 
 
-def test_parse_line_points_conflicting_coordinates_rejected():
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"lat": -25.4001}, "^line 3: stop S1 re-declared 11.1 m away from its first coordinates$"),
+        ({"name": "Other"}, "^line 3: stop S1 re-declared as STREET_STOP 'Other', first declared as STREET_STOP 'name S1'$"),
+        ({"stop_type": "TERMINAL"}, "^line 3: stop S1 re-declared as TERMINAL 'name S1', first declared as STREET_STOP 'name S1'$"),
+    ],
+    ids=["coordinates", "name", "stop_type"],
+)
+def test_parse_line_points_conflicting_coordinates_rejected(change, message):
+    """A stop re-declared elsewhere, or as another stop, would be whichever record came first."""
     recs = [
         _point_record("S1", -25.4, -49.3, seq=1),
         _point_record("S2", -25.5, -49.3, seq=2),
-        _point_record("S1", -25.4001, -49.3, line_code="L2", seq=1),  # ~11 m away
+        _point_record("S1", -25.4, -49.3, line_code="L2", seq=1) | change,
         _point_record("S3", -25.6, -49.3, line_code="L2", seq=2),
     ]
-    with pytest.raises(RecordError, match="re-declared"):
+    with pytest.raises(RecordError, match=message):
         records.parse_line_points(lines_stream(*recs))
+
+
+def test_parse_line_points_stop_type_spelled_two_ways_agrees():
+    recs = [
+        _point_record("S1", -25.4, -49.3, seq=1, stop_type="street stop"),
+        _point_record("S2", -25.5, -49.3, seq=2),
+        _point_record("S1", -25.4, -49.3, line_code="L2", seq=1, stop_type="Street-Stop"),
+        _point_record("S3", -25.6, -49.3, line_code="L2", seq=2),
+    ]
+    stops, _ = records.parse_line_points(lines_stream(*recs))
+    assert [s.stop_type for s in stops] == [StopType.STREET_STOP] * 3
 
 
 def test_parse_line_points_separator_in_stop_id_rejected():
@@ -518,6 +539,12 @@ _MALFORMED = {
     "null coordinate": lambda r: json.dumps(r | {"lat": None}),
     "huge integer latitude": lambda r: json.dumps(r | {"lat": 10**400}),
     "boolean latitude": lambda r: json.dumps(r | {"lat": True}),
+    "non-string dthr": lambda r: json.dumps(r | {"dthr": 5}),
+    "nested too deeply": lambda r: "[" * 100_000,
+    # two faults on one line: the one read first is reported
+    "missing dthr, latitude out of range": lambda r: _without("dthr")(r | {"lat": -95.0}),
+    "bad vehicle_id, latitude out of range": lambda r: json.dumps(r | {"vehicle_id": "V;1", "lat": 95.0}),
+    "missing line_code, boolean longitude": lambda r: _without("line_code")(r | {"lon": True}),
 }
 
 
@@ -561,7 +588,7 @@ _ODD_VALUES = {
     "line_code": ['"L,2"', "3", '"L\\n2"'],
     "lat": ["-0", "5", "1e+16", "-95.0", "NaN", " 12.5", "true", "false"],
     "lon": ["-0", "180.5", "-Infinity", "-49.0E+0", "true", "false"],
-    "dthr": ['"31/02/2024 10:00:00"', '"07/11/2022 24:00:00"', '"07/11/2022 06:60:00"', '"7/11/2022 6:4:51"'],
+    "dthr": ['"31/02/2024 10:00:00"', '"07/11/2022 24:00:00"', '"07/11/2022 06:60:00"', '"7/11/2022 6:4:51"', "5"],
 }
 
 
@@ -735,6 +762,17 @@ def test_load_dataset_refuses_an_id_a_csv_cell_would_quote(tmp_path, monkeypatch
         records.load_dataset(paths["lines"], paths["points"], paths["fixes"])
     assert str(info.value) == f"{name}.ndjson line {line_no}: {field} {value!r} contains {char!r}"
     assert info.value.line_no == line_no
+
+
+@pytest.mark.parametrize("name", ["lines", "points", "fixes"])
+def test_load_dataset_names_a_line_nested_too_deeply(tmp_path, name):
+    paths = _write_dataset(tmp_path, line829_dataset())
+    rows = paths[name].read_text(encoding="utf-8").splitlines()
+    rows.insert(1, "[" * 100_000)  # the lines file holds one line
+    paths[name].write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(RecordError) as info:
+        records.load_dataset(paths["lines"], paths["points"], paths["fixes"])
+    assert str(info.value) == f"{name}.ndjson line 2: invalid JSON: nested too deeply"
 
 
 def test_fixes_report_a_bad_id_and_a_range_error_in_line_order():

@@ -9,7 +9,7 @@ links the corridor end to end. Trips are evaluated with Yen's K-shortest
 paths on both graph variants.
 """
 
-from bustrace.clustering import Candidate, cluster_stops
+from bustrace.clustering import cluster_stops
 from bustrace.routing import add_cluster_transfers, build_graph, evaluate_od, summarize
 from bustrace.synthetic import two_corridor_network, two_corridor_od_pairs
 
@@ -17,9 +17,7 @@ stops, itineraries, bridge_candidates = two_corridor_network()
 print(f"network: {len(stops)} stops, {len(itineraries)} directed itineraries")
 
 g_base = build_graph(itineraries, stops)
-clusters = cluster_stops(
-    [Candidate(stop_id, 3.0 - i) for i, stop_id in enumerate(bridge_candidates)], stops
-)
+clusters = cluster_stops(bridge_candidates, stops)
 print("clusters (virtual terminals):")
 for cluster in clusters:
     print(f"  {cluster.cluster_id}: {cluster.member_list}")

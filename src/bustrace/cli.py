@@ -80,7 +80,7 @@ def _run_stage(
     stage.
     """
     inputs = [
-        products[upstream] if upstream in products else getattr(pipeline, _READERS[upstream])(out_dir, stage)
+        products[upstream] if upstream in products else getattr(pipeline, _READERS[upstream])(out_dir)
         for upstream in _UPSTREAM.get(stage, ())
     ]
     if stage == "validate":
@@ -176,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         record = {
             "error": {
-                "stage": getattr(exc, "stage", running),
+                "stage": running,
                 "type": type(exc).__name__,
                 "message": str(exc),
             }

@@ -1,6 +1,6 @@
 """Greedy clustering of bus stops into virtual terminals.
 
-Candidates (high-availability stops) are consumed in descending order of
+Candidates (high-availability stops) are stop ids ordered by descending
 average bus count; each one anchors a cluster of every stop within the
 walking radius. Clustered candidates leave the candidate list, while
 non-candidate stops may appear in several clusters.
@@ -9,7 +9,7 @@ non-candidate stops may appear in several clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -19,49 +19,39 @@ from .geo import nearest_stops
 from .model import DEFAULT_CLUSTER_RADIUS_M, DEFAULT_SPAN_MINUTES, DEFAULT_WINDOW_MINUTES, BusStop, Cluster, Period
 
 
-class Candidate(NamedTuple):
-    stop_id: str
-    avg_buses: float
-
-
-def build_candidates(
-    outlier_stops: Sequence[str] | set[str], averages: Mapping[str, float]
-) -> list[Candidate]:
-    """Order centroid candidates by descending average, ties by stop id."""
+def build_candidates(outlier_stops: Sequence[str] | set[str], averages: Mapping[str, float]) -> list[str]:
+    """The centroid candidates' stop ids by descending average, ties by stop id."""
     missing = [s for s in outlier_stops if s not in averages]
     if missing:
         raise ValueError(f"no daily average for candidate stops: {sorted(missing)}")
-    return sorted(
-        (Candidate(stop_id, float(averages[stop_id])) for stop_id in set(outlier_stops)),
-        key=lambda c: (-c.avg_buses, c.stop_id),
-    )
+    return sorted(set(outlier_stops), key=lambda stop_id: (-float(averages[stop_id]), stop_id))
 
 
 def cluster_stops(
-    candidates: Sequence[Candidate],
+    candidates: Sequence[str],
     stops: Mapping[str, BusStop],
     radius_m: float = DEFAULT_CLUSTER_RADIUS_M,
 ) -> list[Cluster]:
-    """Run the greedy clustering loop over an ordered candidate list.
+    """Run the greedy clustering loop over an ordered list of candidate stop ids.
 
     Pops the head candidate as centroid, gathers all stops within
     ``radius_m`` (inclusive) as members, then removes clustered candidates
     from the list and repeats until none remain.
     """
-    unknown = [c.stop_id for c in candidates if c.stop_id not in stops]
+    unknown = [stop_id for stop_id in candidates if stop_id not in stops]
     if unknown:
         raise ValueError(f"candidate stops missing from stop table: {unknown}")
 
     queue = list(candidates)
     clusters: list[Cluster] = []
     while queue:
-        centroid = queue[0].stop_id
+        centroid = queue[0]
         within = nearest_stops(stops[centroid].point, stops, radius_m)
         members = frozenset(stop_id for stop_id, _ in within) | {centroid}
         clusters.append(
             Cluster(cluster_id=centroid, centroid_stop_id=centroid, members=members)
         )
-        queue = [c for c in queue[1:] if c.stop_id not in members]
+        queue = [stop_id for stop_id in queue[1:] if stop_id not in members]
     return clusters
 
 

@@ -449,40 +449,19 @@ def evaluate_interpolation_error(
 # ── Tag validity report ─────────────────────────────────────────────────
 
 
-@dataclass(kw_only=True)
-class TagCategoryRow(Tally):
-    """One row of the tag report: the summed tallies of a line category, or TOTAL."""
-
-    category: str
-
-
-@dataclass
-class TagReport:
-    rows: dict[str, TagCategoryRow]
-    total: TagCategoryRow
-    # Marks of rejected and discarded segments stay in every denominator.
-    denominator_note: str = (
-        "valid_pct denominator counts all map-matching marks, including marks "
-        "from rejected or discarded segments"
-    )
-
-
-def tag_report(
-    outcomes: list[GroupOutcome], categories: dict[str, LineCategory]
-) -> TagReport:
-    """Sum each outcome's tally into its line's category row; TOTAL is the
-    sum of the rows.
+def tag_report(outcomes: list[GroupOutcome], categories: dict[str, LineCategory]) -> dict[str, Tally]:
+    """Sum each outcome's tally into its line's category: the categories in
+    name order, then ``"TOTAL"``, the sum of the categories.
 
     Addition is commutative, so outcome order does not affect the report.
     A line without a category is refused.
     """
-    rows: dict[str, TagCategoryRow] = {}
+    tallies: dict[str, Tally] = {}
     for outcome in outcomes:
         if outcome.line_code not in categories:
             raise ValueError(f"line {outcome.line_code} has no record in the lines file")
-        category = categories[outcome.line_code].value
-        rows.setdefault(category, TagCategoryRow(category=category)).add(outcome.tally)
-    total = TagCategoryRow(category="TOTAL")
-    for row in rows.values():
-        total.add(row)
-    return TagReport(rows=dict(sorted(rows.items())), total=total)
+        tallies.setdefault(categories[outcome.line_code].value, Tally()).add(outcome.tally)
+    total = Tally()
+    for tally in tallies.values():
+        total.add(tally)
+    return dict(sorted(tallies.items()), TOTAL=total)

@@ -6,7 +6,8 @@ detected :class:`~bustrace.analytics.PassageTable`, the
 :class:`DailyAverages`, the clusters. No stage reads an artifact; the readers
 :func:`read_detection_rows`, :func:`read_daily_averages` and
 :func:`read_clusters` rebuild a product from its file for a CLI invocation
-that did not run its stage. All outputs are deterministic functions of
+that did not run its stage; a :class:`MissingDependencyError` names the file
+when it is absent. All outputs are deterministic functions of
 (inputs, config, seed): collections are sorted before writing and floats
 use fixed formatting, so repeated runs are byte-identical.
 
@@ -52,7 +53,7 @@ from .records import ID_FORBIDDEN, STOP_ID_SEPARATOR, id_fault, load_dataset
 
 if TYPE_CHECKING:
     from .analytics import PassageTable
-    from .detection import GroupOutcome, TagReport
+    from .detection import GroupOutcome, Tally
 
 DETECTED_FILE = "detected_itineraries.csv"
 # The grammar of DETECTED_FILE: its columns, in PassageTable order, each with
@@ -134,20 +135,11 @@ class DailyAverages(NamedTuple):
     outliers: frozenset[str]
 
 
-class PipelineError(RuntimeError):
-    """A stage-level failure surfaced to the CLI."""
+class MissingDependencyError(RuntimeError):
+    """An artifact a stage reads is not in the output directory."""
 
-    def __init__(self, stage: str, message: str):
-        super().__init__(message)
-        self.stage = stage
-
-
-class MissingDependencyError(PipelineError):
-    def __init__(self, stage: str, artifact: str):
-        super().__init__(
-            stage,
-            f"stage '{stage}' needs artifact '{artifact}'; run the producing stage first",
-        )
+    def __init__(self, artifact: str):
+        super().__init__(f"needs artifact '{artifact}'; run the producing stage first")
 
 
 # ── Configuration ───────────────────────────────────────────────────────
@@ -323,11 +315,11 @@ def read_csv_rows(path: Path) -> tuple[list[str], list[dict[str, str]]]:
         return list(reader.fieldnames or []), list(reader)
 
 
-def _artifact_path(out_dir: Path, name: str, stage: str) -> Path:
-    """The path of the artifact ``name`` that ``stage`` reads; MissingDependencyError if it is absent."""
+def _artifact_path(out_dir: Path, name: str) -> Path:
+    """The path of the artifact ``name`` in ``out_dir``; MissingDependencyError if it is absent."""
     path = out_dir / name
     if not path.is_file():
-        raise MissingDependencyError(stage, name)
+        raise MissingDependencyError(name)
     return path
 
 
@@ -337,13 +329,13 @@ def _check_header(name: str, header: list[str]) -> None:
         raise ValueError(f"{name} has header {header}, expected {expected}")
 
 
-def read_artifact(out_dir: Path, name: str, stage: str, numbers: Sequence[str] = ()) -> list[dict]:
-    """The rows of the artifact ``name`` in ``out_dir``, which ``stage`` reads, the cells of ``numbers`` as floats.
+def read_artifact(out_dir: Path, name: str, numbers: Sequence[str] = ()) -> list[dict]:
+    """The rows of the artifact ``name`` in ``out_dir``, the cells of ``numbers`` as floats.
 
     MissingDependencyError if the file is absent; ValueError if its header is not the one in
     :data:`ARTIFACTS`, or a data row has another number of cells or a cell of ``numbers`` not a finite number.
     """
-    header, rows = read_csv_rows(_artifact_path(out_dir, name, stage))
+    header, rows = read_csv_rows(_artifact_path(out_dir, name))
     _check_header(name, header)
     for row, cells in enumerate(rows, start=1):
         # DictReader files surplus cells under None and fills missing ones with None
@@ -405,8 +397,15 @@ def _clock_texts(seconds: np.ndarray) -> np.ndarray:
     return text.view("S8").ravel().astype(str)
 
 
-def write_detection_artifacts(out_dir: Path, passages: PassageTable, report: TagReport) -> None:
-    """Write the detection CSV, its cells joined as they are, and the tag reports.
+# the note of tags_by_category.csv: marks of rejected and discarded segments stay in every denominator
+TAG_DENOMINATOR_NOTE = (
+    "valid_pct denominator counts all map-matching marks, including marks from rejected or discarded segments"
+)
+
+
+def write_detection_artifacts(out_dir: Path, passages: PassageTable, report: dict[str, Tally]) -> None:
+    """Write the detection CSV, its cells joined as they are, and the tag
+    reports, a row per category of :func:`~bustrace.detection.tag_report`.
 
     A table holding an id that :func:`~bustrace.records.id_fault` refuses raises ValueError.
     """
@@ -435,15 +434,16 @@ def write_detection_artifacts(out_dir: Path, passages: PassageTable, report: Tag
         f.write(",".join(DETECTION_HEADER) + "\n")
         f.writelines(f"{row}\n" for row in map(",".join, zip(*columns)))
 
-    rows = [*report.rows.values(), report.total]
-    tag_notes = {"tags_by_category.csv": [report.denominator_note], "tag_errors_by_category.csv": []}
+    tag_notes = {"tags_by_category.csv": [TAG_DENOMINATOR_NOTE], "tag_errors_by_category.csv": []}
     for name, notes in tag_notes.items():
-        header = ARTIFACTS[name].header
-        write_csv(out_dir, name, [[getattr(r, column) for column in header] for r in rows], notes)
+        columns = ARTIFACTS[name].header[1:]  # after "category"
+        rows = [[category, *(getattr(tally, column) for column in columns)] for category, tally in report.items()]
+        write_csv(out_dir, name, rows, notes)
 
 
-def read_detection_rows(out_dir: Path, stage: str) -> PassageTable:
-    """The passage table of the detection CSV in ``out_dir``.
+def read_detection_rows(out_dir: Path) -> PassageTable:
+    """The passage table of the detection CSV in ``out_dir``;
+    MissingDependencyError if the file is absent.
 
     One regular expression checks every data row against the grammar of
     :data:`DETECTION_COLUMNS`, in place, a block of whole rows at a time; a
@@ -451,7 +451,7 @@ def read_detection_rows(out_dir: Path, stage: str) -> PassageTable:
     is not in the calendar. The bytes are then cut into cells at commas and
     newlines, and each column is converted.
     """
-    raw = _artifact_path(out_dir, DETECTED_FILE, stage).read_bytes()
+    raw = _artifact_path(out_dir, DETECTED_FILE).read_bytes()
     body = raw.find(b"\n") + 1 or len(raw)
     _check_header(DETECTED_FILE, raw[:body].removesuffix(b"\n").decode("utf-8", "replace").split(","))
     block = body
@@ -596,9 +596,9 @@ def run_analyze(out_dir: Path, dataset: Dataset, config: PipelineConfig, passage
     return DailyAverages({key: float(_fmt(value)) for key, value in daily_avg.items()}, frozenset(outliers))
 
 
-def read_daily_averages(out_dir: Path, stage: str) -> DailyAverages:
-    """The :class:`DailyAverages` of :data:`DAILY_AVERAGES_FILE` in ``out_dir``, which ``stage`` reads."""
-    rows = read_artifact(out_dir, DAILY_AVERAGES_FILE, stage, ["daily_avg_buses"])
+def read_daily_averages(out_dir: Path) -> DailyAverages:
+    """The :class:`DailyAverages` of :data:`DAILY_AVERAGES_FILE` in ``out_dir``, read by :func:`read_artifact`."""
+    rows = read_artifact(out_dir, DAILY_AVERAGES_FILE, ["daily_avg_buses"])
     for row, cells in enumerate(rows, start=1):
         if cells["outlier"] not in ("0", "1"):
             raise ValueError(f"{DAILY_AVERAGES_FILE} data row {row}: outlier {cells['outlier']!r} is not 0 or 1")
@@ -669,8 +669,8 @@ def run_cluster(
     return enriched
 
 
-def read_clusters(out_dir: Path, stage: str) -> list[Cluster]:
-    """The clusters of :data:`CLUSTERS_FILE` in ``out_dir``, which ``stage`` reads."""
+def read_clusters(out_dir: Path) -> list[Cluster]:
+    """The clusters of :data:`CLUSTERS_FILE` in ``out_dir``, read by :func:`read_artifact`."""
     return [
         Cluster(
             cluster_id=r["cluster_id"],
@@ -679,7 +679,7 @@ def read_clusters(out_dir: Path, stage: str) -> list[Cluster]:
             lines_served=frozenset(r["lines"].split(";")) if r["lines"] else frozenset(),
             avg_buses=r["avg_buses"],
         )
-        for r in read_artifact(out_dir, CLUSTERS_FILE, stage, ["avg_buses"])
+        for r in read_artifact(out_dir, CLUSTERS_FILE, ["avg_buses"])
     ]
 
 

@@ -379,7 +379,7 @@ def test_passage_table_round_trips_through_the_detection_csv(detections):
     table = PassageTable.from_itineraries(detections)
     with tempfile.TemporaryDirectory() as tmp:
         pipeline.write_detection_artifacts(Path(tmp), table, tag_report([], {}))
-        back = pipeline.read_detection_rows(Path(tmp), "analyze")
+        back = pipeline.read_detection_rows(Path(tmp))
     for name in PASSAGE_COLUMNS:
         assert np.array_equal(back.column(name), table.column(name)), name
         assert np.array_equal(getattr(back, name), getattr(table, name)), name
@@ -423,7 +423,7 @@ def test_detection_csv_reader_reads_hours_past_midnight(tmp_path, quoted):
     assert lines[3].endswith(",S1,25:00:00,OBSERVED")
     lines[3] = lines[3].replace("25:00:00", "100:00:01")
     (tmp_path / pipeline.DETECTED_FILE).write_text("\n".join(lines), encoding="utf-8")  # no last newline
-    table = pipeline.read_detection_rows(tmp_path, "analyze")
+    table = pipeline.read_detection_rows(tmp_path)
     assert table.time_s.tolist() == [18000, 18060, 360001]
     assert table.observed.tolist() == [True, False, True]
     assert table.column("line_code").tolist() == ["L1", "L1", "L2"]
@@ -435,18 +435,18 @@ def test_detection_csv_reader_refuses_a_quoted_cell(tmp_path, cell):
     lines[2] = cell + lines[2][len("L1"):]
     (tmp_path / pipeline.DETECTED_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="^detected_itineraries.csv data row 2[: ]"):
-        pipeline.read_detection_rows(tmp_path, "analyze")
+        pipeline.read_detection_rows(tmp_path)
 
 
 @pytest.mark.parametrize("match_bytes", [1, 40, 1 << 16])
 def test_detection_csv_reader_matches_blocks_of_rows(tmp_path, monkeypatch, match_bytes):
     monkeypatch.setattr(pipeline, "_MATCH_BYTES", match_bytes)
     lines = _small_detection_csv(tmp_path, False)
-    assert pipeline.read_detection_rows(tmp_path, "analyze").time_s.tolist() == [18000, 18060, 90000]
+    assert pipeline.read_detection_rows(tmp_path).time_s.tolist() == [18000, 18060, 90000]
     lines[3] = lines[3].replace("OBSERVED", "OBSERVED;")
     (tmp_path / pipeline.DETECTED_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="^detected_itineraries.csv data row 3: provenance 'OBSERVED;' "):
-        pipeline.read_detection_rows(tmp_path, "analyze")
+        pipeline.read_detection_rows(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -467,7 +467,7 @@ def test_detection_csv_reader_refuses_bad_cells_alike_on_both_paths(tmp_path, co
         text = "\n".join(lines[:3]) if last else "\n".join(lines) + "\n"
         (tmp_path / pipeline.DETECTED_FILE).write_text(text, encoding="utf-8")
         with pytest.raises(ValueError) as caught:
-            pipeline.read_detection_rows(tmp_path, "analyze")
+            pipeline.read_detection_rows(tmp_path)
         messages.add(str(caught.value))
     assert messages == {f"detected_itineraries.csv data row 2: {column} {cell!r} is not "
                         + {"time": "a time HH:MM:SS", "provenance": "OBSERVED or INTERPOLATED",

@@ -20,7 +20,7 @@ from bustrace import analytics, cli, clustering, detection, matching, model, pip
 from bustrace.cli import main
 from bustrace.geo import GeoPoint, offset_point
 from bustrace.model import BusLine, BusStop, Dataset, FixTrack, ItineraryDef, LineCategory, StopType
-from bustrace.pipeline import ARTIFACTS, read_artifact, read_csv_rows, write_csv
+from bustrace.pipeline import ARTIFACTS, read_csv_rows, write_csv
 from bustrace.synthetic import line829_dataset
 
 from conftest import CASE_RESULT
@@ -105,15 +105,20 @@ def test_all_is_deterministic_byte_for_byte(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_route_without_clusters_fails_with_error_record(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "stage, missing",
+    [("route", "clusters.csv"), ("cluster", "detected_itineraries.csv"), ("analyze", "detected_itineraries.csv")],
+)
+def test_route_without_clusters_fails_with_error_record(tmp_path, capsys, stage, missing):
     config = write_config(tmp_path)
     out = tmp_path / "out"
-    code = main(["route", "--config", str(config), "--out", str(out)])
+    code = main([stage, "--config", str(config), "--out", str(out)])
     assert code != 0
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["stage"] == stage
     assert record["error"]["type"] == "MissingDependencyError"
-    assert "clusters.csv" in record["error"]["message"]
-    assert not list(out.glob("od_*.csv"))
+    assert missing in record["error"]["message"]
+    assert not any((out / name).exists() for name in ARTIFACTS)
 
 
 def test_failed_stage_of_all_is_named(tmp_path, capsys, monkeypatch):
@@ -480,24 +485,6 @@ def test_stage_by_stage_writes_the_bytes_of_all(tmp_path, variant):
         assert (staged / name).read_bytes() == (together / name).read_bytes(), name
 
 
-def test_stages_run_where_files_cannot_be_linked(tmp_path, monkeypatch):
-    config = write_config(tmp_path)
-    together = tmp_path / "all"
-    assert main(["all", "--config", str(config), "--out", str(together)]) == 0
-
-    def refuse(*args, **kwargs):
-        raise OSError("hard links not supported")
-
-    monkeypatch.setattr(cli.os, "link", refuse)
-    staged = tmp_path / "staged"
-    for stage in ("validate", "detect", "analyze", "cluster", "route"):
-        assert main([stage, "--config", str(config), "--out", str(staged)]) == 0, stage
-    names = sorted(p.name for p in together.iterdir())
-    assert names == sorted(p.name for p in staged.iterdir())
-    for name in names:
-        assert (staged / name).read_bytes() == (together / name).read_bytes(), name
-
-
 def test_stages_after_detect_parse_no_fixes(tmp_path, monkeypatch):
     config = write_config(tmp_path)
     out = tmp_path / "out"
@@ -854,8 +841,8 @@ def test_cluster_average_is_the_mean_of_its_single_day_values(tmp_path):
     config = write_config(tmp_path, two_different_days())
     out = tmp_path / "out"
     assert main(["all", "--config", str(config), "--out", str(out)]) == 0
-    clusters = pipeline.read_clusters(out, "cluster")
-    passages = pipeline.read_detection_rows(out, "cluster")
+    clusters = pipeline.read_clusters(out)
+    passages = pipeline.read_detection_rows(out)
     days = np.unique(passages.day)
     assert len(clusters) > 1 and len(days) == 2
     per_day = []
@@ -1035,13 +1022,13 @@ def test_what_a_stage_hands_on_equals_what_a_lone_stage_reads(
     assert main(["all", "--config", str(config), "--out", str(out)]) == 0
     assert len(products["run_analyze"].outliers) == n_outliers
     # the averages compare as floats, exactly
-    assert products["run_analyze"] == pipeline.read_daily_averages(out, "cluster")
+    assert products["run_analyze"] == pipeline.read_daily_averages(out)
 
     def fields(clusters):
         return [(c.cluster_id, c.centroid_stop_id, c.members, c.lines_served) for c in clusters]
 
     assert len(products["run_cluster"]) == n_clusters
-    assert fields(products["run_cluster"]) == fields(pipeline.read_clusters(out, "route"))
+    assert fields(products["run_cluster"]) == fields(pipeline.read_clusters(out))
 
 
 def test_candidates_tied_at_six_decimals_go_to_the_lower_id(tmp_path):
@@ -1075,7 +1062,7 @@ def test_candidates_tied_at_six_decimals_go_to_the_lower_id(tmp_path):
     )
     config = pipeline.PipelineConfig(span_minutes=(0, 1440), window_minutes=1)
     analyzed = pipeline.run_analyze(tmp_path, dataset, config, passages)
-    for product in (analyzed, pipeline.read_daily_averages(tmp_path, "cluster")):
+    for product in (analyzed, pipeline.read_daily_averages(tmp_path)):
         clusters = pipeline.run_cluster(tmp_path, dataset, config, passages, product)
         assert [c.centroid_stop_id for c in clusters] == ["S1"]
     assert analyzed.outliers == {"S1", "S2"}

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from bustrace.analytics import PassageTable
 from bustrace.clustering import (
-    Candidate,
     Cluster,
     build_candidates,
     cluster_stats,
@@ -31,21 +30,19 @@ def _field(coords):
 
 
 def test_candidates_singleton():
-    assert build_candidates(["A"], {"A": 4.0}) == [Candidate("A", 4.0)]
+    assert build_candidates(["A"], {"A": 4.0}) == ["A"]
 
 
 def test_candidates_tie_breaks_by_stop_id():
     got = build_candidates(["B", "A"], {"A": 4.0, "B": 4.0})
-    assert got == [Candidate("A", 4.0), Candidate("B", 4.0)]
+    assert got == ["A", "B"]
 
 
 def test_candidates_sorted_against_oracle():
     rng = np.random.default_rng(0)
     averages = {f"S{i}": float(rng.integers(0, 5)) for i in range(10)}
     got = build_candidates(list(averages), averages)
-    expected = sorted(
-        (Candidate(k, v) for k, v in averages.items()), key=lambda c: (-c.avg_buses, c.stop_id)
-    )
+    expected = sorted(averages, key=lambda stop_id: (-averages[stop_id], stop_id))
     assert got == expected
 
 
@@ -63,7 +60,7 @@ def test_candidates_empty():
 
 def test_single_candidate_no_neighbors():
     stops = _field({"A": (0, 0), "B": (2000, 0)})
-    clusters = cluster_stops([Candidate("A", 1.0)], stops)
+    clusters = cluster_stops(["A"], stops)
     assert len(clusters) == 1
     assert clusters[0].centroid_stop_id == "A"
     assert clusters[0].members == {"A"}
@@ -73,14 +70,14 @@ def test_boundary_distance_is_inclusive():
     stops = _field({"A": (0, 0), "B": (600, 0)})
     d = haversine_distance(stops["A"], stops["B"])
     assert d == pytest.approx(600.0, abs=0.01)
-    clusters = cluster_stops([Candidate("A", 1.0)], stops, radius_m=d)
+    clusters = cluster_stops(["A"], stops, radius_m=d)
     assert clusters[0].members == {"A", "B"}
 
 
 def test_collinear_candidates_share_middle_stop():
     # A, B, C spaced 500 m apart; all three are candidates ordered A, B, C.
     stops = _field({"A": (0, 0), "B": (500, 0), "C": (1000, 0)})
-    candidates = [Candidate("A", 3.0), Candidate("B", 2.0), Candidate("C", 1.0)]
+    candidates = ["A", "B", "C"]
     clusters = cluster_stops(candidates, stops)
     # A consumes B (within 600 m); C is 1000 m away and seeds its own
     # cluster, which re-includes B because membership scans all stops.
@@ -95,13 +92,13 @@ def _literal_greedy(candidates, stops, radius):
     remaining = list(candidates)
     clusters = []
     while remaining:
-        centroid = remaining[0].stop_id
+        centroid = remaining[0]
         cluster = {centroid}
         for stop_id in stops:
             if haversine_distance(stops[centroid], stops[stop_id]) <= radius:
                 cluster.add(stop_id)
         clusters.append((centroid, frozenset(cluster)))
-        remaining = [c for c in remaining if c.stop_id not in cluster]
+        remaining = [stop_id for stop_id in remaining if stop_id not in cluster]
     return clusters
 
 
@@ -125,13 +122,13 @@ def test_random_instances_match_literal_stepthrough():
         for c in got:
             for member in c.members:
                 assert haversine_distance(stops[c.centroid_stop_id], stops[member]) <= 600.0
-        remaining = {c.stop_id for c in candidates}
+        remaining = set(candidates)
         for c in got:
             consumed = c.members & remaining
             assert c.centroid_stop_id in consumed
             remaining -= consumed
         assert not remaining
-        assert got[0].centroid_stop_id == candidates[0].stop_id
+        assert got[0].centroid_stop_id == candidates[0]
 
 
 def test_clustering_deterministic():
@@ -150,7 +147,7 @@ def test_clustering_deterministic():
 def test_unknown_candidate_rejected():
     stops = _field({"A": (0, 0), "B": (100, 0)})
     with pytest.raises(ValueError, match="missing from stop table"):
-        cluster_stops([Candidate("Z", 1.0)], stops)
+        cluster_stops(["Z"], stops)
 
 
 # ── cluster_stats ───────────────────────────────────────────────────────
@@ -173,7 +170,7 @@ def _passages(rows):
 
 def test_stats_empty_cluster_zeroes():
     stops = _field({"A": (0, 0)})
-    clusters = cluster_stops([Candidate("A", 1.0)], stops)
+    clusters = cluster_stops(["A"], stops)
     enriched, scatter, _ = cluster_stats(clusters, _passages([]))
     assert enriched[0].avg_buses == 0.0
     assert enriched[0].lines_served == frozenset()
@@ -185,7 +182,7 @@ def test_stats_distinct_vehicles_counted_once_per_window():
     # one bus touches both member stops 60 s apart: one bus per window,
     # not two passages
     stops = _field({"A": (0, 0), "B": (300, 0)})
-    clusters = cluster_stops([Candidate("A", 1.0)], stops)
+    clusters = cluster_stops(["A"], stops)
     passages = _passages([("A", 36000, "BUS1", "L1"), ("B", 36060, "BUS1", "L1")])
     window, span = DEFAULT_WINDOW_MINUTES, DEFAULT_SPAN_MINUTES
     counts = distinct_vehicle_counts(passages, passages.at_stops(clusters[0].member_list), window, span)
@@ -245,7 +242,7 @@ def test_distinct_vehicle_counts_equal_a_brute_force_set_count(case):
 def test_stats_scatter_matches_closed_form():
     coords = {f"C{i}": (i * 5000.0, 0.0) for i in range(5)}
     stops = _field(coords)
-    clusters = cluster_stops([Candidate(f"C{i}", 5.0 - i) for i in range(5)], stops)
+    clusters = cluster_stops([f"C{i}" for i in range(5)], stops)
     rows = []
     for i in range(5):
         for line in range(i + 1):  # cluster i sees i+1 lines

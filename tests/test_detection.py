@@ -603,18 +603,18 @@ def test_tag_report_all_clean():
     iti = _iti(["A", "B", "C"])
     marks = [("A", 0), ("B", 60), ("C", 120)]
     report = tag_report([_outcome(marks, iti)], CATEGORIES)
-    row = report.rows["ALIMENTADOR"]
+    row = report["ALIMENTADOR"]
     assert row.valid_pct == 100.0
     assert row.out_of_order == 0
     assert row.missing == 0
-    assert report.total.valid_tags == 3
+    assert report["TOTAL"].valid_tags == 3
 
 
 def test_tag_report_counts_injected_spurious_mark():
     iti = _iti(["A", "B", "C"])
     marks = [("A", 0), ("C", 30), ("B", 60), ("C", 120)]
     report = tag_report([_outcome(marks, iti)], CATEGORIES)
-    row = report.rows["ALIMENTADOR"]
+    row = report["ALIMENTADOR"]
     assert row.out_of_order == 1
     assert row.valid_tags == 4  # the dropped mark still belongs to a valid trip
     assert row.valid_pct == 100.0
@@ -624,7 +624,7 @@ def test_tag_report_counts_missing_stops():
     iti = _iti(["A", "B", "C", "D"])
     marks = [("A", 0), ("C", 60), ("D", 120)]
     report = tag_report([_outcome(marks, iti)], CATEGORIES)
-    row = report.rows["ALIMENTADOR"]
+    row = report["ALIMENTADOR"]
     assert row.missing == 1
     assert row.valid_tags == 3
 
@@ -638,7 +638,7 @@ def test_tag_report_chained_circular_passes_stay_at_100_pct():
     marks += [(s, 300 + 60 * i) for i, s in enumerate(loop)]
     marks.append(("T", 600))
     report = tag_report([_outcome(marks, iti)], CATEGORIES)
-    row = report.rows["ALIMENTADOR"]
+    row = report["ALIMENTADOR"]
     assert row.total_marks == 11
     assert row.valid_tags == 11
     assert row.valid_pct == 100.0
@@ -651,18 +651,19 @@ def test_tag_report_rejected_marks_stay_in_denominator():
     report = tag_report(
         [_outcome(good, iti), _outcome(bad, _iti(["A", "B", "C"], line_code="L2"))], CATEGORIES
     )
-    assert report.rows["EXPRESSO"].valid_tags == 0
-    assert report.rows["EXPRESSO"].rejected_segments == 1
-    assert report.rows["EXPRESSO"].rejected_marks == 2
-    assert report.total.total_marks == 5
-    assert report.total.valid_pct == pytest.approx(100.0 * 3 / 5)
+    assert report["EXPRESSO"].valid_tags == 0
+    assert report["EXPRESSO"].rejected_segments == 1
+    assert report["EXPRESSO"].rejected_marks == 2
+    assert report["TOTAL"].total_marks == 5
+    assert report["TOTAL"].valid_pct == pytest.approx(100.0 * 3 / 5)
 
 
 @given(st.lists(st.tuples(_vehicle_days(), st.sampled_from(["L1", "L2", "L3"])), min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_tallies_conserve_marks(cases):
     """Each group's marks are valid, rejected or discarded, each once, and
-    every TOTAL count is the sum of the category rows' counts."""
+    every TOTAL count, after the categories in name order, is the sum of
+    the categories' counts."""
     categories = CATEGORIES | {"L3": LineCategory.ALIMENTADOR}  # two lines share a row
     outcomes = []
     for (itinerary, stop_times), line_code in cases:
@@ -672,6 +673,9 @@ def test_tallies_conserve_marks(cases):
         assert tally.valid_tags + tally.rejected_marks + tally.discarded_marks == tally.total_marks == len(stop_times)
         outcomes.append(outcome)
     report = tag_report(outcomes, categories)
+    *names, last = report
+    assert names == sorted(names) and last == "TOTAL"
+    total = report.pop("TOTAL")
     for field in fields(Tally):
-        assert getattr(report.total, field.name) == sum(getattr(row, field.name) for row in report.rows.values())
-    assert report.total.total_marks == sum(len(stop_times) for (_, stop_times), _ in cases)
+        assert getattr(total, field.name) == sum(getattr(tally, field.name) for tally in report.values())
+    assert total.total_marks == sum(len(stop_times) for (_, stop_times), _ in cases)

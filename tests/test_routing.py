@@ -5,7 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from bustrace.clustering import Candidate, Cluster, cluster_stops
+from bustrace.clustering import Cluster, cluster_stops
 from bustrace.geo import GeoPoint, haversine_distance, offset_point
 from bustrace.model import BusStop, ItineraryDef, StopType
 from bustrace.pipeline import ARTIFACTS
@@ -547,7 +547,7 @@ def test_trip_distance_is_minimum_of_sorted_alternatives():
 def test_transfer_counting_ignores_walks_and_access():
     stops, itineraries, bridges = two_corridor_network()
     g = build_graph(itineraries, stops)
-    clusters = cluster_stops([Candidate(b, 3.0 - i) for i, b in enumerate(bridges)], stops)
+    clusters = cluster_stops(bridges, stops)
     gc = add_cluster_transfers(g, clusters)
     pair = two_corridor_od_pairs(1, seed=11)[0]
     trip = evaluate_trip(gc, pair, k=5)
@@ -559,7 +559,7 @@ def test_transfer_counting_ignores_walks_and_access():
 def test_evaluate_od_superset_dominance_sample():
     stops, itineraries, bridges = two_corridor_network()
     g = build_graph(itineraries, stops)
-    clusters = cluster_stops([Candidate(b, 3.0 - i) for i, b in enumerate(bridges)], stops)
+    clusters = cluster_stops(bridges, stops)
     gc = add_cluster_transfers(g, clusters)
     pairs = two_corridor_od_pairs(40, seed=8)
     trips = evaluate_od(pairs, g, gc, k=1)
@@ -593,9 +593,7 @@ def _program_networks():
     """(name, stops, itineraries, clusters) of the fixtures the routing tests use."""
     yield "street_grid", *_grid_network()
     stops, itineraries, bridges = two_corridor_network()
-    yield "two_corridor", stops, itineraries, cluster_stops(
-        [Candidate(b, 3.0 - i) for i, b in enumerate(bridges)], stops
-    )
+    yield "two_corridor", stops, itineraries, cluster_stops(bridges, stops)
     dataset = line829_dataset()
     yield "line829", dataset.stops, dataset.itineraries, [_cluster(sorted(dataset.stops)[:3])]
 

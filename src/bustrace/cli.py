@@ -30,7 +30,6 @@ from .model import Dataset
 from .pipeline import (
     ARTIFACTS,
     PipelineConfig,
-    atomic_write,
     run_analyze,
     run_cluster,
     run_detection,
@@ -57,13 +56,11 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def load_config(path: str, seed: int | None, jobs: int | None) -> PipelineConfig:
+def load_config(path: str, jobs: int | None) -> PipelineConfig:
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: the config is not a JSON object")
-    if seed is not None:
-        data["seed"] = seed
     if jobs is not None:
         data["jobs"] = jobs
     return PipelineConfig.from_mapping(data)
@@ -99,10 +96,8 @@ def _run_stage(
         products[stage] = run_analyze(staging, dataset, config, *inputs)
     elif stage == "cluster":
         products[stage] = run_cluster(staging, dataset, config, *inputs)
-    elif stage == "route":
+    else:  # route
         run_route(staging, dataset, config, *inputs)
-    else:
-        raise ValueError(f"unknown stage: {stage}")
 
 
 def _write_manifest(out_dir: Path, staging: Path, config: PipelineConfig) -> None:
@@ -123,7 +118,7 @@ def _write_manifest(out_dir: Path, staging: Path, config: PipelineConfig) -> Non
         "inputs": inputs,
         "artifacts": artifacts,
     }
-    with atomic_write(staging / MANIFEST_FILE) as f:
+    with open(staging / MANIFEST_FILE, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -137,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON configuration file")
     common.add_argument("--out", required=True, help="output directory for artifacts")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--jobs", type=int, default=None, help="must be 1: detection runs in one process")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -159,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     staging = None
     running = args.command  # the stage named in an error record
     try:
-        config = load_config(args.config, args.seed, args.jobs)
+        config = load_config(args.config, args.jobs)
         stages = list(_STAGES) if args.command == "all" else [args.command]
         dataset = config.load_inputs(with_fixes=not _FIX_STAGES.isdisjoint(stages))
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -187,7 +181,3 @@ def main(argv: list[str] | None = None) -> int:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,14 +22,12 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import os
 import re
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -275,27 +273,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@contextmanager
-def atomic_write(path: Path, newline: str | None = None) -> Iterator[IO[str]]:
-    """Open a text file that replaces ``path`` only once it is fully written.
-
-    The bytes go to ``.<name>.tmp`` beside ``path``, which is renamed over
-    ``path`` on success and removed on error, so a failed write leaves the
-    previous file as it was.
-    """
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def write_csv(out_dir: Path, name: str, rows: Iterable[Sequence], notes: Sequence[str] = ()) -> None:
     """Write the artifact ``name`` into ``out_dir``: its notes, its header in :data:`ARTIFACTS`, its rows."""
-    with atomic_write(out_dir / name, newline="") as f:
+    with open(out_dir / name, "w", newline="", encoding="utf-8") as f:
         for note in notes:
             f.write(f"# {note}\n")
         writer = csv.writer(f, lineterminator="\n")
@@ -430,7 +410,7 @@ def write_detection_artifacts(out_dir: Path, passages: PassageTable, report: dic
         _clock_texts(times)[time_rows].tolist(),
         np.where(passages.observed, Provenance.OBSERVED.value, Provenance.INTERPOLATED.value).tolist(),
     ]
-    with atomic_write(out_dir / DETECTED_FILE, newline="") as f:
+    with open(out_dir / DETECTED_FILE, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(DETECTION_HEADER) + "\n")
         f.writelines(f"{row}\n" for row in map(",".join, zip(*columns)))
 

@@ -27,7 +27,7 @@ from bustrace.analytics import (
     restrict_to_period,
 )
 from bustrace import pipeline
-from bustrace.detection import DetectedItinerary, parse_time_of_day, round_to_second, tag_report
+from bustrace.detection import DetectedItinerary, format_time_of_day, parse_time_of_day, round_to_second, tag_report
 from bustrace.model import DEFAULT_PERIODS, BusStop, StopType
 
 SPAN = (300, 1380)
@@ -393,6 +393,29 @@ def test_passage_table_round_trips_through_the_detection_csv(detections):
     assert table.trip.tolist() == [trip_of[i] for i, size in enumerate(sizes) for _ in range(size)]
     assert table.time_s.tolist() == [_to_odd_second(t) for det in detections for t in det.time_s.tolist()]
     assert table.observed.tolist() == [o for det in detections for o in det.observed.tolist()]
+
+
+def test_detection_csv_round_trips_hours_of_three_digits_and_more(tmp_path):
+    times = [0, 86399, 359999, 360000, 3599999, 123456789]
+    table = PassageTable.from_columns(
+        line_code=["L1"] * 6,
+        direction=["A"] * 6,
+        vehicle_id=["V1"] * 6,
+        day=["2022-11-07"] * 6,
+        trip=[1] * 6,
+        position=range(1, 7),
+        stop_id=[f"S{i}" for i in range(6)],
+        time_s=times,
+        observed=[True] * 6,
+    )
+    pipeline.write_detection_artifacts(tmp_path, table, tag_report([], {}))
+    _, rows = pipeline.read_csv_rows(tmp_path / pipeline.DETECTED_FILE)
+    texts = ["00:00:00", "23:59:59", "99:59:59", "100:00:00", "999:59:59", "34293:33:09"]
+    assert [row["time"] for row in rows] == texts
+    assert pipeline.read_detection_rows(tmp_path).time_s.tolist() == times
+    # past 99 hours every time takes the slow path; below, the byte layout
+    for seconds in (times, times[:3]):
+        assert pipeline._clock_texts(np.array(seconds)).tolist() == [format_time_of_day(t) for t in seconds]
 
 
 def _small_detection_csv(directory: Path, quoted: bool) -> list[str]:

@@ -132,19 +132,57 @@ def test_failed_stage_of_all_is_named(tmp_path, capsys, monkeypatch):
     assert error == {"stage": "route", "type": "RuntimeError", "message": "routing failed"}
 
 
-def test_failed_rerun_keeps_the_previous_output(tmp_path, monkeypatch):
+def _fail_in_a_stage(monkeypatch, out):
+    def fail(*args, **kwargs):
+        raise RuntimeError("routing failed")
+
+    monkeypatch.setattr(routing, "evaluate_od", fail)
+
+
+def _fail_partway_through_a_csv(monkeypatch, out):
+    """The 51st cell formatted falls in availability_by_category.csv on the line829 config."""
+    real_fmt, calls = pipeline._fmt, []
+
+    def fmt(value):
+        calls.append(value)
+        if len(calls) == 51:
+            assert [p.name for p in out.glob(".staging.*/availability_by_category.csv")]
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_fmt(value)
+
+    monkeypatch.setattr(pipeline, "_fmt", fmt)
+
+
+def _fail_partway_through_the_manifest(monkeypatch, out):
+    def partial_dump(obj, f, **kwargs):
+        f.write('{"config": ')
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", partial_dump)
+
+
+@pytest.mark.parametrize(
+    "arrange, error",
+    [
+        (_fail_in_a_stage, {"stage": "route", "type": "RuntimeError"}),
+        (_fail_partway_through_a_csv, {"stage": "analyze", "type": "OSError"}),
+        (_fail_partway_through_the_manifest, {"stage": "all", "type": "OSError"}),
+    ],
+    ids=["stage", "csv", "manifest"],
+)
+def test_failed_rerun_keeps_the_previous_output(tmp_path, capsys, monkeypatch, arrange, error):
     config = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["all", "--config", str(config), "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     beside = sorted(p.name for p in tmp_path.iterdir())
     assert beside == ["config.json", "fixes.ndjson", "lines.ndjson", "out", "points.ndjson"]
+    capsys.readouterr()
 
-    def fail(*args, **kwargs):
-        raise RuntimeError("routing failed")
-
-    monkeypatch.setattr(routing, "evaluate_od", fail)
+    arrange(monkeypatch, out)
     assert main(["all", "--config", str(config), "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert {key: record[key] for key in error} == error
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == beside
 
@@ -178,16 +216,12 @@ def test_a_run_writes_only_inside_its_output_directory(tmp_path, monkeypatch):
     assert all((out / name).is_file() for name in names)
 
 
-def test_seed_flag_overrides_config(tmp_path):
+def test_manifest_records_the_config_seed(tmp_path):
     config = write_config(tmp_path, seed=1)
     out = tmp_path / "out"
     assert main(["detect", "--config", str(config), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 1
-
-    assert main(["detect", "--config", str(config), "--out", str(out), "--seed", "99"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 99
 
 
 def test_manifest_lists_every_artifact_with_digest(tmp_path):
@@ -252,6 +286,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ({"lines_file": 5}, "lines_file"),
         ({"fixes_file": True}, "fixes_file"),
         ({"line_points_file": ["points.ndjson"]}, "line_points_file"),
+        ({"k_paths": 0}, "k_paths"),
+        ({"idle_gap_min": 0}, "idle_gap_min"),
+        ({"fixes_file": ""}, "fixes_file"),
     ],
     ids=[
         "span", "window", "window_set", "period", "od_pairs", "nan_radius", "inf_radius", "nan_jitter",
@@ -261,7 +298,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         "period_one_bound", "period_three_bounds", "full_day_period", "negative_seed",
         "bool_cluster_radius", "bool_acceptance_radius", "bool_od_search_radius", "bool_jitter",
         "string_cluster_radius", "null_jitter", "list_od_search_radius", "bool_jobs", "float_jobs",
-        "int_lines_file", "bool_fixes_file", "list_line_points_file",
+        "int_lines_file", "bool_fixes_file", "list_line_points_file", "zero_k", "zero_idle_gap",
+        "empty_fixes_file",
     ],
 )
 def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys, overrides, key):
@@ -319,7 +357,7 @@ def test_idle_gap_min_reaches_segmentation(tmp_path, idle_gap_min, trips, discar
     assert int(tallies[-1]["discarded_segments"]) == discarded
 
 
-@pytest.mark.parametrize("text, flags", [("[]", ["--seed", "3"]), ('"lines_file"', [])], ids=["list", "string"])
+@pytest.mark.parametrize("text, flags", [("[]", ["--jobs", "1"]), ('"lines_file"', [])], ids=["list", "string"])
 def test_config_that_is_not_a_json_object_is_refused_by_name(tmp_path, capsys, text, flags):
     config = tmp_path / "config.json"
     config.write_text(text, encoding="utf-8")
@@ -403,40 +441,6 @@ def two_days(dataset: Dataset) -> Dataset:
     for (vehicle, line, day), track in dataset.fixes.items():
         fixes[(vehicle, line, day + timedelta(days=1))] = track
     return replace(dataset, fixes=fixes)
-
-
-def _rows_then_failure():
-    yield ("a", 1.0)
-    yield ("b", 2.0)
-    raise RuntimeError("row source failed")
-
-
-def test_failed_csv_write_keeps_previous_file(tmp_path):
-    path = tmp_path / "sync_summary.csv"
-    write_csv(tmp_path, path.name, [("old", 10, 0.5)])
-    before = path.read_bytes()
-    with pytest.raises(RuntimeError, match="row source failed"):
-        write_csv(tmp_path, path.name, _rows_then_failure())
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["sync_summary.csv"]
-
-
-def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
-    config = write_config(tmp_path)
-    out = tmp_path / "out"
-    assert main(["detect", "--config", str(config), "--out", str(out)]) == 0
-    names = sorted(p.name for p in out.iterdir())
-    before = (out / "manifest.json").read_bytes()
-
-    def partial_dump(obj, f, **kwargs):
-        f.write('{"config": ')
-        raise OSError("disk full")
-
-    monkeypatch.setattr(cli.json, "dump", partial_dump)
-    with pytest.raises(OSError, match="disk full"):
-        cli._write_manifest(out, out, cli.load_config(str(config), None, None))
-    assert (out / "manifest.json").read_bytes() == before
-    assert sorted(p.name for p in out.iterdir()) == names
 
 
 def test_hash_prefixed_values_survive_csv_read_back(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bustrace import pipeline
 from bustrace.analytics import PassageTable
 from bustrace.clustering import (
     Cluster,
@@ -12,7 +13,7 @@ from bustrace.clustering import (
     distinct_vehicle_counts,
 )
 from bustrace.geo import GeoPoint, haversine_distance, offset_point
-from bustrace.model import DEFAULT_SPAN_MINUTES, DEFAULT_WINDOW_MINUTES, BusStop, StopType
+from bustrace.model import DEFAULT_SPAN_MINUTES, DEFAULT_WINDOW_MINUTES, BusStop, Dataset, StopType
 
 ORIGIN = GeoPoint(-25.45, -49.30)
 
@@ -176,6 +177,17 @@ def test_stats_empty_cluster_zeroes():
     assert enriched[0].lines_served == frozenset()
     assert scatter.r is None and scatter.p_value is None
     assert scatter.n_clusters == 1
+
+
+def test_cluster_stage_writes_no_pair_of_a_cluster_with_one_member_seen(tmp_path):
+    # U joins A's cluster but no bus passes it: the cluster has no pair of stops to correlate
+    stops = _field({"A": (0, 0), "U": (200, 0)})
+    passages = _passages([("A", 6 * 3600 + 600 * i, f"V{i % 2}", "L") for i in range(6)])
+    analyzed = pipeline.DailyAverages({"A": 2.0}, frozenset({"A"}))
+    pipeline.run_cluster(tmp_path, Dataset(stops=stops), pipeline.PipelineConfig(), passages, analyzed)
+    assert (tmp_path / pipeline.CLUSTERS_FILE).read_text(encoding="utf-8").splitlines()[2:] == ["A,A,2,0,1,0.056022,A;U,L"]
+    for name in ("cluster_stop_correlations.csv", "sync_profiles.csv", "sync_summary.csv"):
+        assert (tmp_path / name).read_text(encoding="utf-8") == ",".join(pipeline.ARTIFACTS[name].header) + "\n"
 
 
 def test_stats_distinct_vehicles_counted_once_per_window():

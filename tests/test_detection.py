@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bustrace import pipeline
 from bustrace.detection import (
     Provenance,
     Tally,
@@ -656,6 +657,20 @@ def test_tag_report_rejected_marks_stay_in_denominator():
     assert report["EXPRESSO"].rejected_marks == 2
     assert report["TOTAL"].total_marks == 5
     assert report["TOTAL"].valid_pct == pytest.approx(100.0 * 3 / 5)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 19: a two-way line's marks are tallied once per itinerary, so each passage counts twice",
+)
+def test_each_passage_of_a_two_way_line_is_one_mark():
+    dataset = straight_line_dataset(n_stops=20, n_trips=30)
+    [east] = dataset.itineraries
+    west = replace(east, direction="WEST", stops=tuple(enumerate((s for _, s in reversed(east.stops)), start=1)))
+    dataset = replace(dataset, itineraries=[east, west])
+    outcomes = pipeline.run_detection(dataset, pipeline.PipelineConfig())
+    report = tag_report(outcomes, {line.code: line.category for line in dataset.lines.values()})
+    assert report["TOTAL"].total_marks == 30 * 20  # one mark per true passage
 
 
 @given(st.lists(st.tuples(_vehicle_days(), st.sampled_from(["L1", "L2", "L3"])), min_size=1, max_size=4))

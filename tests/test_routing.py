@@ -556,6 +556,25 @@ def test_transfer_counting_ignores_walks_and_access():
     assert summarize([trip]).mean_transfers == 3
 
 
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: cluster walks chain stop to stop and may start or end a trip"
+)
+def test_a_cluster_walk_joins_two_rides():
+    # A, B and C lie on a street 500 m apart; L1 goes round by P and Q, 800 m north
+    street = [_stop("A", 0, 0), _stop("B", 500, 0), _stop("C", 1000, 0)]
+    stops = {s.stop_id: s for s in [*street, _stop("P", 0, 800), _stop("Q", 1000, 800)]}
+    g = build_graph([_iti("L1", ["A", "P", "Q", "C"])], stops)
+    g = add_cluster_transfers(g, [_cluster({"A", "B"}), _cluster({"B", "C"})])
+    pair = ODPair(GeoPoint(stops["A"].lat, stops["A"].lon), GeoPoint(stops["C"].lat, stops["C"].lon))
+    trip = evaluate_trip(g, pair, k=3, radius_m=100)
+    assert trip
+    for _, path in trip:
+        # step i is a walk when it joins two stop nodes; steps 0 and len - 2 are access
+        walks = [i for i, (a, b) in enumerate(zip(path, path[1:])) if a[0] == b[0] == "stop"]
+        assert not any(j == i + 1 for i, j in zip(walks, walks[1:])), path
+        assert 1 not in walks and len(path) - 3 not in walks, path
+
+
 def test_evaluate_od_superset_dominance_sample():
     stops, itineraries, bridges = two_corridor_network()
     g = build_graph(itineraries, stops)

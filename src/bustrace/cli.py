@@ -6,8 +6,9 @@ file: ``validate``, ``detect``, ``analyze``, ``cluster``, ``route``, and
 effective configuration, seed, and content digests. A run writes into a
 staging directory inside the output directory and moves its artifacts and
 manifest out of it only once every stage has succeeded, so a failed run
-leaves the output directory's files as they were; a machine-readable error
-record then goes to stderr.
+leaves the output directory's files as they were, and removes the
+directories it created; a machine-readable error record then goes to
+stderr.
 
 Importing this module loads the configuration, the data model and the
 ingest, not the stages: each stage loads its modules when it runs.
@@ -16,6 +17,7 @@ ingest, not the stages: each stage loads its modules when it runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -151,11 +153,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     staging = None
+    made: list[Path] = []  # the directories this run creates, innermost first
+    status = 1
     running = args.command  # the stage named in an error record
     try:
         config = load_config(args.config, args.jobs)
         stages = list(_STAGES) if args.command == "all" else [args.command]
         dataset = config.load_inputs(with_fixes=not _FIX_STAGES.isdisjoint(stages))
+        made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
         # inside out_dir, so on its file system, where os.replace moves the run's files out
         staging = Path(tempfile.mkdtemp(prefix=".staging.", dir=out_dir))
@@ -167,6 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         produced = [name for name, artifact in ARTIFACTS.items() if artifact.stage in stages]
         for name in [*produced, MANIFEST_FILE]:
             os.replace(staging / name, out_dir / name)
+        status = 0
     except Exception as exc:
         record = {
             "error": {
@@ -176,8 +182,11 @@ def main(argv: list[str] | None = None) -> int:
             }
         }
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 1
     finally:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
-    return 0
+        if status:
+            for path in made:  # rmdir removes only a directory left empty
+                with contextlib.suppress(OSError):
+                    path.rmdir()
+    return status

@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import sys
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,21 +232,18 @@ def _shortest_path(
     source: int,
     target: int,
     blocked: bytearray,
-    banned_next: Collection[int],
+    source_out: Mapping[int, float],
     limit: float,
 ) -> list[int] | None:
     """Dijkstra from source to target; the node path, or None.
 
     ``blocked`` marks the banned nodes and is used, and filled, as the
-    done set. Edges from the source to ``banned_next`` are skipped; every
-    banned edge of a spur search leaves the spur node. A label is dropped
-    when it plus the node's distance to the target exceeds ``limit``:
-    nodes on every path within the limit keep the labels, parents and
-    pop order of an unbounded search, so the path found is the same.
+    done set. ``source_out`` is ``out[source]`` less the banned edges,
+    which all leave the spur node. A label is dropped when it plus the
+    node's distance to the target exceeds ``limit``: nodes on every path
+    within the limit keep the labels, parents and pop order of an
+    unbounded search, so the path found is the same.
     """
-    source_out = out[source]
-    if banned_next:
-        source_out = {nxt: w for nxt, w in source_out.items() if nxt not in banned_next}
     best = {source: 0.0}
     parent: dict[int, int] = {}
     heap = [(0.0, source)]
@@ -280,7 +277,7 @@ def _spur_weight(
     source: int,
     target: int,
     blocked: bytearray,
-    banned_next: Collection[int],
+    source_out: Mapping[int, float],
     limit: float,
 ) -> float | None:
     """A* from source to target under the bans of :func:`_shortest_path`;
@@ -291,9 +288,6 @@ def _spur_weight(
     label a rounding difference lowers after its first pop is expanded
     again. ``blocked`` is only read.
     """
-    source_out = out[source]
-    if banned_next:
-        source_out = {nxt: w for nxt, w in source_out.items() if nxt not in banned_next}
     best = {source: 0.0}
     heap = [(to_target[source], 0.0, source)]
     while heap:
@@ -324,10 +318,16 @@ def _prefix_weights(out: list[dict[int, float]], path: Sequence[int]) -> list[fl
 def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[float, list[int]]]:
     """Yen's K loopless shortest paths over node ids, unsorted ties included.
 
-    Lawler's rule: a path is spurred only from the index at which it left
-    its parent path. Below that index the root, the banned nodes and the
-    banned edges repeat an earlier search (the parent's edge there is
-    already banned), whose path is already a candidate.
+    Lawler's partition. S(R, N) is the set of simple paths that start with
+    the root R and whose node after R is not in N; every candidate is the
+    lightest path of one such set, the first path that of S([source], {}).
+    Accepting A from S(A[:d+1], N_A), d being the index at which A left its
+    parent, splits that set less A into A's spur sets: S(A[:d+1], N_A |
+    {A[d+1]}) and S(A[:i+1], {A[i+1]}) for d < i < len(A) - 1. By
+    induction all spur sets are disjoint, so the accepted paths sharing
+    A[:d+1] go on to exactly N_A | {A[d+1]}, none but A shares a longer
+    root, and no spur returns a path already accepted or a candidate. A
+    spur pruned by a bound drops its set whole.
 
     Bounded spurs: once the candidates hold R = k - len(accepted) paths, a
     candidate heavier than the R-th lightest, W, can never be accepted, so
@@ -336,7 +336,8 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
     Spurs bounded by their own weight: :func:`_spur_weight` first finds the
     spur's weight under the same bans and limit, and the Dijkstra then runs
     bounded just above it, which returns the path an unbounded search
-    would. A spur with no path within the limit skips the Dijkstra.
+    would. A spur with no path within the limit skips the Dijkstra. Both
+    passes read one map of the spur's allowed successors.
     """
     n = len(index.nodes)
     out = index.out
@@ -344,11 +345,10 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
     if to_target[source] == _INF:
         return []
     # the reverse search has already found the first path's weight
-    first = _shortest_path(out, to_target, source, target, bytearray(n), (), _above(to_target[source]))
+    first = _shortest_path(out, to_target, source, target, bytearray(n), out[source], _above(to_target[source]))
     accepted = [(_prefix_weights(out, first)[-1], first)]
     deviations = [0]
-    seen_paths = {tuple(first)}
-    candidates: list[tuple[float, tuple[int, ...], int]] = []
+    candidates: list[tuple[float, list[int], int]] = []
 
     while len(accepted) < k:
         _, base_path = accepted[-1]
@@ -361,31 +361,28 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
         banned = bytearray(n)
         for node in base_path[:deviation]:
             banned[node] = 1
-        sharing = [path for _, path in accepted if path[:deviation] == base_path[:deviation]]
+        root = base_path[: deviation + 1]
+        banned_next = {path[deviation + 1] for _, path in accepted if path[: deviation + 1] == root}
         for spur_idx in range(deviation, len(base_path) - 1):
             spur = base_path[spur_idx]
             blocked = bytearray(banned)  # the root's nodes before the spur
             banned[spur] = 1
-            sharing = [p for p in sharing if len(p) > spur_idx + 1 and p[spur_idx] == spur]
+            if spur_idx > deviation:
+                banned_next = {base_path[spur_idx + 1]}
             limit = _NO_LIMIT
             if len(lightest) >= room:
                 bound = -lightest[0]
                 limit = _above(bound) - prefix[spur_idx]
-            banned_next = {p[spur_idx + 1] for p in sharing}
-            spur_weight = _spur_weight(out, to_target, spur, target, blocked, banned_next, limit)
+            spur_out = {nxt: w for nxt, w in out[spur].items() if nxt not in banned_next}
+            spur_weight = _spur_weight(out, to_target, spur, target, blocked, spur_out, limit)
             if spur_weight is None:
                 continue
             limit = min(limit, _above(spur_weight))
-            spur_path = _shortest_path(out, to_target, spur, target, blocked, banned_next, limit)
+            spur_path = _shortest_path(out, to_target, spur, target, blocked, spur_out, limit)
             if spur_path is None:
                 raise RuntimeError(f"spur search from node {spur} lost a path of weight {spur_weight}")
-            candidate = tuple(base_path[:spur_idx]) + tuple(spur_path)
-            if candidate in seen_paths:
-                continue
-            seen_paths.add(candidate)
-            w = prefix[spur_idx]
-            for a, b in zip(spur_path, spur_path[1:]):
-                w += out[a][b]
+            candidate = base_path[:spur_idx] + spur_path
+            w = _prefix_weights(out, candidate)[-1]
             heapq.heappush(candidates, (w, candidate, spur_idx))
             heapq.heappush(lightest, -w)
             if len(lightest) > room:
@@ -393,7 +390,7 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
         if not candidates:
             break
         w, path, spur_idx = heapq.heappop(candidates)
-        accepted.append((w, list(path)))
+        accepted.append((w, path))
         deviations.append(spur_idx)
     return accepted
 

@@ -121,6 +121,17 @@ def test_route_without_clusters_fails_with_error_record(tmp_path, capsys, stage,
     assert not any((out / name).exists() for name in ARTIFACTS)
 
 
+def test_a_failed_run_removes_only_the_directories_it_created(tmp_path, capsys):
+    config = write_config(tmp_path)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "new" / "sub", kept / "new" / "sub"):
+        assert main(["route", "--config", str(config), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "MissingDependencyError"
+    assert not (tmp_path / "new").exists()
+    assert kept.is_dir() and not any(kept.iterdir())
+
+
 def test_failed_stage_of_all_is_named(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("routing failed")
@@ -1145,6 +1156,23 @@ def test_relabelling_the_days_changes_only_the_day_column(tmp_path, make_dataset
     assert len(moved_rows) == len(rows) > 0
     for row, moved_row in zip(rows, moved_rows):
         assert moved_row == {**row, "day": (date.fromisoformat(row["day"]) + shift).isoformat()}
+
+
+@pytest.mark.parametrize("make_dataset", [line829_dataset, three_hub_dataset], ids=["line829", "three_hubs"])
+def test_a_day_repeated_on_the_next_day_changes_no_daily_average(tmp_path, make_dataset):
+    """Two copies of a day under two dates average to the one day's numbers."""
+    dataset = make_dataset()
+    names = [pipeline.DAILY_AVERAGES_FILE, "availability_by_category.csv"]
+    runs = []
+    for name, data in (("one_day", dataset), ("two_days", two_days(dataset))):
+        (tmp_path / name).mkdir()
+        config = write_config(tmp_path / name, data)
+        out = tmp_path / name / "out"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+        runs.append({file: (out / file).read_bytes() for file in names})
+    one_day, repeated = runs
+    assert all(len(text.splitlines()) > 1 for text in one_day.values())
+    assert repeated == one_day
 
 
 def _renamed(dataset: Dataset, new: dict[str, str]) -> Dataset:

@@ -290,11 +290,13 @@ def test_yen_paths_are_loopless_sorted_unique():
 
 # ── exactness against the plain Yen scheme (tie-heavy) ─────────────────
 #
-# The routing module runs Yen on integer node ids with Lawler's spur rule
-# and bounded spur searches. The reference below is the straightforward
-# scheme on tuple nodes: every spur index of every accepted path, unbounded
-# Dijkstra with (dist, node) heap ties. Both must return the same weights
-# and the same paths, ties included.
+# The routing module runs Yen on integer node ids with Lawler's partition
+# and bounded spur searches, and keeps no set of paths seen. The reference
+# below is the straightforward scheme on tuple nodes: every spur index of
+# every accepted path, the next hops of every accepted path sharing the
+# root banned, a set of paths seen, unbounded Dijkstra with (dist, node)
+# heap ties. Both must return the same weights and the same paths, ties
+# included.
 
 
 def _reference_dijkstra(adjacency, source, target, banned_nodes, banned_edges):
@@ -366,9 +368,9 @@ def _reference_yen(adjacency, source, target, k):
     return accepted
 
 
-def _tie_heavy_adjacency(rng):
-    """Integer and zero weights."""
-    n = int(rng.integers(4, 9))
+def _tie_heavy_adjacency(rng, nodes=(4, 8)):
+    """Integer and zero weights on ``nodes[0]`` to ``nodes[1]`` nodes."""
+    n = int(rng.integers(nodes[0], nodes[1] + 1))
     adjacency = {("n", str(i)): {} for i in range(n)}
     for i in range(n):
         for j in range(n):
@@ -377,7 +379,7 @@ def _tie_heavy_adjacency(rng):
     return adjacency, ("n", "0"), ("n", str(n - 1))
 
 
-@pytest.mark.parametrize("k", [1, 3, 30])
+@pytest.mark.parametrize("k", [1, 3, 30, 80])
 def test_yen_equals_reference_on_tie_heavy_graphs(k):
     rng = np.random.default_rng(40 + k)
     for _ in range(150):
@@ -386,6 +388,10 @@ def test_yen_equals_reference_on_tie_heavy_graphs(k):
         assert got == _reference_yen(adjacency, source, target, k)
         unique = _enumerate_simple_paths(adjacency, source, target)
         assert [w for w, _ in got] == [w for w, _ in unique[:k]]
+    # larger graphs, where accepted paths share long roots and the partition runs deep
+    for _ in range(15):
+        adjacency, source, target = _tie_heavy_adjacency(rng, nodes=(8, 13))
+        assert yen_k_shortest(adjacency, source, target, k) == _reference_yen(adjacency, source, target, k)
 
 
 def _float_tie_adjacency(rng):
@@ -398,7 +404,7 @@ def _float_tie_adjacency(rng):
     return adjacency, source, target
 
 
-@pytest.mark.parametrize("k", [1, 3, 30])
+@pytest.mark.parametrize("k", [1, 3, 30, 80])
 def test_yen_equals_reference_on_float_tie_graphs(k):
     rng = np.random.default_rng(70 + k)
     for _ in range(150):
@@ -420,9 +426,10 @@ def test_spur_weight_bounds_the_same_spur_path():
         to_target = _distances_to(index, target)
         blocked = bytearray(int(i not in (source, target) and rng.random() < 0.2) for i in range(n))
         banned_next = {nxt for nxt in index.out[source] if rng.random() < 0.4}
+        source_out = {nxt: w for nxt, w in index.out[source].items() if nxt not in banned_next}
 
         def search(find, limit):
-            return find(index.out, to_target, source, target, bytearray(blocked), banned_next, limit)
+            return find(index.out, to_target, source, target, bytearray(blocked), source_out, limit)
 
         path = search(_shortest_path, _NO_LIMIT)
         weight = search(_spur_weight, _NO_LIMIT)

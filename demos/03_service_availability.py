@@ -43,10 +43,10 @@ for part in parts:
     dataset.itineraries += part.itineraries
     dataset.fixes |= part.fixes
 
-detections = [trip for outcome in run_detection(dataset, PipelineConfig()) for trip in outcome.trips]
-print(f"{len(detections)} trips reconstructed across {len(dataset.lines)} lines")
+outcomes = run_detection(dataset, PipelineConfig())
+print(f"{sum(len(outcome.trips) for outcome in outcomes)} trips reconstructed across {len(dataset.lines)} lines")
 
-passages = PassageTable.from_itineraries(detections)
+passages = PassageTable.from_outcomes(outcomes)
 keys, key_code, facts = merge_terminals(passages, dataset.stops)
 categories = {key: fact.category for key, fact in facts.items()}
 keys = keys.tolist()

@@ -79,10 +79,10 @@ for code, stop_ids in routes.items():
         start += headways[code] // 2 if in_peak else headways[code]
         trip += 1
 
-detections = [trip for outcome in run_detection(dataset, PipelineConfig()) for trip in outcome.trips]
-print(f"{len(detections)} trips reconstructed")
+outcomes = run_detection(dataset, PipelineConfig())
+print(f"{sum(len(outcome.trips) for outcome in outcomes)} trips reconstructed")
 
-passages = PassageTable.from_itineraries(detections)
+passages = PassageTable.from_outcomes(outcomes)
 counts = build_availability(passages.stop_id, passages.time_s, len(passages.stop_ids), [10])[10]
 averages = dict(zip(passages.stop_ids.tolist(), counts.mean(axis=1).tolist()))
 categories = {key: StopType.STREET_STOP for key in averages}

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .detection import DetectedItinerary, round_to_second
+from .detection import GroupOutcome, round_to_second
 from .model import DEFAULT_SPAN_MINUTES, DEFAULT_WINDOW_MINUTES, BusStop, Period, StopType
 
 log = logging.getLogger(__name__)
@@ -54,8 +54,8 @@ class PassageTable:
     ``trip`` numbers the trips of one (line, direction, vehicle, day) group
     from 1; ``time_s`` holds seconds of day rounded to whole seconds as the
     file writes them, and ``observed`` is False for an interpolated time.
-    A table built from the trips in memory equals the one read back from
-    that file.
+    A table built from the detection outcomes in memory
+    (:meth:`from_outcomes`) equals the one read back from that file.
     """
 
     line_code: np.ndarray
@@ -99,29 +99,35 @@ class PassageTable:
         return cls(**columns, **coded)
 
     @classmethod
-    def from_itineraries(cls, itineraries: Iterable[DetectedItinerary]) -> "PassageTable":
-        trips = list(itineraries)
-        if not trips:
+    def from_outcomes(cls, outcomes: Iterable[GroupOutcome]) -> "PassageTable":
+        """The passages of every accepted trip, outcome by outcome, each
+        outcome's trips numbered from 1 in its order: an outcome is one
+        (line, direction, vehicle, day) group."""
+        groups = [outcome for outcome in outcomes if outcome.trips]
+        if not groups:
             return cls.from_columns(**dict.fromkeys(PASSAGE_COLUMNS, ()))
-        numbers: dict[tuple, int] = {}
-        trip = []
-        for det in trips:
-            key = (det.line_code, det.direction, det.vehicle_id, det.day)
-            numbers[key] = numbers.get(key, 0) + 1
-            trip.append(numbers[key])
-        sizes = [len(det.stop_ids) for det in trips]
+        length = np.array([len(outcome.itinerary) for outcome in groups])
+        sizes = length * [len(outcome.trips) for outcome in groups]
+        group = np.repeat(np.arange(len(groups)), sizes)  # each row's outcome
+        row = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # within its outcome
+        index = row % length[group]  # each row's position - 1
         coded = {}
-        for name in ("line_code", "direction", "vehicle_id"):
-            coded[ID_NAMES[name]], codes = _encode_ids([getattr(det, name) for det in trips])
-            coded[name] = np.repeat(codes, sizes)
-        coded["stop_ids"], coded["stop_id"] = _encode_ids(np.concatenate([det.stop_ids for det in trips]))
-        position = np.arange(sum(sizes)) + 1 - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        for name, ids in (
+            ("line_code", [outcome.itinerary.line_code for outcome in groups]),
+            ("direction", [outcome.itinerary.direction for outcome in groups]),
+            ("vehicle_id", [outcome.vehicle_id for outcome in groups]),
+        ):
+            coded[ID_NAMES[name]], codes = _encode_ids(ids)
+            coded[name] = codes[group]
+        coded["stop_ids"], codes = _encode_ids(np.concatenate([outcome.itinerary.stop_ids for outcome in groups]))
+        coded["stop_id"] = codes[(np.cumsum(length) - length)[group] + index]
+        trips = [trip for outcome in groups for trip in outcome.trips]
         return cls(
-            day=np.repeat(np.array([det.day for det in trips], dtype="datetime64[D]"), sizes),
-            trip=np.repeat(trip, sizes),
-            position=position,
-            time_s=round_to_second(np.concatenate([det.time_s for det in trips])),
-            observed=np.concatenate([det.observed for det in trips]),
+            day=np.array([outcome.day for outcome in groups], dtype="datetime64[D]")[group],
+            trip=row // length[group] + 1,
+            position=index + 1,
+            time_s=round_to_second(np.concatenate([trip.time_s for trip in trips])),
+            observed=np.concatenate([trip.observed for trip in trips]),
             **coded,
         )
 

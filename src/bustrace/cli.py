@@ -59,7 +59,7 @@ def _sha256(path: Path) -> str:
 
 
 def load_config(path: str, jobs: int | None) -> PipelineConfig:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         data = json.load(f)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: the config is not a JSON object")
@@ -89,7 +89,7 @@ def _run_stage(
         from .analytics import PassageTable
 
         outcomes = run_detection(dataset, config)
-        passages = PassageTable.from_itineraries(trip for outcome in outcomes for trip in outcome.trips)
+        passages = PassageTable.from_outcomes(outcomes)
         categories = {line.code: line.category for line in dataset.lines.values()}
         report = detection.tag_report(outcomes, categories)
         write_detection_artifacts(staging, passages, report)

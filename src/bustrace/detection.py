@@ -10,8 +10,10 @@ out-of-sequence stop) are dropped. Interior positions left without a mark
 get their times estimated by uniform subdivision of the enclosing observed
 interval; trips missing a mark at the first or last position are rejected
 instead of extrapolated. :func:`detect_group` runs both steps on one
-track's marks and returns its accepted trips and the :class:`Tally` of its
-marks, which :func:`tag_report` sums by line category.
+track's marks and returns a :class:`GroupOutcome`: the group's identity
+(itinerary, vehicle, day), stated once, its accepted trips and the
+:class:`Tally` of its marks, which :func:`tag_report` sums by line category.
+A trip itself is only its times and their provenance, position by position.
 """
 
 from __future__ import annotations
@@ -71,21 +73,17 @@ def format_time_of_day(value: float) -> str:
 class DetectedItinerary:
     """One reconstructed trip: every itinerary position with a passage time.
 
-    ``stop_ids``, ``time_s`` (float64 seconds of day; observed entries
-    carry the integral mark time) and ``observed`` (bool; False for an
-    interpolated time) are parallel: index i is position i + 1.
+    ``time_s`` (float64 seconds of day; observed entries carry the integral
+    mark time) and ``observed`` (bool; False for an interpolated time) are
+    parallel: index i is position i + 1 of the itinerary of the trip's
+    :class:`GroupOutcome`.
     """
 
-    line_code: str
-    vehicle_id: str
-    direction: str
-    stop_ids: tuple[str, ...]
     time_s: np.ndarray
     observed: np.ndarray
-    day: date | None = None
 
     def __post_init__(self):
-        if not 0 < len(self.stop_ids) == len(self.time_s) == len(self.observed):
+        if not 0 < len(self.time_s) == len(self.observed):
             raise ValueError("entries must cover positions 1..n exactly once, in order")
         if np.any(np.diff(self.time_s) <= 0):
             raise ValueError("entry times must be strictly increasing")
@@ -103,9 +101,6 @@ class DetectedItinerary:
     @property
     def interpolated_count(self) -> int:
         return len(self.observed) - int(np.count_nonzero(self.observed))
-
-    def is_fully_observed(self) -> bool:
-        return self.interpolated_count == 0
 
 
 @dataclass
@@ -291,12 +286,7 @@ REJECT_NO_FIRST = "no mark for first stop"
 REJECT_NO_LAST = "no mark for last stop"
 
 
-def detect(
-    itinerary: ItineraryDef,
-    segment: Marks,
-    day: date | None = None,
-    vehicle_id: str = "",
-) -> DetectionResult:
+def detect(itinerary: ItineraryDef, segment: Marks) -> DetectionResult:
     """Associate one segment's marks with the itinerary.
 
     Returns an accepted DetectedItinerary with interpolated interior gaps,
@@ -304,8 +294,7 @@ def detect(
     Marks excluded by the monotone-time rule (or outside the itinerary)
     are reported as dropped, by index in the segment.
     """
-    stop_ids = itinerary.stop_ids
-    n = len(stop_ids)
+    n = len(itinerary)
     first_of = itinerary.first_positions
     times = segment.time_s.tolist()
     marks_at: dict[int, list[int]] = {}  # a mark outside the itinerary is in no list
@@ -337,16 +326,7 @@ def detect(
     for a, b in zip(anchors, anchors[1:]):
         if b - a > 1:
             time_s[a + 1 : b] = interpolate_gap(float(time_s[a]), float(time_s[b]), b - a)
-    trip = DetectedItinerary(
-        line_code=itinerary.line_code,
-        vehicle_id=vehicle_id,
-        direction=itinerary.direction,
-        stop_ids=stop_ids,
-        time_s=time_s,
-        observed=observed,
-        day=day,
-    )
-    return DetectionResult(trip, None, dropped)
+    return DetectionResult(DetectedItinerary(time_s, observed), None, dropped)
 
 
 # ── One track on one itinerary ──────────────────────────────────────────
@@ -354,12 +334,21 @@ def detect(
 
 @dataclass
 class GroupOutcome:
-    """Detection outcome for one (vehicle, line, day, itinerary) run: its
-    accepted trips, in segment order, and the tally of its marks."""
+    """Detection outcome for one (vehicle, line, day, itinerary) group: the
+    group's itinerary, vehicle and day, its accepted trips, in segment
+    order, each timing every position of the itinerary, and the tally of
+    its marks."""
 
-    line_code: str
+    itinerary: ItineraryDef
+    vehicle_id: str
+    day: date | None
     trips: list[DetectedItinerary]
     tally: Tally
+
+    def __post_init__(self):
+        if any(len(trip.time_s) != len(self.itinerary) for trip in self.trips):
+            name = f"{self.itinerary.line_code}/{self.itinerary.direction}"
+            raise ValueError(f"a trip of {name} does not time every position of its itinerary")
 
 
 def detect_group(
@@ -384,7 +373,7 @@ def detect_group(
     )
     trips = []
     for segment, borrowed in zip(segmentation.segments, segmentation.borrowed):
-        result = detect(itinerary, segment, day=day, vehicle_id=vehicle_id)
+        result = detect(itinerary, segment)
         own_marks = len(segment) - borrowed
         if result.accepted:
             trips.append(result.itinerary)
@@ -394,7 +383,7 @@ def detect_group(
         else:
             tally.rejected_segments += 1
             tally.rejected_marks += own_marks
-    return GroupOutcome(itinerary.line_code, trips, tally)
+    return GroupOutcome(itinerary, vehicle_id, day, trips, tally)
 
 
 # ── Interpolation-error protocol ────────────────────────────────────────
@@ -409,25 +398,25 @@ def evaluate_interpolation_error(
     """Measure interpolation error by deleting known stop times.
 
     Each sample deletes w-1 consecutive interior entries from one fully
-    observed trip, re-estimates them from the surviving anchors, and
-    records |true - estimated| per deleted stop: the float64 array returned
-    holds the w-1 errors of each sample in turn. Gap start positions are
+    observed trip (its ``interpolated_count`` is 0; a trip that is not is
+    refused by its index), re-estimates them from the surviving anchors,
+    and records |true - estimated| per deleted stop: the float64 array
+    returned holds the w-1 errors of each sample in turn. Gap start positions are
     sampled without replacement across all trips; the evaluation protocol
     uses w in 2..8 with 100 samples per width.
     """
     if w < 2:
         raise ValueError(f"gap width must span at least 2 intervals, got {w}")
-    for det in detections:
-        if not det.is_fully_observed():
+    for trip_idx, det in enumerate(detections):
+        if det.interpolated_count:
             raise ValueError(
-                f"trip {det.line_code}/{det.vehicle_id} contains interpolated entries; "
-                "the protocol requires fully observed trips"
+                f"trip {trip_idx} contains interpolated entries; the protocol requires fully observed trips"
             )
 
     eligible = [
         (trip_idx, anchor)
         for trip_idx, det in enumerate(detections)
-        for anchor in range(len(det.stop_ids) - w)
+        for anchor in range(len(det.time_s) - w)
     ]
     if samples > len(eligible):
         raise ValueError(
@@ -458,9 +447,10 @@ def tag_report(outcomes: list[GroupOutcome], categories: dict[str, LineCategory]
     """
     tallies: dict[str, Tally] = {}
     for outcome in outcomes:
-        if outcome.line_code not in categories:
-            raise ValueError(f"line {outcome.line_code} has no record in the lines file")
-        tallies.setdefault(categories[outcome.line_code].value, Tally()).add(outcome.tally)
+        line_code = outcome.itinerary.line_code
+        if line_code not in categories:
+            raise ValueError(f"line {line_code} has no record in the lines file")
+        tallies.setdefault(categories[line_code].value, Tally()).add(outcome.tally)
     total = Tally()
     for tally in tallies.values():
         total.add(tally)

@@ -53,7 +53,7 @@ def case_dataset_full() -> Dataset:
 
 
 def run_detection_simple(dataset: Dataset):
-    """The accepted itineraries of ``pipeline.run_detection`` at the default config."""
+    """The accepted trips of ``pipeline.run_detection`` at the default config, in outcome order."""
     return [trip for outcome in run_detection(dataset, PipelineConfig()) for trip in outcome.trips]
 
 
@@ -71,12 +71,13 @@ def mark_list(itinerary: ItineraryDef, marks: Marks) -> list[tuple[str, int]]:
     ]
 
 
-def trip_entries(trip) -> list[tuple[int, str, float, Provenance]]:
-    """(position, stop_id, time_s, provenance) for every position of a detected trip."""
+def trip_entries(itinerary: ItineraryDef, trip) -> list[tuple[int, str, float, Provenance]]:
+    """(position, stop_id, time_s, provenance) for every position of a trip detected on ``itinerary``."""
+    assert len(trip.time_s) == len(itinerary)
     return [
         (position, stop_id, time_s, Provenance.OBSERVED if observed else Provenance.INTERPOLATED)
         for position, (stop_id, time_s, observed) in enumerate(
-            zip(trip.stop_ids, trip.time_s.tolist(), trip.observed.tolist()), start=1
+            zip(itinerary.stop_ids, trip.time_s.tolist(), trip.observed.tolist()), start=1
         )
     ]
 

@@ -75,13 +75,13 @@ def test_criterion_01_case_study_exactness():
         segmentation = segment_trips(marks, itinerary)
         assert len(segmentation.segments) == 1
         segment = segmentation.segments[0]
-        result = detect(itinerary, segment, day=date(2022, 11, 7))
+        result = detect(itinerary, segment)
         elapsed = time.perf_counter() - started
 
         assert result.accepted
         rows = [
             (position, stop_id, format_time_of_day(t), provenance.value)
-            for position, stop_id, t, provenance in trip_entries(result.itinerary)
+            for position, stop_id, t, provenance in trip_entries(itinerary, result.itinerary)
         ]
         assert rows == CASE_RESULT  # 11 positions, exact times
         dropped = [
@@ -100,7 +100,7 @@ def test_criterion_02_interpolation_zero_error_uniform_motion():
         started = time.perf_counter()
         dataset = straight_line_dataset(n_stops=30, n_trips=10, jitter=0.0)
         detections = run_detection_simple(dataset)
-        assert all(d.is_fully_observed() for d in detections)
+        assert all(d.interpolated_count == 0 for d in detections)
         for w in range(2, 9):
             samples = evaluate_interpolation_error(detections, w=w, samples=100, seed=w)
             assert len(samples) == 100 * (w - 1)

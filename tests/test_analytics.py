@@ -27,8 +27,16 @@ from bustrace.analytics import (
     restrict_to_period,
 )
 from bustrace import pipeline
-from bustrace.detection import DetectedItinerary, format_time_of_day, parse_time_of_day, round_to_second, tag_report
-from bustrace.model import DEFAULT_PERIODS, BusStop, StopType
+from bustrace.detection import (
+    DetectedItinerary,
+    GroupOutcome,
+    Tally,
+    format_time_of_day,
+    parse_time_of_day,
+    round_to_second,
+    tag_report,
+)
+from bustrace.model import DEFAULT_PERIODS, BusStop, ItineraryDef, StopType
 
 SPAN = (300, 1380)
 
@@ -308,43 +316,59 @@ def test_restrict_to_period_bounds():
 # ── synchronization profiles ────────────────────────────────────────────
 
 
-_trip_times = st.lists(
-    st.integers(0, 4 * 86_000).map(lambda q: q / 4)  # quarter seconds: exact .5 ties
-    | st.floats(0, 86_000, allow_nan=False),
-    min_size=2,
-    max_size=12,
-    unique=True,
-).map(sorted)
+def _trip_times(n: int):
+    """n strictly increasing seconds of day."""
+    return st.lists(
+        st.integers(0, 4 * 86_000).map(lambda q: q / 4)  # quarter seconds: exact .5 ties
+        | st.floats(0, 86_000, allow_nan=False),
+        min_size=n,
+        max_size=n,
+        unique=True,
+    ).map(sorted)
 
 
-def _group(det: DetectedItinerary) -> tuple:
-    return (det.line_code, det.direction, det.vehicle_id, det.day)
+_ids = st.text(alphabet="#9A Ô", min_size=1, max_size=4)
 
 
-@given(st.lists(_trip_times, min_size=1, max_size=4))
-@settings(max_examples=200)
-def test_passage_table_from_trips_rounds_like_the_detection_csv(trips):
-    detections = [
-        DetectedItinerary(
-            line_code=f"L{i % 2}",
-            vehicle_id=f"V{i % 2}",
-            direction="A",
-            stop_ids=tuple(f"S{j}" for j in range(len(times))),
-            time_s=np.array(times),
-            observed=np.array([j % 2 == 0 or j == len(times) - 1 for j in range(len(times))]),
-            day=date(2022, 11, 7 + i % 2),
-        )
-        for i, times in enumerate(trips)
+@st.composite
+def _outcome(draw) -> GroupOutcome:
+    """One (line, direction, vehicle, day) group: up to 3 accepted trips on
+    an itinerary of 2 to 12 stops, some entries interpolated."""
+    n = draw(st.integers(2, 12))
+    itinerary = ItineraryDef(
+        line_code=draw(st.sampled_from(["#829", "829", "Ônibus 829"])),
+        direction=draw(st.sampled_from(["A", "Bé"])),
+        stops=tuple(enumerate(draw(st.lists(_ids, min_size=n, max_size=n)), start=1)),
+    )
+    trips = [
+        DetectedItinerary(np.array(draw(_trip_times(n))), np.array([True, *interior, True]))
+        for interior in draw(st.lists(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2), max_size=3))
     ]
-    table = PassageTable.from_itineraries(detections)
-    trips_seen: dict[tuple, int] = {}
-    rows = []
-    for det in detections:
-        trip = trips_seen[_group(det)] = trips_seen.get(_group(det), 0) + 1
-        entries = zip(det.stop_ids, det.time_s.tolist(), det.observed.tolist())
-        for position, (stop_id, t, observed) in enumerate(entries, start=1):
-            rows.append((det.line_code, det.direction, det.vehicle_id, det.day, trip,
-                         position, stop_id, round_to_second(t), observed))
+    vehicle_id = draw(st.sampled_from(["#BA020", "BA021"]))
+    day = draw(st.sampled_from([date(2022, 11, 7), date(2022, 11, 8)]))
+    return GroupOutcome(itinerary, vehicle_id, day, trips, Tally())
+
+
+# outcomes of distinct groups, as run_detection gives them
+_outcomes = st.lists(
+    _outcome(), min_size=1, max_size=5,
+    unique_by=lambda o: (o.itinerary.line_code, o.itinerary.direction, o.vehicle_id, o.day),
+)
+
+
+@given(_outcomes)
+@settings(max_examples=200, deadline=None)
+def test_passage_table_from_trips_rounds_like_the_detection_csv(outcomes):
+    table = PassageTable.from_outcomes(outcomes)
+    rows = [
+        (o.itinerary.line_code, o.itinerary.direction, o.vehicle_id, o.day, trip,
+         position, stop_id, round_to_second(t), observed)
+        for o in outcomes
+        for trip, det in enumerate(o.trips, start=1)
+        for position, (stop_id, t, observed) in enumerate(
+            zip(o.itinerary.stop_ids, det.time_s.tolist(), det.observed.tolist()), start=1
+        )
+    ]
     assert list(zip(*(table.column(name).tolist() for name in PASSAGE_COLUMNS))) == rows
 
 
@@ -354,29 +378,10 @@ def _to_odd_second(t: float) -> int:
     return int(whole) + int(frac > Fraction(1, 2) or (frac == Fraction(1, 2) and whole % 2 == 0))
 
 
-_ids = st.text(alphabet="#9A Ô", min_size=1, max_size=4)
-
-
-@st.composite
-def _accepted_trip(draw) -> DetectedItinerary:
-    """A trip of one of a few (line, direction, vehicle, day) groups, some entries interpolated."""
-    times = draw(_trip_times)
-    interior = draw(st.lists(st.booleans(), min_size=len(times) - 2, max_size=len(times) - 2))
-    return DetectedItinerary(
-        line_code=draw(st.sampled_from(["#829", "829", "Ônibus 829"])),
-        vehicle_id=draw(st.sampled_from(["#BA020", "BA021"])),
-        direction=draw(st.sampled_from(["A", "Bé"])),
-        stop_ids=tuple(draw(st.lists(_ids, min_size=len(times), max_size=len(times)))),
-        time_s=np.array(times),
-        observed=np.array([True, *interior, True]),
-        day=draw(st.sampled_from([date(2022, 11, 7), date(2022, 11, 8)])),
-    )
-
-
-@given(st.lists(_accepted_trip(), min_size=1, max_size=8))
+@given(_outcomes)
 @settings(max_examples=300, deadline=None)
-def test_passage_table_round_trips_through_the_detection_csv(detections):
-    table = PassageTable.from_itineraries(detections)
+def test_passage_table_round_trips_through_the_detection_csv(outcomes):
+    table = PassageTable.from_outcomes(outcomes)
     with tempfile.TemporaryDirectory() as tmp:
         pipeline.write_detection_artifacts(Path(tmp), table, tag_report([], {}))
         back = pipeline.read_detection_rows(Path(tmp))
@@ -384,15 +389,17 @@ def test_passage_table_round_trips_through_the_detection_csv(detections):
         assert np.array_equal(back.column(name), table.column(name)), name
         assert np.array_equal(getattr(back, name), getattr(table, name)), name
 
-    by_group: dict[tuple, list[int]] = {}
-    for index, det in enumerate(detections):
-        by_group.setdefault(_group(det), []).append(index)
-    trip_of = {index: trip for indices in by_group.values()
-               for trip, index in enumerate(indices, start=1)}
-    sizes = [len(det.stop_ids) for det in detections]
-    assert table.trip.tolist() == [trip_of[i] for i, size in enumerate(sizes) for _ in range(size)]
-    assert table.time_s.tolist() == [_to_odd_second(t) for det in detections for t in det.time_s.tolist()]
-    assert table.observed.tolist() == [o for det in detections for o in det.observed.tolist()]
+    trips = [(len(o.itinerary), number, det) for o in outcomes for number, det in enumerate(o.trips, start=1)]
+    assert table.trip.tolist() == [number for size, number, _ in trips for _ in range(size)]
+    assert table.time_s.tolist() == [_to_odd_second(t) for _, _, det in trips for t in det.time_s.tolist()]
+    assert table.observed.tolist() == [o for _, _, det in trips for o in det.observed.tolist()]
+
+
+def test_a_trip_that_misses_a_position_of_its_itinerary_is_refused():
+    itinerary = ItineraryDef("L1", "A", ((1, "S1"), (2, "S2"), (3, "S3")))
+    trip = DetectedItinerary(np.array([0.0, 60.0]), np.array([True, True]))
+    with pytest.raises(ValueError, match="does not time every position"):
+        GroupOutcome(itinerary, "V1", date(2022, 11, 7), [trip], Tally())
 
 
 def test_detection_csv_round_trips_hours_of_three_digits_and_more(tmp_path):

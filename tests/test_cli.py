@@ -1,5 +1,7 @@
+import codecs
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
@@ -378,6 +380,19 @@ def test_config_that_is_not_a_json_object_is_refused_by_name(tmp_path, capsys, t
     assert error["type"] == "ValueError"
     assert str(config) in error["message"]
     assert not out.exists()
+
+
+
+def test_config_with_a_leading_bom_is_read_like_one_without(tmp_path):
+    config = write_config(tmp_path)
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(codecs.BOM_UTF8 + config.read_bytes())
+    for path, out in ((config, tmp_path / "plain"), (bom, tmp_path / "bom")):
+        assert main(["validate", "--config", str(path), "--out", str(out)]) == 0
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert sorted(p.name for p in (tmp_path / "bom").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
 
 def test_jobs_flag_accepts_only_one(tmp_path, capsys):
@@ -891,6 +906,68 @@ def test_all_runs_without_scipy(tmp_path, dataset):
     assert sorted(p.name for p in blocked.iterdir()) == names
     for name in names:
         assert (blocked / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+
+# sha256 of every CSV that `all` writes for each dataset below, at write_config's settings
+GOLDEN_DIGESTS = Path(__file__).with_name("golden_csv_digests.json")
+
+
+@pytest.mark.parametrize(
+    "name, make_dataset",
+    [("line829", line829_dataset), ("three_hubs", three_hub_dataset)],
+    ids=["line829", "three_hubs"],
+)
+def test_all_writes_the_golden_csvs_under_two_hash_seeds(tmp_path, name, make_dataset):
+    """`all`, each time in a new interpreter under another string hash seed,
+    writes CSVs whose digests are the committed ones: no artifact depends on
+    hash order, on the Python or numpy version, or on a refactor.
+
+    A change that alters an artifact on purpose replaces this dataset's
+    digests in ``golden_csv_digests.json`` with those the failure prints.
+    """
+    config = write_config(tmp_path, make_dataset())
+    golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))[name]
+    for seed in ("0", "1"):
+        out = tmp_path / f"hashseed{seed}"
+        result = subprocess.run(
+            [sys.executable, "-m", "bustrace", "all", "--config", str(config), "--out", str(out)],
+            env=_src_env() | {"PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
+        assert digests == golden, f"PYTHONHASHSEED={seed}: {json.dumps(digests, indent=2)}"
+
+
+# bench/trace.py: one CLI invocation with counters around the layers
+BENCH_TRACER = Path(__file__).resolve().parents[1] / "bench" / "trace.py"
+
+
+@pytest.mark.parametrize(
+    "make_dataset, trips, interpolated",
+    [(line829_dataset, 1, 3), (three_hub_dataset, 615, 0)],
+    ids=["line829", "three_hubs"],
+)
+def test_bench_tracer_counts_the_trips_and_interpolated_stops_of_the_detection_csv(
+    tmp_path, make_dataset, trips, interpolated
+):
+    config = write_config(tmp_path, make_dataset())
+    spans, out = tmp_path / "spans.json", tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, str(BENCH_TRACER), str(spans), "all", "--config", str(config), "--out", str(out)],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(spans.read_text(encoding="utf-8"))["counts"]
+    _, rows = read_csv_rows(out / pipeline.DETECTED_FILE)
+    group_columns = ("line_code", "direction", "vehicle_id", "day", "trip")
+    trip_keys = {tuple(row[column] for column in group_columns) for row in rows}
+    assert len(trip_keys) == counts["detection.accepted"] == trips
+    assert sum(row["provenance"] == "INTERPOLATED" for row in rows) == counts["detection.interpolated"] == interpolated
 
 
 def _inodes(out: Path) -> dict[str, int]:

@@ -140,9 +140,9 @@ def test_case_study_reconstruction(case_dataset):
     assert not segmentation.discarded
 
     segment = segmentation.segments[0]
-    result = detect(iti, segment, day=date(2022, 11, 7))
+    result = detect(iti, segment)
     assert result.accepted
-    entries = trip_entries(result.itinerary)
+    entries = trip_entries(iti, result.itinerary)
     got = [(pos, stop, format_time_of_day(t), prov.value) for pos, stop, t, prov in entries]
     assert got == CASE_RESULT
 
@@ -163,7 +163,7 @@ def test_detect_complete_marks_no_interpolation():
     segment = marks_at(iti, ("A", 10), ("B", 20), ("C", 30))
     result = detect(iti, segment)
     assert result.accepted
-    assert result.itinerary.is_fully_observed()
+    assert result.itinerary.interpolated_count == 0
     assert result.itinerary.time_s.tolist() == [10.0, 20.0, 30.0]
     assert result.dropped == ()
 
@@ -198,7 +198,7 @@ def test_detect_circular_terminal_serves_first_and_last_position():
     segment = marks_at(iti, ("T", 10), ("B", 20), ("T", 30))
     result = detect(iti, segment)
     assert result.accepted
-    assert [e[0] for e in trip_entries(result.itinerary)] == [1, 2, 3]
+    assert [e[0] for e in trip_entries(iti, result.itinerary)] == [1, 2, 3]
     assert result.itinerary.time_s.tolist() == [10.0, 20.0, 30.0]
 
 
@@ -330,12 +330,13 @@ def _shuttle_dataset(hidden_pass: int, n_stops: int = 5) -> Dataset:
 )
 @pytest.mark.parametrize("hidden_pass", [0, 1], ids=["out", "back"])
 def test_shuttle_trip_with_a_hidden_stop_is_accepted_in_both_directions(hidden_pass):
-    trips = run_detection_simple(_shuttle_dataset(hidden_pass))
-    assert sorted(trip.direction for trip in trips) == ["BACK", "BACK", "OUT", "OUT"]
+    outcomes = pipeline.run_detection(_shuttle_dataset(hidden_pass), pipeline.PipelineConfig())
+    assert sorted(o.itinerary.direction for o in outcomes for _ in o.trips) == ["BACK", "BACK", "OUT", "OUT"]
     interpolated = [
-        (trip.direction, stop_id)
-        for trip in trips
-        for stop_id, observed in zip(trip.stop_ids, trip.observed.tolist())
+        (o.itinerary.direction, stop_id)
+        for o in outcomes
+        for trip in o.trips
+        for stop_id, observed in zip(o.itinerary.stop_ids, trip.observed.tolist())
         if not observed
     ]
     assert interpolated == [(("OUT", "BACK")[hidden_pass], "S2")]
@@ -379,7 +380,7 @@ def test_detect_invariants_on_random_segments(data):
     assert result == detect(itinerary, marks)  # deterministic
     assert len(result.dropped) <= len(marks)
     if result.accepted:
-        entries = trip_entries(result.itinerary)
+        entries = trip_entries(itinerary, result.itinerary)
         assert [e[0] for e in entries] == list(range(1, len(itinerary) + 1))
         times = [e[2] for e in entries]
         assert all(b > a for a, b in zip(times, times[1:]))
@@ -475,8 +476,7 @@ def _reference_outcome(result):
 def _outcome_of(itinerary, segment, result):
     trip = None
     if result.accepted:
-        trip = [(t, prov) for _, _, t, prov in trip_entries(result.itinerary)]
-        assert result.itinerary.stop_ids == itinerary.stop_ids
+        trip = [(t, prov) for _, _, t, prov in trip_entries(itinerary, result.itinerary)]
     dropped = dropped_marks(itinerary, segment, result)
     return result.rejection, trip, dropped
 
@@ -501,11 +501,9 @@ def test_columnar_detection_equals_stopmark_reference(case):
     pairs = list(zip(got.segments, expected.segments))
     pairs.append((marks, _reference_marks(itinerary, stop_times)))  # the unsegmented day
     for segment, ref_segment in pairs:
-        result = detect(itinerary, segment, vehicle_id="V1")
+        result = detect(itinerary, segment)
         ref_result = ref.detect(itinerary, ref_segment)
         assert _outcome_of(itinerary, segment, result) == _reference_outcome(ref_result)
-        if result.accepted:
-            assert result.itinerary.vehicle_id == ref_result.itinerary.vehicle_id
 
 
 # ── evaluate_interpolation_error ────────────────────────────────────────
@@ -514,17 +512,18 @@ def test_columnar_detection_equals_stopmark_reference(case):
 def test_case_study_errors_match_oracle_run(case_dataset, case_dataset_full):
     """Deleting the outage stops reproduces |true - estimated| against the
     engine's own fully observed run."""
+    [itinerary] = case_dataset.itineraries
     degraded = run_detection_simple(case_dataset)[0]
     oracle = run_detection_simple(case_dataset_full)[0]
-    assert oracle.is_fully_observed()
+    assert oracle.interpolated_count == 0
 
-    true_by_position = {pos: t for pos, _, t, _ in trip_entries(oracle)}
+    true_by_position = {pos: t for pos, _, t, _ in trip_entries(itinerary, oracle)}
     for position, expected_text in CASE_TRUE_TIMES.items():
         assert format_time_of_day(true_by_position[position]) == expected_text
 
     errors = {
         pos: abs(true_by_position[pos] - t)
-        for pos, _, t, prov in trip_entries(degraded)
+        for pos, _, t, prov in trip_entries(itinerary, degraded)
         if prov is Provenance.INTERPOLATED
     }
     assert errors == {3: 0.5, 5: 6.5, 8: 117.0}
@@ -586,9 +585,9 @@ def test_error_protocol_shortfall_reported():
 
 
 def test_error_protocol_rejects_interpolated_input(case_dataset):
-    degraded = run_detection_simple(case_dataset)
-    with pytest.raises(ValueError, match="interpolated"):
-        evaluate_interpolation_error(degraded, w=2, samples=1)
+    trips = _detections(jitter=0.0, n_trips=1, n_stops=10) + run_detection_simple(case_dataset)
+    with pytest.raises(ValueError, match="^trip 1 contains interpolated entries"):
+        evaluate_interpolation_error(trips, w=2, samples=1)
 
 
 # ── tag_report ──────────────────────────────────────────────────────────

@@ -1,8 +1,11 @@
 """Transit graph construction and K-shortest-path trip evaluation.
 
-The graph maps each node to its successors and each step's weight. It
-keeps one node per stop and one node per (line, direction, stop) riding
-state, and a step's kind follows from its endpoints: stop → ride boards and
+One indexed graph serves from build to search: its nodes are numbered in
+sorted order, and each node id maps to its successors' ids and each step's
+weight, and back. It keeps one node per stop, one node per (line,
+direction, stop) riding state and the origin/destination pair, built once
+per network; the clustered graph adds walks to a copy of the base graph's
+maps. A step's kind follows from its endpoints: stop → ride boards and
 ride → stop alights, both 0 m; ride → ride rides between consecutive
 itinerary stops, weighted by their Haversine distance; stop → stop walks
 between two members of one cluster, weighted by the walk; and a step from
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -46,45 +49,87 @@ def ride_node(line_code: str, direction: str, stop_id: str) -> Node:
     return ("ride", line_code, direction, stop_id)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitGraph:
-    """Each node's successors with the step's weight in meters; add steps through :meth:`link`."""
+    """The integer-indexed graph that the shortest-path searches run on.
 
-    adjacency: dict[Node, dict[Node, float]] = field(default_factory=dict)
-    stops: dict[str, BusStop] = field(default_factory=dict)
-    _index: "GraphIndex | None" = field(default=None, init=False, repr=False, compare=False)
+    Node ids follow sorted Node order, so ``(dist, id)`` heap ties pop in
+    the order ``(dist, node)`` ties would, and id paths compare as node
+    paths do. ``out[a]`` maps each successor of ``a`` to the step's weight
+    in meters; ``into`` is ``out`` reversed. A network's graph indexes the
+    ORIGIN/DESTINATION pair and every stop node, so :meth:`with_access`
+    can attach any trip's endpoints.
+    """
 
-    def link(self, source: Node, target: Node, weight_m: float) -> None:
-        """Add the step; a step linked twice keeps the lighter weight, a new successor goes last."""
-        successors = self.adjacency.setdefault(source, {})
-        if weight_m < successors.get(target, _INF):
-            successors[target] = weight_m
-        self.adjacency.setdefault(target, {})
-        self._index = None
+    nodes: list[Node]
+    ids: dict[Node, int]
+    out: list[dict[int, float]]
+    into: list[dict[int, float]]
+    stops: dict[str, BusStop]
 
-    def index(self) -> "GraphIndex":
-        """The graph's integer index, built once and dropped by :meth:`link`.
+    @classmethod
+    def build(
+        cls,
+        adjacency: Mapping[Node, Mapping[Node, float]],
+        extra: Iterable[Node] = (),
+        stops: Mapping[str, BusStop] | None = None,
+    ) -> "TransitGraph":
+        """Index every node of the adjacency (keys and successors) plus ``extra``."""
+        nodes = set(adjacency)
+        nodes.update(extra)
+        for successors in adjacency.values():
+            nodes.update(successors)
+        ordered = sorted(nodes)
+        ids = {node: i for i, node in enumerate(ordered)}
+        out: list[dict[int, float]] = [{} for _ in ordered]
+        into: list[dict[int, float]] = [{} for _ in ordered]
+        for node, successors in adjacency.items():
+            a = ids[node]
+            for target, w in successors.items():
+                b = ids[target]
+                out[a][b] = into[b][a] = w
+        return cls(ordered, ids, out, into, dict(stops or {}))
 
-        Every stop node and the ORIGIN/DESTINATION pair are indexed, so
-        :meth:`GraphIndex.with_access` can attach any trip's endpoints.
+    @property
+    def adjacency(self) -> dict[Node, dict[Node, float]]:
+        """Each node with at least one step, in or out, mapped to its successors' weights.
+
+        Built on each read; editing it leaves the graph as it is.
         """
-        if self._index is None:
-            extra = [ORIGIN, DESTINATION, *(stop_node(s) for s in self.stops)]
-            self._index = GraphIndex.build(self.adjacency, extra)
-        return self._index
+        nodes = self.nodes
+        return {
+            node: {nodes[b]: w for b, w in out.items()}
+            for node, out, into in zip(nodes, self.out, self.into)
+            if out or into
+        }
 
-    def copy(self) -> "TransitGraph":
-        return TransitGraph(
-            adjacency={node: dict(successors) for node, successors in self.adjacency.items()},
-            stops=dict(self.stops),
-        )
+    def with_access(
+        self, origin_stops: Sequence[tuple[str, float]], dest_stops: Sequence[tuple[str, float]]
+    ) -> "TransitGraph":
+        """A view whose ORIGIN and DESTINATION carry one trip's access edges.
+
+        ORIGIN links to each origin stop in the given order, and each
+        destination stop gains an edge to DESTINATION after its own edges.
+        Only the touched nodes' maps are copied; the rest are shared.
+        """
+        out, into = list(self.out), list(self.into)
+        origin, destination = self.ids[ORIGIN], self.ids[DESTINATION]
+        for end, stops in ((origin, origin_stops), (destination, dest_stops)):
+            out[end], into[end] = {}, {}
+            for stop_id, dist in stops:
+                stop = self.ids[stop_node(stop_id)]
+                a, b = (end, stop) if end == origin else (stop, end)
+                out[a], into[b] = dict(out[a]), dict(into[b])
+                out[a][b] = into[b][a] = dist
+        return replace(self, out=out, into=into)
 
 
 def build_graph(
     itineraries: Sequence[ItineraryDef], stops: Mapping[str, BusStop]
 ) -> TransitGraph:
-    """Link the board, alight and ride steps of a set of itineraries."""
-    graph = TransitGraph(stops=dict(stops))
+    """Index the board, alight and ride steps of a set of itineraries; a ride
+    step that itineraries repeat keeps its lighter weight."""
+    steps: dict[Node, dict[Node, float]] = {}
     for iti in sorted(itineraries, key=lambda i: (i.line_code, i.direction)):
         stop_ids = iti.stop_ids
         for stop_id in stop_ids:
@@ -94,8 +139,8 @@ def build_graph(
                 )
         for stop_id in stop_ids:
             rn = ride_node(iti.line_code, iti.direction, stop_id)
-            graph.link(stop_node(stop_id), rn, 0.0)
-            graph.link(rn, stop_node(stop_id), 0.0)
+            steps.setdefault(stop_node(stop_id), {})[rn] = 0.0
+            steps.setdefault(rn, {})[stop_node(stop_id)] = 0.0
         lats = np.array([stops[stop_id].lat for stop_id in stop_ids])
         lons = np.array([stops[stop_id].lon for stop_id in stop_ids])
         lengths = haversine(lats[:-1], lons[:-1], lats[1:], lons[1:]).tolist()
@@ -105,32 +150,35 @@ def build_graph(
                     f"itinerary {iti.line_code}/{iti.direction}: consecutive stops "
                     f"{a} and {b} coincide"
                 )
-            graph.link(
-                ride_node(iti.line_code, iti.direction, a), ride_node(iti.line_code, iti.direction, b), length
-            )
-    return graph
+            successors = steps.setdefault(ride_node(iti.line_code, iti.direction, a), {})
+            ride = ride_node(iti.line_code, iti.direction, b)
+            successors[ride] = min(length, successors.get(ride, _INF))
+    return TransitGraph.build(steps, [ORIGIN, DESTINATION, *map(stop_node, stops)], stops)
 
 
 def add_cluster_transfers(graph: TransitGraph, clusters: Sequence[Cluster]) -> TransitGraph:
     """Return a copy of the graph with walk steps between cluster members.
 
     Every unordered member pair gains a walk each way, weighted by the walk
-    distance; linking a pair again is a no-op, so re-application is too.
+    distance; a step added twice keeps the lighter weight, so re-application
+    is a no-op.
     """
-    result = graph.copy()
+    out, into = [dict(m) for m in graph.out], [dict(m) for m in graph.into]
     for cluster in sorted(clusters, key=lambda c: c.cluster_id):
         members = cluster.member_list
         for member in members:
-            if member not in result.stops:
+            if member not in graph.stops:
                 raise ValueError(f"cluster {cluster.cluster_id} references unknown stop {member}")
-        lats = np.array([result.stops[m].lat for m in members])
-        lons = np.array([result.stops[m].lon for m in members])
+        ids = [graph.ids[stop_node(m)] for m in members]
+        lats = np.array([graph.stops[m].lat for m in members])
+        lons = np.array([graph.stops[m].lon for m in members])
         walks = haversine_matrix(lats, lons, lats, lons).tolist()
-        for i, a in enumerate(members):
-            for b, walk in zip(members[i + 1 :], walks[i][i + 1 :]):
-                result.link(stop_node(a), stop_node(b), walk)
-                result.link(stop_node(b), stop_node(a), walk)
-    return result
+        for i, a in enumerate(ids):
+            for b, walk in zip(ids[i + 1 :], walks[i][i + 1 :]):
+                for s, t in ((a, b), (b, a)):
+                    if walk < out[s].get(t, _INF):
+                        out[s][t] = into[t][s] = walk
+    return replace(graph, out=out, into=into)
 
 
 # ── Shortest paths ──────────────────────────────────────────────────────
@@ -150,68 +198,10 @@ def _above(weight: float) -> float:
     return weight + _BOUND_SLACK * (1.0 + weight)
 
 
-class GraphIndex:
-    """Integer-indexed adjacency for the shortest-path searches.
-
-    Node ids follow sorted Node order, so ``(dist, id)`` heap ties pop in
-    the order ``(dist, node)`` ties would, and id paths compare as node
-    paths do. ``out[a]`` maps each successor of ``a`` to the step's
-    weight; ``into`` is ``out`` reversed.
-    """
-
-    __slots__ = ("nodes", "ids", "out", "into")
-
-    def __init__(self, nodes, ids, out, into):
-        self.nodes: list[Node] = nodes
-        self.ids: dict[Node, int] = ids
-        self.out: list[dict[int, float]] = out
-        self.into: list[dict[int, float]] = into
-
-    @classmethod
-    def build(
-        cls, adjacency: Mapping[Node, Mapping[Node, float]], extra: Iterable[Node] = ()
-    ) -> "GraphIndex":
-        """Index every node of the adjacency (keys and successors) plus ``extra``."""
-        nodes = set(adjacency)
-        nodes.update(extra)
-        for successors in adjacency.values():
-            nodes.update(successors)
-        ordered = sorted(nodes)
-        ids = {node: i for i, node in enumerate(ordered)}
-        out: list[dict[int, float]] = [{} for _ in ordered]
-        into: list[dict[int, float]] = [{} for _ in ordered]
-        for node, successors in adjacency.items():
-            a = ids[node]
-            for target, w in successors.items():
-                b = ids[target]
-                out[a][b] = into[b][a] = w
-        return cls(ordered, ids, out, into)
-
-    def with_access(
-        self, origin_stops: Sequence[tuple[str, float]], dest_stops: Sequence[tuple[str, float]]
-    ) -> "GraphIndex":
-        """A view whose ORIGIN and DESTINATION carry one trip's access edges.
-
-        ORIGIN links to each origin stop in the given order, and each
-        destination stop gains an edge to DESTINATION after its own edges.
-        Only the touched nodes' maps are copied; the rest are shared.
-        """
-        view = GraphIndex(self.nodes, self.ids, list(self.out), list(self.into))
-        origin, destination = self.ids[ORIGIN], self.ids[DESTINATION]
-        for end, stops in ((origin, origin_stops), (destination, dest_stops)):
-            view.out[end], view.into[end] = {}, {}
-            for stop_id, dist in stops:
-                stop = self.ids[stop_node(stop_id)]
-                a, b = (end, stop) if end == origin else (stop, end)
-                view.out[a], view.into[b] = dict(view.out[a]), dict(view.into[b])
-                view.out[a][b] = view.into[b][a] = dist
-        return view
-
-
-def _distances_to(index: GraphIndex, target: int) -> list[float]:
+def _distances_to(graph: TransitGraph, target: int) -> list[float]:
     """Shortest distance from every node to the target (inf if none)."""
-    into = index.into
-    dist = [_INF] * len(index.nodes)
+    into = graph.into
+    dist = [_INF] * len(graph.nodes)
     dist[target] = 0.0
     heap = [(0.0, target)]
     while heap:
@@ -315,7 +305,7 @@ def _prefix_weights(out: list[dict[int, float]], path: Sequence[int]) -> list[fl
     return sums
 
 
-def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[float, list[int]]]:
+def _yen(graph: TransitGraph, source: int, target: int, k: int) -> list[tuple[float, list[int]]]:
     """Yen's K loopless shortest paths over node ids, unsorted ties included.
 
     Lawler's partition. S(R, N) is the set of simple paths that start with
@@ -339,9 +329,9 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
     would. A spur with no path within the limit skips the Dijkstra. Both
     passes read one map of the spur's allowed successors.
     """
-    n = len(index.nodes)
-    out = index.out
-    to_target = _distances_to(index, target)
+    n = len(graph.nodes)
+    out = graph.out
+    to_target = _distances_to(graph, target)
     if to_target[source] == _INF:
         return []
     # the reverse search has already found the first path's weight
@@ -396,14 +386,14 @@ def _yen(index: GraphIndex, source: int, target: int, k: int) -> list[tuple[floa
 
 
 def yen_k_shortest(
-    graph: GraphIndex | Mapping[Node, Mapping[Node, float]],
+    graph: TransitGraph | Mapping[Node, Mapping[Node, float]],
     source: Node,
     target: Node,
     k: int = DEFAULT_K,
 ) -> RankedPaths:
     """Up to k loopless paths in ascending (weight, path) order.
 
-    The graph is an index or an adjacency mapping; a node that is only a
+    The graph is a :class:`TransitGraph` or an adjacency mapping; a node that is only a
     successor is still a node. The first path equals the plain shortest
     path; fewer than k paths come back when the graph runs out of simple
     paths. Weights are recomputed as left-to-right sums of the steps'
@@ -413,8 +403,8 @@ def yen_k_shortest(
         raise ValueError("k must be at least 1")
     if source == target:
         raise ValueError("source and target must differ")
-    if not isinstance(graph, GraphIndex):
-        graph = GraphIndex.build(graph)
+    if not isinstance(graph, TransitGraph):
+        graph = TransitGraph.build(graph)
     if source not in graph.ids or target not in graph.ids:
         return []
     found = _yen(graph, graph.ids[source], graph.ids[target], k)
@@ -489,7 +479,7 @@ def evaluate_trip(
     dest_stops = nearest_stops(pair.destination, graph.stops, radius_m)
     if not origin_stops or not dest_stops:
         return []
-    return yen_k_shortest(graph.index().with_access(origin_stops, dest_stops), ORIGIN, DESTINATION, k)
+    return yen_k_shortest(graph.with_access(origin_stops, dest_stops), ORIGIN, DESTINATION, k)
 
 
 def evaluate_od(

@@ -449,6 +449,31 @@ def test_validate_reports_dangling_reference(tmp_path):
     assert "ZZ999/999" in report
 
 
+def test_validate_dataset_reports_each_itinerary_and_line_problem():
+    """An itinerary stop with no BusStop, an itinerary whose line is not in
+    the lines table and a line with no itinerary are each reported with
+    their subject and detail. The dataset is built in code: input files
+    cannot hold a dangling stop, since parse_line_points declares every
+    stop an itinerary lists."""
+    stops = {}
+    for i, stop_id in enumerate("AB"):
+        p = offset_point(GeoPoint(-25.45, -49.30), 400.0 * i, 0.0)
+        stops[stop_id] = BusStop(stop_id, stop_id, StopType.STREET_STOP, p.lat, p.lon)
+    dataset = Dataset(
+        lines={code: BusLine(code, code, LineCategory.CONVENCIONAL) for code in ("L1", "L3")},
+        stops=stops,
+        itineraries=[
+            ItineraryDef("L1", "A", ((1, "A"), (2, "B"), (3, "C"))),
+            ItineraryDef("L2", "B", ((1, "B"), (2, "A"))),
+        ],
+    )
+    assert model.validate_dataset(dataset) == [
+        model.ValidationIssue("dangling_stop", "L1/A", "itinerary references unknown stop C"),
+        model.ValidationIssue("unknown_line", "L2/B", "itinerary references a line absent from the lines table"),
+        model.ValidationIssue("line_without_itinerary", "L3", "line has no itinerary"),
+    ]
+
+
 def renamed_line(dataset: Dataset, code: str) -> Dataset:
     """The dataset with its single line renamed to ``code``."""
     return Dataset(

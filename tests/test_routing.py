@@ -12,9 +12,9 @@ from bustrace.pipeline import ARTIFACTS
 from bustrace.routing import (
     DESTINATION,
     ORIGIN,
-    GraphIndex,
     NetworkSummary,
     ODPair,
+    TransitGraph,
     add_cluster_transfers,
     build_graph,
     count_transfers,
@@ -128,7 +128,7 @@ def test_empty_cluster_set_leaves_graph_unchanged():
     g = build_graph([_iti("L1", ["A", "B"])], stops)
     g2 = add_cluster_transfers(g, [])
     assert g2.adjacency == g.adjacency
-    assert g2.adjacency is not g.adjacency  # original untouched
+    assert not any(a is b for a, b in zip(g2.out + g2.into, g.out + g.into))  # original untouched
 
 
 def test_two_member_cluster_adds_bidirectional_pair():
@@ -420,16 +420,16 @@ def test_spur_weight_bounds_the_same_spur_path():
     found = 0
     for trial in range(600):
         make = (_tie_heavy_adjacency, _float_tie_adjacency)[trial % 2]
-        index = GraphIndex.build(make(rng)[0])
-        n = len(index.nodes)
+        graph = TransitGraph.build(make(rng)[0])
+        n = len(graph.nodes)
         source, target = (int(i) for i in rng.choice(n, size=2, replace=False))
-        to_target = _distances_to(index, target)
+        to_target = _distances_to(graph, target)
         blocked = bytearray(int(i not in (source, target) and rng.random() < 0.2) for i in range(n))
-        banned_next = {nxt for nxt in index.out[source] if rng.random() < 0.4}
-        source_out = {nxt: w for nxt, w in index.out[source].items() if nxt not in banned_next}
+        banned_next = {nxt for nxt in graph.out[source] if rng.random() < 0.4}
+        source_out = {nxt: w for nxt, w in graph.out[source].items() if nxt not in banned_next}
 
         def search(find, limit):
-            return find(index.out, to_target, source, target, bytearray(blocked), source_out, limit)
+            return find(graph.out, to_target, source, target, bytearray(blocked), source_out, limit)
 
         path = search(_shortest_path, _NO_LIMIT)
         weight = search(_spur_weight, _NO_LIMIT)
@@ -437,7 +437,7 @@ def test_spur_weight_bounds_the_same_spur_path():
         if path is None:
             continue
         found += 1
-        path_weight = _prefix_weights(index.out, path)[-1]
+        path_weight = _prefix_weights(graph.out, path)[-1]
         assert abs(weight - path_weight) <= _above(path_weight) - path_weight
         assert search(_shortest_path, _above(weight)) == path
         # under a tighter limit both searches still agree on whether a path fits
@@ -650,6 +650,32 @@ def test_every_step_of_program_graphs_boards_alights_rides_or_walks(name, stops,
         assert got.keys() == expected.keys()
         for step, w in got.items():
             assert w == pytest.approx(expected[step], rel=1e-9), step
+
+
+@pytest.mark.parametrize("name, stops, itineraries, clusters", list(_program_networks()))
+def test_program_graphs_index_one_node_set_and_list_only_nodes_with_a_step(name, stops, itineraries, clusters):
+    """The base and clustered graphs number the same nodes, the OD pair and
+    every stop included. Adjacency lists only the nodes with a step: no OD
+    node, no stop that neither an itinerary nor a walk reaches, and a stop
+    that only a walk reaches in the clustered graph alone."""
+    served = sorted({s for iti in itineraries for s in iti.stop_ids})
+    near = stops[served[0]]
+    walker = offset_point(GeoPoint(near.lat, near.lon), 50.0, 0.0)
+    stops = {
+        **stops,
+        "idle": _stop("idle", 90000, 90000),
+        "walker": BusStop("walker", "walker", StopType.STREET_STOP, walker.lat, walker.lon),
+    }
+    clusters = [*clusters, _cluster({served[0], "walker"}, centroid="walker")]
+    g = build_graph(itineraries, stops)
+    gc = add_cluster_transfers(g, clusters)
+    assert gc.nodes == g.nodes == sorted(g.nodes)
+    assert {ORIGIN, DESTINATION, stop_node("idle"), stop_node("walker")} <= set(g.nodes)
+    ridden = {ride_node(iti.line_code, iti.direction, s) for iti in itineraries for s in iti.stop_ids}
+    ridden.update(map(stop_node, served))
+    walked = {stop_node(m) for cluster in clusters for m in cluster.members}
+    assert set(g.adjacency) == ridden
+    assert set(gc.adjacency) == ridden | walked
 
 
 @pytest.mark.parametrize("name, stops, itineraries, clusters", list(_program_networks()))

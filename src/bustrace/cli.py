@@ -12,6 +12,10 @@ stderr.
 
 Importing this module loads the configuration, the data model and the
 ingest, not the stages: each stage loads its modules when it runs.
+Imported before numpy, it pins OpenBLAS to one thread unless
+``OPENBLAS_NUM_THREADS`` is set, so a program that does heavy linear
+algebra of its own should set that variable or import the stage modules
+instead.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Any
+
+# set before numpy loads: an OpenBLAS worker thread busy-waits through the imports, and no stage needs it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import pipeline
 from .model import Dataset

@@ -640,6 +640,26 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_pins_openblas_to_one_thread_unless_the_user_set_it():
+    """Importing the CLI before numpy starts no OpenBLAS worker, which would
+    busy-wait through the imports of every CLI process; a user's value is kept."""
+    probe = (
+        "import os, bustrace.cli; tasks = '/proc/self/task'; "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir(tasks)) if os.path.isdir(tasks) else -1)"
+    )
+
+    def run(env: dict) -> list[str]:
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        return result.stdout.split()
+
+    # this process imported bustrace.cli too, so its environment carries the pin
+    unset = {key: value for key, value in _src_env().items() if key != "OPENBLAS_NUM_THREADS"}
+    value, threads = run(unset)
+    assert value == "1"
+    assert threads in ("1", "-1")  # -1: no /proc/self/task to count threads in
+    assert run(unset | {"OPENBLAS_NUM_THREADS": "2"})[0] == "2"
+
+
 # The bustrace modules a CLI process loads: the core on import, and each
 # stage's own modules once that stage runs.
 _CORE_MODULES = {"cli", "geo", "model", "pipeline", "records"}
@@ -944,26 +964,29 @@ GOLDEN_DIGESTS = Path(__file__).with_name("golden_csv_digests.json")
     ids=["line829", "three_hubs"],
 )
 def test_all_writes_the_golden_csvs_under_two_hash_seeds(tmp_path, name, make_dataset):
-    """`all`, each time in a new interpreter under another string hash seed,
-    writes CSVs whose digests are the committed ones: no artifact depends on
-    hash order, on the Python or numpy version, or on a refactor.
+    """`all`, each time in a new interpreter under another string hash seed
+    or BLAS thread count, writes CSVs whose digests are the committed ones: no artifact depends on
+    hash order, on the BLAS thread count, on the Python or numpy version, or
+    on a refactor.
 
     A change that alters an artifact on purpose replaces this dataset's
     digests in ``golden_csv_digests.json`` with those the failure prints.
     """
     config = write_config(tmp_path, make_dataset())
     golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))[name]
-    for seed in ("0", "1"):
-        out = tmp_path / f"hashseed{seed}"
+    # the CLI pins OpenBLAS to one thread; the last run keeps a user's two
+    runs = [{"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "1"}, {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "2"}]
+    for i, settings in enumerate(runs):
+        out = tmp_path / f"run{i}"
         result = subprocess.run(
             [sys.executable, "-m", "bustrace", "all", "--config", str(config), "--out", str(out)],
-            env=_src_env() | {"PYTHONHASHSEED": seed},
+            env=_src_env() | settings,
             capture_output=True,
             text=True,
         )
         assert result.returncode == 0, result.stderr
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
-        assert digests == golden, f"PYTHONHASHSEED={seed}: {json.dumps(digests, indent=2)}"
+        assert digests == golden, f"{settings}: {json.dumps(digests, indent=2)}"
 
 
 # bench/trace.py: one CLI invocation with counters around the layers

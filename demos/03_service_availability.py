@@ -10,13 +10,8 @@ like informal hubs.
 
 import numpy as np
 
-from bustrace.analytics import (
-    PassageTable,
-    aggregate_by_category,
-    build_availability,
-    find_outlier_stops,
-    merge_terminals,
-)
+from bustrace.analytics import aggregate_by_category, build_availability, find_outlier_stops, merge_terminals
+from bustrace.detection import passage_table
 from bustrace.model import DEFAULT_SPAN_MINUTES, Dataset, LineCategory, StopType
 from bustrace.pipeline import PipelineConfig, run_detection
 from bustrace.synthetic import straight_line_dataset
@@ -46,7 +41,7 @@ for part in parts:
 outcomes = run_detection(dataset, PipelineConfig())
 print(f"{sum(len(outcome.trips) for outcome in outcomes)} trips reconstructed across {len(dataset.lines)} lines")
 
-passages = PassageTable.from_outcomes(outcomes)
+passages = passage_table(outcomes)
 keys, key_code, facts = merge_terminals(passages, dataset.stops)
 categories = {key: fact.category for key, fact in facts.items()}
 keys = keys.tolist()

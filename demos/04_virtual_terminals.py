@@ -11,8 +11,9 @@ within a rider's waiting window?
 
 from datetime import date
 
-from bustrace.analytics import PassageTable, build_availability, cluster_sync_profile, find_outlier_stops
+from bustrace.analytics import build_availability, cluster_sync_profile, find_outlier_stops
 from bustrace.clustering import build_candidates, cluster_stats, cluster_stops
+from bustrace.detection import passage_table
 from bustrace.geo import GeoPoint, offset_point
 from bustrace.model import (
     DEFAULT_PERIODS,
@@ -82,7 +83,7 @@ for code, stop_ids in routes.items():
 outcomes = run_detection(dataset, PipelineConfig())
 print(f"{sum(len(outcome.trips) for outcome in outcomes)} trips reconstructed")
 
-passages = PassageTable.from_outcomes(outcomes)
+passages = passage_table(outcomes)
 counts = build_availability(passages.stop_id, passages.time_s, len(passages.stop_ids), [10])[10]
 averages = dict(zip(passages.stop_ids.tolist(), counts.mean(axis=1).tolist()))
 categories = {key: StopType.STREET_STOP for key in averages}

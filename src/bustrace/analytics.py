@@ -1,12 +1,14 @@
 """Temporal assessment of bus service from detected itineraries.
 
-Availability is measured per stop as the number of passages inside a
-sliding W-minute window shifted by one minute across the service span
-(05:00 to 23:00 by default). Each window size gives one count matrix, a
-row per stop and a column per window start minute. A category's series is
-the mean of its stops' rows, and a stop's daily average the mean of its
-row, which feeds boxplot outlier detection. A period of the day is a mask
-over the columns, inside which rows are correlated pairwise (Pearson).
+Passages arrive as a :class:`PassageTable`, one row per (trip, position),
+built by detection or read back from its CSV. Availability is measured per
+stop as the number of passages inside a sliding W-minute window shifted by
+one minute across the service span (05:00 to 23:00 by default). Each
+window size gives one count matrix, a row per stop and a column per window
+start minute. A category's series is the mean of its stops' rows, and a
+stop's daily average the mean of its row, which feeds boxplot outlier
+detection. A period of the day is a mask over the columns, inside which
+rows are correlated pairwise (Pearson).
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .detection import GroupOutcome, round_to_second
 from .model import DEFAULT_SPAN_MINUTES, DEFAULT_WINDOW_MINUTES, BusStop, Period, StopType
 
 log = logging.getLogger(__name__)
@@ -36,7 +37,7 @@ ID_NAMES = {
 }
 
 
-def _encode_ids(values) -> tuple[np.ndarray, np.ndarray]:
+def encode_ids(values) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct ids of ``values`` and each value's int32 code into them."""
     ids, codes = np.unique(np.asarray(values, dtype=str), return_inverse=True)
     return ids, codes.reshape(-1).astype(np.int32)
@@ -54,8 +55,8 @@ class PassageTable:
     ``trip`` numbers the trips of one (line, direction, vehicle, day) group
     from 1; ``time_s`` holds seconds of day rounded to whole seconds as the
     file writes them, and ``observed`` is False for an interpolated time.
-    A table built from the detection outcomes in memory
-    (:meth:`from_outcomes`) equals the one read back from that file.
+    The table :func:`~bustrace.detection.passage_table` builds from the
+    detection outcomes in memory equals the one read back from that file.
     """
 
     line_code: np.ndarray
@@ -95,41 +96,8 @@ class PassageTable:
         """A table of the nine columns, the id columns given as ids."""
         coded = {}
         for name, ids_name in ID_NAMES.items():
-            coded[ids_name], coded[name] = _encode_ids(columns.pop(name))
+            coded[ids_name], coded[name] = encode_ids(columns.pop(name))
         return cls(**columns, **coded)
-
-    @classmethod
-    def from_outcomes(cls, outcomes: Iterable[GroupOutcome]) -> "PassageTable":
-        """The passages of every accepted trip, outcome by outcome, each
-        outcome's trips numbered from 1 in its order: an outcome is one
-        (line, direction, vehicle, day) group."""
-        groups = [outcome for outcome in outcomes if outcome.trips]
-        if not groups:
-            return cls.from_columns(**dict.fromkeys(PASSAGE_COLUMNS, ()))
-        length = np.array([len(outcome.itinerary) for outcome in groups])
-        sizes = length * [len(outcome.trips) for outcome in groups]
-        group = np.repeat(np.arange(len(groups)), sizes)  # each row's outcome
-        row = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # within its outcome
-        index = row % length[group]  # each row's position - 1
-        coded = {}
-        for name, ids in (
-            ("line_code", [outcome.itinerary.line_code for outcome in groups]),
-            ("direction", [outcome.itinerary.direction for outcome in groups]),
-            ("vehicle_id", [outcome.vehicle_id for outcome in groups]),
-        ):
-            coded[ID_NAMES[name]], codes = _encode_ids(ids)
-            coded[name] = codes[group]
-        coded["stop_ids"], codes = _encode_ids(np.concatenate([outcome.itinerary.stop_ids for outcome in groups]))
-        coded["stop_id"] = codes[(np.cumsum(length) - length)[group] + index]
-        trips = [trip for outcome in groups for trip in outcome.trips]
-        return cls(
-            day=np.array([outcome.day for outcome in groups], dtype="datetime64[D]")[group],
-            trip=row // length[group] + 1,
-            position=index + 1,
-            time_s=round_to_second(np.concatenate([trip.time_s for trip in trips])),
-            observed=np.concatenate([trip.observed for trip in trips]),
-            **coded,
-        )
 
     def column(self, name: str) -> np.ndarray:
         """The values of one of the nine columns, ids for an id column."""
@@ -137,14 +105,8 @@ class PassageTable:
         return getattr(self, ID_NAMES[name])[values] if name in ID_NAMES else values
 
     def at_stops(self, stop_ids: Sequence[str]) -> np.ndarray:
-        """Whether each row passes one of ``stop_ids``: a lookup over stop codes."""
-        wanted = np.asarray(stop_ids, dtype=str)
-        codes = np.searchsorted(self.stop_ids, wanted)
-        known = codes < len(self.stop_ids)
-        codes = codes[known][self.stop_ids[codes[known]] == wanted[known]]
-        member = np.zeros(len(self.stop_ids), dtype=bool)
-        member[codes] = True
-        return member[self.stop_id]
+        """Whether each row passes one of ``stop_ids``; an id without passages selects no row."""
+        return np.isin(self.stop_ids, np.asarray(stop_ids, dtype=str))[self.stop_id]
 
 
 def terminal_key(stop: BusStop) -> str:
@@ -196,7 +158,7 @@ def merge_terminals(
             raise ValueError(f"stop {stop_id} has the key of terminal {terminals[key][0].name!r}")
         keys.append(key)
         facts[key] = fact
-    key_ids, key_codes = _encode_ids(keys)
+    key_ids, key_codes = encode_ids(keys)
     key_of_stop = np.zeros(len(passages.stop_ids), dtype=np.int32)
     key_of_stop[present] = key_codes
     return key_ids, key_of_stop[passages.stop_id], facts

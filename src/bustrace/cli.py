@@ -93,10 +93,9 @@ def _run_stage(
         run_validate(staging, dataset)
     elif stage == "detect":
         from . import detection
-        from .analytics import PassageTable
 
         outcomes = run_detection(dataset, config)
-        passages = PassageTable.from_outcomes(outcomes)
+        passages = detection.passage_table(outcomes)
         categories = {line.code: line.category for line in dataset.lines.values()}
         report = detection.tag_report(outcomes, categories)
         write_detection_artifacts(staging, passages, report)

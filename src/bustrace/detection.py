@@ -14,28 +14,25 @@ track's marks and returns a :class:`GroupOutcome`: the group's identity
 (itinerary, vehicle, day), stated once, its accepted trips and the
 :class:`Tally` of its marks, which :func:`tag_report` sums by line category.
 A trip itself is only its times and their provenance, position by position.
+:func:`passage_table` lays the accepted trips out as the
+:class:`~bustrace.analytics.PassageTable` that the later stages read.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, fields
 from datetime import date
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from .analytics import ID_NAMES, PASSAGE_COLUMNS, PassageTable, encode_ids
 from .model import DEFAULT_IDLE_GAP_MIN, DEFAULT_WRAP_FRACTION, ItineraryDef, LineCategory
 
 if TYPE_CHECKING:
     from .matching import Marks
 
 DEFAULT_IDLE_GAP_S = DEFAULT_IDLE_GAP_MIN * 60
-
-
-class Provenance(enum.Enum):
-    OBSERVED = "OBSERVED"
-    INTERPOLATED = "INTERPOLATED"
 
 
 # ── Time-of-day helpers ─────────────────────────────────────────────────
@@ -384,6 +381,42 @@ def detect_group(
             tally.rejected_segments += 1
             tally.rejected_marks += own_marks
     return GroupOutcome(itinerary, vehicle_id, day, trips, tally)
+
+
+# ── The passage table ───────────────────────────────────────────────────
+
+
+def passage_table(outcomes: Iterable[GroupOutcome]) -> PassageTable:
+    """The passages of every accepted trip, outcome by outcome, each
+    outcome's trips numbered from 1 in its order: an outcome is one
+    (line, direction, vehicle, day) group."""
+    groups = [outcome for outcome in outcomes if outcome.trips]
+    if not groups:
+        return PassageTable.from_columns(**dict.fromkeys(PASSAGE_COLUMNS, ()))
+    length = np.array([len(outcome.itinerary) for outcome in groups])
+    sizes = length * [len(outcome.trips) for outcome in groups]
+    group = np.repeat(np.arange(len(groups)), sizes)  # each row's outcome
+    row = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # within its outcome
+    index = row % length[group]  # each row's position - 1
+    coded = {}
+    for name, ids in (
+        ("line_code", [outcome.itinerary.line_code for outcome in groups]),
+        ("direction", [outcome.itinerary.direction for outcome in groups]),
+        ("vehicle_id", [outcome.vehicle_id for outcome in groups]),
+    ):
+        coded[ID_NAMES[name]], codes = encode_ids(ids)
+        coded[name] = codes[group]
+    coded["stop_ids"], codes = encode_ids(np.concatenate([outcome.itinerary.stop_ids for outcome in groups]))
+    coded["stop_id"] = codes[(np.cumsum(length) - length)[group] + index]
+    trips = [trip for outcome in groups for trip in outcome.trips]
+    return PassageTable(
+        day=np.array([outcome.day for outcome in groups], dtype="datetime64[D]")[group],
+        trip=row // length[group] + 1,
+        position=index + 1,
+        time_s=round_to_second(np.concatenate([trip.time_s for trip in trips])),
+        observed=np.concatenate([trip.observed for trip in trips]),
+        **coded,
+    )
 
 
 # ── Interpolation-error protocol ────────────────────────────────────────

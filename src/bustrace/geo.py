@@ -75,7 +75,8 @@ def nearest_stops(
 def offset_point(origin: GeoPoint, east_m: float, north_m: float) -> GeoPoint:
     """Shift a point by local meter offsets (small-displacement approximation).
 
-    Used by the synthetic fixture builders; accurate to well under a meter
+    Used to jitter OD endpoints (:func:`~bustrace.routing.generate_od_pairs`)
+    and by the synthetic fixture builders; accurate to well under a meter
     for the few-kilometer extents they generate.
     """
     dlat = north_m / 111_194.9266  # meters per degree of latitude on this sphere

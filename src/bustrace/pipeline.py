@@ -13,8 +13,9 @@ use fixed formatting, so repeated runs are byte-identical.
 
 The configuration, the artifact table and the CSV helpers need only the
 data model. Each stage imports the modules it computes with when it runs,
-so a process loads only the stages it runs: ``validate`` loads none, and
-``route`` loads :mod:`~bustrace.routing` alone.
+so a process loads only the stages it runs: ``validate`` loads none,
+``analyze`` :mod:`~bustrace.analytics` alone, and only ``detect`` loads
+:mod:`~bustrace.detection`, as the detection CSV is written and read here.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ DETECTED_FILE = "detected_itineraries.csv"
 # character a CSV field is quoted for (records.id_fault), so no cell is quoted.
 _ID_CELL = (re.compile(f"[^{re.escape(ID_FORBIDDEN)}]*".encode()), "an id without , ; \" CR or LF")
 _DECIMAL_CELL = (re.compile(rb"[0-9]{1,18}"), "a decimal integer")
+# the provenance cell of an observed time and of an interpolated one
+OBSERVED, INTERPOLATED = "OBSERVED", "INTERPOLATED"
 DETECTION_COLUMNS = {
     "line_code": _ID_CELL,
     "direction": _ID_CELL,
@@ -68,7 +71,7 @@ DETECTION_COLUMNS = {
     "position": _DECIMAL_CELL,
     "stop_id": _ID_CELL,
     "time": (re.compile(rb"[0-9]{2,9}:[0-5][0-9]:[0-5][0-9]"), "a time HH:MM:SS"),
-    "provenance": (re.compile(rb"OBSERVED|INTERPOLATED"), "OBSERVED or INTERPOLATED"),
+    "provenance": (re.compile(f"{OBSERVED}|{INTERPOLATED}".encode()), f"{OBSERVED} or {INTERPOLATED}"),
 }
 DETECTION_HEADER = list(DETECTION_COLUMNS)
 _DETECTION_ROW = b",".join(b"(?:%s)" % pattern.pattern for pattern, _ in DETECTION_COLUMNS.values())
@@ -364,9 +367,9 @@ def _clock_texts(seconds: np.ndarray) -> np.ndarray:
 
     Digits are laid out as bytes; only hours outside 00-99 go through that function.
     """
-    from .detection import format_time_of_day
-
     if np.any((seconds < 0) | (seconds >= 100 * 3600)):
+        from .detection import format_time_of_day
+
         return np.array([format_time_of_day(t) for t in seconds.tolist()], dtype=str)
     hours, rest = np.divmod(seconds, 3600)
     minutes, secs = np.divmod(rest, 60)
@@ -390,7 +393,6 @@ def write_detection_artifacts(out_dir: Path, passages: PassageTable, report: dic
     A table holding an id that :func:`~bustrace.records.id_fault` refuses raises ValueError.
     """
     from . import analytics
-    from .detection import Provenance
 
     for name, ids_name in analytics.ID_NAMES.items():
         for value in getattr(passages, ids_name).tolist():
@@ -408,7 +410,7 @@ def write_detection_artifacts(out_dir: Path, passages: PassageTable, report: dic
         passages.position.astype(str).tolist(),
         passages.column("stop_id").tolist(),
         _clock_texts(times)[time_rows].tolist(),
-        np.where(passages.observed, Provenance.OBSERVED.value, Provenance.INTERPOLATED.value).tolist(),
+        np.where(passages.observed, OBSERVED, INTERPOLATED).tolist(),
     ]
     with open(out_dir / DETECTED_FILE, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(DETECTION_HEADER) + "\n")
@@ -486,7 +488,6 @@ def _passage_table(cells: dict[str, np.ndarray]) -> PassageTable:
     A ValueError names the first data row whose day is not in the calendar.
     """
     from . import analytics
-    from .detection import Provenance
 
     distinct, inverse = np.unique(cells["day"], return_inverse=True)
     inverse = inverse.reshape(-1)
@@ -510,7 +511,7 @@ def _passage_table(cells: dict[str, np.ndarray]) -> PassageTable:
         trip=_leading_number(*_digits(cells["trip"])),
         position=_leading_number(*_digits(cells["position"])),
         time_s=_leading_number(digits, length - 6) * 3600 + (m1 * 10 + m0) * 60 + s1 * 10 + s0,
-        observed=cells["provenance"] == Provenance.OBSERVED.value.encode(),
+        observed=cells["provenance"] == OBSERVED.encode(),
         **ids,
     )
 
@@ -617,7 +618,7 @@ def run_cluster(
             len(c.lines_served),
             c.avg_buses,
             STOP_ID_SEPARATOR.join(c.member_list),
-            ";".join(sorted(c.lines_served)),
+            STOP_ID_SEPARATOR.join(sorted(c.lines_served)),
         )
         for c in enriched
     ]
@@ -656,7 +657,7 @@ def read_clusters(out_dir: Path) -> list[Cluster]:
             cluster_id=r["cluster_id"],
             centroid_stop_id=r["centroid_stop_id"],
             members=frozenset(r["members"].split(STOP_ID_SEPARATOR)) if r["members"] else frozenset(),
-            lines_served=frozenset(r["lines"].split(";")) if r["lines"] else frozenset(),
+            lines_served=frozenset(r["lines"].split(STOP_ID_SEPARATOR)) if r["lines"] else frozenset(),
             avg_buses=r["avg_buses"],
         )
         for r in read_artifact(out_dir, CLUSTERS_FILE, ["avg_buses"])

@@ -64,13 +64,12 @@ TIMESTAMP_FORMAT = "%d/%m/%Y %H:%M:%S"
 # Stops referenced twice must agree in position to within this tolerance.
 COORD_CONFLICT_M = 1.0
 
-# Joins the stop ids of one CSV cell (cluster members, OD path stops).
+# Joins the ids of one CSV cell: a cluster's members or lines, an OD path's stops.
 STOP_ID_SEPARATOR = ";"
 
 # No id (line code, direction, stop id, vehicle id) may hold one of these:
-# ';', which also joins the line codes of one cell of the cluster artifact,
-# and the characters a CSV field is quoted for (RFC 4180), so that every
-# artifact writes its ids as they are.
+# the separator above and the characters a CSV field is quoted for (RFC
+# 4180), so that every artifact writes its ids as they are.
 ID_FORBIDDEN = STOP_ID_SEPARATOR + ',"\r\n'
 _FORBIDDEN = re.compile(f"[{re.escape(ID_FORBIDDEN)}]")
 

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from bustrace.detection import Provenance
 from bustrace.matching import Marks
 from bustrace.model import Dataset, ItineraryDef
 from bustrace.pipeline import PipelineConfig, run_detection
 from bustrace.synthetic import line829_dataset
+
+from stopmark_reference import Provenance
 
 # The nine passage marks of the degraded circular-line trip, in time order:
 # (stop_id, time, smallest itinerary position). The second row is the

@@ -8,16 +8,21 @@ the columnar ``bustrace.detection`` code.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from datetime import date
 
 from bustrace.detection import (
     DEFAULT_IDLE_GAP_S,
     DEFAULT_WRAP_FRACTION,
-    Provenance,
     interpolate_gap,
 )
 from bustrace.model import ItineraryDef
+
+
+class Provenance(enum.Enum):
+    OBSERVED = "OBSERVED"
+    INTERPOLATED = "INTERPOLATED"
 
 
 @dataclass(frozen=True, slots=True)

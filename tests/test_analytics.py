@@ -33,6 +33,7 @@ from bustrace.detection import (
     Tally,
     format_time_of_day,
     parse_time_of_day,
+    passage_table,
     round_to_second,
     tag_report,
 )
@@ -359,7 +360,7 @@ _outcomes = st.lists(
 @given(_outcomes)
 @settings(max_examples=200, deadline=None)
 def test_passage_table_from_trips_rounds_like_the_detection_csv(outcomes):
-    table = PassageTable.from_outcomes(outcomes)
+    table = passage_table(outcomes)
     rows = [
         (o.itinerary.line_code, o.itinerary.direction, o.vehicle_id, o.day, trip,
          position, stop_id, round_to_second(t), observed)
@@ -381,7 +382,7 @@ def _to_odd_second(t: float) -> int:
 @given(_outcomes)
 @settings(max_examples=300, deadline=None)
 def test_passage_table_round_trips_through_the_detection_csv(outcomes):
-    table = PassageTable.from_outcomes(outcomes)
+    table = passage_table(outcomes)
     with tempfile.TemporaryDirectory() as tmp:
         pipeline.write_detection_artifacts(Path(tmp), table, tag_report([], {}))
         back = pipeline.read_detection_rows(Path(tmp))
@@ -519,6 +520,16 @@ def _passages(times_by_stop, vehicle="V1", line="L1"):
         time_s=[t for _, t in rows],
         observed=[True] * len(rows),
     )
+
+
+def test_at_stops_selects_the_rows_of_known_ids_once():
+    passages = _passages({"S1": [18000, 18600], "S2": [19000], "S3": [20000]})
+    assert passages.at_stops(["S3", "S1"]).tolist() == [True, True, False, True]
+    # an id with no passages (a cluster member no trip passed) selects nothing, wherever it sorts
+    assert passages.at_stops(["S25", "S2"]).tolist() == [False, False, True, False]
+    assert passages.at_stops(["S0", "S15", "S9"]).tolist() == [False] * 4
+    assert passages.at_stops(["S1", "S1"]).tolist() == [True, True, False, False]
+    assert passages.at_stops([]).tolist() == [False] * 4
 
 
 def _counts(passages, windows):

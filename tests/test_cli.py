@@ -666,8 +666,8 @@ _CORE_MODULES = {"cli", "geo", "model", "pipeline", "records"}
 _STAGE_MODULES = {
     "validate": set(),
     "detect": {"analytics", "detection", "matching"},
-    "analyze": {"analytics", "detection"},
-    "cluster": {"analytics", "clustering", "detection"},
+    "analyze": {"analytics"},
+    "cluster": {"analytics", "clustering"},
     "route": {"routing"},
     "all": {"analytics", "clustering", "detection", "matching", "routing"},
 }
@@ -696,6 +696,14 @@ def test_cli_import_help_and_validate_load_no_stage_module(tmp_path):
         result, loaded = _fresh_process(tmp_path, *args)
         assert result.returncode == 0, result.stderr
         assert loaded == _CORE_MODULES, args
+
+
+def test_analytics_and_clustering_load_no_detection_module():
+    """The analyze and cluster stages read passages, not how trips were detected."""
+    for module in ("analytics", "clustering"):
+        probe = f"import sys, bustrace.{module}; print('bustrace.detection' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True, text=True)
+        assert result.stdout.split() == ["False"], (module, result.stderr)
 
 
 def test_each_stage_in_a_fresh_process_loads_its_modules_and_writes_the_bytes_of_all(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bustrace import pipeline
 from bustrace.detection import (
-    Provenance,
     Tally,
     detect,
     detect_group,
@@ -154,7 +153,7 @@ def test_case_study_reconstruction(case_dataset):
     times = [t for _, _, t, _ in entries]
     assert all(b > a for a, b in zip(times, times[1:]))
     mark_times = set(marks.time_s.tolist())
-    observed = [t for _, _, t, prov in entries if prov is Provenance.OBSERVED]
+    observed = [t for _, _, t, prov in entries if prov is ref.Provenance.OBSERVED]
     assert all(t in mark_times for t in observed)
 
 
@@ -385,7 +384,7 @@ def test_detect_invariants_on_random_segments(data):
         times = [e[2] for e in entries]
         assert all(b > a for a, b in zip(times, times[1:]))
         mark_times = set(marks.time_s.tolist())
-        observed = [t for _, _, t, prov in entries if prov is Provenance.OBSERVED]
+        observed = [t for _, _, t, prov in entries if prov is ref.Provenance.OBSERVED]
         assert all(t in mark_times for t in observed)
         # accepted and dropped marks partition the segment
         assert len(observed) + len(result.dropped) == len(marks)
@@ -524,7 +523,7 @@ def test_case_study_errors_match_oracle_run(case_dataset, case_dataset_full):
     errors = {
         pos: abs(true_by_position[pos] - t)
         for pos, _, t, prov in trip_entries(itinerary, degraded)
-        if prov is Provenance.INTERPOLATED
+        if prov is ref.Provenance.INTERPOLATED
     }
     assert errors == {3: 0.5, 5: 6.5, 8: 117.0}
 
